@@ -1,7 +1,8 @@
 //! Errors surfaced by the ASIC model.
 //!
 //! Build-time errors ([`AsicError::StageOutOfRange`],
-//! [`AsicError::SramBudgetExceeded`]) correspond to P4 compiler rejections;
+//! [`AsicError::SramBudgetExceeded`], [`AsicError::TooManyResources`])
+//! correspond to P4 compiler rejections;
 //! pass-time errors ([`AsicError::StageRegression`],
 //! [`AsicError::DoubleAccess`]) correspond to designs that simply cannot be
 //! expressed on the hardware — the constraints §3.4 of the paper works
@@ -27,6 +28,11 @@ pub enum AsicError {
         used_bytes: u64,
         /// The per-stage budget.
         budget_bytes: u64,
+    },
+    /// A program declared more stateful resources than one pass can track.
+    TooManyResources {
+        /// Resources a program may declare.
+        limit: usize,
     },
     /// A packet tried to access a resource bound to an earlier stage than
     /// its current position ("packets go through processing stages
@@ -72,6 +78,9 @@ impl fmt::Display for AsicError {
                 f,
                 "stage {stage} SRAM budget exceeded: {used_bytes} > {budget_bytes} bytes"
             ),
+            AsicError::TooManyResources { limit } => {
+                write!(f, "program declares more than {limit} stateful resources")
+            }
             AsicError::StageRegression {
                 bound_stage,
                 current_stage,

@@ -3,8 +3,8 @@
 //!
 //! Every stateful access (register read/write/RMW, table lookup, hash
 //! computation) takes `&mut PacketPass`. The guard tracks the furthest
-//! stage the packet has reached and the set of resources already touched,
-//! and refuses:
+//! stage the packet has reached and the set of resources already touched
+//! (one bit per [`ResourceId`], so a pass never allocates), and refuses:
 //!
 //! * accesses to a resource bound to an **earlier** stage
 //!   ([`AsicError::StageRegression`]), and
@@ -19,25 +19,23 @@ use crate::error::AsicError;
 use crate::resources::ResourceId;
 
 /// Tracks one packet's traversal of the pipeline.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PacketPass {
     current_stage: u8,
-    touched: Vec<ResourceId>,
-}
-
-impl Default for PacketPass {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Bit `i` set = resource `i` touched; [`Layout::allocate`] hands out
+    /// no id beyond [`Self::MAX_RESOURCES`].
+    ///
+    /// [`Layout::allocate`]: crate::Layout::allocate
+    touched: u64,
 }
 
 impl PacketPass {
+    /// Resources one program may declare (the guard's bitmask width).
+    pub const MAX_RESOURCES: usize = u64::BITS as usize;
+
     /// Begins a fresh pass at the parser (before stage 0).
     pub fn new() -> Self {
-        PacketPass {
-            current_stage: 0,
-            touched: Vec::with_capacity(8),
-        }
+        Self::default()
     }
 
     /// The furthest stage this packet has reached.
@@ -47,7 +45,7 @@ impl PacketPass {
 
     /// Number of stateful accesses performed so far.
     pub fn accesses(&self) -> usize {
-        self.touched.len()
+        self.touched.count_ones() as usize
     }
 
     /// Validates and records an access to `resource` bound at `stage`.
@@ -61,11 +59,12 @@ impl PacketPass {
                 current_stage: self.current_stage,
             });
         }
-        if self.touched.contains(&resource) {
+        let bit = 1u64 << resource.index();
+        if self.touched & bit != 0 {
             return Err(AsicError::DoubleAccess { stage });
         }
         self.current_stage = stage;
-        self.touched.push(resource);
+        self.touched |= bit;
         Ok(())
     }
 }

@@ -6,17 +6,24 @@
 //! metrics (stages, SRAM, match-input crossbar, hash bits, ALUs).
 
 use crate::error::AsicError;
+use crate::pass::PacketPass;
 use crate::spec::AsicSpec;
 
 /// Opaque identity of one allocated resource (used by [`crate::PacketPass`]
-/// to detect double accesses).
+/// to detect double accesses). Always below [`PacketPass::MAX_RESOURCES`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub struct ResourceId(usize);
+pub struct ResourceId(u8);
 
 impl ResourceId {
     #[doc(hidden)]
     pub fn new_for_test(n: usize) -> Self {
-        ResourceId(n)
+        assert!(n < PacketPass::MAX_RESOURCES, "resource id {n} too wide");
+        ResourceId(n as u8)
+    }
+
+    /// The id's bit position in the pass guard's mask.
+    pub(crate) fn index(self) -> u32 {
+        self.0.into()
     }
 }
 
@@ -57,7 +64,6 @@ pub struct Layout {
     spec: AsicSpec,
     allocations: Vec<Allocation>,
     per_stage_sram: Vec<u64>,
-    next_id: usize,
 }
 
 impl Layout {
@@ -67,7 +73,6 @@ impl Layout {
             per_stage_sram: vec![0; spec.stages as usize],
             spec,
             allocations: Vec::new(),
-            next_id: 0,
         }
     }
 
@@ -76,9 +81,15 @@ impl Layout {
         &self.spec
     }
 
-    /// Records an allocation, enforcing stage range and per-stage SRAM
-    /// budget. Returns the resource's identity.
+    /// Records an allocation, enforcing stage range, per-stage SRAM
+    /// budget and the pass guard's resource limit. Returns the resource's
+    /// identity.
     pub fn allocate(&mut self, alloc: Allocation) -> Result<ResourceId, AsicError> {
+        if self.allocations.len() >= PacketPass::MAX_RESOURCES {
+            return Err(AsicError::TooManyResources {
+                limit: PacketPass::MAX_RESOURCES,
+            });
+        }
         if alloc.stage >= self.spec.stages {
             return Err(AsicError::StageOutOfRange {
                 stage: alloc.stage,
@@ -94,9 +105,10 @@ impl Layout {
             });
         }
         self.per_stage_sram[alloc.stage as usize] = used;
+        // Ids are dense: the allocation's index, below the limit checked
+        // above.
+        let id = ResourceId(self.allocations.len() as u8);
         self.allocations.push(alloc);
-        let id = ResourceId(self.next_id);
-        self.next_id += 1;
         Ok(id)
     }
 
@@ -230,6 +242,25 @@ mod tests {
         let a = l.allocate(alloc(0, 100)).unwrap();
         let b = l.allocate(alloc(0, 100)).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn resource_limit_is_a_structured_error() {
+        let mut l = Layout::new(AsicSpec::tofino());
+        let mut pass = PacketPass::new();
+        for _ in 0..PacketPass::MAX_RESOURCES {
+            let id = l.allocate(alloc(0, 1)).unwrap();
+            pass.access(id, 0).unwrap();
+        }
+        assert_eq!(pass.accesses(), PacketPass::MAX_RESOURCES);
+        assert_eq!(
+            l.allocate(alloc(0, 1)),
+            Err(AsicError::TooManyResources {
+                limit: PacketPass::MAX_RESOURCES
+            })
+        );
+        // A refused allocation consumes nothing.
+        assert_eq!(l.allocations().len(), PacketPass::MAX_RESOURCES);
     }
 
     #[test]

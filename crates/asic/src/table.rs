@@ -5,8 +5,9 @@
 //! resource). NetClone's group table, address table, and the L3 routing
 //! table are instances of this type.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use netclone_proto::IntMap;
 
 use crate::error::AsicError;
 use crate::pass::PacketPass;
@@ -18,7 +19,9 @@ pub struct MatchTable<K, V> {
     id: ResourceId,
     stage: u8,
     capacity: usize,
-    map: HashMap<K, V>,
+    /// Keys are installed by the control plane, never taken from packets,
+    /// so the integer hasher is safe here (see `netclone_proto::inthash`).
+    map: IntMap<K, V>,
 }
 
 impl<K: Eq + Hash + Copy, V: Copy> MatchTable<K, V> {
@@ -51,7 +54,7 @@ impl<K: Eq + Hash + Copy, V: Copy> MatchTable<K, V> {
             id,
             stage,
             capacity,
-            map: HashMap::with_capacity(capacity.min(4096)),
+            map: IntMap::with_capacity_and_hasher(capacity.min(4096), Default::default()),
         })
     }
 

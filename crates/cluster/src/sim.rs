@@ -62,8 +62,11 @@
 //!   pair is interned once per packet rather than copied through every
 //!   hop (see the `payload` module for the reference-counting
 //!   discipline);
-//! * the event queue itself is `netclone-des`'s indexed 4-ary heap over
-//!   a flat `Vec`.
+//! * the event queue is `netclone-des`'s indexed 4-ary heap: `(key,
+//!   slot)` entries over a payload slab, so a sift never moves an `Ev`;
+//! * a switch pass tracks touched resources in a bitmask and match
+//!   tables hash with `netclone_proto::IntHasher`, so neither allocates
+//!   nor runs SipHash per packet (`tests/alloc_hotpath.rs` counts).
 //!
 //! Topology: the scenario's [`Topology`](crate::topology::Topology),
 //! assembled by [`crate::build::build_fabric`]. The default single rack

@@ -3,22 +3,24 @@
 //!
 //! ## Implementation
 //!
-//! An implicit **4-ary min-heap** over a flat `Vec`, specialised for
-//! `(SimTime, seq)` keys packed into one `u128` (`time << 64 | seq`).
-//! Compared to the previous `BinaryHeap<Entry>`:
+//! An **indexed** implicit **4-ary min-heap**: the heap is a flat `Vec` of
+//! `(key, slot)` pairs, the payloads sit still in a slab (`Vec<Option<E>>`
+//! plus a free list of vacated slots), and `(SimTime, seq)` is packed into
+//! one `u128` key (`time << 64 | seq`).
 //!
-//! * the packed key makes every comparison a single `u128` compare
-//!   instead of a two-field `Ord` chain;
-//! * arity 4 halves the tree depth, so a pop touches fewer cache lines —
-//!   the dominant cost once events are small (see `netclone-cluster`'s
-//!   interned events).
+//! * The packed key makes every comparison a single `u128` compare
+//!   instead of a two-field `Ord` chain.
+//! * Arity 4 halves the tree depth, so a pop touches fewer cache lines.
+//! * A sift swap moves one 32-byte heap entry whatever `size_of::<E>()`
+//!   is; each payload is written once on schedule and read once on pop.
+//! * Heap, slab and free list only grow to the queue's high-water depth,
+//!   so steady-state schedule/pop allocates nothing.
 //!
 //! Because `seq` increments on every push, keys are unique and the pop
-//! order is a **total** order identical to the old implementation's
+//! order is a **total** order identical to a `BinaryHeap` with
 //! `(time, seq)` tie-breaking — bit-for-bit, which the seed-pinned
-//! regression tests rely on. `tests/prop_queue.rs` checks this against a
-//! reference `BinaryHeap` implementation under arbitrary interleaved
-//! schedule/pop workloads.
+//! regression tests rely on. `tests/prop_queue.rs` checks this against
+//! that reference under arbitrary interleaved schedule/pop workloads.
 
 use crate::SimTime;
 
@@ -51,8 +53,13 @@ const D: usize = 4;
 /// which makes whole-simulation runs reproducible for a fixed seed — a
 /// property the reproduction leans on (fixed seeds per figure).
 pub struct EventQueue<E> {
-    /// The implicit d-ary heap: `heap[0]` is the earliest event.
-    heap: Vec<(u128, E)>,
+    /// The implicit d-ary heap of `(key, slab slot)`: `heap[0]` is the
+    /// earliest event.
+    heap: Vec<(u128, u32)>,
+    /// Payloads, `Some` exactly at the slots the heap points to.
+    slab: Vec<Option<E>>,
+    /// Vacated slab slots, reused before the slab grows.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -69,6 +76,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -95,9 +104,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push((key(at, seq), ev));
-        self.sift_up(self.heap.len() - 1);
+        self.push(key(at, seq), ev);
     }
 
     /// Schedules `ev` at `now() + delay_ns`.
@@ -124,8 +131,25 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
+        self.push(key(at, tie), ev);
+    }
+
+    /// Parks `ev` in a slab slot and sifts its `(key, slot)` entry in.
+    #[inline]
+    fn push(&mut self, key: u128, ev: E) {
         self.scheduled_total += 1;
-        self.heap.push((key(at, tie), ev));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
+                self.slab.push(Some(ev));
+                slot
+            }
+        };
+        self.heap.push((key, slot));
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -136,13 +160,17 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let last = self.heap.pop()?;
-        let (k, ev) = if self.heap.is_empty() {
+        let (k, slot) = if self.heap.is_empty() {
             last
         } else {
             let root = std::mem::replace(&mut self.heap[0], last);
             self.sift_down(0);
             root
         };
+        let ev = self.slab[slot as usize]
+            .take()
+            .expect("heap entry points at a vacated slot");
+        self.free.push(slot);
         let at = key_time(k);
         debug_assert!(at >= self.now, "heap returned an out-of-order event");
         self.now = at;
@@ -152,18 +180,7 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event and advances the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.pop()?;
-        let (k, ev) = if self.heap.is_empty() {
-            last
-        } else {
-            let root = std::mem::replace(&mut self.heap[0], last);
-            self.sift_down(0);
-            root
-        };
-        let at = key_time(k);
-        debug_assert!(at >= self.now, "heap returned an out-of-order event");
-        self.now = at;
-        Some((at, ev))
+        self.pop_keyed().map(|(at, _, ev)| (at, ev))
     }
 
     /// Timestamp of the next event without popping it.
@@ -297,6 +314,22 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
+    }
+
+    #[test]
+    fn heap_entries_stay_small_whatever_the_payload() {
+        // What a sift swaps: key + slot, never the event.
+        assert!(std::mem::size_of::<(u128, u32)>() <= 32);
+        // Slots vacated by pops are reused before the slab grows.
+        let mut q = EventQueue::new();
+        for round in 0..100u64 {
+            q.schedule_in(round % 7, [round; 16]);
+            q.schedule_in(round % 5, [round; 16]);
+            q.pop();
+            q.pop();
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.slab.len(), 2);
     }
 
     #[test]

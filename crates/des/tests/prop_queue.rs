@@ -1,10 +1,13 @@
 //! Property tests for the event queue: chronological pops, stable ties,
 //! clock monotonicity under arbitrary schedules, and — since the queue
 //! became an indexed 4-ary heap — exact pop-sequence equivalence against
-//! a reference `BinaryHeap` implementation.
+//! a reference `BinaryHeap` implementation, for `Copy` payloads and for
+//! owning ones (slab slots reused, every payload dropped exactly once).
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use netclone_des::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -136,6 +139,77 @@ proptest! {
             prop_assert_eq!(ev, r_ev);
         }
         prop_assert!(reference.pop().is_none(), "new queue drained early");
+    }
+}
+
+/// An owning payload: carries its push index on the heap (`Box`) and
+/// counts its own drop in a shared tally.
+struct Tracked {
+    id: Box<u64>,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[*self.id as usize] += 1;
+    }
+}
+
+proptest! {
+    /// Payloads live in slab slots that are vacated on pop and reused by
+    /// later schedules. With a non-`Copy` payload under any interleaving:
+    /// pop order still equals the reference's, a popped payload is the one
+    /// that was scheduled under that key (no slot mix-up), and every
+    /// payload is dropped exactly once — by its popper, or by the queue
+    /// when it is dropped non-empty.
+    #[test]
+    fn owning_payloads_keep_order_and_drop_exactly_once(
+        ops in proptest::collection::vec(arb_op(), 1..400),
+        drain in any::<bool>(),
+    ) {
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut q = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut pushed = 0u64;
+        let mut popped = 0u64;
+        for op in ops {
+            match op {
+                Op::Schedule(delay) => {
+                    let at = q.now() + delay;
+                    drops.borrow_mut().push(0);
+                    q.schedule(at, Tracked { id: Box::new(pushed), drops: Rc::clone(&drops) });
+                    reference.schedule(at, pushed);
+                    pushed += 1;
+                }
+                Op::Pop => {
+                    let got = q.pop();
+                    let want = reference.pop();
+                    prop_assert_eq!(got.is_some(), want.is_some(), "emptiness diverged");
+                    if let (Some((at, ev)), Some((r_at, _, r_ev))) = (got, want) {
+                        prop_assert_eq!(at, r_at, "pop time diverged");
+                        prop_assert_eq!(*ev.id, r_ev, "pop order diverged");
+                        prop_assert_eq!(drops.borrow()[r_ev as usize], 0, "dropped while queued");
+                        drop(ev);
+                        prop_assert_eq!(drops.borrow()[r_ev as usize], 1);
+                        popped += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len() as u64, pushed - popped);
+        }
+        if drain {
+            while let Some((at, ev)) = q.pop() {
+                let (r_at, _, r_ev) = reference.pop().expect("reference drained early");
+                prop_assert_eq!((at, *ev.id), (r_at, r_ev));
+            }
+            prop_assert!(reference.pop().is_none(), "new queue drained early");
+        }
+        drop(q);
+        prop_assert!(
+            drops.borrow().iter().all(|&n| n == 1),
+            "drop counts per payload: {:?}",
+            drops.borrow()
+        );
     }
 }
 

@@ -16,9 +16,11 @@
 //!   capped exponential backoff and a per-client retry budget, so degraded
 //!   servers become a measurable recovery path instead of silent loss.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use netclone_proto::{ClientId, CloneStatus, Ipv4, NetCloneHdr, PacketMeta, RpcOp, ServerState};
+use netclone_proto::{
+    ClientId, CloneStatus, IntMap, Ipv4, NetCloneHdr, PacketMeta, RpcOp, ServerState,
+};
 use netclone_stats::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,7 +210,12 @@ pub struct ClientCore {
     mode: ClientMode,
     rng: StdRng,
     next_seq: u32,
-    outstanding: HashMap<u32, Pending>, // client_seq → request state
+    /// client_seq → request state. Keys are this client's own sequence
+    /// numbers, hence the integer hasher.
+    outstanding: IntMap<u32, Pending>,
+    /// Lower bound on every outstanding `deadline_ns` (exact after each
+    /// [`Self::on_tick`] scan): ticks before it skip the scan.
+    earliest_deadline_ns: u64,
     outbox: VecDeque<PacketMeta>,
     timeout_ns: Option<u64>,
     retry: Option<RetryPolicy>,
@@ -240,7 +247,8 @@ impl ClientCore {
             mode,
             rng: StdRng::seed_from_u64(seed),
             next_seq: 0,
-            outstanding: HashMap::new(),
+            outstanding: IntMap::default(),
+            earliest_deadline_ns: u64::MAX,
             outbox: VecDeque::new(),
             timeout_ns: None,
             retry: None,
@@ -336,11 +344,13 @@ impl ClientCore {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         let timeout_ns = self.timeout_ns.unwrap_or(u64::MAX);
+        let deadline_ns = now.saturating_add(timeout_ns);
+        self.earliest_deadline_ns = self.earliest_deadline_ns.min(deadline_ns);
         self.outstanding.insert(
             seq,
             Pending {
                 born_ns: now,
-                deadline_ns: now.saturating_add(timeout_ns),
+                deadline_ns,
                 timeout_ns,
                 tries: 0,
                 op,
@@ -474,15 +484,18 @@ impl ClientCore {
     /// how many requests were *evicted* (retransmissions keep theirs
     /// outstanding). No-op (0) when no timeout was configured.
     pub fn on_tick(&mut self, now: u64) -> u64 {
-        if self.timeout_ns.is_none() {
+        if self.timeout_ns.is_none() || now < self.earliest_deadline_ns {
             return 0;
         }
-        let mut expired: Vec<u32> = self
-            .outstanding
-            .iter()
-            .filter(|(_, p)| p.deadline_ns <= now)
-            .map(|(seq, _)| *seq)
-            .collect();
+        let mut expired = Vec::new();
+        self.earliest_deadline_ns = u64::MAX;
+        for (&seq, p) in &self.outstanding {
+            if p.deadline_ns <= now {
+                expired.push(seq);
+            } else {
+                self.earliest_deadline_ns = self.earliest_deadline_ns.min(p.deadline_ns);
+            }
+        }
         if expired.is_empty() {
             return 0;
         }
@@ -499,6 +512,7 @@ impl ClientCore {
                 p.tries += 1;
                 p.timeout_ns = p.timeout_ns.saturating_mul(2).min(pol.backoff_cap_ns);
                 p.deadline_ns = now.saturating_add(p.timeout_ns);
+                self.earliest_deadline_ns = self.earliest_deadline_ns.min(p.deadline_ns);
                 let op = p.op;
                 self.budget_left -= 1;
                 self.stats.retried += 1;

@@ -4,7 +4,9 @@
 //! `completed` or `lost`, and redundant replies are never double-counted
 //! as completions.
 
-use netclone_hostcore::{ClientCore, ClientMode, RxEvent};
+use std::collections::BTreeMap;
+
+use netclone_hostcore::{ClientCore, ClientMode, RetryPolicy, RxEvent};
 use netclone_proto::{CloneStatus, NetCloneHdr, PacketMeta, RpcOp, ServerState};
 use proptest::prelude::*;
 
@@ -240,5 +242,103 @@ proptest! {
         prop_assert_eq!(samples, single_samples);
         prop_assert_eq!(merged.generated, fates.len() as u64);
         prop_assert_eq!(merged.completed + merged.lost, merged.generated);
+    }
+}
+
+/// One step against a retrying core and its full-scan reference model.
+#[derive(Clone, Copy, Debug)]
+enum TickStep {
+    Generate,
+    /// Answer the `n`-th (mod len) outstanding request.
+    Answer(usize),
+    /// Advance the clock by this much, then sweep.
+    Tick(u64),
+}
+
+fn arb_tick_step() -> impl Strategy<Value = TickStep> {
+    prop_oneof![
+        Just(TickStep::Generate),
+        any::<usize>().prop_map(TickStep::Answer),
+        // Mostly ticks that land before any deadline (the early-out), some
+        // that cross one or several.
+        (0u64..TIMEOUT_NS / 4).prop_map(TickStep::Tick),
+        (0u64..TIMEOUT_NS / 4).prop_map(TickStep::Tick),
+        (0u64..TIMEOUT_NS * 3).prop_map(TickStep::Tick),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `on_tick` skips its scan while `now` is below a lower bound on the
+    /// earliest deadline. That must be a pure early-out: against a model
+    /// that scans every outstanding request on every tick, the evictions
+    /// and the retransmitted sequence numbers (in order) are identical,
+    /// whatever mix of completions, backoffs and quiet ticks came before.
+    #[test]
+    fn tick_early_out_matches_a_full_scan(
+        steps in proptest::collection::vec(arb_tick_step(), 1..200),
+        seed in any::<u64>(),
+    ) {
+        let policy = RetryPolicy {
+            timeout_ns: TIMEOUT_NS,
+            backoff_cap_ns: TIMEOUT_NS * 3,
+            max_retries: 2,
+            budget: u64::MAX,
+        };
+        let mut c = ClientCore::new(
+            0,
+            ClientMode::NetClone { num_groups: 30, num_filter_tables: 2 },
+            seed,
+        )
+        .with_retry(policy);
+        // seq → (deadline, current timeout, tries, last transmitted packet)
+        let mut model: BTreeMap<u32, (u64, u64, u32, PacketMeta)> = BTreeMap::new();
+        let mut now = 0u64;
+        for step in steps {
+            match step {
+                TickStep::Generate => {
+                    let seq = c.generate(RpcOp::Echo { class_ns: 10_000 }, now);
+                    let meta = c.poll().expect("one packet per request");
+                    model.insert(seq, (now + TIMEOUT_NS, TIMEOUT_NS, 0, meta));
+                }
+                TickStep::Answer(n) => {
+                    if let Some(&seq) = model.keys().nth(n % model.len().max(1)) {
+                        let (.., meta) = model.remove(&seq).expect("picked from the model");
+                        let completed = matches!(
+                            c.on_packet(&response_to(&meta, false), now),
+                            RxEvent::Completed { .. }
+                        );
+                        prop_assert!(completed);
+                    }
+                }
+                TickStep::Tick(dt) => {
+                    now += dt;
+                    let mut want_evicted = 0u64;
+                    let mut want_retx = Vec::new();
+                    for seq in model.keys().copied().collect::<Vec<_>>() {
+                        let (deadline, timeout, tries, _) = model.get_mut(&seq).expect("key");
+                        if *deadline > now {
+                            continue;
+                        }
+                        if *tries < policy.max_retries {
+                            *tries += 1;
+                            *timeout = (*timeout * 2).min(policy.backoff_cap_ns);
+                            *deadline = now + *timeout;
+                            want_retx.push(seq);
+                        } else {
+                            model.remove(&seq);
+                            want_evicted += 1;
+                        }
+                    }
+                    prop_assert_eq!(c.on_tick(now), want_evicted);
+                    let retx: Vec<u32> = std::iter::from_fn(|| c.poll())
+                        .map(|meta| meta.nc.client_seq)
+                        .collect();
+                    prop_assert_eq!(retx, want_retx);
+                }
+            }
+            prop_assert_eq!(c.outstanding(), model.len());
+        }
     }
 }

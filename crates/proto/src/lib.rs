@@ -28,6 +28,7 @@
 
 pub mod addr;
 pub mod header;
+pub mod inthash;
 pub mod l3;
 pub mod op;
 pub mod packet;
@@ -36,6 +37,7 @@ pub mod wire;
 
 pub use addr::Ipv4;
 pub use header::{CloneStatus, MsgType, NetCloneHdr, ServerState};
+pub use inthash::{IntHasher, IntMap};
 pub use op::{KvKey, RpcOp};
 pub use packet::PacketMeta;
 
