@@ -46,9 +46,13 @@ pub(crate) const COORD_PORT: PortId = 99;
 pub(crate) const COORD_IP: Ipv4 = Ipv4::new(10, 0, 3, 1);
 
 /// Switch port of server `sid` (servers hang off ports 10+).
-pub(crate) fn server_port(sid: ServerId) -> PortId {
+pub(crate) const fn server_port(sid: ServerId) -> PortId {
     10 + sid
 }
+
+/// Servers whose ports stay below the coordinator's: one more would sit
+/// on [`COORD_PORT`], the ones after it on the clients' ports.
+pub(crate) const MAX_SERVER_PORTS: usize = (COORD_PORT - server_port(0)) as usize;
 
 /// Switch port of client `cid` (clients hang off ports 100+).
 pub(crate) fn client_port(cid: u16) -> PortId {
@@ -60,6 +64,25 @@ pub(crate) fn client_port(cid: u16) -> PortId {
 /// L3 fabric.
 fn scheme_has_engine(scheme: Scheme) -> bool {
     matches!(scheme, Scheme::NetClone { .. } | Scheme::RackSchedOnly)
+}
+
+/// Checks a server count against what a leaf can address: the switch
+/// program's server table (the schemes that have one), then the ports.
+pub(crate) fn check_server_count(scheme: Scheme, n: usize) -> Result<(), String> {
+    let table = NetCloneConfig::paper_prototype().max_servers;
+    if scheme_has_engine(scheme) && n > table {
+        return Err(format!(
+            "{n} servers exceed the switch program's max_servers ({table})"
+        ));
+    }
+    if n > MAX_SERVER_PORTS {
+        return Err(format!(
+            "{n} servers exceed the {MAX_SERVER_PORTS} server ports ({}..{COORD_PORT}) \
+             below the coordinator's and the clients'",
+            server_port(0)
+        ));
+    }
+    Ok(())
 }
 
 /// Builds the *unprogrammed* engine for a scenario's scheme, stamping the

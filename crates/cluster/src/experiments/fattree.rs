@@ -20,8 +20,8 @@
 //! congested links — the victim's downlinks, by construction.
 //!
 //! Scale picks the radix (`--fattree-k` overrides): Smoke k=4 (8 racks,
-//! 16 host slots), Standard k=6 (18 racks, 54 slots), Full k=16 (128
-//! racks, 1024 slots — the 1k-host fabric).
+//! 16 host slots), Standard and Full k=6 (18 racks, 54 slots) — the
+//! widest fabric whose servers fit a leaf's port range; k=8 has 124.
 
 use netclone_linksim::LinkSpec;
 use netclone_stats::{Report, Table};
@@ -69,12 +69,12 @@ pub const WORKER_UTIL: f64 = 0.7;
 /// ratio and scheme).
 pub const SEED: u64 = 7;
 
-/// Fat-tree radix per scale (even, ≥ 4).
+/// Fat-tree radix per scale (even, ≥ 4, and small enough that
+/// [`Scenario::validate`] accepts the server count).
 pub fn radix_for(ctx: &RunCtx) -> usize {
     ctx.fattree_k.unwrap_or(match ctx.scale {
         crate::experiments::Scale::Smoke => 4,
-        crate::experiments::Scale::Standard => 6,
-        crate::experiments::Scale::Full => 16,
+        crate::experiments::Scale::Standard | crate::experiments::Scale::Full => 6,
     })
 }
 
@@ -316,6 +316,38 @@ mod tests {
         }
         let report = r.into_report();
         assert!(report.to_markdown().contains("fattree"));
+    }
+
+    #[test]
+    fn every_scale_picks_a_radix_that_validates_and_builds() {
+        for scale in [Scale::Smoke, Scale::Standard, Scale::Full] {
+            let ctx = RunCtx::new(scale);
+            for scheme in SCHEMES {
+                let s = scenario(radix_for(&ctx), 3.0, scheme, &ctx);
+                assert_eq!(s.validate(), Ok(()), "{scale:?} {scheme:?}");
+                let (shards, _) = crate::build::ScenarioBuilder::new(s).build_shards(1, false);
+                assert!(
+                    !shards[0].q.is_empty(),
+                    "{scale:?} {scheme:?}: nothing primed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn radixes_past_the_port_space_are_rejected_by_name() {
+        let ctx = RunCtx::new(Scale::Smoke);
+        // k=8: server 89 would sit on the coordinator's port, 90.. on
+        // the clients'. k=16 also overflows the switch program's table.
+        for (k, scheme, limit) in [
+            (8, Scheme::Baseline, "89 server ports"),
+            (8, Scheme::NETCLONE, "89 server ports"),
+            (16, Scheme::Baseline, "89 server ports"),
+            (16, Scheme::NETCLONE, "max_servers (256)"),
+        ] {
+            let err = scenario(k, 3.0, scheme, &ctx).validate().unwrap_err();
+            assert!(err.contains(limit), "k={k} {scheme:?}: {err}");
+        }
     }
 
     #[test]

@@ -512,10 +512,12 @@ impl Scenario {
         v
     }
 
-    /// Checks the fault plans against the rest of the scenario. Called by
-    /// the builder before any event is primed; the error message names
+    /// Checks the server count against the fabric's limits and the fault
+    /// plans against the rest of the scenario. Called by the builder
+    /// before any event is primed; the error message names the limit or
     /// the conflicting knobs.
     pub fn validate(&self) -> Result<(), String> {
+        crate::build::check_server_count(self.scheme, self.servers.len())?;
         let faults = self.all_faults();
         for fault in &faults {
             self.validate_fault(fault)?;

@@ -62,8 +62,8 @@
 //!   pair is interned once per packet rather than copied through every
 //!   hop (see the `payload` module for the reference-counting
 //!   discipline);
-//! * the event queue is `netclone-des`'s indexed 4-ary heap: `(key,
-//!   slot)` entries over a payload slab, so a sift never moves an `Ev`;
+//! * the event queue is `netclone-des`'s timing wheel: slot lists linked
+//!   through a node slab, so no `Ev` moves between schedule and pop;
 //! * a switch pass tracks touched resources in a bitmask and match
 //!   tables hash with `netclone_proto::IntHasher`, so neither allocates
 //!   nor runs SipHash per packet (`tests/alloc_hotpath.rs` counts).
@@ -849,23 +849,21 @@ impl Shard {
                     }
                 } else if e.port >= 100 {
                     let cid = (e.port - 100) as usize;
-                    if cid < self.clients.len() {
-                        if let Some(at) =
-                            self.edge_hop(EdgeLink::ClientDown(cid), egress, e.pkt.wire_bytes)
-                        {
-                            self.payloads.retain(sp.pid);
-                            self.sched(at, Ev::ClientIn(cid, out));
-                        }
+                    debug_assert!(cid < self.clients.len(), "port {} has no client", e.port);
+                    if let Some(at) =
+                        self.edge_hop(EdgeLink::ClientDown(cid), egress, e.pkt.wire_bytes)
+                    {
+                        self.payloads.retain(sp.pid);
+                        self.sched(at, Ev::ClientIn(cid, out));
                     }
                 } else if e.port >= 10 {
                     let idx = (e.port - 10) as usize;
-                    if idx < self.servers.len() {
-                        if let Some(at) =
-                            self.edge_hop(EdgeLink::ServerDown(idx), egress, e.pkt.wire_bytes)
-                        {
-                            self.payloads.retain(sp.pid);
-                            self.sched(at, Ev::ServerIn(idx, out));
-                        }
+                    debug_assert!(idx < self.servers.len(), "port {} has no server", e.port);
+                    if let Some(at) =
+                        self.edge_hop(EdgeLink::ServerDown(idx), egress, e.pkt.wire_bytes)
+                    {
+                        self.payloads.retain(sp.pid);
+                        self.sched(at, Ev::ServerIn(idx, out));
                     }
                 }
             }
@@ -1319,5 +1317,37 @@ impl Sim {
         let (result, trace) =
             ShardCoordinator::new(ScenarioBuilder::new(scenario), shards, true).run();
         (result, trace.expect("tracing enabled"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netclone_policies::PlainL3Switch;
+    use netclone_proto::NetCloneHdr;
+
+    /// An egress port no host hangs off is a hole in the port plan
+    /// (`Scenario::validate` keeps the ranges apart), not a packet to
+    /// drop without a counter.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "port 102 has no client")]
+    fn emission_to_a_hostless_port_is_caught() {
+        let s = Scenario::synthetic_default(
+            crate::scheme::Scheme::Baseline,
+            netclone_workloads::exp25(),
+            1e5,
+        );
+        assert_eq!(s.n_clients, 2);
+        let (mut shards, _) = ScenarioBuilder::new(s).build_shards(1, false);
+        let shard = &mut shards[0];
+        let stray = Ipv4::client(2);
+        let mut rogue = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
+        rogue.add_route(stray, 102);
+        shard.engines[0] = Some(Box::new(rogue));
+        let nc = NetCloneHdr::request(0, 0, 0, 0);
+        let meta = PacketMeta::netclone_response(Ipv4::server(0), stray, nc, 84);
+        let pid = shard.payloads.alloc(RpcOp::Echo { class_ns: 0 }, 0);
+        shard.handle(0, Ev::SwitchIn(0, SimPacket { meta, pid }));
     }
 }

@@ -3,24 +3,24 @@
 //!
 //! ## Implementation
 //!
-//! An **indexed** implicit **4-ary min-heap**: the heap is a flat `Vec` of
-//! `(key, slot)` pairs, the payloads sit still in a slab (`Vec<Option<E>>`
-//! plus a free list of vacated slots), and `(SimTime, seq)` is packed into
-//! one `u128` key (`time << 64 | seq`).
+//! A **hierarchical timing wheel**, radix 64 over the nanosecond clock:
+//! 11 levels × 64 slots cover all of `u64`, an event at time `t` sits at
+//! level `msb(t ^ now) / 6` in the slot named by that digit of `t`, and
+//! the earliest is in the lowest set bit of the lowest non-empty level's
+//! occupancy word. Slots are intrusive lists through one node slab.
 //!
-//! * The packed key makes every comparison a single `u128` compare
-//!   instead of a two-field `Ord` chain.
-//! * Arity 4 halves the tree depth, so a pop touches fewer cache lines.
-//! * A sift swap moves one 32-byte heap entry whatever `size_of::<E>()`
-//!   is; each payload is written once on schedule and read once on pop.
-//! * Heap, slab and free list only grow to the queue's high-water depth,
-//!   so steady-state schedule/pop allocates nothing.
+//! * Schedule is an xor, a `leading_zeros` and a list push. Pop detaches
+//!   the front slot's list, takes its smallest key, moves the clock onto
+//!   it and re-places the rest, which land on lower levels: no sift, no
+//!   overflow tier, no cascade loop, no allocation past the peak depth.
+//! * A level-0 slot holds one instant, so its only order left is the tie,
+//!   found by **one linear scan of that instant's list per pop**: `n`
+//!   events at one instant drain in O(n²), the one place a heap is better
+//!   (the workloads' largest such group: a `ClientTick` per client).
 //!
-//! Because `seq` increments on every push, keys are unique and the pop
-//! order is a **total** order identical to a `BinaryHeap` with
-//! `(time, seq)` tie-breaking — bit-for-bit, which the seed-pinned
-//! regression tests rely on. `tests/prop_queue.rs` checks this against
-//! that reference under arbitrary interleaved schedule/pop workloads.
+//! `(time, seq)` packs into one `u128` key and `seq` increments per push,
+//! so keys are unique and pops follow the **total** order of a `BinaryHeap`
+//! bit for bit: the seed pins rely on it, `tests/prop_queue.rs` checks it.
 
 use crate::SimTime;
 
@@ -43,9 +43,21 @@ const fn key_time(k: u128) -> SimTime {
     SimTime::from_ns((k >> 64) as u64)
 }
 
-/// Heap arity. 4 is the sweet spot for shallow trees with cheap
-/// min-of-children scans on small events.
-const D: usize = 4;
+/// Timestamp bits one wheel level resolves: 64 slots per level.
+const BITS: u32 = 6;
+/// Levels: `ceil(64 / BITS)`, so the top one reaches `u64::MAX`.
+const LEVELS: usize = 11;
+/// End-of-list marker; no node has this index.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a pending event, or a link of the free list.
+struct Node<E> {
+    key: u128,
+    /// The next node of the slot's list, or of the free list.
+    next: u32,
+    /// `Some` exactly while the node is in a slot.
+    ev: Option<E>,
+}
 
 /// A deterministic discrete-event queue.
 ///
@@ -53,14 +65,16 @@ const D: usize = 4;
 /// which makes whole-simulation runs reproducible for a fixed seed — a
 /// property the reproduction leans on (fixed seeds per figure).
 pub struct EventQueue<E> {
-    /// The implicit d-ary heap of `(key, slab slot)`: `heap[0]` is the
-    /// earliest event.
-    heap: Vec<(u128, u32)>,
-    /// Payloads, `Some` exactly at the slots the heap points to.
-    slab: Vec<Option<E>>,
-    /// Vacated slab slots, reused before the slab grows.
-    free: Vec<u32>,
+    nodes: Vec<Node<E>>,
+    /// Head of the list of vacated nodes, reused before the slab grows.
+    free: u32,
+    /// Head node of every slot's list.
+    slots: [[u32; 1 << BITS]; LEVELS],
+    /// Per level, bit `s` is set iff slot `s` is non-empty.
+    occupied: [u64; LEVELS],
+    len: usize,
     next_seq: u64,
+    /// The clock, and the cursor every event's level is relative to.
     now: SimTime,
     scheduled_total: u64,
 }
@@ -75,9 +89,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: [[NIL; 1 << BITS]; LEVELS],
+            occupied: [0; LEVELS],
+            len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
@@ -121,7 +137,7 @@ impl<E> EventQueue<E> {
     /// [`crate::sync::tie_key`]), so two queues on different shards agree
     /// on the order of any pair of events without ever communicating.
     /// Callers must keep `(at, tie)` pairs unique; equal keys would fall
-    /// back to unspecified (heap) ordering.
+    /// back to unspecified ordering.
     ///
     /// Like [`schedule`](Self::schedule), panics on scheduling in the past.
     #[inline]
@@ -134,23 +150,60 @@ impl<E> EventQueue<E> {
         self.push(key(at, tie), ev);
     }
 
-    /// Parks `ev` in a slab slot and sifts its `(key, slot)` entry in.
+    /// Parks `ev` in a slab node and links the node into its slot.
     #[inline]
     fn push(&mut self, key: u128, ev: E) {
         self.scheduled_total += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(ev);
-                slot
+        self.len += 1;
+        let node = match self.free {
+            NIL => {
+                let node = u32::try_from(self.nodes.len()).ok().filter(|&n| n != NIL);
+                let node = node.expect("over u32::MAX - 1 pending events");
+                let ev = Some(ev);
+                self.nodes.push(Node { key, next: NIL, ev });
+                node
             }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("over u32::MAX pending events");
-                self.slab.push(Some(ev));
-                slot
+            node => {
+                let n = &mut self.nodes[node as usize];
+                self.free = n.next;
+                (n.key, n.ev) = (key, Some(ev));
+                node
             }
         };
-        self.heap.push((key, slot));
-        self.sift_up(self.heap.len() - 1);
+        self.place(node);
+    }
+
+    /// Links `node` into the slot its time selects relative to the clock.
+    #[inline]
+    fn place(&mut self, node: u32) {
+        let t = key_time(self.nodes[node as usize].key).as_ns();
+        // The highest digit in which `t` differs from the clock (0 when
+        // they are equal), and `t`'s value there.
+        let level = (63 - ((t ^ self.now.as_ns()) | 1).leading_zeros()) / BITS;
+        let slot = (t >> (level * BITS)) as usize % (1 << BITS);
+        let head = &mut self.slots[level as usize][slot];
+        self.nodes[node as usize].next = std::mem::replace(head, node);
+        self.occupied[level as usize] |= 1 << slot;
+    }
+
+    /// The front slot as `(level, slot)`: it holds the earliest event.
+    #[inline]
+    fn front(&self) -> Option<(usize, usize)> {
+        let level = self.occupied.iter().position(|&w| w != 0)?;
+        Some((level, self.occupied[level].trailing_zeros() as usize))
+    }
+
+    /// The node with the smallest key in the non-empty list at `head`.
+    #[inline]
+    fn min_of(&self, head: u32) -> u32 {
+        let (mut min, mut i) = (head, self.nodes[head as usize].next);
+        while i != NIL {
+            if self.nodes[i as usize].key < self.nodes[min as usize].key {
+                min = i;
+            }
+            i = self.nodes[i as usize].next;
+        }
+        min
     }
 
     /// Pops the earliest event along with its tie-break key (the low 64
@@ -159,22 +212,32 @@ impl<E> EventQueue<E> {
     /// [`schedule_keyed`](Self::schedule_keyed)).
     #[inline]
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let last = self.heap.pop()?;
-        let (k, slot) = if self.heap.is_empty() {
-            last
-        } else {
-            let root = std::mem::replace(&mut self.heap[0], last);
-            self.sift_down(0);
-            root
-        };
-        let ev = self.slab[slot as usize]
-            .take()
-            .expect("heap entry points at a vacated slot");
-        self.free.push(slot);
-        let at = key_time(k);
-        debug_assert!(at >= self.now, "heap returned an out-of-order event");
-        self.now = at;
-        Some((at, key_tie(k), ev))
+        let (level, slot) = self.front()?;
+        let head = std::mem::replace(&mut self.slots[level][slot], NIL);
+        self.occupied[level] &= !(1 << slot);
+        let min = self.min_of(head);
+        let k = self.nodes[min as usize].key;
+        debug_assert!(
+            key_time(k) >= self.now,
+            "wheel returned an out-of-order event"
+        );
+        self.now = key_time(k);
+        // The rest of the list shares the popped event's digits from
+        // `level` up, so against the new clock it lands below `level`
+        // (or, from level 0, back in the slot of this same instant).
+        let mut i = head;
+        while i != NIL {
+            let next = self.nodes[i as usize].next;
+            if i != min {
+                self.place(i);
+            }
+            i = next;
+        }
+        let n = &mut self.nodes[min as usize];
+        let ev = n.ev.take().expect("slot list holds a vacated node");
+        n.next = std::mem::replace(&mut self.free, min);
+        self.len -= 1;
+        Some((self.now, key_tie(k), ev))
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
@@ -186,63 +249,27 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&(k, _)| key_time(k))
+        let (level, slot) = self.front()?;
+        let min = self.min_of(self.slots[level][slot]);
+        Some(key_time(self.nodes[min as usize].key))
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of events ever scheduled (for run diagnostics and the
     /// events/sec throughput report).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
-    }
-
-    /// Restores the heap invariant upward from `pos` (a freshly pushed
-    /// leaf).
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / D;
-            if self.heap[parent].0 <= self.heap[pos].0 {
-                break;
-            }
-            self.heap.swap(parent, pos);
-            pos = parent;
-        }
-    }
-
-    /// Restores the heap invariant downward from `pos` (a freshly
-    /// replaced root).
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        loop {
-            let first_child = pos * D + 1;
-            if first_child >= len {
-                break;
-            }
-            // The smallest key among up to D children.
-            let mut min = first_child;
-            let end = (first_child + D).min(len);
-            for c in first_child + 1..end {
-                if self.heap[c].0 < self.heap[min].0 {
-                    min = c;
-                }
-            }
-            if self.heap[pos].0 <= self.heap[min].0 {
-                break;
-            }
-            self.heap.swap(pos, min);
-            pos = min;
-        }
     }
 }
 
@@ -317,19 +344,20 @@ mod tests {
     }
 
     #[test]
-    fn heap_entries_stay_small_whatever_the_payload() {
-        // What a sift swaps: key + slot, never the event.
-        assert!(std::mem::size_of::<(u128, u32)>() <= 32);
-        // Slots vacated by pops are reused before the slab grows.
+    fn popped_nodes_are_reused_before_the_slab_grows() {
+        // Slab length == peak depth, across every wheel level a delay of
+        // up to 2^40 ns reaches and whatever the payload size.
         let mut q = EventQueue::new();
         for round in 0..100u64 {
             q.schedule_in(round % 7, [round; 16]);
+            q.schedule_in(1 << (round % 41), [round; 16]);
             q.schedule_in(round % 5, [round; 16]);
+            q.pop();
             q.pop();
             q.pop();
         }
         assert!(q.is_empty());
-        assert_eq!(q.slab.len(), 2);
+        assert_eq!(q.nodes.len(), 3);
     }
 
     #[test]
@@ -368,23 +396,26 @@ mod tests {
         q.schedule_keyed(SimTime::from_us(5), 1, ());
     }
 
-    /// Exercises sift-down through several heap levels with a mix of
-    /// ties and distinct keys — deeper than the d-ary branching factor.
+    /// Exercises placement on, and re-placement down from, several wheel
+    /// levels with a mix of ties and distinct keys.
     #[test]
-    fn deep_heaps_stay_totally_ordered() {
+    fn order_is_total_across_wheel_levels() {
         let mut q = EventQueue::new();
-        // Interleave two phases so the heap repeatedly grows and shrinks.
+        // Interleave two phases so the queue repeatedly grows and shrinks.
         let mut popped = Vec::new();
         for round in 0u64..8 {
             for i in 0..64u64 {
                 // Many colliding timestamps (relative to the advancing
-                // clock) to stress FIFO tie-breaking.
-                q.schedule(q.now() + (i * 7919 + round) % 97, (round, i));
+                // clock) to stress FIFO tie-breaking, spread over delays
+                // of up to 2^24 ns: wheel levels 0 to 4.
+                let delay = ((i * 7919 + round) % 97) << (i % 4 * 6);
+                q.schedule(q.now() + delay, (round, i));
             }
             for _ in 0..32 {
                 popped.push(q.pop().unwrap());
             }
         }
+        assert!(q.occupied[3..].iter().any(|&w| w != 0));
         while let Some(p) = q.pop() {
             popped.push(p);
         }

@@ -1,8 +1,8 @@
 //! Property tests for the event queue: chronological pops, stable ties,
-//! clock monotonicity under arbitrary schedules, and — since the queue
-//! became an indexed 4-ary heap — exact pop-sequence equivalence against
-//! a reference `BinaryHeap` implementation, for `Copy` payloads and for
-//! owning ones (slab slots reused, every payload dropped exactly once).
+//! clock monotonicity under arbitrary schedules, and exact pop-sequence
+//! equivalence of the timing wheel against a reference `BinaryHeap` — on
+//! every wheel level, with caller-supplied ties, for `Copy` payloads and
+//! for owning ones (nodes reused, every payload dropped exactly once).
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -13,10 +13,10 @@ use netclone_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
-// The reference implementation: the queue as it was before the 4-ary
-// heap, kept verbatim as the ordering oracle — a max-`BinaryHeap` of
-// `(time, seq)` entries with inverted comparison and FIFO tie-breaking
-// on the push sequence number.
+// The reference implementation: the queue as it first was, kept as the
+// ordering oracle — a max-`BinaryHeap` of `(time, seq)` entries with
+// inverted comparison and FIFO tie-breaking on the push sequence number
+// (or the caller's tie).
 // ---------------------------------------------------------------------
 
 struct RefEntry<E> {
@@ -67,6 +67,15 @@ impl<E> ReferenceQueue<E> {
         self.heap.push(RefEntry { at, seq, ev });
     }
 
+    fn schedule_keyed(&mut self, at: SimTime, tie: u64, ev: E) {
+        assert!(at >= self.now);
+        self.heap.push(RefEntry { at, seq: tie, ev });
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
     fn pop(&mut self) -> Option<(SimTime, u64, E)> {
         let e = self.heap.pop()?;
         self.now = e.at;
@@ -98,7 +107,7 @@ proptest! {
     /// *exact* `(time, seq)` sequence the old `BinaryHeap` popped, for
     /// any interleaving of schedules and pops.
     #[test]
-    fn indexed_heap_matches_binary_heap_reference(ops in proptest::collection::vec(arb_op(), 1..400)) {
+    fn wheel_matches_binary_heap_reference(ops in proptest::collection::vec(arb_op(), 1..400)) {
         let mut q = EventQueue::new();
         let mut reference = ReferenceQueue::new();
         // Payload = push index = the reference's seq, so the assertion
@@ -142,6 +151,126 @@ proptest! {
     }
 }
 
+/// One step of the wide-range workload.
+#[derive(Clone, Copy, Debug)]
+enum WideOp {
+    /// `schedule` at `now + delay`.
+    Plain(u64),
+    /// `schedule_keyed` at `now + delay` with a tie whose high half is the
+    /// second field: unrelated to push order, so at delay 0 it is often
+    /// below the tie just popped at this instant.
+    Keyed(u64, u64),
+    Pop,
+}
+
+/// Delays drawn by bit-width, so every wheel level is as likely as every
+/// other; one in four is 0 (the current instant).
+fn arb_delay() -> impl Strategy<Value = u64> {
+    (1u32..=62, any::<u64>(), 0u8..4)
+        .prop_map(|(width, raw, die)| if die == 0 { 0 } else { raw >> (64 - width) })
+}
+
+fn arb_wide_op() -> impl Strategy<Value = WideOp> {
+    prop_oneof![
+        arb_delay().prop_map(WideOp::Plain),
+        (arb_delay(), 1u64..4).prop_map(|(delay, hi)| WideOp::Keyed(delay, hi)),
+        Just(WideOp::Pop),
+        Just(WideOp::Pop),
+    ]
+}
+
+proptest! {
+    /// What the narrow workload above cannot reach: delays of every
+    /// bit-width up to 2^62 (all eleven wheel levels, re-placement down
+    /// from each), a clock that starts anywhere up to `u64::MAX`,
+    /// colliding times under caller-supplied ties, scheduling at `now()`
+    /// (delay 0), `peek_time` before every pop, `len` after every step.
+    #[test]
+    fn wide_delays_and_caller_ties_match_reference(
+        start in prop_oneof![Just(0u64), any::<u64>(), u64::MAX - (1 << 20)..=u64::MAX],
+        ops in proptest::collection::vec(arb_wide_op(), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        // Start the clock at `start` with a tie popped and one pending.
+        for _ in 0..2 {
+            q.schedule(SimTime::from_ns(start), u64::MAX);
+            reference.schedule(SimTime::from_ns(start), u64::MAX);
+        }
+        prop_assert_eq!(q.pop().map(|(at, _)| at), reference.pop().map(|(at, ..)| at));
+        let mut pushed = 0u64;
+        for op in ops {
+            let after = |delay: u64| SimTime::from_ns(q.now().as_ns().saturating_add(delay));
+            match op {
+                WideOp::Plain(delay) => {
+                    let at = after(delay);
+                    q.schedule(at, pushed);
+                    reference.schedule(at, pushed);
+                    pushed += 1;
+                }
+                WideOp::Keyed(delay, hi) => {
+                    // Unique (the push index), above every `schedule`
+                    // sequence number (`hi >= 1`), ordered by `hi` first.
+                    let (at, tie) = (after(delay), hi << 32 | pushed);
+                    q.schedule_keyed(at, tie, pushed);
+                    reference.schedule_keyed(at, tie, pushed);
+                    pushed += 1;
+                }
+                WideOp::Pop => {
+                    let now = q.now();
+                    prop_assert_eq!(q.peek_time(), reference.peek_time());
+                    prop_assert_eq!(q.now(), now, "peek_time moved the clock");
+                    prop_assert_eq!(q.pop_keyed(), reference.pop());
+                }
+            }
+            prop_assert_eq!(q.len(), reference.heap.len());
+        }
+        while let Some(got) = q.pop_keyed() {
+            prop_assert_eq!(Some(got), reference.pop());
+            prop_assert_eq!(q.len(), reference.heap.len());
+        }
+        prop_assert!(reference.pop().is_none(), "wheel drained early");
+    }
+}
+
+/// A tie below one already popped at the current instant still pops
+/// before everything else pending: the order is on what is in the queue,
+/// not on what has left it.
+#[test]
+fn a_tie_below_the_one_just_popped_pops_next() {
+    let mut q = EventQueue::new();
+    let t = SimTime::from_us(3);
+    q.schedule_keyed(t, 50, "popped first");
+    q.schedule_keyed(t, 70, "later tie");
+    q.schedule_keyed(t + 1, 0, "later time");
+    assert_eq!(q.pop_keyed(), Some((t, 50, "popped first")));
+    q.schedule_keyed(t, 10, "below the popped tie");
+    q.schedule(q.now(), "seq 0: the smallest tie of all");
+    let rest: Vec<_> = std::iter::from_fn(|| q.pop_keyed())
+        .map(|(_, tie, _)| tie)
+        .collect();
+    assert_eq!(rest, [0, 10, 70, 0]);
+    assert_eq!(q.now(), t + 1);
+}
+
+/// The one place the wheel is worse than a heap: a level-0 slot holds a
+/// single instant, and each pop scans that instant's whole list for the
+/// smallest tie (module docs). Order holds at 4,096 same-instant events,
+/// far beyond the handful the workloads put on one instant.
+#[test]
+fn four_thousand_events_at_one_instant_drain_in_tie_order() {
+    const N: u64 = 4_096;
+    let mut q = EventQueue::new();
+    for i in 0..N {
+        // 2_654_435_761 is odd, so this permutes 0..N.
+        q.schedule_keyed(SimTime::from_ns(999), i * 2_654_435_761 % N, ());
+    }
+    let ties: Vec<u64> = std::iter::from_fn(|| q.pop_keyed())
+        .map(|(_, tie, _)| tie)
+        .collect();
+    assert!(ties.iter().copied().eq(0..N));
+}
+
 /// An owning payload: carries its push index on the heap (`Box`) and
 /// counts its own drop in a shared tally.
 struct Tracked {
@@ -156,7 +285,7 @@ impl Drop for Tracked {
 }
 
 proptest! {
-    /// Payloads live in slab slots that are vacated on pop and reused by
+    /// Payloads live in slab nodes that are vacated on pop and reused by
     /// later schedules. With a non-`Copy` payload under any interleaving:
     /// pop order still equals the reference's, a popped payload is the one
     /// that was scheduled under that key (no slot mix-up), and every

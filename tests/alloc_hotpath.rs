@@ -197,14 +197,22 @@ fn steady_state_fast_path_allocates_nothing() {
         );
     }
     // The hold model: pop the earliest, reschedule it some way ahead.
-    let hold = |q: &mut EventQueue<EvSized>, calls: usize| {
-        for i in 0..calls {
+    let hold = |q: &mut EventQueue<EvSized>, calls: usize, delay: fn(u64) -> u64| {
+        for i in 0..calls as u64 {
             let (t, ev) = q.pop().expect("hold model never drains");
-            q.schedule(t + (i as u64 * 7919 % 2_000 + 1), ev);
+            q.schedule(t + delay(i), ev);
         }
     };
-    hold(&mut q, IN_FLIGHT);
-    let queue = allocs_during(|| hold(&mut q, CALLS));
+    let near: fn(u64) -> u64 = |i| i * 7919 % 2_000 + 1;
+    hold(&mut q, IN_FLIGHT, near);
+    let mut queue = allocs_during(|| hold(&mut q, CALLS, near));
+    // Again with delays spread over 0..2^30 ns: events park on the wheel's
+    // upper levels and are re-placed downwards as the clock reaches them.
+    queue += allocs_during(|| {
+        hold(&mut q, CALLS, |i| {
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 34
+        })
+    });
     assert_eq!(q.len(), DEPTH);
 
     assert_eq!(
