@@ -37,7 +37,9 @@ use crate::payload::PayloadSlab;
 use crate::scenario::{Fault, Scenario, Workload};
 use crate::scheme::Scheme;
 use crate::sim::{BgState, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
-use crate::topology::{agg_down_port, core_port, spine_port, Fabric, FabricShape, UPLINK_PORT};
+use crate::topology::{
+    agg_down_port, core_port, spine_port, Fabric, FabricShape, UpperTier, UPLINK_PORT,
+};
 
 /// Switch port of the LÆDGE coordinator host.
 pub(crate) const COORD_PORT: PortId = 99;
@@ -265,10 +267,9 @@ pub fn build_fabric(scenario: &Scenario) -> Fabric {
 /// Builds and programs the upper tier of a multi-rack fabric: the
 /// leaf/spine spine, or a fat-tree's aggregation then core switches
 /// ([`crate::topology`]'s global index order, minus the leaves). All
-/// plain L3. Factored out of [`build_fabric`] because sharded runs
-/// program one *replica set* per shard — the upper tier is stateless, so
-/// each shard forwards through its own copies and only the counters need
-/// merging.
+/// plain L3 and stateless, which is why the event loop forwards through
+/// [`build_upper_tier`]'s table instead; these engines are what that
+/// table is tested against.
 fn build_upper(
     scenario: &Scenario,
     shape: FabricShape,
@@ -352,10 +353,7 @@ fn build_upper(
 }
 
 /// Builds and programs the aggregation spine: plain L3, one route per
-/// endpoint toward its rack's leaf. Factored out of [`build_fabric`]
-/// because sharded runs program one *replica* per shard — the spine is
-/// stateless, so each shard forwards through its own copy and only the
-/// counters need merging.
+/// endpoint toward its rack's leaf.
 fn build_spine(
     scenario: &Scenario,
     server_leaf: &[usize],
@@ -373,6 +371,19 @@ fn build_spine(
         spine.add_route(COORD_IP, spine_port(coord_leaf));
     }
     Box::new(spine)
+}
+
+/// Compiles the upper tier of `fabric` — the spine, or the aggregation
+/// and core switches, that [`build_fabric`] programs after the leaves —
+/// into its forwarding table: the same endpoints, each toward its leaf.
+pub fn build_upper_tier(scenario: &Scenario, fabric: &Fabric) -> UpperTier {
+    let (servers, clients) = (&fabric.server_leaf, &fabric.client_leaf);
+    let servers = (0..).map(Ipv4::server).zip(servers.iter().copied());
+    let clients = (0..).map(Ipv4::client).zip(clients.iter().copied());
+    let coord = scenario.scheme.uses_coordinator();
+    let coord = coord.then_some((COORD_IP, fabric.coord_leaf));
+    let endpoints = servers.chain(clients).chain(coord);
+    UpperTier::new(fabric.racks, fabric.shape, endpoints)
 }
 
 /// Assembles the sharded testbed of a [`Scenario`] (see
@@ -411,6 +422,7 @@ impl ScenarioBuilder {
         }
 
         let fabric = build_fabric(&scenario);
+        let tier = build_upper_tier(&scenario, &fabric);
 
         // ---- workload -----------------------------------------------
         let (synthetic, kvmix, cost) = match &scenario.workload {
@@ -534,12 +546,11 @@ impl ScenarioBuilder {
         let nshards = shards.clamp(1, racks);
         let shard_of = |rack: usize| rack % nshards;
 
+        // Multi-rack fabrics carry the upper tier's engines after the
+        // leaves; the run forwards through `tier` instead, one copy (and
+        // so one set of counters) per shard.
         let mut engines = engines;
-        // Multi-rack fabrics carry the upper tier (spine, or fat-tree
-        // aggs then cores) after the leaves; shard 0 inherits the
-        // originals and every other shard programs identical replicas.
-        let upper0 = engines.split_off(racks.min(engines.len()));
-        let upper_count = upper0.len();
+        engines.truncate(racks);
 
         // ---- background incast ----------------------------------------
         // Mirrors the arrivals discipline: the per-source-rack streams
@@ -588,10 +599,9 @@ impl ScenarioBuilder {
                 servers: (0..n_servers).map(|_| None).collect(),
                 server_epoch: vec![0; n_servers],
                 engines: (0..racks).map(|_| None).collect(),
-                upper: Vec::new(),
+                tier: tier.clone(),
                 racks,
                 inter_rack_ns,
-                shape,
                 ecmp_seed,
                 pass_ns: netclone_asic::AsicSpec::tofino().pass_latency_ns,
                 server_leaf: server_leaf.clone(),
@@ -665,7 +675,6 @@ impl ScenarioBuilder {
                 synthetic,
                 kvmix: kvmix.clone(),
                 sink: netclone_asic::EmissionSink::new(),
-                upper_sink: netclone_asic::EmissionSink::new(),
                 payloads: PayloadSlab::new(),
                 end_ns,
                 measure_start_ns: 0,
@@ -674,7 +683,7 @@ impl ScenarioBuilder {
                 generated_in_window: 0,
                 packets_lost: 0,
                 switch_counters_at_warmup: vec![Default::default(); racks],
-                upper_counters_at_warmup: vec![Default::default(); upper_count],
+                upper_counters_at_warmup: tier.counters().to_vec(),
                 server_stats_at_warmup: vec![Default::default(); n_servers],
                 seq: vec![0; n_domains],
                 cur_src: CONTROL_SRC,
@@ -687,19 +696,6 @@ impl ScenarioBuilder {
 
         for (r, e) in engines.into_iter().enumerate() {
             out[shard_of(r)].engines[r] = Some(e);
-        }
-        if !upper0.is_empty() {
-            for sh in out.iter_mut().skip(1) {
-                sh.upper = build_upper(
-                    &scenario,
-                    shape,
-                    racks,
-                    &server_leaf,
-                    &client_leaf,
-                    coord_leaf,
-                );
-            }
-            out[0].upper = upper0;
         }
         if let Some((_, rngs, _, _)) = &mut bg_setup {
             for (r, rng) in rngs.iter_mut().enumerate() {

@@ -35,7 +35,7 @@ pub mod sim;
 pub mod sweep;
 pub mod topology;
 
-pub use build::{build_engine, build_fabric, ScenarioBuilder};
+pub use build::{build_engine, build_fabric, build_upper_tier, ScenarioBuilder};
 pub use harness::{registry, Experiment, RunCtx, Runner};
 pub use metrics::RunResult;
 pub use scenario::{

@@ -100,6 +100,9 @@ impl ShardCoordinator {
         std::thread::scope(|s| {
             for (k, shard) in self.shards.iter_mut().enumerate() {
                 let (board, barrier, mailboxes) = (&board, &barrier, &mailboxes);
+                // Swapped with the mailbox every round, so both buffers
+                // keep their capacity and no round allocates.
+                let mut inbound: Vec<CrossMsg> = Vec::new();
                 s.spawn(move || loop {
                     board.publish(k, shard.q.peek_time());
                     barrier.wait();
@@ -123,8 +126,8 @@ impl ShardCoordinator {
                         }
                     }
                     barrier.wait();
-                    let inbound = std::mem::take(&mut *mailboxes[k].lock().expect("mailbox"));
-                    shard.deliver(w_end, inbound);
+                    std::mem::swap(&mut inbound, &mut *mailboxes[k].lock().expect("mailbox"));
+                    shard.deliver(w_end, &mut inbound);
                 });
             }
         });
@@ -138,8 +141,8 @@ impl ShardCoordinator {
 
     /// Assembles the [`RunResult`] — deterministically: every vector is
     /// walked in global index order, every scalar is a sum, and the one
-    /// order-sensitive-looking piece (the spine counter replicas) is a
-    /// `SwitchCounters::merge`, which is field-wise addition.
+    /// order-sensitive-looking piece (each shard's upper-tier counters)
+    /// is a `SwitchCounters::merge`, which is field-wise addition.
     fn merge(mut self) -> (RunResult, Option<Vec<(u64, u64)>>) {
         let shards = &mut self.shards;
         let nshards = shards.len();
@@ -192,24 +195,19 @@ impl ShardCoordinator {
 
         // Per-switch windows in fabric index order (leaves, then the
         // upper tier): each leaf's from its owner, each upper switch's as
-        // the merge of every shard's replica delta.
-        let upper_count = shards[0].upper.len();
-        let mut per_switch: Vec<SwitchCounters> = Vec::with_capacity(racks + upper_count);
+        // the merge of every shard's delta.
+        let upper_count = shards[0].upper_counters_at_warmup.len();
+        let mut per_switch = vec![SwitchCounters::default(); racks + upper_count];
         for r in 0..racks {
             let sh = &shards[r % nshards];
             let e = sh.engines[r].as_ref().expect("leaf owner");
-            per_switch.push(e.counters().since(&sh.switch_counters_at_warmup[r]));
+            per_switch[r] = e.counters().since(&sh.switch_counters_at_warmup[r]);
         }
-        for i in 0..upper_count {
-            let mut merged = SwitchCounters::default();
-            for sh in shards.iter() {
-                merged.merge(
-                    &sh.upper[i]
-                        .counters()
-                        .since(&sh.upper_counters_at_warmup[i]),
-                );
+        for sh in shards.iter() {
+            let windows = sh.tier.counters().iter().zip(&sh.upper_counters_at_warmup);
+            for (merged, (c, at_warmup)) in per_switch[racks..].iter_mut().zip(windows) {
+                merged.merge(&c.since(at_warmup));
             }
-            per_switch.push(merged);
         }
         let switch: SwitchCounters = per_switch.iter().sum();
 

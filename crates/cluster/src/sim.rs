@@ -3,7 +3,7 @@
 //! Everything about *assembling* a testbed (scheme → switch engines,
 //! hosts, workload streams, priming events) lives in
 //! [`crate::build::ScenarioBuilder`]; this module executes events and
-//! keeps the measurement windows. Every switch is a
+//! keeps the measurement windows. Every leaf switch is a
 //! [`Box<dyn SwitchEngine>`](netclone_core::SwitchEngine) — the same
 //! trait object the real-socket soft switch drives — so the simulator has
 //! no per-scheme dispatch at all.
@@ -23,11 +23,11 @@
 //! global `(time, seq)` order, so the pre-sharding seed pins still hold.
 //!
 //! The upper-tier switches (the leaf/spine spine, or a fat-tree's
-//! aggregation and core layers) never get events of their own: they are
-//! stateless plain L3, so each shard processes upper-tier hops *inline*
-//! against private replicas (counters are merged at the end —
-//! order-insensitive by `SwitchCounters::merge`). That removes the spine
-//! queue round-trip from the hot path and, more importantly, removes the
+//! aggregation and core layers) get neither events nor engines of their
+//! own: they are stateless plain L3, so the tier is compiled into one
+//! table ([`UpperTier`]) and each shard walks its copy *inline* — per
+//! switch crossed a counter, a pass latency and one loss draw (counters
+//! are summed across shards at the end). That removes the
 //! switches every shard would otherwise have to synchronise on; the
 //! cross-shard lookahead becomes two switch passes plus an inter-rack
 //! link traversal (or two, without congestion-aware links).
@@ -108,13 +108,13 @@ use crate::metrics::RunResult;
 use crate::payload::{PayloadId, PayloadSlab, SimPacket};
 use crate::scenario::Scenario;
 use crate::shard::ShardCoordinator;
-use crate::topology::{agg_down_port, core_port, flow_hash, spine_port, FabricShape, UPLINK_PORT};
+use crate::topology::{flow_hash, UpperTier, UpperWalk, UPLINK_PORT};
 
 /// Simulation events.
 ///
 /// Packet-bearing variants carry a [`SimPacket`] (metadata + interned
 /// payload id), not a full `AppPacket` — see the module docs.
-/// `SwitchIn` always targets a *leaf*; spine hops are processed inline.
+/// `SwitchIn` always targets a *leaf*; the upper tier is walked inline.
 pub(crate) enum Ev {
     /// Client `cid` generates its next request.
     Gen(usize),
@@ -297,18 +297,17 @@ pub(crate) struct Shard {
     pub(crate) server_epoch: Vec<u32>,
     /// Owned leaf engines, indexed by rack (`None` = foreign rack).
     pub(crate) engines: Vec<Option<Box<dyn netclone_core::SwitchEngine>>>,
-    /// This shard's replicas of the (stateless) upper-tier switches —
-    /// the spine, or a fat-tree's aggs then cores, indexed by
-    /// `global switch index - racks`. Empty when `racks == 1`. Counter
-    /// replicas are merged at the end.
-    pub(crate) upper: Vec<Box<dyn netclone_core::SwitchEngine>>,
+    /// The upper tier — the spine, or a fat-tree's aggs and cores — as
+    /// its compiled forwarding table, and this shard's share of its
+    /// per-switch counters (merged at the end). No switches when
+    /// `racks == 1`.
+    pub(crate) tier: UpperTier,
     pub(crate) racks: usize,
     pub(crate) inter_rack_ns: u64,
-    /// The upper-fabric wiring and its ECMP hash seed.
-    pub(crate) shape: FabricShape,
+    /// Seed of the ECMP flow hash.
     pub(crate) ecmp_seed: u64,
-    /// One switch pass latency, ns (background packets cross leaves
-    /// without engine processing but still pay the pass).
+    /// One switch pass latency, ns (upper-tier hops and background
+    /// packets cross switches without an engine but still pay the pass).
     pub(crate) pass_ns: u64,
     pub(crate) server_leaf: Vec<usize>,
     pub(crate) client_leaf: Vec<usize>,
@@ -332,11 +331,8 @@ pub(crate) struct Shard {
     pub(crate) synthetic: Option<SyntheticWorkload>,
     pub(crate) kvmix: Option<Arc<KvMix>>,
     /// The shard's reusable emission buffer (`on_switch_in` drains it in
-    /// place; see the `EmissionSink` contract)…
+    /// place; see the `EmissionSink` contract).
     pub(crate) sink: EmissionSink,
-    /// …and a second one for inline upper-tier hops, which happen while
-    /// the leaf sink is detached.
-    pub(crate) upper_sink: EmissionSink,
     /// Interned `(op, born_ns)` payloads for packets in flight *within*
     /// this shard; cross-shard packets are re-interned on arrival.
     pub(crate) payloads: PayloadSlab,
@@ -347,7 +343,7 @@ pub(crate) struct Shard {
     pub(crate) generated_in_window: u64,
     pub(crate) packets_lost: u64,
     /// Warm-up snapshots of the owned leaves (by rack index) and of the
-    /// upper-tier replicas.
+    /// upper tier's counters.
     pub(crate) switch_counters_at_warmup: Vec<SwitchCounters>,
     pub(crate) upper_counters_at_warmup: Vec<SwitchCounters>,
     pub(crate) server_stats_at_warmup: Vec<netclone_hosts::server::ServerStats>,
@@ -583,9 +579,6 @@ impl Shard {
                 for e in self.engines.iter_mut().flatten() {
                     e.reset_soft_state();
                 }
-                for u in &mut self.upper {
-                    u.reset_soft_state();
-                }
                 self.switch_up = true;
             }
             Ev::ServerKill(idx) => {
@@ -733,9 +726,6 @@ impl Shard {
         for e in self.engines.iter_mut().flatten() {
             any_deregistered |= e.deregister_server(sid).is_ok();
         }
-        for u in &mut self.upper {
-            any_deregistered |= u.deregister_server(sid).is_ok();
-        }
         if any_deregistered {
             for cid in 0..self.client_leaf.len() {
                 let leaf = self.client_leaf[cid];
@@ -822,20 +812,19 @@ impl Shard {
             }
             if e.port == UPLINK_PORT && self.racks > 1 {
                 // A leaf→upper traversal: no host NIC on this hop, the
-                // fabric link latency applies instead; the upper-tier
-                // passes are processed inline (module docs). ECMP picks
-                // the physical uplink (a fat-tree has n_uplinks > 1;
-                // leaf/spine collapses to 0).
+                // fabric link latency applies instead; the upper tier is
+                // walked inline (module docs). ECMP picks the physical
+                // uplink (a fat-tree has several; leaf/spine has uplink 0).
                 let h = flow_hash(e.pkt.src_ip, e.pkt.dst_ip, self.ecmp_seed);
-                let via = (h % self.shape.n_uplinks() as u64) as usize;
+                let walk = self.tier.walk(sw, e.pkt.dst_ip, h);
                 let mut egress = now + e.latency_ns;
                 if let Some(ls) = &mut self.links {
-                    match ls.up[sw][via].offer(egress, u32::from(e.pkt.wire_bytes)) {
+                    match ls.up[sw][walk.via].offer(egress, u32::from(e.pkt.wire_bytes)) {
                         Verdict::Forward { depart_ns, .. } => egress = depart_ns,
                         Verdict::Drop => continue,
                     }
                 }
-                self.via_upper(e.pkt, egress, sp.pid, sw, h);
+                self.via_upper(walk, e.pkt, egress, sp.pid);
             } else {
                 let egress = now + e.latency_ns;
                 let out = SimPacket {
@@ -874,86 +863,30 @@ impl Shard {
         self.payloads.release(sp.pid);
     }
 
-    /// Walks one packet through the upper tier inline against this
-    /// shard's replicas, starting from its leaf-uplink egress at
-    /// `egress_ns`, and parks the result at the destination leaf —
-    /// locally, or through the cross-shard outbox with a sender-stamped
-    /// key. Leaf/spine is one pass; a fat-tree is agg (same pod) or
-    /// agg → core → agg, with ECMP hash `h` fixing the path.
-    fn via_upper(
-        &mut self,
-        meta: PacketMeta,
-        egress_ns: u64,
-        pid: PayloadId,
-        src_leaf: usize,
-        h: u64,
-    ) {
-        match self.shape {
-            FabricShape::LeafSpine => {
-                let at_spine = egress_ns + self.inter_rack_ns;
-                let mut sink = std::mem::take(&mut self.upper_sink);
-                self.upper[0].process(meta, 0, at_spine, &mut sink);
-                for e in sink.drain() {
-                    if self.lose_packet() {
-                        self.packets_lost += 1;
-                        continue;
-                    }
-                    // Spine ports map 1:1 onto leaves (`spine_port`),
-                    // exactly the arithmetic `Fabric::route` applies.
-                    let leaf = (e.port - spine_port(0)) as usize;
-                    self.send_to_leaf(leaf, 0, e.pkt, at_spine + e.latency_ns, pid);
-                }
-                self.upper_sink = sink;
-            }
-            FabricShape::FatTree {
-                pods,
-                aggs_per_pod,
-                cores_per_group,
-            } => {
-                let lpp = self.shape.leaves_per_pod(self.racks);
-                let j = (h % aggs_per_pod as u64) as usize;
-                // Local upper indices: aggs pod-major, cores after.
-                let mut u = (src_leaf / lpp) * aggs_per_pod + j;
-                let mut at = egress_ns + self.inter_rack_ns;
-                let mut meta = meta;
-                loop {
-                    let mut sink = std::mem::take(&mut self.upper_sink);
-                    self.upper[u].process(meta, 0, at, &mut sink);
-                    let mut next = None;
-                    for e in sink.drain() {
-                        if self.lose_packet() {
-                            self.packets_lost += 1;
-                            continue;
-                        }
-                        if e.port == UPLINK_PORT {
-                            // Agg → a core of its group (second ECMP
-                            // stage reuses the higher hash bits).
-                            let c = ((h / aggs_per_pod as u64) % cores_per_group as u64) as usize;
-                            let cu = pods * aggs_per_pod + j * cores_per_group + c;
-                            next = Some((cu, e.pkt, at + e.latency_ns + self.inter_rack_ns));
-                        } else if u < pods * aggs_per_pod {
-                            // Agg down-port → a leaf of its pod; the
-                            // downlink index equals the uplink index `j`
-                            // (leaf uplink j ↔ agg j of its pod).
-                            let leaf =
-                                (u / aggs_per_pod) * lpp + (e.port - agg_down_port(0)) as usize;
-                            self.send_to_leaf(leaf, j, e.pkt, at + e.latency_ns, pid);
-                        } else {
-                            // Core → aggregation `j` of the target pod.
-                            let pod = (e.port - core_port(0)) as usize;
-                            next = Some((
-                                pod * aggs_per_pod + j,
-                                e.pkt,
-                                at + e.latency_ns + self.inter_rack_ns,
-                            ));
-                        }
-                    }
-                    self.upper_sink = sink;
-                    let Some((nu, nmeta, nat)) = next else { break };
-                    (u, meta, at) = (nu, nmeta, nat);
-                }
+    /// Carries one packet along its `walk` through the upper tier, from
+    /// its leaf-uplink egress at `egress_ns`, and parks it at the
+    /// destination leaf — locally, or through the cross-shard outbox with
+    /// a sender-stamped key. Each switch crossed is what a plain-L3 pass
+    /// there was: it counts the packet, costs a link propagation plus a
+    /// pass, and its egress link draws for loss once; a switch with no
+    /// route for the destination drops it instead. Out of line: inlined
+    /// (with `send_to_leaf`) it grows `handle` by a tenth and costs the
+    /// single-rack loop, which never gets here, 1 % of its time.
+    #[inline(never)]
+    fn via_upper(&mut self, walk: UpperWalk, meta: PacketMeta, egress_ns: u64, pid: PayloadId) {
+        let Some(leaf) = walk.leaf else {
+            self.tier.count_dropped(walk.hops()[0]);
+            return;
+        };
+        for &sw in walk.hops() {
+            self.tier.count_routed(sw);
+            if self.lose_packet() {
+                self.packets_lost += 1;
+                return;
             }
         }
+        let crossed = walk.hops().len() as u64 * (self.inter_rack_ns + self.pass_ns);
+        self.send_to_leaf(leaf, walk.via, meta, egress_ns + crossed, pid);
     }
 
     /// Parks a packet leaving the upper tier at `down_egress_ns` (the
@@ -1039,25 +972,14 @@ impl Shard {
         let n = bg.sent[r];
         bg.sent[r] += 1;
         let (wire, victim) = (bg.wire, bg.victim);
-        let h = bg_hash(r as u64, n);
-        let via = (h % self.shape.n_uplinks() as u64) as usize;
+        let walk = self.tier.path(r, Some(victim), bg_hash(r as u64, n));
+        let via = walk.via;
         let ls = self.links.as_mut().expect("background requires links");
         if let Verdict::Forward { depart_ns, .. } =
             ls.up[r][via].offer(now + self.pass_ns, u32::from(wire))
         {
-            // Upper-tier traversal: 1 switch (spine, or same-pod agg) or
-            // 3 (agg → core → agg), each a pass + a propagation.
-            let hops = match self.shape {
-                FabricShape::LeafSpine => 1,
-                FabricShape::FatTree { .. } => {
-                    let lpp = self.shape.leaves_per_pod(self.racks);
-                    if r / lpp == victim / lpp {
-                        1
-                    } else {
-                        3
-                    }
-                }
-            };
+            // Each upper switch crossed is a propagation plus a pass.
+            let hops = walk.hops().len() as u64;
             let at = depart_ns + hops * (self.inter_rack_ns + self.pass_ns);
             let dst = self.shard_of_rack(victim);
             if dst == self.id {
@@ -1220,13 +1142,14 @@ impl Shard {
         }
     }
 
-    /// Installs one round's inbound cross-shard messages. The
+    /// Installs one round's inbound cross-shard messages, draining
+    /// `inbound` (it keeps its capacity for the next round). The
     /// conservative lookahead guarantees none of them lands inside the
     /// window just executed; the mailbox's arrival order is irrelevant
     /// because the queue re-sorts by the sender-stamped keys (which are
     /// globally unique — domains are disjoint across shards).
-    pub(crate) fn deliver(&mut self, window_end_ns: u64, inbound: Vec<CrossMsg>) {
-        for m in inbound {
+    pub(crate) fn deliver(&mut self, window_end_ns: u64, inbound: &mut Vec<CrossMsg>) {
+        for m in inbound.drain(..) {
             debug_assert!(
                 m.at >= window_end_ns,
                 "cross-shard message due inside the executed window"
@@ -1273,9 +1196,8 @@ impl Shard {
                 self.switch_counters_at_warmup[r] = e.counters();
             }
         }
-        for (i, u) in self.upper.iter().enumerate() {
-            self.upper_counters_at_warmup[i] = u.counters();
-        }
+        self.upper_counters_at_warmup
+            .copy_from_slice(self.tier.counters());
         for (i, s) in self.servers.iter().enumerate() {
             if let Some(s) = s {
                 self.server_stats_at_warmup[i] = s.stats();

@@ -11,9 +11,10 @@
 //! and clients sit, and the extra per-link latency of the leaf↔spine
 //! hops. [`Fabric`] is the built artifact — one
 //! [`SwitchEngine`] per switch plus the
-//! routing metadata ([`Fabric::hop`]/[`Fabric::route`]) the event loop
-//! uses to walk emissions between switches. Assembly (which engine runs
-//! on which leaf, what gets registered where) lives in
+//! routing metadata ([`Fabric::hop`]/[`Fabric::route`]) to walk emissions
+//! between switches; [`UpperTier`] is the same wiring above the leaves
+//! compiled to one table, which is what the event loop walks. Assembly
+//! (which engine runs on which leaf, what gets registered where) lives in
 //! [`crate::build::build_fabric`].
 //!
 //! ## Shapes
@@ -361,8 +362,9 @@ pub enum Hop {
 /// routing metadata to walk emissions between them.
 ///
 /// Index layout matches [`Topology`]: leaves `0..racks`, then the spine.
-/// Built by [`crate::build::build_fabric`]; driven by the event loop
-/// ([`crate::sim::Sim`]) and directly by the topology tests.
+/// Built by [`crate::build::build_fabric`]; the event loop
+/// ([`crate::sim::Sim`]) takes its leaf engines, the topology tests and
+/// the benchmark's replay drive it directly.
 pub struct Fabric {
     /// The per-switch engines.
     pub engines: Vec<Box<dyn SwitchEngine>>,
@@ -493,6 +495,147 @@ impl Fabric {
     /// Per-switch counter snapshots, in switch-index order.
     pub fn counters(&self) -> Vec<SwitchCounters> {
         self.engines.iter().map(|e| e.counters()).collect()
+    }
+}
+
+/// What [`UpperTier::walk`] resolves for one packet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UpperWalk {
+    /// Destination leaf; `None` when no endpoint owns the address, and the
+    /// first switch of [`Self::hops`] drops the packet on the route miss.
+    pub leaf: Option<usize>,
+    /// Uplink the flow leaves its source leaf on, which is also the
+    /// downlink it enters the destination leaf by (uplink *j* ↔ agg *j*).
+    pub via: usize,
+    hops: [usize; 3],
+    n_hops: usize,
+}
+
+impl UpperWalk {
+    /// The upper switches crossed, in order, by fabric index: the spine or
+    /// a same-pod aggregation switch, or agg → core → agg.
+    #[inline]
+    pub fn hops(&self) -> &[usize] {
+        &self.hops[..self.n_hops]
+    }
+}
+
+/// The upper tier compiled to what it is: wiring. Every switch above the
+/// leaves is stateless plain L3 (§3.7) holding the same routes, so a
+/// packet's whole path through them is a function of its destination's
+/// rack and its flow hash. This is that function as one table, plus the
+/// counters each switch would have kept. The simulator walks it in place
+/// of per-switch engine passes; the engine-backed [`Fabric`] stays the
+/// oracle (`tests/prop_upper_tier.rs`).
+#[derive(Clone, Debug)]
+pub struct UpperTier {
+    racks: usize,
+    shape: FabricShape,
+    /// First address of the table: the lowest one any endpoint holds.
+    base: u32,
+    /// Leaf of the endpoint at address `base + i` (`None`: nobody's).
+    leaf_of: Vec<Option<u16>>,
+    pod_of: Vec<usize>,
+    /// What a `PlainL3Switch` in each upper switch's place would report,
+    /// by fabric index − `racks`.
+    counters: Vec<SwitchCounters>,
+}
+
+impl UpperTier {
+    /// Compiles the tier of a `racks`-leaf fabric from every endpoint's
+    /// `(address, leaf)`; a repeated address keeps its last leaf, as a
+    /// route table keeps its last insert.
+    pub(crate) fn new(
+        racks: usize,
+        shape: FabricShape,
+        endpoints: impl IntoIterator<Item = (Ipv4, usize)>,
+    ) -> Self {
+        let mut tier = UpperTier {
+            racks,
+            shape,
+            base: 0,
+            leaf_of: Vec::new(),
+            pod_of: Vec::new(),
+            counters: vec![SwitchCounters::default(); shape.upper_count(racks)],
+        };
+        if tier.counters.is_empty() {
+            // One rack: no switch above it, nothing is ever walked, and
+            // set-up allocates nothing on its behalf.
+            return tier;
+        }
+        let endpoints: Vec<(Ipv4, usize)> = endpoints.into_iter().collect();
+        tier.base = endpoints.iter().map(|(ip, _)| ip.0).min().unwrap_or(0);
+        let span = endpoints.iter().map(|(ip, _)| ip.0 - tier.base + 1).max();
+        tier.leaf_of = vec![None; span.unwrap_or(0) as usize];
+        for (ip, leaf) in endpoints {
+            let leaf = u16::try_from(leaf).expect("leaf ids fit u16");
+            tier.leaf_of[(ip.0 - tier.base) as usize] = Some(leaf);
+        }
+        tier.pod_of = (0..racks).map(|l| shape.pod_of_leaf(racks, l)).collect();
+        tier
+    }
+
+    /// The path of a flow hashing to `h` from `src_leaf` toward the leaf
+    /// of `dst`: ECMP stage one picks the aggregation switch (`h mod
+    /// aggs`), stage two the core of its group (the next hash digit), and
+    /// the way down retraces the group — the transitions of
+    /// [`Fabric::route`], composed.
+    #[inline]
+    pub fn walk(&self, src_leaf: usize, dst: Ipv4, h: u64) -> UpperWalk {
+        let i = dst.0.wrapping_sub(self.base) as usize;
+        let leaf = self.leaf_of.get(i).copied().flatten().map(usize::from);
+        self.path(src_leaf, leaf, h)
+    }
+
+    /// [`Self::walk`] toward a known leaf (`None`: as far as the first
+    /// switch, which is where a route miss ends).
+    #[inline]
+    pub(crate) fn path(&self, src_leaf: usize, leaf: Option<usize>, h: u64) -> UpperWalk {
+        let (via, hops, n_hops) = match self.shape {
+            FabricShape::LeafSpine => (0, [self.racks, 0, 0], 1),
+            FabricShape::FatTree {
+                aggs_per_pod,
+                cores_per_group,
+                ..
+            } => {
+                let j = (h % aggs_per_pod as u64) as usize;
+                let src_pod = self.pod_of[src_leaf];
+                let up = self.shape.agg_index(self.racks, src_pod, j);
+                match leaf.map(|l| self.pod_of[l]) {
+                    Some(pod) if pod != src_pod => {
+                        let c = ((h / aggs_per_pod as u64) % cores_per_group as u64) as usize;
+                        let core = self.shape.core_index(self.racks, j, c);
+                        let down = self.shape.agg_index(self.racks, pod, j);
+                        (j, [up, core, down], 3)
+                    }
+                    _ => (j, [up, 0, 0], 1),
+                }
+            }
+        };
+        UpperWalk {
+            leaf,
+            via,
+            hops,
+            n_hops,
+        }
+    }
+
+    /// Upper switch `sw` (fabric index) forwarded a packet.
+    #[inline]
+    pub fn count_routed(&mut self, sw: usize) {
+        self.counters[sw - self.racks].routed_plain += 1;
+    }
+
+    /// Upper switch `sw` (fabric index) dropped a packet on a route miss.
+    #[inline]
+    pub fn count_dropped(&mut self, sw: usize) {
+        self.counters[sw - self.racks].dropped_unroutable += 1;
+    }
+
+    /// Per-switch counters in fabric index order, as the engines of
+    /// [`Fabric::counters`]`[racks..]` report them.
+    pub fn counters(&self) -> &[SwitchCounters] {
+        &self.counters
     }
 }
 
@@ -655,6 +798,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn upper_tier_table_keeps_the_last_leaf_and_misses_outside_it() {
+        let shape = Topology::fat_tree(4).shape;
+        let ends = [
+            (Ipv4::server(0), 1),
+            (Ipv4::client(0), 6),
+            (Ipv4::server(0), 7),
+        ];
+        let tier = UpperTier::new(8, shape, ends);
+        // Leaf 0 → leaf 7 crosses pods: agg (pod 0) → core → agg (pod 3).
+        let w = tier.walk(0, Ipv4::server(0), 0b11);
+        assert_eq!((w.leaf, w.via), (Some(7), 1));
+        assert_eq!(w.hops(), [8 + 1, 16 + 2 + 1, 8 + 3 * 2 + 1]);
+        // Unowned addresses inside, below and past the table all miss at
+        // the source pod's aggregation switch.
+        for ip in [Ipv4::server(1), Ipv4::new(10, 0, 0, 1), Ipv4::client(1)] {
+            let w = tier.walk(2, ip, 0);
+            assert_eq!((w.leaf, w.hops()), (None, &[8 + 2][..]));
+        }
+        assert_eq!(tier.counters().len(), 12);
+        assert!(UpperTier::new(1, FabricShape::LeafSpine, ends)
+            .counters()
+            .is_empty());
     }
 
     #[test]

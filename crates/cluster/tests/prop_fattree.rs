@@ -10,7 +10,9 @@
 //!   everything offered to a tier is forwarded or dropped there, nothing
 //!   is minted or lost.
 
-use netclone_cluster::topology::{flow_hash, Fabric, Hop};
+mod common;
+
+use common::walk;
 use netclone_cluster::{build_fabric, Scenario, Scheme, Sim, Topology};
 use netclone_linksim::LinkSpec;
 use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta, ServerState};
@@ -58,33 +60,6 @@ fn scenario_for(shape: &Shape) -> Scenario {
         .with_client_racks(shape.client_racks.clone())
         .with_ecmp_seed(shape.ecmp_seed);
     s
-}
-
-/// Walks one packet through the fabric under ECMP; panics on a
-/// forwarding loop. Returns the host deliveries and the switch path.
-fn walk(
-    fabric: &mut Fabric,
-    entry: usize,
-    pkt: PacketMeta,
-) -> (Vec<(usize, PacketMeta, u16)>, Vec<usize>) {
-    let seed = fabric.ecmp_seed();
-    let mut delivered = Vec::new();
-    let mut path = Vec::new();
-    let mut work = vec![(entry, pkt)];
-    let mut hops = 0;
-    while let Some((sw, pkt)) = work.pop() {
-        hops += 1;
-        assert!(hops <= 32, "forwarding loop");
-        path.push(sw);
-        let h = flow_hash(pkt.src_ip, pkt.dst_ip, seed);
-        for e in fabric.engines[sw].process_collected(pkt, 0, 0) {
-            match fabric.route(sw, e.port, h) {
-                Hop::Switch(next) => work.push((next, e.pkt)),
-                Hop::Local(port) => delivered.push((sw, e.pkt, port)),
-            }
-        }
-    }
-    (delivered, path)
 }
 
 proptest! {

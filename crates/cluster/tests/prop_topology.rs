@@ -4,7 +4,9 @@
 //! client, nothing loops, and NetClone logic fires only at the
 //! client-side ToR (the SWITCH_ID gate).
 
-use netclone_cluster::topology::{Fabric, Hop};
+mod common;
+
+use common::walk;
 use netclone_cluster::{build_fabric, Scenario, Scheme, Sim, Topology};
 use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta, ServerState};
 use netclone_workloads::exp25;
@@ -49,25 +51,6 @@ fn scenario_for(shape: &Shape) -> Scenario {
     s
 }
 
-/// Walks one packet through the fabric; panics on a forwarding loop.
-/// Returns the `(switch, port)` host deliveries.
-fn walk(fabric: &mut Fabric, entry: usize, pkt: PacketMeta) -> Vec<(usize, PacketMeta, u16)> {
-    let mut delivered = Vec::new();
-    let mut work = vec![(entry, pkt)];
-    let mut hops = 0;
-    while let Some((sw, pkt)) = work.pop() {
-        hops += 1;
-        assert!(hops <= 32, "forwarding loop");
-        for e in fabric.engines[sw].process_collected(pkt, 0, 0) {
-            match fabric.hop(sw, e.port) {
-                Hop::Switch(next) => work.push((next, e.pkt)),
-                Hop::Local(port) => delivered.push((sw, e.pkt, port)),
-            }
-        }
-    }
-    delivered
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -87,7 +70,7 @@ proptest! {
                 NetCloneHdr::request(grp, 0, cid as u16, seq),
                 84,
             );
-            let delivered = walk(&mut fabric, tor, req);
+            let (delivered, _) = walk(&mut fabric, tor, req);
 
             // Reaches one server, or two distinct ones when cloned.
             prop_assert!(!delivered.is_empty(), "request vanished");
@@ -111,7 +94,7 @@ proptest! {
                     84,
                 );
                 let server_tor = fabric.server_leaf(sid);
-                let back = walk(&mut fabric, server_tor, resp);
+                let (back, _) = walk(&mut fabric, server_tor, resp);
                 // The first response survives the filter; a cloned
                 // sibling may be dropped, but nothing is misdelivered.
                 for &(bsw, _, bport) in &back {

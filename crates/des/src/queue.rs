@@ -64,6 +64,13 @@ struct Node<E> {
 /// Events scheduled for the same instant pop in the order they were pushed,
 /// which makes whole-simulation runs reproducible for a fixed seed — a
 /// property the reproduction leans on (fixed seeds per figure).
+///
+/// Cache-line aligned: the slot heads and occupancy words are 2.9 KB read
+/// on every operation, and the queue is embedded in larger structs (the
+/// simulator's shard), so without this any field added or removed ahead
+/// of it moves the wheel across line boundaries — a measured ±5 % on
+/// workloads that run none of the changed code.
+#[repr(align(64))]
 pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     /// Head of the list of vacated nodes, reused before the slab grows.
@@ -78,6 +85,8 @@ pub struct EventQueue<E> {
     now: SimTime,
     scheduled_total: u64,
 }
+
+const _: () = assert!(std::mem::align_of::<EventQueue<u64>>() == 64);
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {

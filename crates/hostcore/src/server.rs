@@ -4,9 +4,9 @@
 //!
 //! The core deliberately does **not** own the request queue: the DES
 //! server models it as a `VecDeque` behind simulated worker threads, the
-//! real-socket server *is* a crossbeam channel feeding OS threads. Both
-//! report the observed queue length to the core, which applies the
-//! protocol rules and keeps the counters the evaluation reads.
+//! real-socket server's is the rest of the receive batch it is working
+//! through. Both report the observed queue length to the core, which
+//! applies the protocol rules and keeps the counters the evaluation reads.
 //!
 //! Counters are relaxed atomics and every method takes `&self`, so the
 //! real-socket frontend shares one core between its dispatcher and worker

@@ -3,14 +3,20 @@
 //! counter: every `NetCloneSwitch::process` path, `PlainL3Switch::process`,
 //! and `EventQueue` schedule+pop at a fixed depth.
 //!
-//! One `#[test]` on purpose: the count is per thread, and a single test
-//! body keeps warm-up and measurement on that thread.
+//! The count is per thread, and each test body keeps its warm-up and its
+//! measurement on its own thread. The per-function test cannot see the
+//! code between the functions, so a second one counts a whole serial run
+//! of the congested fat-tree — the cross-rack walk, `send_to_leaf`, the
+//! link path, the host models — and requires that a longer run allocates
+//! (almost) nothing more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netclone::asic::{AsicSpec, DataPlane, EmissionSink};
-use netclone::cluster::{build_engine, Scenario, Scheme};
+use netclone::cluster::experiments::{fattree, Scale};
+use netclone::cluster::harness::RunCtx;
+use netclone::cluster::{build_engine, Scenario, Scheme, Sim};
 use netclone::des::{EventQueue, SimTime};
 use netclone::hostcore::{ClientCore, ClientMode};
 use netclone::policies::PlainL3Switch;
@@ -227,5 +233,28 @@ fn steady_state_fast_path_allocates_nothing() {
         [0; 6],
         "allocations per 10k calls: [request-clone, request-no-clone, \
          response-pass, response-filtered, plain-L3, queue schedule+pop]"
+    );
+}
+
+/// A run's allocations are its set-up plus buffers growing to their peak
+/// depth; none of it is per event. The run is deterministic, so the count
+/// is exact for a seed: 10 ms and 40 ms of measurement (332k and 999k
+/// events) allocate within a handful of each other.
+#[test]
+fn whole_run_allocations_do_not_grow_with_the_window() {
+    let run = |measure_ns: u64| {
+        let mut s = fattree::scenario(4, 3.0, Scheme::NETCLONE, &RunCtx::new(Scale::Smoke));
+        s.warmup_ns = 5_000_000;
+        s.measure_ns = measure_ns;
+        let mut events = 0;
+        let allocs = allocs_during(|| events = Sim::run(s).events);
+        (allocs, events)
+    };
+    let (short, short_events) = run(10_000_000);
+    let (long, long_events) = run(40_000_000);
+    assert!(long_events > 3 * short_events - short_events / 2);
+    assert!(
+        long <= short + 8,
+        "{short} allocations over {short_events} events, {long} over {long_events}"
     );
 }

@@ -12,6 +12,8 @@
 //!   existed, so the `loss > 0` stream provably draws at the exact same
 //!   points as the original always-constructed implementation.
 
+use netclone::cluster::experiments::{fattree, Scale};
+use netclone::cluster::harness::RunCtx;
 use netclone::cluster::{Scenario, Scheme, Sim};
 use netclone::workloads::exp25;
 
@@ -52,6 +54,70 @@ fn lossy_sharded_run_equals_serial() {
         "lossy sharded run diverged from serial"
     );
     assert!(serial.packets_lost > 0, "the loss path was not exercised");
+}
+
+/// The multi-rack lossy scenario of the pins below: 4 racks, 4 clients,
+/// 30 % load, everything else as [`lossy_scenario`].
+fn lossy_multirack(scheme: Scheme) -> Scenario {
+    let mut s = lossy_scenario();
+    s.scheme = scheme;
+    s.n_clients = 4;
+    s.offered_rps = s.capacity_rps() * 0.3;
+    s.topology = netclone::cluster::Topology::uniform(4);
+    s
+}
+
+/// The sharded-equals-serial check above compares two sides that change
+/// together; these pins fix the *order* of loss draws through the upper
+/// tier — one draw per upper hop, in hop order, from the executing rack's
+/// stream — for the switch-side scheme, the client-side one, and the
+/// coordinator's route through the spine. Recorded with the spine as a
+/// `PlainL3Switch` engine pass, before the tier was compiled to a table.
+#[test]
+fn lossy_leaf_spine_runs_reproduce_pinned_upper_tier_draws() {
+    let r = Sim::run(lossy_multirack(Scheme::NETCLONE));
+    assert_eq!(r.packets_lost, 2713, "loss stream shifted");
+    assert_eq!(r.generated, 18923);
+    assert_eq!(r.completed, 18455);
+    assert_eq!(r.client_clone_wins, 8522);
+    assert_eq!(r.events, 263029);
+    assert_eq!(r.latency.p50_p99_p999(), (21247, 87039, 165887));
+    assert_eq!(r.per_switch[4].routed_plain, 54280, "spine window");
+
+    let r = Sim::run(lossy_multirack(Scheme::CClone));
+    assert_eq!(r.packets_lost, 3187, "loss stream shifted");
+    assert_eq!(r.completed, 18851);
+    assert_eq!(r.events, 307330);
+    assert_eq!(r.per_switch[4].routed_plain, 54655, "spine window");
+
+    // `completed` stays unpinned: LÆDGE leaks coordinator slots under
+    // loss (ROADMAP item 4a), and repairing that must not touch this pin.
+    let r = Sim::run(lossy_multirack(Scheme::Laedge));
+    assert_eq!(r.packets_lost, 974, "loss stream shifted");
+    assert_eq!(r.events, 96405);
+    assert_eq!(r.per_switch[4].routed_plain, 14733, "spine window");
+}
+
+/// The same for the three-tier walk (agg → core → agg, three draws) with
+/// congestion-aware links and background incast: the congested k=4
+/// fat-tree cell of the `fattree` experiment, made lossy.
+#[test]
+fn lossy_fat_tree_run_reproduces_pinned_upper_tier_draws() {
+    let ctx = RunCtx::new(Scale::Smoke);
+    let mut s = fattree::scenario(4, 3.0, Scheme::NETCLONE, &ctx);
+    s.warmup_ns = 4_000_000;
+    s.measure_ns = 20_000_000;
+    s.loss = 0.01;
+    let r = Sim::run(s);
+    assert_eq!(r.packets_lost, 6234, "loss stream shifted");
+    assert_eq!(r.generated, 35533);
+    assert_eq!(r.completed, 32479);
+    assert_eq!(r.client_clone_wins, 5828);
+    assert_eq!(r.events, 517626);
+    assert_eq!(r.latency.p50_p99_p999(), (120831, 364543, 1589247));
+    // Switch order: 8 leaves, 8 aggregation switches, 4 cores.
+    let cores: Vec<u64> = r.per_switch[16..].iter().map(|c| c.routed_plain).collect();
+    assert_eq!(cores, [20207, 20030, 19979, 20308], "core windows");
 }
 
 #[test]
