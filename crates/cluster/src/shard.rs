@@ -20,32 +20,37 @@
 //! of simulated time after the event that emits it (leaf pass → uplink →
 //! upper pass → downlink; with links the packet is handed to the foreign
 //! rack *at* its downlink head, one propagation earlier — queueing only
-//! adds delay). So the shards advance in rounds:
+//! adds delay). So the shards advance in rounds of one barrier each
+//! ([`WindowRounds`]; every shard drives a `Port`):
 //!
-//! 1. every shard publishes its next-event time on the
-//!    [`HorizonBoard`], then waits at a barrier;
-//! 2. every shard reads the same board minimum `m` (all idle → done) and
-//!    executes its events with `time < m + lookahead`, buffering
-//!    outbound cross-shard messages in per-destination outboxes;
-//! 3. outboxes flush into the destinations' mailboxes, everybody waits
-//!    at a second barrier, then drains its own mailbox — every delivered
-//!    message is timestamped at or after the window end (asserted in
-//!    debug builds) — and the round repeats.
+//! 1. *open*: publish `min(own next event, earliest message posted last
+//!    round)`, cross the barrier, read the board minimum `m` (all idle →
+//!    done; everybody sees that in the same round);
+//! 2. *take* the mail peers posted last round and schedule it — every
+//!    message is due at or after the window end it was sent from
+//!    (asserted in every build);
+//! 3. execute the events with `time < m + lookahead`, buffering outbound
+//!    cross-shard messages in per-destination outboxes;
+//! 4. *post* the outboxes for the peers' next round, and repeat.
 //!
-//! The shard owning `m` always executes at least one event per round, so
-//! the protocol makes progress; the barriers are [`SpinBarrier`]s, which
-//! yield after a brief spin, so shard counts above the machine's core
-//! count degrade into time-slicing instead of livelock.
+//! No second barrier separates posting from taking. The sender's
+//! published horizon stands in for mail the receiver has not seen yet,
+//! so `m` is the minimum over every queue as if all mail were delivered;
+//! and the board and mailboxes are double-buffered by round parity, so a
+//! shard one round ahead (the barrier allows no more) writes the halves
+//! its slow peer is not reading. The shard owning `m` executes at least
+//! one event per round — or, when `m` is a message in flight, its
+//! receiver does — so the protocol makes progress; the barrier yields
+//! after a brief spin, so shard counts above the machine's core count
+//! degrade into time-slicing instead of livelock, and a shard that panics
+//! poisons it, so the run fails instead of hanging.
 //!
 //! Bit-identity of the merged result is a property of the event *keys*,
 //! not of the schedule — see [`crate::sim`] and [`netclone_des::sync`] —
 //! so none of this depends on thread timing.
 
-use std::sync::Mutex;
-
 use netclone_core::SwitchCounters;
-use netclone_des::sync::window_end;
-use netclone_des::{HorizonBoard, SpinBarrier};
+use netclone_des::sync::WindowRounds;
 use netclone_stats::LatencyHistogram;
 
 use crate::build::ScenarioBuilder;
@@ -91,50 +96,37 @@ impl ShardCoordinator {
 
     /// One thread per shard, advancing in conservative windows.
     fn run_windowed(&mut self) {
-        let n = self.shards.len();
-        let lookahead = self.lookahead_ns;
-        debug_assert!(lookahead > 0, "a zero lookahead cannot make progress");
-        let board = HorizonBoard::new(n);
-        let barrier = SpinBarrier::new(n);
-        let mailboxes: Vec<Mutex<Vec<CrossMsg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let rounds: WindowRounds<CrossMsg> =
+            WindowRounds::new(self.shards.len(), self.lookahead_ns);
         std::thread::scope(|s| {
             for (k, shard) in self.shards.iter_mut().enumerate() {
-                let (board, barrier, mailboxes) = (&board, &barrier, &mailboxes);
-                // Swapped with the mailbox every round, so both buffers
-                // keep their capacity and no round allocates.
-                let mut inbound: Vec<CrossMsg> = Vec::new();
-                s.spawn(move || loop {
-                    board.publish(k, shard.q.peek_time());
-                    barrier.wait();
-                    // Between the barrier above and the one below nobody
-                    // publishes, so every shard reads the same minimum
-                    // and either all break (all idle, mailboxes empty by
-                    // construction) or all continue.
-                    let Some(w_end) = window_end(board.min(), lookahead) else {
-                        break;
-                    };
-                    while shard.q.peek_time().is_some_and(|t| t.as_ns() < w_end) {
-                        let (t, tie, ev) = shard.q.pop_keyed().expect("peeked event");
-                        if let Some(trace) = &mut shard.trace {
-                            trace.push((t.as_ns(), tie));
+                let mut port = rounds.port(k);
+                s.spawn(move || {
+                    // Swapped with the mailbox every round, so both
+                    // buffers keep their capacity and no round allocates.
+                    let mut inbound: Vec<CrossMsg> = Vec::new();
+                    // The end of the window the taken mail was sent from.
+                    let mut sent_window_end = 0;
+                    while let Some(w_end) = port.open(shard.q.peek_time()) {
+                        port.take(&mut inbound);
+                        shard.deliver(sent_window_end, &mut inbound);
+                        while let Some((t, tie, ev)) = shard.q.pop_keyed_before(w_end) {
+                            if let Some(trace) = &mut shard.trace {
+                                trace.push((t.as_ns(), tie));
+                            }
+                            shard.handle(t.as_ns(), ev);
                         }
-                        shard.handle(t.as_ns(), ev);
-                    }
-                    for (dst, out) in shard.outbox.iter_mut().enumerate() {
-                        if !out.is_empty() {
-                            mailboxes[dst].lock().expect("mailbox").append(out);
+                        for (dst, out) in shard.outbox.iter_mut().enumerate() {
+                            port.post(dst, out, |m| m.at);
                         }
+                        sent_window_end = w_end;
                     }
-                    barrier.wait();
-                    std::mem::swap(&mut inbound, &mut *mailboxes[k].lock().expect("mailbox"));
-                    shard.deliver(w_end, &mut inbound);
                 });
             }
         });
-        debug_assert!(
-            mailboxes
-                .iter()
-                .all(|m| m.lock().expect("mailbox").is_empty()),
+        debug_assert_eq!(
+            rounds.undelivered(),
+            0,
             "undelivered cross-shard messages at termination"
         );
     }

@@ -360,7 +360,7 @@ pub(crate) struct Shard {
     /// at the sender, broadcast control replicas once, on shard 0) — the
     /// shard's share of `RunResult::events`.
     pub(crate) events_scheduled: u64,
-    /// Outbound cross-shard messages, per destination shard, flushed at
+    /// Outbound cross-shard messages, per destination shard, posted at
     /// the end of each window.
     pub(crate) outbox: Vec<Vec<CrossMsg>>,
     /// When tracing, the popped `(time, tie)` keys in execution order.
@@ -1143,16 +1143,23 @@ impl Shard {
     }
 
     /// Installs one round's inbound cross-shard messages, draining
-    /// `inbound` (it keeps its capacity for the next round). The
-    /// conservative lookahead guarantees none of them lands inside the
-    /// window just executed; the mailbox's arrival order is irrelevant
-    /// because the queue re-sorts by the sender-stamped keys (which are
-    /// globally unique — domains are disjoint across shards).
-    pub(crate) fn deliver(&mut self, window_end_ns: u64, inbound: &mut Vec<CrossMsg>) {
+    /// `inbound` (it keeps its capacity for the next round). They were
+    /// sent from inside the *previous* window, so the conservative
+    /// lookahead puts every one at or after `sent_window_end_ns`, that
+    /// window's end — checked in every build: a message due earlier would
+    /// land among events this shard has already executed and silently
+    /// reorder history. The mailbox's arrival order is irrelevant because
+    /// the queue re-sorts by the sender-stamped keys (which are globally
+    /// unique — domains are disjoint across shards).
+    pub(crate) fn deliver(&mut self, sent_window_end_ns: u64, inbound: &mut Vec<CrossMsg>) {
         for m in inbound.drain(..) {
-            debug_assert!(
-                m.at >= window_end_ns,
-                "cross-shard message due inside the executed window"
+            assert!(
+                m.at >= sent_window_end_ns,
+                "lookahead violated: cross-shard message due at {} ns, inside the window \
+                 ending at {} ns it was sent from (receiving shard {})",
+                m.at,
+                sent_window_end_ns,
+                self.id
             );
             // The sender already counted this event; schedule without
             // touching `events_scheduled` or the local key counters.

@@ -15,9 +15,9 @@
 //!   random draws of the others.
 //!
 //! For sharded (multi-queue) simulations, [`sync`] adds the conservative
-//! lookahead pieces: per-domain tie-break keys that keep the merged
-//! execution order machine-independent, a horizon board, and a reusable
-//! spin barrier.
+//! lookahead round — one barrier per window over a parity-buffered
+//! horizon board and mailboxes — and the per-domain tie-break keys that
+//! keep the merged execution order machine-independent.
 //!
 //! Design follows the event-driven style of smoltcp: no global registries,
 //! no trait-object callback soup — the simulation owns its entities and

@@ -9,10 +9,10 @@
 //! the earliest is in the lowest set bit of the lowest non-empty level's
 //! occupancy word. Slots are intrusive lists through one node slab.
 //!
-//! * Schedule is an xor, a `leading_zeros` and a list push. Pop detaches
-//!   the front slot's list, takes its smallest key, moves the clock onto
-//!   it and re-places the rest, which land on lower levels: no sift, no
-//!   overflow tier, no cascade loop, no allocation past the peak depth.
+//! * Schedule is an xor, a `leading_zeros` and a list push. Pop finds the
+//!   front slot's smallest key, detaches the list, moves the clock onto
+//!   that key and re-places the rest, which land on lower levels: no sift,
+//!   no overflow tier, no cascade loop, no allocation past the peak depth.
 //! * A level-0 slot holds one instant, so its only order left is the tie,
 //!   found by **one linear scan of that instant's list per pop**: `n`
 //!   events at one instant drain in O(n²), the one place a heap is better
@@ -221,6 +221,22 @@ impl<E> EventQueue<E> {
     /// [`schedule_keyed`](Self::schedule_keyed)).
     #[inline]
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_front(None)
+    }
+
+    /// [`pop_keyed`](Self::pop_keyed), but only if the earliest event is
+    /// due strictly before `limit_ns`. A refusal leaves the queue and the
+    /// clock exactly as they were: a windowed loop's `peek_time`-then-pop
+    /// in one scan of the front slot's list instead of two.
+    #[inline]
+    pub fn pop_keyed_before(&mut self, limit_ns: u64) -> Option<(SimTime, u64, E)> {
+        self.pop_front(Some(limit_ns))
+    }
+
+    /// The pop body. Inlined into both callers, so the unbounded one
+    /// carries no trace of the limit.
+    #[inline(always)]
+    fn pop_front(&mut self, limit_ns: Option<u64>) -> Option<(SimTime, u64, E)> {
         let (level, slot) = self.front()?;
         let head = std::mem::replace(&mut self.slots[level][slot], NIL);
         self.occupied[level] &= !(1 << slot);
@@ -230,6 +246,12 @@ impl<E> EventQueue<E> {
             key_time(k) >= self.now,
             "wheel returned an out-of-order event"
         );
+        if limit_ns.is_some_and(|limit| key_time(k).as_ns() >= limit) {
+            // Refused: put the detached list back, untouched.
+            self.slots[level][slot] = head;
+            self.occupied[level] |= 1 << slot;
+            return None;
+        }
         self.now = key_time(k);
         // The rest of the list shares the popped event's digits from
         // `level` up, so against the new clock it lands below `level`
@@ -394,6 +416,24 @@ mod tests {
         // so far → seq 0).
         let (at, tie, _) = q.pop_keyed().unwrap();
         assert_eq!((at.as_ns(), tie), (9, 0));
+    }
+
+    #[test]
+    fn bounded_pop_stops_at_the_limit_and_a_refusal_changes_nothing() {
+        let mut q = EventQueue::new();
+        // Two events in one level-1 slot, so a pop re-places the other.
+        q.schedule_keyed(SimTime::from_ns(70), 2, "b");
+        q.schedule_keyed(SimTime::from_ns(65), 1, "a");
+        let occupied = q.occupied;
+        assert_eq!(q.pop_keyed_before(65), None, "the limit is exclusive");
+        assert_eq!((q.now(), q.len()), (SimTime::ZERO, 2));
+        assert_eq!(q.occupied, occupied, "a refusal detached the front slot");
+        let a = q.pop_keyed_before(66).expect("65 < 66");
+        assert_eq!((a.0.as_ns(), a.1, a.2), (65, 1, "a"));
+        assert_eq!(q.pop_keyed_before(70), None);
+        assert_eq!(q.now(), SimTime::from_ns(65));
+        assert_eq!(q.pop_keyed().map(|(at, ..)| at.as_ns()), Some(70));
+        assert_eq!(q.pop_keyed_before(u64::MAX), None, "empty");
     }
 
     #[test]

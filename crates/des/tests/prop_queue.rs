@@ -1,8 +1,9 @@
 //! Property tests for the event queue: chronological pops, stable ties,
 //! clock monotonicity under arbitrary schedules, and exact pop-sequence
 //! equivalence of the timing wheel against a reference `BinaryHeap` — on
-//! every wheel level, with caller-supplied ties, for `Copy` payloads and
-//! for owning ones (nodes reused, every payload dropped exactly once).
+//! every wheel level, with caller-supplied ties and window-bounded pops,
+//! for `Copy` payloads and for owning ones (nodes reused, every payload
+//! dropped exactly once).
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -161,6 +162,8 @@ enum WideOp {
     /// below the tie just popped at this instant.
     Keyed(u64, u64),
     Pop,
+    /// `pop_keyed_before(now + delay)`: a window loop's bounded pop.
+    PopBefore(u64),
 }
 
 /// Delays drawn by bit-width, so every wheel level is as likely as every
@@ -176,6 +179,7 @@ fn arb_wide_op() -> impl Strategy<Value = WideOp> {
         (arb_delay(), 1u64..4).prop_map(|(delay, hi)| WideOp::Keyed(delay, hi)),
         Just(WideOp::Pop),
         Just(WideOp::Pop),
+        arb_delay().prop_map(WideOp::PopBefore),
     ]
 }
 
@@ -184,7 +188,11 @@ proptest! {
     /// bit-width up to 2^62 (all eleven wheel levels, re-placement down
     /// from each), a clock that starts anywhere up to `u64::MAX`,
     /// colliding times under caller-supplied ties, scheduling at `now()`
-    /// (delay 0), `peek_time` before every pop, `len` after every step.
+    /// (delay 0), `peek_time` before every pop, `len` after every step —
+    /// and `pop_keyed_before` with limits of every bit-width: it pops
+    /// exactly when `peek_time() < limit` and what `pop_keyed` would, and a
+    /// refusal (the limit at `now()` always is one) leaves the clock, the
+    /// length and every later pop as they were.
     #[test]
     fn wide_delays_and_caller_ties_match_reference(
         start in prop_oneof![Just(0u64), any::<u64>(), u64::MAX - (1 << 20)..=u64::MAX],
@@ -221,6 +229,15 @@ proptest! {
                     prop_assert_eq!(q.peek_time(), reference.peek_time());
                     prop_assert_eq!(q.now(), now, "peek_time moved the clock");
                     prop_assert_eq!(q.pop_keyed(), reference.pop());
+                }
+                WideOp::PopBefore(delay) => {
+                    let (now, limit) = (q.now(), after(delay));
+                    let due = reference.peek_time().is_some_and(|t| t < limit);
+                    let want = if due { reference.pop() } else { None };
+                    prop_assert_eq!(q.pop_keyed_before(limit.as_ns()), want);
+                    if !due {
+                        prop_assert_eq!(q.now(), now, "a refused pop moved the clock");
+                    }
                 }
             }
             prop_assert_eq!(q.len(), reference.heap.len());
