@@ -8,10 +8,11 @@
 //! through. Both report the observed queue length to the core, which
 //! applies the protocol rules and keeps the counters the evaluation reads.
 //!
-//! Counters are relaxed atomics and every method takes `&self`, so the
-//! real-socket frontend shares one core between its dispatcher and worker
-//! threads without a lock on the per-packet path; the DES frontend simply
-//! uses it single-threaded.
+//! Counters are relaxed atomics and every method takes `&self`, so a core
+//! can sit behind an `Arc` and be read while it is being driven, without a
+//! lock on the per-packet path: each real-socket worker thread owns one
+//! core that its server handle reads (and merges across workers) for
+//! statistics; the DES frontend simply uses it single-threaded.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

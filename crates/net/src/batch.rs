@@ -8,6 +8,13 @@
 //! crossing. Everywhere else (or with the `mmsg` feature disabled) a
 //! portable loop over `send`/`recv` keeps the exact same API.
 //!
+//! A send batch may mix destinations: a slot staged with
+//! [`SendBatch::commit_to`] carries its own address (the soft switch fans
+//! one receive batch out to many servers and clients in one flush), one
+//! staged with [`SendBatch::commit`] goes to the connected peer. A
+//! blocking receive is one `recvmmsg(MSG_WAITFORONE)`: it sleeps for the
+//! first datagram and takes whatever else is queued in the same call.
+//!
 //! Both batchers own their buffers for their whole lifetime: every slot
 //! is allocated once at construction ([`MAX_DATAGRAM`] bytes) and reused
 //! for every packet after, so the steady-state per-packet path performs
@@ -17,7 +24,7 @@
 //! through [`DeadlineTimeout`], pinning the receive path's syscall budget.
 
 use std::io;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -73,14 +80,18 @@ fn note_timeout_syscall() {
     TIMEOUT_SYSCALLS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A reusable outgoing batch for a **connected** UDP socket.
+/// A reusable outgoing batch.
 ///
 /// Stage up to [`BATCH`] datagrams by encoding into [`SendBatch::slot`]
-/// and calling [`SendBatch::commit`], then [`SendBatch::flush`] moves
-/// them with one `sendmmsg` (Linux) or a `send` loop (portable path).
+/// and calling [`SendBatch::commit`] (to the socket's connected peer) or
+/// [`SendBatch::commit_to`] (to an explicit address), then
+/// [`SendBatch::flush`] moves them with one `sendmmsg` (Linux) or a
+/// `send`/`send_to` loop (portable path).
 pub struct SendBatch {
     slots: Vec<Vec<u8>>,
     caps: Vec<usize>,
+    /// Per staged slot: its address, or `None` for the connected peer.
+    dests: [Option<SocketAddr>; BATCH],
     used: usize,
 }
 
@@ -98,6 +109,7 @@ impl SendBatch {
                 .map(|_| Vec::with_capacity(MAX_DATAGRAM))
                 .collect(),
             caps: vec![MAX_DATAGRAM; BATCH],
+            dests: [None; BATCH],
             used: 0,
         }
     }
@@ -108,13 +120,24 @@ impl SendBatch {
         &mut self.slots[self.used]
     }
 
-    /// Marks the current slot as staged.
+    /// Marks the current slot as staged for the socket's connected peer.
     pub fn commit(&mut self) {
-        let cap = self.slots[self.used].capacity();
-        if cap > self.caps[self.used] {
-            self.caps[self.used] = cap;
+        self.stage(None);
+    }
+
+    /// Marks the current slot as staged for `dst`.
+    pub fn commit_to(&mut self, dst: SocketAddr) {
+        self.stage(Some(dst));
+    }
+
+    fn stage(&mut self, dst: Option<SocketAddr>) {
+        let i = self.used;
+        let cap = self.slots[i].capacity();
+        if cap > self.caps[i] {
+            self.caps[i] = cap;
             note_buffer_grow();
         }
+        self.dests[i] = dst;
         self.used += 1;
     }
 
@@ -133,27 +156,51 @@ impl SendBatch {
         self.used == BATCH
     }
 
-    /// Sends every staged datagram on the connected socket and clears the
-    /// batch. Returns how many were sent.
+    /// Sends every staged datagram and clears the batch. A datagram the
+    /// kernel refuses (a bad address, a pending `ECONNREFUSED`, a full
+    /// buffer) is skipped and the rest still go out. Returns how many were
+    /// sent, or the last error when none were.
     pub fn flush(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         let n = self.used;
         if n == 0 {
             return Ok(0);
         }
         self.used = 0;
-        #[cfg(all(target_os = "linux", feature = "mmsg"))]
-        {
-            mmsg::send_all(sock, &self.slots[..n])?;
-            Ok(n)
-        }
-        #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-        {
-            for s in &self.slots[..n] {
-                sock.send(s)?;
+        let (slots, dests) = (&self.slots[..n], &self.dests[..n]);
+        let (sent, err) = match n {
+            #[cfg(all(target_os = "linux", feature = "mmsg"))]
+            2.. => mmsg::send_all(sock, slots, dests),
+            // A lone datagram (and the portable path) goes out with plain
+            // `send`/`send_to` calls.
+            _ => {
+                let (mut sent, mut err) = (0, None);
+                for (s, d) in slots.iter().zip(dests) {
+                    let r = match d {
+                        Some(a) => sock.send_to(s, a),
+                        None => sock.send(s),
+                    };
+                    match r {
+                        Ok(_) => sent += 1,
+                        Err(e) => err = Some(e),
+                    }
+                }
+                (sent, err)
             }
-            Ok(n)
+        };
+        match err {
+            Some(e) if sent == 0 => Err(e),
+            _ => Ok(sent),
         }
     }
+}
+
+/// The errors a receive treats as "nothing arrived": a time-out, an empty
+/// non-blocking socket, or a signal.
+fn is_quiet(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 /// A reusable incoming batch.
@@ -212,66 +259,45 @@ impl RecvBatch {
         self.count = 0;
         #[cfg(all(target_os = "linux", feature = "mmsg"))]
         {
-            self.count = mmsg::recv_nonblocking(sock, &mut self.bufs, &mut self.lens, 0)?;
+            self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_DONTWAIT)?;
         }
         #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-        {
-            self.count = portable_drain(sock, &mut self.bufs, &mut self.lens, 0)?;
-        }
+        while self.count < BATCH && self.recv_one(sock)? {}
         Ok(self.count)
     }
 
     /// Blocks (honoring the socket's read timeout) for the first
-    /// datagram, then drains whatever else is already queued without
-    /// blocking again. Returns 0 on timeout.
+    /// datagram, then takes whatever else is already queued without
+    /// blocking again — one `recvmmsg(MSG_WAITFORONE)` on Linux. Returns 0
+    /// on a time-out or a signal.
     pub fn recv_timeout_then_drain(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
-        match sock.recv(&mut self.bufs[0]) {
-            Ok(len) => {
-                self.lens[0] = len;
-                self.count = 1;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(0);
-            }
-            Err(e) => return Err(e),
-        }
         #[cfg(all(target_os = "linux", feature = "mmsg"))]
         {
-            self.count += mmsg::recv_nonblocking(sock, &mut self.bufs, &mut self.lens, 1)?;
+            self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_WAITFORONE)?;
         }
         // Portable path: a blocking socket cannot drain more without
         // risking a second block — batch size degrades to 1.
+        #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+        self.recv_one(sock)?;
         Ok(self.count)
     }
-}
 
-/// Portable non-blocking drain: repeated `recv` on a non-blocking socket.
-#[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-fn portable_drain(
-    sock: &UdpSocket,
-    bufs: &mut [Vec<u8>],
-    lens: &mut [usize; BATCH],
-    from: usize,
-) -> io::Result<usize> {
-    let mut got = 0;
-    for i in from..BATCH {
-        match sock.recv(&mut bufs[i]) {
+    /// Portable path: one `recv` into the next free slot. `Ok(false)` when
+    /// nothing arrived.
+    #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+    fn recv_one(&mut self, sock: &UdpSocket) -> io::Result<bool> {
+        let i = self.count;
+        match sock.recv(&mut self.bufs[i]) {
             Ok(len) => {
-                lens[i] = len;
-                got += 1;
+                self.lens[i] = len;
+                self.count += 1;
+                Ok(true)
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                break;
-            }
-            Err(e) => return Err(e),
+            Err(e) if is_quiet(&e) => Ok(false),
+            Err(e) => Err(e),
         }
     }
-    Ok(got)
 }
 
 /// A deadline-aware wrapper over `set_read_timeout` that only issues the
@@ -323,15 +349,18 @@ impl DeadlineTimeout {
 
 /// Direct `sendmmsg`/`recvmmsg` bindings (Linux only, `mmsg` feature).
 ///
-/// The msghdr layouts match the 64-bit System V ABI glibc/musl both use;
-/// the syscall-array scratch space lives on the stack ([`BATCH`] entries),
-/// so batching adds no allocations and the batch structs stay `Send`.
+/// The msghdr and sockaddr layouts match the 64-bit System V ABI glibc/musl
+/// both use; the syscall-array scratch space lives on the stack ([`BATCH`]
+/// entries, of which only those in use are written), so batching adds no
+/// allocations and the batch structs stay `Send`.
 #[cfg(all(target_os = "linux", feature = "mmsg"))]
 mod mmsg {
-    use super::{BATCH, MAX_DATAGRAM};
+    use super::{is_quiet, BATCH};
     use std::io;
-    use std::net::UdpSocket;
+    use std::mem::MaybeUninit;
+    use std::net::{SocketAddr, UdpSocket};
     use std::os::fd::AsRawFd;
+    use std::ptr::null_mut;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -359,98 +388,141 @@ mod mmsg {
         len: u32,
     }
 
-    const MSG_DONTWAIT: i32 = 0x40;
+    /// A `sockaddr_in` or `sockaddr_in6`, byte for byte.
+    #[repr(C, align(4))]
+    #[derive(Clone, Copy)]
+    struct SockAddr([u8; 28]);
+
+    pub(super) const MSG_DONTWAIT: i32 = 0x40;
+    pub(super) const MSG_WAITFORONE: i32 = 0x10000;
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
 
     extern "C" {
         fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
     }
 
-    fn zeroed_headers() -> [MMsgHdr; BATCH] {
-        // Null pointers and zero lengths are the valid "unset" state for
-        // every msghdr field.
-        unsafe { std::mem::zeroed() }
-    }
-
-    /// Sends every staged slot on a connected socket via `sendmmsg`,
-    /// retrying the unsent tail on partial progress.
-    pub(super) fn send_all(sock: &UdpSocket, slots: &[Vec<u8>]) -> io::Result<()> {
-        let fd = sock.as_raw_fd();
-        let mut iovs = [IoVec {
-            base: std::ptr::null_mut(),
+    fn header(name: *mut u8, namelen: u32, iov: *mut IoVec) -> MMsgHdr {
+        MMsgHdr {
+            hdr: MsgHdr {
+                name,
+                namelen,
+                iov,
+                iovlen: 1,
+                control: null_mut(),
+                controllen: 0,
+                flags: 0,
+            },
             len: 0,
-        }; BATCH];
-        let mut hdrs = zeroed_headers();
-        let n = slots.len();
-        for (i, s) in slots.iter().enumerate() {
-            iovs[i] = IoVec {
-                base: s.as_ptr() as *mut u8,
-                len: s.len(),
-            };
-            hdrs[i].hdr.iov = &mut iovs[i];
-            hdrs[i].hdr.iovlen = 1;
         }
-        let mut done = 0usize;
-        while done < n {
-            let sent = unsafe { sendmmsg(fd, hdrs.as_mut_ptr().add(done), (n - done) as u32, 0) };
-            if sent < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                return Err(e);
-            }
-            done += sent as usize;
-        }
-        Ok(())
     }
 
-    /// Drains already-queued datagrams into `bufs[from..]` without
-    /// blocking. Returns how many were received (0 when none pending).
-    pub(super) fn recv_nonblocking(
+    /// `a` in the kernel's layout (fields as `std` itself fills them),
+    /// with its length.
+    fn sockaddr(a: &SocketAddr) -> (SockAddr, u32) {
+        let mut b = [0u8; 28];
+        b[2..4].copy_from_slice(&a.port().to_be_bytes());
+        let len = match a {
+            SocketAddr::V4(v4) => {
+                b[0..2].copy_from_slice(&AF_INET.to_ne_bytes());
+                b[4..8].copy_from_slice(&v4.ip().octets());
+                16
+            }
+            SocketAddr::V6(v6) => {
+                b[0..2].copy_from_slice(&AF_INET6.to_ne_bytes());
+                b[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
+                b[8..24].copy_from_slice(&v6.ip().octets());
+                b[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+                28
+            }
+        };
+        (SockAddr(b), len)
+    }
+
+    /// Sends `slots` (at most [`BATCH`]) via `sendmmsg`, each to its
+    /// `dests` entry or, for `None`, the connected peer. A datagram the
+    /// kernel refuses is skipped and the call resumes behind it. Returns
+    /// how many went out and the last refusal.
+    pub(super) fn send_all(
+        sock: &UdpSocket,
+        slots: &[Vec<u8>],
+        dests: &[Option<SocketAddr>],
+    ) -> (usize, Option<io::Error>) {
+        let fd = sock.as_raw_fd();
+        let n = slots.len().min(BATCH);
+        let mut names = [MaybeUninit::<SockAddr>::uninit(); BATCH];
+        let mut iovs = [MaybeUninit::<IoVec>::uninit(); BATCH];
+        let mut hdrs = [MaybeUninit::<MMsgHdr>::uninit(); BATCH];
+        for i in 0..n {
+            let (name, namelen) = match &dests[i] {
+                Some(a) => {
+                    let (raw, len) = sockaddr(a);
+                    (names[i].write(raw) as *mut SockAddr as *mut u8, len)
+                }
+                None => (null_mut(), 0),
+            };
+            let iov = iovs[i].write(IoVec {
+                base: slots[i].as_ptr() as *mut u8,
+                len: slots[i].len(),
+            });
+            hdrs[i].write(header(name, namelen, iov));
+        }
+        let hdrs: *mut MMsgHdr = hdrs.as_mut_ptr().cast();
+        let (mut done, mut sent, mut err) = (0usize, 0usize, None);
+        while done < n {
+            // SAFETY: entries done..n (n <= BATCH) were written above; each
+            // points into `names`, `iovs` and `slots`, which outlive the
+            // call, and the kernel only reads the datagram bytes.
+            let r = unsafe { sendmmsg(fd, hdrs.add(done), (n - done) as u32, 0) };
+            if r > 0 {
+                done += r as usize;
+                sent += r as usize;
+                continue;
+            }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                // The kernel refused the datagram at `done`: drop it, as a
+                // lone `send` would have, and keep going.
+                done += 1;
+                err = Some(e);
+            }
+        }
+        (sent, err)
+    }
+
+    /// One `recvmmsg` under `flags` into `bufs` (at most [`BATCH`]),
+    /// recording each datagram's length. A time-out, an empty
+    /// non-blocking socket or a signal reads as 0 datagrams.
+    pub(super) fn recv(
         sock: &UdpSocket,
         bufs: &mut [Vec<u8>],
         lens: &mut [usize; BATCH],
-        from: usize,
+        flags: i32,
     ) -> io::Result<usize> {
-        if from >= BATCH {
-            return Ok(0);
-        }
         let fd = sock.as_raw_fd();
-        let mut iovs = [IoVec {
-            base: std::ptr::null_mut(),
-            len: 0,
-        }; BATCH];
-        let mut hdrs = zeroed_headers();
-        let want = BATCH - from;
-        for i in 0..want {
-            iovs[i] = IoVec {
-                base: bufs[from + i].as_mut_ptr(),
-                len: MAX_DATAGRAM,
-            };
-            hdrs[i].hdr.iov = &mut iovs[i];
-            hdrs[i].hdr.iovlen = 1;
+        let n = bufs.len().min(BATCH);
+        let mut iovs = [MaybeUninit::<IoVec>::uninit(); BATCH];
+        let mut hdrs = [MaybeUninit::<MMsgHdr>::uninit(); BATCH];
+        for (i, buf) in bufs.iter_mut().take(n).enumerate() {
+            let iov = iovs[i].write(IoVec {
+                base: buf.as_mut_ptr(),
+                len: buf.len(),
+            });
+            hdrs[i].write(header(null_mut(), 0, iov));
         }
-        let got = unsafe {
-            recvmmsg(
-                fd,
-                hdrs.as_mut_ptr(),
-                want as u32,
-                MSG_DONTWAIT,
-                std::ptr::null_mut(),
-            )
-        };
+        // SAFETY: entries 0..n (n <= BATCH) were written above; each points
+        // into `iovs` and into a buffer of `bufs` whose length the iovec
+        // carries, and both outlive the call.
+        let got = unsafe { recvmmsg(fd, hdrs.as_mut_ptr().cast(), n as u32, flags, null_mut()) };
         if got < 0 {
             let e = io::Error::last_os_error();
-            return match e.kind() {
-                io::ErrorKind::WouldBlock
-                | io::ErrorKind::TimedOut
-                | io::ErrorKind::Interrupted => Ok(0),
-                _ => Err(e),
-            };
+            return if is_quiet(&e) { Ok(0) } else { Err(e) };
         }
-        for i in 0..got as usize {
-            lens[from + i] = hdrs[i].len as usize;
+        for (len, hdr) in lens.iter_mut().zip(&hdrs).take(got as usize) {
+            // SAFETY: every entry below `got <= n` was written above (the
+            // kernel only filled in its `len`).
+            *len = unsafe { hdr.assume_init_ref() }.len as usize;
         }
         Ok(got as usize)
     }
@@ -521,17 +593,117 @@ mod tests {
             slot.push(i);
             send.commit();
         }
-        send.flush(&tx).unwrap();
+        assert_eq!(send.flush(&tx).unwrap(), 9);
         // Give loopback a moment to queue everything behind one wakeup.
         std::thread::sleep(Duration::from_millis(20));
         let mut recv = RecvBatch::new();
-        let mut total = 0;
-        while total < 9 {
-            let n = recv.recv_timeout_then_drain(&rx).unwrap();
-            assert!(n > 0, "timed out with datagrams pending");
-            total += n;
+        // One call takes the whole queue (the portable path's blocking
+        // receive takes one datagram per call).
+        let expect = if cfg!(all(target_os = "linux", feature = "mmsg")) {
+            9
+        } else {
+            1
+        };
+        assert_eq!(recv.recv_timeout_then_drain(&rx).unwrap(), expect);
+        for (i, dg) in recv.iter().enumerate() {
+            assert_eq!(dg, [i as u8]);
         }
-        assert_eq!(total, 9);
+    }
+
+    /// Stages `payloads[i]` for `dests[i]` (`None`: the connected peer).
+    fn stage(send: &mut SendBatch, payloads: &[&[u8]], dests: &[Option<SocketAddr>]) {
+        for (p, d) in payloads.iter().zip(dests) {
+            let slot = send.slot();
+            slot.clear();
+            slot.extend_from_slice(p);
+            match d {
+                Some(a) => send.commit_to(*a),
+                None => send.commit(),
+            }
+        }
+    }
+
+    /// Everything `sock` holds, waiting up to 200 ms for the first.
+    fn drain(sock: &UdpSocket) -> Vec<Vec<u8>> {
+        sock.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut recv = RecvBatch::new();
+        let mut out = Vec::new();
+        while recv.recv_timeout_then_drain(sock).unwrap() > 0 {
+            out.extend(recv.iter().map(<[u8]>::to_vec));
+            sock.set_read_timeout(Some(Duration::from_millis(20)))
+                .unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn addressed_slots_to_two_receivers_leave_in_one_flush() {
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (aa, ba) = (a.local_addr().unwrap(), b.local_addr().unwrap());
+        let mut send = SendBatch::new();
+        let payloads: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 3 + i as usize]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let dests: Vec<_> = (0..6)
+            .map(|i| Some(if i % 2 == 0 { aa } else { ba }))
+            .collect();
+        stage(&mut send, &refs, &dests);
+        assert_eq!(send.flush(&tx).unwrap(), 6);
+        assert!(send.is_empty());
+        assert_eq!(drain(&a), [0, 2, 4].map(|i| payloads[i].clone()));
+        assert_eq!(drain(&b), [1, 3, 5].map(|i| payloads[i].clone()));
+    }
+
+    #[test]
+    fn plain_commits_go_to_the_connected_peer_beside_addressed_ones() {
+        let (tx, peer) = pair();
+        let other = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let oa = Some(other.local_addr().unwrap());
+        let mut send = SendBatch::new();
+        stage(&mut send, &[b"p0", b"o0", b"p1"], &[None, oa, None]);
+        assert_eq!(send.flush(&tx).unwrap(), 3);
+        assert_eq!(drain(&peer), [b"p0", b"p1"]);
+        assert_eq!(drain(&other), [b"o0"]);
+    }
+
+    #[test]
+    fn one_slot_flush_works() {
+        let (tx, peer) = pair();
+        let mut send = SendBatch::new();
+        stage(&mut send, &[b"lone"], &[None]);
+        assert_eq!(send.flush(&tx).unwrap(), 1);
+        assert_eq!(drain(&peer), [b"lone"]);
+
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        stage(
+            &mut send,
+            &[b"addressed"],
+            &[Some(rx.local_addr().unwrap())],
+        );
+        assert_eq!(send.flush(&tx).unwrap(), 1);
+        assert_eq!(drain(&rx), [b"addressed"]);
+    }
+
+    #[test]
+    fn a_refused_datagram_does_not_sink_the_rest_of_the_batch() {
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let good = Some(rx.local_addr().unwrap());
+        // Port 0 is not a destination: the kernel refuses it (EINVAL).
+        let bad = Some("127.0.0.1:0".parse().unwrap());
+        let mut send = SendBatch::new();
+        stage(&mut send, &[b"first", b"void", b"last"], &[good, bad, good]);
+        assert_eq!(send.flush(&tx).unwrap(), 2);
+        assert!(send.is_empty());
+        assert_eq!(drain(&rx), [b"first".as_slice(), b"last"]);
+        // Nothing sent at all is an error, not a silent zero.
+        stage(&mut send, &[b"void"], &[bad]);
+        assert!(send.flush(&tx).is_err());
+        stage(&mut send, &[b"void", b"void"], &[bad, bad]);
+        assert!(send.flush(&tx).is_err());
+        assert!(send.is_empty());
     }
 
     #[test]
@@ -542,7 +714,14 @@ mod tests {
         slot.clear();
         slot.resize(MAX_DATAGRAM + 1, 0xAB); // force growth past prealloc
         send.commit();
-        assert!(path_counters().buffer_grow_allocs > before);
+        let after_commit = path_counters().buffer_grow_allocs;
+        assert!(after_commit > before);
+        // An addressed slot is accounted the same way.
+        let slot = send.slot();
+        slot.clear();
+        slot.resize(MAX_DATAGRAM + 1, 0xCD);
+        send.commit_to("127.0.0.1:9".parse().unwrap());
+        assert!(path_counters().buffer_grow_allocs > after_commit);
     }
 
     #[test]

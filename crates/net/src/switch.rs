@@ -5,10 +5,12 @@
 //! the genuine `NetCloneSwitch` (cloning, state tracking, filtering —
 //! recirculation happens inside the program, exactly like the inline
 //! model the simulator uses) — and transmits every emission to the socket
-//! address registered for its egress port. Because both frontends drive
-//! the same trait object, the soft switch and the DES simulator execute
-//! the identical program (asserted by `tests/equivalence.rs` at the
-//! workspace root).
+//! address registered for its egress port. It works a burst at a time: one
+//! `recvmmsg` takes everything queued, and every emission of that receive
+//! batch leaves in one `sendmmsg`, each datagram addressed to its own
+//! port's socket. Because both frontends drive the same trait object, the
+//! soft switch and the DES simulator execute the identical program
+//! (asserted by `tests/equivalence.rs` at the workspace root).
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +24,7 @@ use netclone_proto::pcap::PcapWriter;
 use netclone_proto::{Ipv4, ServerId};
 use parking_lot::Mutex;
 
-use crate::batch::{RecvBatch, MAX_DATAGRAM};
+use crate::batch::{RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 
 /// Shared state between the switch thread and the control plane.
@@ -219,14 +221,17 @@ fn switch_loop(
     stop: Arc<AtomicBool>,
     mut tap: Option<PcapWriter>,
 ) {
-    // Datagrams are pulled in batches (`recvmmsg` on Linux) and decoded
-    // straight out of the receive buffers; emissions re-encode into one
-    // reusable buffer. Together with the `EmissionSink` contract from
+    // Drain, then flush: one `recvmmsg` wakes the thread for everything
+    // queued, each datagram is decoded straight out of the receive buffer,
+    // and every emission of the batch is encoded into a send slot addressed
+    // to its egress port's socket. The slots leave in one `sendmmsg` after
+    // the batch (or when the send batch fills), so a burst costs one
+    // wake-up and two syscalls rather than one `send_to` per emission.
+    // Together with the `EmissionSink` contract from
     // `netclone_asic::dataplane`, the per-datagram path allocates nothing
     // and the pipeline lock is taken once per batch, not once per packet.
     let mut batch = RecvBatch::new();
-    let mut out = Vec::with_capacity(MAX_DATAGRAM);
-    let mut out_cap = out.capacity();
+    let mut send = SendBatch::new();
     let mut sink = EmissionSink::new();
     while !stop.load(Ordering::SeqCst) {
         let n = match batch.recv_timeout_then_drain(&socket) {
@@ -249,9 +254,11 @@ fn switch_loop(
             s.program.process(meta, 0, now, &mut sink);
             for e in sink.drain() {
                 if let Some(Some(dst)) = s.port_map.get(e.port as usize) {
-                    encode_packet_into(&e.pkt, &op, value, &mut out);
-                    crate::batch::note_growth(&mut out_cap, out.capacity());
-                    let _ = socket.send_to(&out, dst);
+                    if send.is_full() {
+                        let _ = send.flush(&socket);
+                    }
+                    encode_packet_into(&e.pkt, &op, value, send.slot());
+                    send.commit_to(*dst);
                     if let Some(w) = tap.as_mut() {
                         // The tap must never break forwarding: ignore IO
                         // errors.
@@ -261,5 +268,9 @@ fn switch_loop(
                 }
             }
         }
+        // Flush outside the pipeline lock. A datagram the kernel refuses
+        // is lost like any dropped packet; the rest still go.
+        drop(s);
+        let _ = send.flush(&socket);
     }
 }
