@@ -386,6 +386,127 @@ pub fn build_upper_tier(scenario: &Scenario, fabric: &Fabric) -> UpperTier {
     UpperTier::new(fabric.racks, fabric.shape, endpoints)
 }
 
+/// Each rack's share of the requests it terminates, in units of
+/// `1 / (clients × servers)`: its share of the clients plus its share of
+/// the servers, plus one whole on the coordinator's rack when the scheme
+/// has one (every request crosses it).
+fn rack_weights(
+    scenario: &Scenario,
+    racks: usize,
+    server_leaf: &[usize],
+    client_leaf: &[usize],
+    coord_leaf: usize,
+) -> Vec<u64> {
+    let n_servers = server_leaf.len().max(1) as u64;
+    let n_clients = client_leaf.len().max(1) as u64;
+    let mut w = vec![0; racks];
+    for &r in client_leaf {
+        w[r] += n_servers;
+    }
+    for &r in server_leaf {
+        w[r] += n_clients;
+    }
+    if scenario.scheme.uses_coordinator() {
+        w[coord_leaf] += n_clients * n_servers;
+    }
+    w
+}
+
+/// The rack → shard table of an `nshards`-way run over racks of the given
+/// `weights`: the fabric cut at its highest tier. The units are whole pods
+/// when there are at least as many pods as shards (so pod-mates, which
+/// talk through one aggregation switch, never sit apart), single racks
+/// otherwise; they split, in index order, into the contiguous groups of
+/// [`balanced_split`].
+fn partition(shape: FabricShape, weights: &[u64], nshards: usize) -> Vec<usize> {
+    let racks = weights.len();
+    let pods = shape.pod_of_leaf(racks, racks - 1) + 1;
+    let unit_of = |r: usize| {
+        if nshards <= pods {
+            shape.pod_of_leaf(racks, r)
+        } else {
+            r
+        }
+    };
+    let mut units = vec![0; unit_of(racks - 1) + 1];
+    for (r, w) in weights.iter().enumerate() {
+        units[unit_of(r)] += w;
+    }
+    let group = balanced_split(&units, nshards);
+    (0..racks).map(|r| group[unit_of(r)]).collect()
+}
+
+/// Splits `weights`, in index order, into `groups` non-empty contiguous
+/// runs whose heaviest is as light as possible, placing each cut as early
+/// as that allows; returns each item's run. `best[g][i]` is the lightest
+/// heaviest run over the items `i..` in `g` runs.
+fn balanced_split(weights: &[u64], groups: usize) -> Vec<usize> {
+    let n = weights.len();
+    assert!((1..=n).contains(&groups), "{groups} groups of {n} items");
+    let mut prefix = vec![0; n + 1];
+    for (i, w) in weights.iter().enumerate() {
+        prefix[i + 1] = prefix[i] + w;
+    }
+    let sum = |i: usize, j: usize| prefix[j] - prefix[i];
+    let mut best = vec![vec![u64::MAX; n + 1]; groups + 1];
+    best[1] = (0..=n).map(|i| sum(i, n)).collect();
+    for g in 2..=groups {
+        for i in 0..=n - g {
+            best[g][i] = (i + 1..=n - g + 1)
+                .map(|j| sum(i, j).max(best[g - 1][j]))
+                .min()
+                .expect("a run ends somewhere");
+        }
+    }
+    let bound = best[groups][0];
+    let mut out = Vec::with_capacity(n);
+    let mut i = 0;
+    for g in (1..=groups).rev() {
+        let j = if g == 1 {
+            n
+        } else {
+            (i + 1..=n - g + 1)
+                .find(|&j| sum(i, j) <= bound && best[g - 1][j] <= bound)
+                .expect("the bound is attained")
+        };
+        out.resize(j, groups - g);
+        i = j;
+    }
+    out
+}
+
+/// The conservative lookahead a rack → shard table allows: the least
+/// simulated delay between an event and a cross-shard message it sends.
+/// A packet pays a pass at its leaf, then a link and a pass at each of the
+/// `h` upper switches it crosses, `h` being the fewest that any two racks
+/// on different shards cross (1 through the spine or a same-pod
+/// aggregation switch, 3 across a fat-tree's pods; the flow hash picks
+/// which switches, never how many). With links the packet is handed over
+/// at the foreign downlink's head; without, after the link down as well.
+/// Queueing only adds delay.
+fn lookahead_ns(
+    tier: &UpperTier,
+    rack_shard: &[usize],
+    pass_ns: u64,
+    inter_rack_ns: u64,
+    links: bool,
+) -> u64 {
+    let racks = rack_shard.len();
+    let h = (0..racks)
+        .flat_map(|a| (0..racks).map(move |b| (a, b)))
+        .filter(|&(a, b)| rack_shard[a] != rack_shard[b])
+        .map(|(a, b)| tier.path(a, Some(b), 0).hops().len() as u64)
+        .min()
+        // One shard: nothing crosses, and the serial loop has no window.
+        .unwrap_or(1);
+    let handed_over = pass_ns + h * (inter_rack_ns + pass_ns);
+    if links {
+        handed_over
+    } else {
+        handed_over + inter_rack_ns
+    }
+}
+
 /// Assembles the sharded testbed of a [`Scenario`] (see
 /// [`Sim`][crate::sim::Sim] for the run entry points).
 pub struct ScenarioBuilder {
@@ -398,17 +519,18 @@ impl ScenarioBuilder {
         ScenarioBuilder { scenario }
     }
 
-    /// Builds the testbed partitioned into `min(shards, racks)` per-rack
-    /// shards (racks are assigned round-robin, rack *r* → shard
-    /// `r % n`): switch engines, hosts, workload streams, and the
-    /// priming events (first arrivals, warm-up end, failure injections).
-    /// Returns the shards plus the conservative lookahead — the minimum
-    /// simulated delay of any cross-shard interaction.
+    /// Builds the testbed partitioned into `min(shards, racks)` shards of
+    /// whole racks, assigned by one rack → shard table ([`partition`]):
+    /// switch engines, hosts, workload streams, and the priming events
+    /// (first arrivals, warm-up end, failure injections). Returns the
+    /// shards plus the conservative lookahead that partition allows
+    /// ([`lookahead_ns`]) — the minimum simulated delay of any
+    /// cross-shard interaction.
     ///
     /// The partitioning is *count-clamped to the topology, never to the
-    /// machine*: the shard layout (and therefore every event key) is a
-    /// pure function of the scenario, so results cannot depend on where
-    /// the run executes.
+    /// machine*: the shard layout is a pure function of the scenario, so
+    /// results cannot depend on where the run executes (and event keys,
+    /// being per-rack, do not depend on the layout at all).
     pub(crate) fn build_shards(self, shards: usize, traced: bool) -> (Vec<Shard>, u64) {
         let scenario = Arc::new(self.scenario);
         let seeds = SeedFactory::new(scenario.seed);
@@ -544,7 +666,12 @@ impl ScenarioBuilder {
             coord_leaf,
         } = fabric;
         let nshards = shards.clamp(1, racks);
-        let shard_of = |rack: usize| rack % nshards;
+        let rack_shard = partition(
+            shape,
+            &rack_weights(&scenario, racks, &server_leaf, &client_leaf, coord_leaf),
+            nshards,
+        );
+        let shard_of = |rack: usize| rack_shard[rack];
 
         // Multi-rack fabrics carry the upper tier's engines after the
         // leaves; the run forwards through `tier` instead, one copy (and
@@ -592,7 +719,7 @@ impl ScenarioBuilder {
         let mut out: Vec<Shard> = (0..nshards)
             .map(|k| Shard {
                 id: k,
-                nshards,
+                rack_shard: rack_shard.clone(),
                 scenario: Arc::clone(&scenario),
                 q: EventQueue::new(),
                 clients: (0..n_clients).map(|_| None).collect(),
@@ -725,19 +852,15 @@ impl ScenarioBuilder {
             &bg_first_gaps,
             &client_leaf,
             &server_leaf,
+            &rack_shard,
         );
-        // The conservative lookahead: the minimum simulated delay of any
-        // cross-shard interaction. Without links a packet pays two switch
-        // passes and both inter-rack propagations before reaching a
-        // foreign leaf; with links it is parked at the foreign downlink
-        // *before* the second propagation (queueing only adds delay), so
-        // the bound tightens to one propagation.
-        let pass = netclone_asic::AsicSpec::tofino().pass_latency_ns;
-        let lookahead = if scenario.links.is_some() {
-            2 * pass + inter_rack_ns
-        } else {
-            2 * (pass + inter_rack_ns)
-        };
+        let lookahead = lookahead_ns(
+            &tier,
+            &rack_shard,
+            netclone_asic::AsicSpec::tofino().pass_latency_ns,
+            inter_rack_ns,
+            scenario.links.is_some(),
+        );
         (out, lookahead)
     }
 
@@ -760,8 +883,8 @@ impl ScenarioBuilder {
         bg_first_gaps: &[Option<u64>],
         client_leaf: &[usize],
         server_leaf: &[usize],
+        rack_shard: &[usize],
     ) {
-        let nshards = shards.len();
         let mut ctl = 0u64;
         let prime_one = |shards: &mut [Shard], ctl: &mut u64, owner: usize, at: u64, ev: Ev| {
             let tie = tie_key(CONTROL_SRC, *ctl);
@@ -784,7 +907,7 @@ impl ScenarioBuilder {
             prime_one(
                 shards,
                 &mut ctl,
-                client_leaf[cid] % nshards,
+                rack_shard[client_leaf[cid]],
                 *gap,
                 Ev::Gen(cid),
             );
@@ -802,7 +925,7 @@ impl ScenarioBuilder {
             prime_one(
                 shards,
                 &mut ctl,
-                server_leaf[plan.sid as usize] % nshards,
+                rack_shard[server_leaf[plan.sid as usize]],
                 plan.fail_at_ns,
                 Ev::ServerKill(plan.sid as usize),
             );
@@ -822,7 +945,7 @@ impl ScenarioBuilder {
         for fault in scenario.all_faults() {
             match fault {
                 Fault::Slowdown(plan) => {
-                    let owner = server_leaf[plan.sid as usize] % nshards;
+                    let owner = rack_shard[server_leaf[plan.sid as usize]];
                     let idx = plan.sid as usize;
                     prime_one(
                         shards,
@@ -843,7 +966,7 @@ impl ScenarioBuilder {
                     );
                 }
                 Fault::Drain(plan) => {
-                    let owner = plan.rack % nshards;
+                    let owner = rack_shard[plan.rack];
                     prime_one(
                         shards,
                         &mut ctl,
@@ -860,7 +983,7 @@ impl ScenarioBuilder {
                     );
                 }
                 Fault::LinkFlap(plan) => {
-                    let owner = plan.rack % nshards;
+                    let owner = rack_shard[plan.rack];
                     prime_one(
                         shards,
                         &mut ctl,
@@ -900,7 +1023,7 @@ impl ScenarioBuilder {
                 prime_one(
                     shards,
                     &mut ctl,
-                    leaf % nshards,
+                    rack_shard[*leaf],
                     policy.tick_ns(),
                     Ev::ClientTick(cid),
                 );
@@ -910,11 +1033,100 @@ impl ScenarioBuilder {
         // the rack's shard (the victim rack has no stream).
         for (r, gap) in bg_first_gaps.iter().enumerate() {
             if let Some(gap) = gap {
-                prime_one(shards, &mut ctl, r % nshards, *gap, Ev::BgGen(r));
+                prime_one(shards, &mut ctl, rack_shard[r], *gap, Ev::BgGen(r));
             }
         }
         for sh in shards.iter_mut() {
             sh.seq[usize::from(CONTROL_SRC)] = ctl;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::{fattree, Scale};
+    use crate::harness::RunCtx;
+    use crate::shard::ShardCoordinator;
+    use crate::topology::Topology;
+
+    fn fat_tree(k: usize) -> Scenario {
+        fattree::scenario(k, 3.0, Scheme::NETCLONE, &RunCtx::new(Scale::Smoke))
+    }
+
+    /// The rack → shard table and lookahead of `scenario` at `shards`.
+    fn layout(scenario: Scenario, shards: usize) -> (Vec<usize>, u64) {
+        let (shards, lookahead) = ScenarioBuilder::new(scenario).build_shards(shards, false);
+        (shards[0].rack_shard.clone(), lookahead)
+    }
+
+    #[test]
+    fn splits_are_balanced_with_each_cut_as_early_as_possible() {
+        assert_eq!(balanced_split(&[7], 1), [0]);
+        assert_eq!(balanced_split(&[1, 1, 1, 1], 2), [0, 0, 1, 1]);
+        assert_eq!(balanced_split(&[1, 1, 1, 1], 3), [0, 1, 2, 2]);
+        assert_eq!(balanced_split(&[0, 0, 5], 2), [0, 1, 1]);
+        assert_eq!(balanced_split(&[8, 2, 2, 2], 2), [0, 1, 1, 1]);
+        assert_eq!(balanced_split(&[1, 2, 3, 4, 5], 3), [0, 0, 0, 1, 2]);
+    }
+
+    /// Every client sits on rack 0, so pod 0 carries more than half the
+    /// requests' ends and the other three pods share the second shard.
+    #[test]
+    fn k4_two_shards_put_pod_0_against_pods_1_to_3() {
+        assert_eq!(
+            layout(fat_tree(4), 2),
+            (vec![0, 0, 1, 1, 1, 1, 1, 1], 3_900)
+        );
+    }
+
+    #[test]
+    fn k4_four_shards_get_a_pod_each() {
+        assert_eq!(
+            layout(fat_tree(4), 4),
+            (vec![0, 0, 1, 1, 2, 2, 3, 3], 3_900)
+        );
+    }
+
+    /// More shards than pods: racks are the units, pod-mates sit apart and
+    /// talk through one aggregation switch.
+    #[test]
+    fn k4_eight_shards_fall_back_to_racks() {
+        assert_eq!(layout(fat_tree(4), 8), ((0..8).collect(), 1_700));
+    }
+
+    #[test]
+    fn k6_two_shards_keep_pod_0_whole() {
+        let (rack_shard, lookahead) = layout(fat_tree(6), 2);
+        assert_eq!(rack_shard[..3], [0, 0, 0]);
+        assert!(rack_shard[3..].iter().all(|&k| k == 1), "{rack_shard:?}");
+        assert_eq!(lookahead, 3_900);
+    }
+
+    #[test]
+    fn leaf_spine_crosses_one_switch_with_or_without_links() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, netclone_workloads::exp25(), 1e5);
+        s.topology = Topology::uniform(4);
+        assert_eq!(layout(s.clone(), 2).1, 2_200);
+        s.links = Some(netclone_linksim::LinkSpec::flat(10.0, 150_000));
+        assert_eq!(layout(s, 2).1, 1_700);
+    }
+
+    /// The derived bound is tight: one pass more and the always-on check
+    /// in `Shard::deliver` catches a message landing inside the window it
+    /// was sent from.
+    #[test]
+    #[should_panic(expected = "lookahead violated")]
+    fn overstating_the_lookahead_by_one_pass_is_caught() {
+        let mut s = fat_tree(4);
+        s.warmup_ns = 500_000;
+        s.measure_ns = 1_000_000;
+        let (shards, lookahead_ns) = ScenarioBuilder::new(s).build_shards(2, false);
+        let pass = netclone_asic::AsicSpec::tofino().pass_latency_ns;
+        ShardCoordinator {
+            shards,
+            lookahead_ns: lookahead_ns + pass,
+        }
+        .run();
     }
 }

@@ -1,10 +1,12 @@
 //! Conservative shard execution and result merging.
 //!
-//! [`ShardCoordinator`] drives the per-rack [`Shard`]s built by
+//! [`ShardCoordinator`] drives the [`Shard`]s built by
 //! [`ScenarioBuilder::build_shards`]: serially when there is one shard
 //! (the default, and any single-rack scenario), or on one thread per
 //! shard under the conservative lookahead protocol from
-//! [`netclone_des::sync`].
+//! [`netclone_des::sync`]. A shard owns whole racks — whole pods when the
+//! fabric has at least as many pods as shards — split by traffic share
+//! (`build::partition`).
 //!
 //! ## The window protocol
 //!
@@ -13,15 +15,18 @@
 //! least
 //!
 //! ```text
-//! lookahead = 2 × (switch pass latency + inter-rack link latency)   (fixed-latency hops)
-//! lookahead = 2 × switch pass latency + inter-rack link latency     (congestion-aware links)
+//! lookahead = pass + h × (inter-rack link + pass)                   (congestion-aware links)
+//! lookahead = pass + h × (inter-rack link + pass) + inter-rack link (fixed-latency hops)
 //! ```
 //!
-//! of simulated time after the event that emits it (leaf pass → uplink →
-//! upper pass → downlink; with links the packet is handed to the foreign
-//! rack *at* its downlink head, one propagation earlier — queueing only
-//! adds delay). So the shards advance in rounds of one barrier each
-//! ([`WindowRounds`]; every shard drives a `Port`):
+//! of simulated time after the event that emits it: a pass at the leaf,
+//! then a link up to and a pass at each of the `h` upper switches, where
+//! `h` is the fewest any two racks on different shards cross (1 through
+//! the spine or a same-pod aggregation switch, 3 between fat-tree pods).
+//! With links the packet is handed to the foreign rack *at* its downlink
+//! head, without them one propagation later; queueing only adds delay.
+//! So the shards advance in rounds of one barrier each ([`WindowRounds`];
+//! every shard drives a `Port`):
 //!
 //! 1. *open*: publish `min(own next event, earliest message posted last
 //!    round)`, cross the barrier, read the board minimum `m` (all idle →
@@ -43,11 +48,14 @@
 //! receiver does — so the protocol makes progress; the barrier yields
 //! after a brief spin, so shard counts above the machine's core count
 //! degrade into time-slicing instead of livelock, and a shard that panics
-//! poisons it, so the run fails instead of hanging.
+//! poisons it, so the run fails — with that shard's panic — instead of
+//! hanging.
 //!
 //! Bit-identity of the merged result is a property of the event *keys*,
 //! not of the schedule — see [`crate::sim`] and [`netclone_des::sync`] —
 //! so none of this depends on thread timing.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclone_core::SwitchCounters;
 use netclone_des::sync::WindowRounds;
@@ -59,10 +67,25 @@ use crate::sim::{CrossMsg, Shard};
 
 /// Owns a run's shards from build to merged [`RunResult`].
 pub(crate) struct ShardCoordinator {
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
     /// The conservative window extension: the minimum simulated time
     /// between a cross-shard send and its delivery.
-    lookahead_ns: u64,
+    pub(crate) lookahead_ns: u64,
+}
+
+/// Records, while its thread unwinds, which shard panicked first. It is
+/// dropped before the shard's `Port`, whose drop poisons the barrier, so
+/// the shard that fails first records itself before any peer can fail.
+struct FirstPanic<'a>(&'a AtomicUsize, usize);
+
+impl Drop for FirstPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self
+                .0
+                .compare_exchange(usize::MAX, self.1, Ordering::SeqCst, Ordering::SeqCst);
+        }
+    }
 }
 
 impl ShardCoordinator {
@@ -94,14 +117,21 @@ impl ShardCoordinator {
         self.merge()
     }
 
-    /// One thread per shard, advancing in conservative windows.
+    /// One thread per shard, advancing in conservative windows. A shard
+    /// that panics fails its peers at the barrier; the run then panics
+    /// with the first shard's payload, not a peer's poisoned barrier.
     fn run_windowed(&mut self) {
         let rounds: WindowRounds<CrossMsg> =
             WindowRounds::new(self.shards.len(), self.lookahead_ns);
-        std::thread::scope(|s| {
+        let first_panic = AtomicUsize::new(usize::MAX);
+        let mut panics: Vec<_> = std::thread::scope(|s| {
+            let mut threads = Vec::with_capacity(self.shards.len());
             for (k, shard) in self.shards.iter_mut().enumerate() {
-                let mut port = rounds.port(k);
-                s.spawn(move || {
+                let port = rounds.port(k);
+                let first_panic = &first_panic;
+                threads.push(s.spawn(move || {
+                    let mut port = port;
+                    let _first = FirstPanic(first_panic, k);
                     // Swapped with the mailbox every round, so both
                     // buffers keep their capacity and no round allocates.
                     let mut inbound: Vec<CrossMsg> = Vec::new();
@@ -121,9 +151,13 @@ impl ShardCoordinator {
                         }
                         sent_window_end = w_end;
                     }
-                });
+                }));
             }
+            threads.into_iter().map(|t| t.join().err()).collect()
         });
+        if let Some(first) = panics.get_mut(first_panic.into_inner()) {
+            std::panic::resume_unwind(first.take().expect("the first shard to fail panicked"));
+        }
         debug_assert_eq!(
             rounds.undelivered(),
             0,
@@ -140,6 +174,7 @@ impl ShardCoordinator {
         let nshards = shards.len();
         let scenario = shards[0].scenario.clone();
         let racks = shards[0].racks;
+        let rack_shard = shards[0].rack_shard.clone();
         let n_clients = scenario.n_clients;
         let n_servers = scenario.servers.len();
         for sh in shards.iter() {
@@ -168,7 +203,7 @@ impl ShardCoordinator {
         let mut lifetime = netclone_hosts::LifetimeCounters::default();
         let mut outstanding = 0u64;
         for cid in 0..n_clients {
-            let owner = shards[0].client_leaf[cid] % nshards;
+            let owner = rack_shard[shards[0].client_leaf[cid]];
             let c = shards[owner].clients[cid].as_ref().expect("client owner");
             latency.merge(c.latencies());
             generated += c.stats().generated;
@@ -191,7 +226,7 @@ impl ShardCoordinator {
         let upper_count = shards[0].upper_counters_at_warmup.len();
         let mut per_switch = vec![SwitchCounters::default(); racks + upper_count];
         for r in 0..racks {
-            let sh = &shards[r % nshards];
+            let sh = &shards[rack_shard[r]];
             let e = sh.engines[r].as_ref().expect("leaf owner");
             per_switch[r] = e.counters().since(&sh.switch_counters_at_warmup[r]);
         }
@@ -232,7 +267,7 @@ impl ShardCoordinator {
                 let server_leaf = shards[0].server_leaf.clone();
                 let coord_leaf = shards[0].coord_leaf;
                 for cid in 0..n_clients {
-                    let ls = shards[client_leaf[cid] % nshards]
+                    let ls = shards[rack_shard[client_leaf[cid]]]
                         .links
                         .as_ref()
                         .expect("links enabled");
@@ -245,7 +280,7 @@ impl ShardCoordinator {
                     take(format!("client{cid}.down"), down, &mut totals.edge);
                 }
                 for idx in 0..n_servers {
-                    let ls = shards[server_leaf[idx] % nshards]
+                    let ls = shards[rack_shard[server_leaf[idx]]]
                         .links
                         .as_ref()
                         .expect("links enabled");
@@ -258,7 +293,7 @@ impl ShardCoordinator {
                     take(format!("server{idx}.down"), down, &mut totals.edge);
                 }
                 {
-                    let ls = shards[coord_leaf % nshards]
+                    let ls = shards[rack_shard[coord_leaf]]
                         .links
                         .as_ref()
                         .expect("links enabled");
@@ -268,7 +303,7 @@ impl ShardCoordinator {
                     take("coord.down".into(), down, &mut totals.edge);
                 }
                 for r in 0..racks {
-                    let ls = shards[r % nshards].links.as_ref().expect("links enabled");
+                    let ls = shards[rack_shard[r]].links.as_ref().expect("links enabled");
                     for (j, l) in ls.up[r].iter().enumerate() {
                         take(format!("leaf{r}.up{j}"), l.counters(), &mut totals.up);
                     }
@@ -285,7 +320,7 @@ impl ShardCoordinator {
         let mut responses = 0;
         let mut per_server_served = Vec::with_capacity(n_servers);
         for idx in 0..n_servers {
-            let sh = &shards[shards[0].server_leaf[idx] % nshards];
+            let sh = &shards[rack_shard[shards[0].server_leaf[idx]]];
             let st = sh.servers[idx].as_ref().expect("server owner").stats();
             let b = sh.server_stats_at_warmup[idx];
             clone_drops += st.clones_dropped - b.clones_dropped;

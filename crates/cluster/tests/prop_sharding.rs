@@ -1,5 +1,6 @@
-//! Property tests for sharded execution: for *any* topology (1–8 racks,
-//! arbitrary host placement) and *any* shard count, the sharded run must
+//! Property tests for sharded execution: for *any* topology (1–8 racks
+//! of leaf/spine or a k = 4/6 fat-tree, arbitrary host placement) and
+//! *any* shard count, the sharded run must
 //! execute exactly the serial event sequence — same `(time, key)` trace,
 //! same merged `RunResult`, byte for byte.
 //!
@@ -11,6 +12,7 @@
 //! serial order is the `(time, domain, seq)` total order and that
 //! sharding executed precisely that set.
 
+use netclone_cluster::scenario::Background;
 use netclone_cluster::{
     DrainPlan, Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario, Scheme, Sim,
     SlowdownPlan, SwitchFailurePlan, Topology,
@@ -39,6 +41,25 @@ fn shapes() -> impl Strategy<Value = Shape> {
             racks,
             server_racks: server_racks.into_iter().map(|r| r % racks).collect(),
             client_racks: client_racks.into_iter().map(|r| r % racks).collect(),
+        })
+}
+
+/// A k = 4 or 6 fat-tree with hosts on arbitrary racks: two to eight
+/// shards then cut it into whole pods (up to k shards) or single racks.
+fn fat_trees() -> impl Strategy<Value = (usize, Shape)> {
+    (
+        prop_oneof![Just(4usize), Just(6)],
+        proptest::collection::vec(0usize..18, 2..=12),
+        proptest::collection::vec(0usize..18, 1..=4),
+    )
+        .prop_map(|(k, server_racks, client_racks)| {
+            let racks = k * k / 2;
+            let shape = Shape {
+                racks,
+                server_racks: server_racks.into_iter().map(|r| r % racks).collect(),
+                client_racks: client_racks.into_iter().map(|r| r % racks).collect(),
+            };
+            (k, shape)
         })
 }
 
@@ -82,6 +103,45 @@ proptest! {
             sharded_trace,
             "event execution order diverged (racks={}, shards={})",
             shape.racks,
+            shards
+        );
+        prop_assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
+    }
+
+    /// The same on fat-trees, where a shard owns whole pods whenever
+    /// there are enough and the lookahead then spans three upper
+    /// switches: with and without links (some with background incast
+    /// on a drawn victim rack), with and without loss.
+    #[test]
+    fn fat_tree_execution_order_is_shard_count_invariant(
+        (k, shape) in fat_trees(),
+        shards in 2usize..=8,
+        seed in 0u64..1_000,
+        loss in any::<bool>(),
+        links in proptest::option::of(proptest::option::of(0usize..18)),
+    ) {
+        let build = || {
+            let mut s = scenario_for(&shape, seed, loss);
+            s.topology = Topology::fat_tree(k)
+                .with_server_racks(shape.server_racks.clone())
+                .with_client_racks(shape.client_racks.clone());
+            if let Some(incast) = links {
+                s.links = Some(netclone_linksim::LinkSpec::flat(10.0, 150_000));
+                s.background = incast.map(|victim| Background {
+                    rps: 200_000.0,
+                    wire_bytes: 1_500,
+                    victim_rack: victim % shape.racks,
+                });
+            }
+            s
+        };
+        let (serial, serial_trace) = Sim::run_traced(build(), 1);
+        let (sharded, sharded_trace) = Sim::run_traced(build(), shards);
+        prop_assert_eq!(
+            serial_trace,
+            sharded_trace,
+            "fat-tree execution order diverged (k={}, shards={})",
+            k,
             shards
         );
         prop_assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));

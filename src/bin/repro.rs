@@ -41,7 +41,8 @@ fn usage() {
     println!("With no ids, runs every experiment in the registry.");
     println!("--jobs N       experiment-level parallelism: run N simulation cells at once");
     println!("--shards N     run-level parallelism: split each multi-rack event loop into");
-    println!("               N per-rack shards ('auto' = one per rack; default 1 = serial).");
+    println!("               N shards of whole racks or pods ('auto' = one per rack;");
+    println!("               default 1 = serial).");
     println!("               Results are bit-identical for any --jobs/--shards combination.");
     println!("--fattree-k K  override the fat-tree radix for topology experiments");
     println!("               (even, >= 4; default picked by --scale: 4/6/16)");
