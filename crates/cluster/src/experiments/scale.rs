@@ -1,13 +1,13 @@
 //! Experiment scaling: the same experiment definitions run at three
-//! fidelities so tests stay fast while `cargo bench` / the `repro` CLI can
-//! regenerate full-fidelity series.
+//! fidelities so tests stay fast while the `repro` CLI can regenerate
+//! full-fidelity series.
 
 /// How much simulated time and how many sweep points to spend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-long wall time: tiny windows, few points. For unit tests.
     Smoke,
-    /// The default for `cargo bench`: enough samples for stable p99s.
+    /// The default for `repro`: enough samples for stable p99s.
     Standard,
     /// Full-fidelity: the EXPERIMENTS.md numbers.
     Full,
@@ -43,22 +43,6 @@ impl std::str::FromStr for Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `NETCLONE_BENCH_SCALE` (`smoke` / `standard`
-    /// / `full`). Unset means `Standard`; an unrecognised value is an
-    /// error, never a silent default.
-    pub fn try_from_env() -> Result<Self, ParseScaleError> {
-        match std::env::var("NETCLONE_BENCH_SCALE") {
-            Ok(v) => v.parse(),
-            Err(_) => Ok(Scale::Standard),
-        }
-    }
-
-    /// [`Scale::try_from_env`], panicking with the parse error on an
-    /// unrecognised value (for bench binaries without CLI error paths).
-    pub fn from_env() -> Self {
-        Scale::try_from_env().unwrap_or_else(|e| panic!("NETCLONE_BENCH_SCALE: {e}"))
-    }
-
     /// Warm-up duration, ns.
     pub fn warmup_ns(self) -> u64 {
         match self {
@@ -106,14 +90,6 @@ mod tests {
         assert!(Scale::Standard.measure_ns() < Scale::Full.measure_ns());
         assert!(Scale::Smoke.sweep_points() < Scale::Full.sweep_points());
         assert_eq!(Scale::Full.repeats(), 10);
-    }
-
-    #[test]
-    fn env_parsing_defaults_to_standard() {
-        // Not setting the variable in-process: just exercise the default
-        // path (the env may be set by the harness; accept any valid value).
-        let s = Scale::try_from_env().expect("harness env must hold a valid scale");
-        assert!(matches!(s, Scale::Smoke | Scale::Standard | Scale::Full));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!   [`Report`].
 //! * [`registry()`] — every built-in experiment, in presentation order.
 //!   Adding a scenario is a one-file change: implement the trait in a
-//!   new module and list it here; the `repro` CLI, the benches, and the
+//!   new module and list it here; the `repro` CLI and the
 //!   JSON/CSV/markdown emitters need no edits.
 //! * [`RunCtx`] — what an experiment may spend: the [`Scale`]
 //!   (fidelity), a thread budget, and a progress callback.
@@ -74,7 +74,7 @@ pub struct RunCtx {
 }
 
 /// The machine's full parallelism (≥ 1) — the default thread budget
-/// for the `repro` CLI and the bench drivers.
+/// for the `repro` CLI.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -96,8 +96,8 @@ pub struct RunResult {
     /// Requests served per server (load-balance diagnostics, ablations).
     pub per_server_served: Vec<u64>,
     /// Total simulation events processed (scheduled and drained) over the
-    /// whole run, warm-up included — the numerator of the events/sec
-    /// throughput report (`sim_throughput`).
+    /// whole run, warm-up included — seed-deterministic, so
+    /// `tests/event_counts.rs` pins it per fabric shape.
     pub events: u64,
     /// Per-link windows of every link that dropped or ECN-marked a
     /// packet, in deterministic fabric order (empty without

@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use netclone::cluster::experiments::Scale;
+use netclone::cluster::experiments::{fattree, Scale};
 use netclone::cluster::harness::{default_jobs, find, registry, suggest, RunCtx};
 use netclone::stats::Report;
 
@@ -45,7 +45,7 @@ fn usage() {
     println!("               default 1 = serial).");
     println!("               Results are bit-identical for any --jobs/--shards combination.");
     println!("--fattree-k K  override the fat-tree radix for topology experiments");
-    println!("               (even, >= 4; default picked by --scale: 4/6/16)");
+    println!("               (even, >= 4; default picked by --scale: 4/6/6)");
     println!("--oversub R    pin fat-tree sweeps to a single oversubscription ratio R");
 }
 
@@ -55,10 +55,7 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut scale = match Scale::try_from_env() {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("NETCLONE_BENCH_SCALE: {e}")),
-    };
+    let mut scale = Scale::Standard;
     let mut out = PathBuf::from("results");
     let mut jobs = default_jobs();
     let mut shards = 1usize;
@@ -161,6 +158,17 @@ fn main() -> ExitCode {
                     format!("did you mean {}?", near.join(" or "))
                 };
                 return fail(&format!("unknown experiment id {id:?}; {hint}"));
+            }
+        }
+    }
+
+    // An unaddressable radix would panic mid-sweep in a worker thread;
+    // refuse it here with the limit it breaks.
+    if let Some(k) = fattree_k {
+        let ctx = RunCtx::new(scale);
+        for scheme in fattree::SCHEMES {
+            if let Err(e) = fattree::scenario(k, 1.0, scheme, &ctx).validate() {
+                return fail(&format!("--fattree-k {k}: {e}"));
             }
         }
     }

@@ -68,3 +68,15 @@ fn group_ordering_ablation_shows_the_skew() {
         g.unordered_imbalance
     );
 }
+
+#[test]
+fn repro_refuses_an_unaddressable_fattree_radix_before_running() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "smoke", "--fattree-k", "8", "fattree"])
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("89 server ports"), "{stderr}");
+    assert!(!stderr.contains("== running"), "{stderr}");
+}
