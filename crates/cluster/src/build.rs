@@ -913,36 +913,13 @@ impl ScenarioBuilder {
             );
         }
         broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
-        if let Some(plan) = scenario.switch_failure {
-            broadcast(shards, &mut ctl, plan.fail_at_ns, &|| Ev::SwitchFail);
-            broadcast(shards, &mut ctl, plan.reactivate_at_ns, &|| {
-                Ev::SwitchReactivate {
-                    bringup_ns: plan.bringup_ns,
-                }
-            });
-        }
-        if let Some(plan) = scenario.server_failure {
-            prime_one(
-                shards,
-                &mut ctl,
-                rack_shard[server_leaf[plan.sid as usize]],
-                plan.fail_at_ns,
-                Ev::ServerKill(plan.sid as usize),
-            );
-            broadcast(shards, &mut ctl, plan.removed_at_ns, &|| {
-                Ev::ServerRemove(plan.sid)
-            });
-        }
-        // Fault edges ride the control domain too. Faults whose state has
-        // a single consumer (a server's slow factor, a leaf's forwarding
-        // flag, a rack's link rates) prime both edges on the owner alone;
-        // fabric-wide faults (a switch reboot) broadcast under shared
-        // keys like the legacy `switch_failure` plan. `all_faults()`
-        // yields the legacy degradation plans first and the timeline
-        // after, in declaration order — an empty timeline schedules
-        // exactly the legacy events, so pre-existing scenarios stay
-        // seed-pinned.
-        for fault in scenario.all_faults() {
+        // Fault edges ride the control domain too, in declaration order.
+        // Faults whose state has a single consumer (a server's slow
+        // factor or liveness, a leaf's forwarding flag, a rack's link
+        // rates) prime on the owner alone; fabric-wide edges (a switch
+        // reboot, a server's removal from the tables) broadcast under
+        // shared keys.
+        for &fault in &scenario.faults.faults {
             match fault {
                 Fault::Slowdown(plan) => {
                     let owner = rack_shard[server_leaf[plan.sid as usize]];
@@ -1011,6 +988,18 @@ impl ScenarioBuilder {
                         Ev::SwitchReactivate {
                             bringup_ns: plan.bringup_ns,
                         }
+                    });
+                }
+                Fault::ServerStop(plan) => {
+                    prime_one(
+                        shards,
+                        &mut ctl,
+                        rack_shard[server_leaf[plan.sid as usize]],
+                        plan.fail_at_ns,
+                        Ev::ServerKill(plan.sid as usize),
+                    );
+                    broadcast(shards, &mut ctl, plan.removed_at_ns, &|| {
+                        Ev::ServerRemove(plan.sid)
                     });
                 }
             }

@@ -25,7 +25,8 @@
 //!   stops forwarding mid-window and returns with cold soft state
 //!   ([`DrainPlan`]) — the multi-rack degradation case.
 //!
-//! Every degradation edge is a fabric-domain-0 control event, so serial
+//! Both degradations are [`Scenario::faults`] entries. Every fault edge is
+//! a fabric-domain-0 control event, so serial
 //! and sharded runs are byte-identical (CI diffs `--shards 1` vs
 //! `--shards 4` on this experiment's JSON).
 
@@ -35,7 +36,7 @@ use netclone_workloads::{bimodal_25_250, exp25, heavy_tail_25};
 
 use crate::harness::{Experiment, RunCtx};
 use crate::metrics::RunResult;
-use crate::scenario::{DrainPlan, Scenario, SlowdownPlan, Workload};
+use crate::scenario::{DrainPlan, Fault, Scenario, SlowdownPlan, Workload};
 use crate::scheme::Scheme;
 use crate::sweep::capacity_fractions;
 use crate::topology::Topology;
@@ -97,22 +98,22 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
     let mid_end = s.warmup_ns + 3 * s.measure_ns / 4;
     match kind {
         "slowdown" => {
-            s.degradation.slowdown = Some(SlowdownPlan {
+            s.faults.faults.push(Fault::Slowdown(SlowdownPlan {
                 sid: 0,
                 start_ns: mid_start,
                 end_ns: mid_end,
                 factor: 4.0,
-            });
+            }));
         }
         "drain" => {
             // Rack 3 holds server 3 and no client (round-robin placement:
             // clients 0–1 → racks 0–1) and is not the coordinator's rack
             // (rack 0), so every scheme keeps its control path.
-            s.degradation.drain = Some(DrainPlan {
+            s.faults.faults.push(Fault::Drain(DrainPlan {
                 rack: 3,
                 drain_at_ns: mid_start,
                 restore_at_ns: mid_end,
-            });
+            }));
         }
         _ => {}
     }

@@ -2,9 +2,8 @@
 //! as a seed-pinned policy shootout.
 //!
 //! Where the adversarial suite stresses *service-time* shape, this one
-//! stresses the *fabric and fleet*: every scenario runs a
-//! [`FaultTimeline`] (the composable generalization of the single-window
-//! degradation plans) while the clients run the real recovery path — a
+//! stresses the *fabric and fleet*: every scenario runs a multi-fault
+//! [`FaultTimeline`] while the clients run the real recovery path — a
 //! [`RetryPolicy`] with capped exponential backoff and a per-client
 //! retry budget. Four kinds:
 //!

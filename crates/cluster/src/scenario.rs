@@ -133,10 +133,10 @@ pub struct Background {
 ///
 /// This is the crash model. For the *gray* failure where a server keeps
 /// answering but slower (thermal throttling, a noisy neighbour, a
-/// background compaction), use [`SlowdownPlan`] — the two are distinct
-/// knobs, and [`Scenario::validate`] rejects a configuration that
-/// schedules both on the same server at overlapping times (a server
-/// cannot be simultaneously dead and slow; pick the failure mode).
+/// background compaction), use [`SlowdownPlan`]. [`Scenario::validate`]
+/// rejects both on the same server at overlapping times (a server cannot
+/// be dead and slow at once), and a second stop of the same server at
+/// any time (a stopped server never comes back).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerFailurePlan {
     /// Which server dies.
@@ -157,7 +157,7 @@ pub struct ServerFailurePlan {
 /// shine and where fail-stop handling does nothing.
 ///
 /// Both edges are fabric-domain-0 control events, so serial and sharded
-/// runs stay byte-identical; see "Degradation events" in
+/// runs stay byte-identical; see "Fault injection & recovery" in
 /// `docs/ARCHITECTURE.md`.
 #[derive(Clone, Copy, Debug)]
 pub struct SlowdownPlan {
@@ -187,29 +187,6 @@ pub struct DrainPlan {
     pub drain_at_ns: u64,
     /// When forwarding resumes (soft state cleared), ns.
     pub restore_at_ns: u64,
-}
-
-/// Mid-run degradation injections (the adversarial suite). `Default` is
-/// no degradation; absent plans add no events, so pre-existing scenarios
-/// stay seed-pinned bit for bit.
-///
-/// This is the single-plan knob PR 8.5 introduced; for more than one
-/// concurrent fault (or link flaps / switch reboots) compose a
-/// [`FaultTimeline`] in [`Scenario::faults`] — the two layer cleanly, and
-/// [`Scenario::all_faults`] is the canonical merged view.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DegradationPlan {
-    /// Optional mid-run server slowdown (gray failure).
-    pub slowdown: Option<SlowdownPlan>,
-    /// Optional leaf drain (multi-rack fabrics only).
-    pub drain: Option<DrainPlan>,
-}
-
-impl DegradationPlan {
-    /// True when no degradation is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.slowdown.is_none() && self.drain.is_none()
-    }
 }
 
 /// A mid-run **link flap** in a congestion-aware multi-rack fabric: from
@@ -247,22 +224,25 @@ pub enum Fault {
     /// Link flap: rack-adjacent links collapse to a fraction of nominal
     /// rate, then recover.
     LinkFlap(LinkFlapPlan),
-    /// Fabric-wide switch reboot (the Fig. 16 power-cycle as a timeline
-    /// member): forwarding stops at `fail_at_ns`, resumes `bringup_ns`
-    /// after `reactivate_at_ns` with soft state cleared and the
-    /// hard counters preserved.
+    /// Fabric-wide switch reboot (the Fig. 16 power-cycle): forwarding
+    /// stops at `fail_at_ns`, resumes `bringup_ns` after
+    /// `reactivate_at_ns` with soft state cleared and the hard counters
+    /// preserved.
     Reboot(SwitchFailurePlan),
+    /// Fail-stop server (§3.6): it drops everything from `fail_at_ns`,
+    /// and the control plane removes it from the tables at
+    /// `removed_at_ns`. It never comes back.
+    ServerStop(ServerFailurePlan),
 }
 
-/// An ordered, validated set of timed fault edges — the composable
-/// generalization of [`DegradationPlan`]: concurrent gray servers,
-/// rolling drains, link flaps, and switch reboots in one scenario.
+/// An ordered, validated set of timed fault edges — the scenario's one
+/// fault channel: switch reboots, fail-stop and gray servers, leaf
+/// drains and link flaps, any number of each.
 ///
 /// Every edge is delivered as a fabric-domain-0 control event primed at
 /// build time in declaration order, so serial and sharded runs stay
-/// byte-identical for any timeline (see "Fault timelines & recovery" in
-/// `docs/ARCHITECTURE.md`). `Default` is empty and primes nothing:
-/// pre-existing scenarios keep their seed pins bit for bit.
+/// byte-identical for any timeline (see "Fault injection & recovery" in
+/// `docs/ARCHITECTURE.md`). `Default` is empty and primes nothing.
 #[derive(Clone, Debug, Default)]
 pub struct FaultTimeline {
     /// The fault edges, primed in declaration order.
@@ -356,20 +336,11 @@ pub struct Scenario {
     pub loss: f64,
     /// Master seed.
     pub seed: u64,
-    /// Optional switch failure (Fig. 16).
-    pub switch_failure: Option<SwitchFailurePlan>,
-    /// Optional **fail-stop** server failure (§3.6). For the gray-failure
-    /// slowdown, use [`Scenario::degradation`] — see [`SlowdownPlan`].
-    pub server_failure: Option<ServerFailurePlan>,
     /// Service-model overrides (shape, hot-key cost); default = the
     /// workload's own model.
     pub service_model: ServiceModel,
-    /// Mid-run degradation injections (slowdown, leaf drain); default =
-    /// none.
-    pub degradation: DegradationPlan,
-    /// Composable fault-injection timeline (concurrent gray servers,
-    /// rolling drains, link flaps, switch reboots), layered after
-    /// `degradation`; default = empty.
+    /// Every injected fault (switch reboots, fail-stop and gray servers,
+    /// leaf drains, link flaps); default = empty.
     pub faults: FaultTimeline,
     /// Client-side retry-on-timeout recovery ([`RetryPolicy`]): expired
     /// requests are retransmitted with capped exponential backoff under a
@@ -420,10 +391,7 @@ impl Scenario {
             measure_ns: 250_000_000, // 250 ms
             loss: 0.0,
             seed: 42,
-            switch_failure: None,
-            server_failure: None,
             service_model: ServiceModel::default(),
-            degradation: DegradationPlan::default(),
             faults: FaultTimeline::default(),
             retry: None,
             timeseries_bucket_ns: 100_000_000,
@@ -455,10 +423,7 @@ impl Scenario {
             measure_ns: 400_000_000,
             loss: 0.0,
             seed: 42,
-            switch_failure: None,
-            server_failure: None,
             service_model: ServiceModel::default(),
-            degradation: DegradationPlan::default(),
             faults: FaultTimeline::default(),
             retry: None,
             timeseries_bucket_ns: 100_000_000,
@@ -495,31 +460,14 @@ impl Scenario {
         threads as f64 / (mean_ns / 1e9)
     }
 
-    /// The canonical merged fault list: the legacy single-plan
-    /// [`Scenario::degradation`] knob first (slowdown, then drain —
-    /// exactly the pre-timeline priming order, so pre-existing seed pins
-    /// survive), then the [`FaultTimeline`] in declaration order. The
-    /// builder primes control events by iterating this.
-    pub fn all_faults(&self) -> Vec<Fault> {
-        let mut v = Vec::with_capacity(2 + self.faults.faults.len());
-        if let Some(sl) = self.degradation.slowdown {
-            v.push(Fault::Slowdown(sl));
-        }
-        if let Some(d) = self.degradation.drain {
-            v.push(Fault::Drain(d));
-        }
-        v.extend(self.faults.faults.iter().copied());
-        v
-    }
-
     /// Checks the server count against the fabric's limits and the fault
-    /// plans against the rest of the scenario. Called by the builder
+    /// timeline against the rest of the scenario. Called by the builder
     /// before any event is primed; the error message names the limit or
-    /// the conflicting knobs.
+    /// the conflicting faults.
     pub fn validate(&self) -> Result<(), String> {
         crate::build::check_server_count(self.scheme, self.servers.len())?;
-        let faults = self.all_faults();
-        for fault in &faults {
+        let faults = &self.faults.faults;
+        for fault in faults {
             self.validate_fault(fault)?;
         }
         // Overlapping/duplicate windows on the same target are a
@@ -530,56 +478,50 @@ impl Scenario {
             Fault::Drain(d) => (d.drain_at_ns, d.restore_at_ns),
             Fault::LinkFlap(lf) => (lf.start_ns, lf.end_ns),
             Fault::Reboot(r) => (r.fail_at_ns, r.reactivate_at_ns + r.bringup_ns),
-        };
-        let overlaps = |a: &Fault, b: &Fault| {
-            let (a0, a1) = window(a);
-            let (b0, b1) = window(b);
-            !(a1 <= b0 || b1 <= a0)
+            Fault::ServerStop(f) => (f.fail_at_ns, f.removed_at_ns),
         };
         for (i, a) in faults.iter().enumerate() {
             for b in &faults[i + 1..] {
+                let (a0, a1) = window(a);
+                let (b0, b1) = window(b);
+                let overlap = !(a1 <= b0 || b1 <= a0);
                 let clash = match (a, b) {
-                    (Fault::Slowdown(x), Fault::Slowdown(y)) if x.sid == y.sid => {
-                        Some(format!("slowdown windows on server {}", x.sid))
+                    (Fault::Slowdown(x), Fault::Slowdown(y)) if x.sid == y.sid && overlap => {
+                        format!("overlapping slowdown windows on server {}", x.sid)
                     }
-                    (Fault::Drain(x), Fault::Drain(y)) if x.rack == y.rack => {
-                        Some(format!("drain windows on rack {}", x.rack))
+                    (Fault::Drain(x), Fault::Drain(y)) if x.rack == y.rack && overlap => {
+                        format!("overlapping drain windows on rack {}", x.rack)
                     }
-                    (Fault::LinkFlap(x), Fault::LinkFlap(y)) if x.rack == y.rack => {
-                        Some(format!("link-flap windows on rack {}", x.rack))
+                    (Fault::LinkFlap(x), Fault::LinkFlap(y)) if x.rack == y.rack && overlap => {
+                        format!("overlapping link-flap windows on rack {}", x.rack)
                     }
-                    (Fault::Reboot(_), Fault::Reboot(_)) => {
-                        Some("switch reboot windows".to_string())
+                    (Fault::Reboot(_), Fault::Reboot(_)) if overlap => {
+                        "overlapping switch reboot windows".to_string()
                     }
-                    _ => None,
-                };
-                if let Some(what) = clash {
-                    if overlaps(a, b) {
-                        let (a0, a1) = window(a);
-                        let (b0, b1) = window(b);
+                    (Fault::ServerStop(x), Fault::ServerStop(y)) if x.sid == y.sid => {
                         return Err(format!(
-                            "overlapping {what}: {a0}..{a1} ns and {b0}..{b1} ns — \
-                             merge them into one window or separate them"
+                            "server {} is stopped twice ({a0}..{a1} ns and {b0}..{b1} ns); \
+                             a stopped server never comes back — keep one stop",
+                            x.sid
                         ));
                     }
-                }
-            }
-        }
-        // A timeline reboot against the legacy Fig. 16 plan is the same
-        // contradiction.
-        if let Some(sf) = &self.switch_failure {
-            let legacy = Fault::Reboot(*sf);
-            for f in &faults {
-                if matches!(f, Fault::Reboot(_)) && overlaps(f, &legacy) {
-                    let (a0, a1) = window(f);
-                    return Err(format!(
-                        "overlapping switch reboot windows: the timeline reboot \
-                         {a0}..{a1} ns collides with the switch_failure plan \
-                         {}..{} ns",
-                        sf.fail_at_ns,
-                        sf.reactivate_at_ns + sf.bringup_ns
-                    ));
-                }
+                    (Fault::ServerStop(f), Fault::Slowdown(sl))
+                    | (Fault::Slowdown(sl), Fault::ServerStop(f))
+                        if f.sid == sl.sid && overlap =>
+                    {
+                        return Err(format!(
+                            "server {} has a fail-stop ({}..{} ns) overlapping its \
+                             slowdown ({}..{} ns); a server cannot be dead and slow \
+                             at once — separate the windows or pick one failure mode",
+                            sl.sid, f.fail_at_ns, f.removed_at_ns, sl.start_ns, sl.end_ns
+                        ));
+                    }
+                    _ => continue,
+                };
+                return Err(format!(
+                    "{clash}: {a0}..{a1} ns and {b0}..{b1} ns — \
+                     merge them into one window or separate them"
+                ));
             }
         }
         Ok(())
@@ -606,25 +548,27 @@ impl Scenario {
                         self.servers.len()
                     ));
                 }
-                if let Some(f) = &self.server_failure {
-                    // Overlap unless one window ends before the other
-                    // starts.
-                    let disjoint = sl.end_ns <= f.fail_at_ns || f.removed_at_ns <= sl.start_ns;
-                    if f.sid == sl.sid && !disjoint {
-                        return Err(format!(
-                            "server {} has a fail-stop plan ({}..{} ns) overlapping its \
-                             slowdown plan ({}..{} ns); a server cannot be dead and slow \
-                             at once — separate the windows or pick one failure mode",
-                            sl.sid, f.fail_at_ns, f.removed_at_ns, sl.start_ns, sl.end_ns
-                        ));
-                    }
+            }
+            Fault::ServerStop(f) => {
+                if f.sid as usize >= self.servers.len() {
+                    return Err(format!(
+                        "server stop targets server {} but the scenario has {}",
+                        f.sid,
+                        self.servers.len()
+                    ));
+                }
+                if f.fail_at_ns >= f.removed_at_ns {
+                    return Err(format!(
+                        "server stop window is empty: fail_at_ns {} >= removed_at_ns {}",
+                        f.fail_at_ns, f.removed_at_ns
+                    ));
                 }
             }
             Fault::Drain(d) => {
                 let racks = self.topology.racks;
                 if racks < 2 {
                     return Err("leaf drain needs a multi-rack topology (draining the only \
-                         leaf is the Fig. 16 switch_failure plan)"
+                         leaf is the Fig. 16 switch reboot)"
                         .to_string());
                 }
                 if d.rack >= racks {
@@ -724,81 +668,95 @@ mod tests {
         assert_eq!(Workload::redis(0.99).label(), "99%-GET,1%-SCAN(100)");
     }
 
+    fn stop(sid: u16, fail_at_ns: u64, removed_at_ns: u64) -> Fault {
+        Fault::ServerStop(ServerFailurePlan {
+            sid,
+            fail_at_ns,
+            removed_at_ns,
+        })
+    }
+
+    fn slow(sid: u16, start_ns: u64, end_ns: u64, factor: f64) -> Fault {
+        Fault::Slowdown(SlowdownPlan {
+            sid,
+            start_ns,
+            end_ns,
+            factor,
+        })
+    }
+
     #[test]
     fn overlapping_fail_stop_and_slowdown_on_one_server_is_rejected() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
-        s.server_failure = Some(ServerFailurePlan {
-            sid: 1,
-            fail_at_ns: 3_000_000,
-            removed_at_ns: 5_000_000,
-        });
-        s.degradation.slowdown = Some(SlowdownPlan {
-            sid: 1,
-            start_ns: 4_000_000,
-            end_ns: 8_000_000,
-            factor: 4.0,
-        });
+        s.faults.faults = vec![
+            stop(1, 3_000_000, 5_000_000),
+            slow(1, 4_000_000, 8_000_000, 4.0),
+        ];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("dead and slow"), "unhelpful error: {err}");
+        // The rule holds in either declaration order.
+        s.faults.faults.reverse();
         let err = s.validate().unwrap_err();
         assert!(err.contains("dead and slow"), "unhelpful error: {err}");
         // Disjoint windows on the same server are fine…
-        s.degradation.slowdown.as_mut().unwrap().start_ns = 5_000_000;
+        s.faults.faults = vec![
+            stop(1, 3_000_000, 5_000_000),
+            slow(1, 5_000_000, 8_000_000, 4.0),
+        ];
         assert!(s.validate().is_ok());
         // …and so are overlapping windows on different servers.
-        s.degradation.slowdown = Some(SlowdownPlan {
-            sid: 2,
-            start_ns: 2_000_000,
-            end_ns: 8_000_000,
-            factor: 4.0,
-        });
+        s.faults.faults[1] = slow(2, 2_000_000, 8_000_000, 4.0);
+        assert!(s.validate().is_ok());
+    }
+
+    #[test]
+    fn degenerate_server_stops_are_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.faults.faults = vec![stop(99, 1_000_000, 2_000_000)];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("server 99"), "unhelpful error: {err}");
+        s.faults.faults = vec![stop(1, 2_000_000, 2_000_000)];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("empty"), "unhelpful error: {err}");
+        // A stopped server never comes back, so a second stop clashes
+        // even when the windows are disjoint.
+        s.faults.faults = vec![stop(1, 1_000_000, 2_000_000), stop(1, 3_000_000, 4_000_000)];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("stopped twice"), "unhelpful error: {err}");
+        s.faults.faults[1] = stop(2, 1_000_000, 2_000_000);
         assert!(s.validate().is_ok());
     }
 
     #[test]
     fn degenerate_degradation_plans_are_rejected() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
-        s.degradation.slowdown = Some(SlowdownPlan {
-            sid: 0,
-            start_ns: 2_000_000,
-            end_ns: 1_000_000,
-            factor: 4.0,
-        });
+        s.faults.faults = vec![slow(0, 2_000_000, 1_000_000, 4.0)];
         assert!(s.validate().unwrap_err().contains("empty"));
-        s.degradation.slowdown = Some(SlowdownPlan {
-            sid: 0,
-            start_ns: 1_000_000,
-            end_ns: 2_000_000,
-            factor: 0.0,
-        });
+        s.faults.faults = vec![slow(0, 1_000_000, 2_000_000, 0.0)];
         assert!(s.validate().unwrap_err().contains("factor"));
-        s.degradation.slowdown = None;
-        // Draining the only rack is the switch_failure plan's job.
-        s.degradation.drain = Some(DrainPlan {
-            rack: 0,
-            drain_at_ns: 1_000_000,
-            restore_at_ns: 2_000_000,
-        });
+        // Draining the only rack is a switch reboot.
+        let drain = |rack| {
+            Fault::Drain(DrainPlan {
+                rack,
+                drain_at_ns: 1_000_000,
+                restore_at_ns: 2_000_000,
+            })
+        };
+        s.faults.faults = vec![drain(0)];
         assert!(s.validate().unwrap_err().contains("multi-rack"));
         s.topology = Topology::uniform(4);
         assert!(s.validate().is_ok());
-        s.degradation.drain.as_mut().unwrap().rack = 4;
+        s.faults.faults = vec![drain(4)];
         assert!(s.validate().unwrap_err().contains("rack 4"));
     }
 
     #[test]
     fn overlapping_slowdown_windows_on_one_server_are_rejected() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
-        s.degradation.slowdown = Some(SlowdownPlan {
-            sid: 1,
-            start_ns: 1_000_000,
-            end_ns: 5_000_000,
-            factor: 4.0,
-        });
-        s.faults.faults.push(Fault::Slowdown(SlowdownPlan {
-            sid: 1,
-            start_ns: 4_000_000,
-            end_ns: 8_000_000,
-            factor: 2.0,
-        }));
+        s.faults.faults = vec![
+            slow(1, 1_000_000, 5_000_000, 4.0),
+            slow(1, 4_000_000, 8_000_000, 2.0),
+        ];
         let err = s.validate().unwrap_err();
         assert!(
             err.contains("overlapping slowdown windows on server 1"),
@@ -806,19 +764,11 @@ mod tests {
         );
         // The same overlap on a different server is a valid correlated
         // gray failure…
-        match s.faults.faults.last_mut().unwrap() {
-            Fault::Slowdown(sl) => sl.sid = 2,
-            _ => unreachable!(),
-        }
+        s.faults.faults[1] = slow(2, 4_000_000, 8_000_000, 2.0);
         assert!(s.validate().is_ok());
         // …and back-to-back windows on the same server are a cascade,
         // not a contradiction.
-        s.faults.faults = vec![Fault::Slowdown(SlowdownPlan {
-            sid: 1,
-            start_ns: 5_000_000,
-            end_ns: 8_000_000,
-            factor: 2.0,
-        })];
+        s.faults.faults[1] = slow(1, 5_000_000, 8_000_000, 2.0);
         assert!(s.validate().is_ok());
     }
 
@@ -904,15 +854,6 @@ mod tests {
         // The bring-up tail counts as part of the outage window.
         s.faults.faults = vec![reboot(1_000_000, 2_000_000), reboot(2_050_000, 4_000_000)];
         assert!(s.validate().unwrap_err().contains("reboot"));
-        // A timeline reboot colliding with the legacy Fig. 16 plan is the
-        // same contradiction.
-        s.faults.faults = vec![reboot(1_000_000, 2_000_000)];
-        s.switch_failure = Some(SwitchFailurePlan {
-            fail_at_ns: 1_500_000,
-            reactivate_at_ns: 3_000_000,
-            bringup_ns: 100_000,
-        });
-        assert!(s.validate().unwrap_err().contains("switch_failure"));
     }
 
     #[test]
@@ -931,7 +872,7 @@ mod tests {
         }
         s.faults = FaultTimeline::correlated_gray(&[0, 2, 4], 10_000_000, 20_000_000, 6.0);
         assert!(s.validate().is_ok());
-        assert_eq!(s.all_faults().len(), 3);
+        assert_eq!(s.faults.faults.len(), 3);
     }
 
     #[test]

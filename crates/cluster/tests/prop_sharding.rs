@@ -14,8 +14,8 @@
 
 use netclone_cluster::scenario::Background;
 use netclone_cluster::{
-    DrainPlan, Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario, Scheme, Sim,
-    SlowdownPlan, SwitchFailurePlan, Topology,
+    DrainPlan, Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario, Scheme,
+    ServerFailurePlan, Sim, SlowdownPlan, SwitchFailurePlan, Topology,
 };
 use netclone_workloads::exp25;
 use proptest::prelude::*;
@@ -147,60 +147,14 @@ proptest! {
         prop_assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
     }
 
-    /// Mid-run degradation (server slowdown, leaf drain) is primed as
-    /// fabric-domain-0 control events on the owning shard alone — for any
-    /// random plan and shard count, the trace must still be the serial
-    /// one, byte for byte.
-    #[test]
-    fn degradation_plans_are_shard_count_invariant(
-        shape in shapes(),
-        shards in 2usize..=8,
-        seed in 0u64..1_000,
-        use_slow in any::<bool>(),
-        slow in (0usize..16, 200_000u64..900_000, 100_000u64..800_000, 15u32..80),
-        use_drain in any::<bool>(),
-        drain in (0usize..8, 200_000u64..900_000, 100_000u64..800_000),
-    ) {
-        let build = || {
-            let mut s = scenario_for(&shape, seed, false);
-            if let (true, (sid, start, dur, f10)) = (use_slow, slow) {
-                s.degradation.slowdown = Some(SlowdownPlan {
-                    sid: (sid % s.servers.len()) as u16,
-                    start_ns: start,
-                    end_ns: start + dur,
-                    factor: f64::from(f10) / 10.0,
-                });
-            }
-            // Drains need a fabric: fold the drawn rack into the shape
-            // when multi-rack, skip the injection for single-rack draws.
-            if use_drain && shape.racks >= 2 {
-                let (rack, start, dur) = drain;
-                s.degradation.drain = Some(DrainPlan {
-                    rack: rack % shape.racks,
-                    drain_at_ns: start,
-                    restore_at_ns: start + dur,
-                });
-            }
-            s
-        };
-        let (serial, serial_trace) = Sim::run_traced(build(), 1);
-        let (sharded, sharded_trace) = Sim::run_traced(build(), shards);
-        prop_assert_eq!(
-            serial_trace,
-            sharded_trace,
-            "degraded execution order diverged (racks={}, shards={})",
-            shape.racks,
-            shards
-        );
-        prop_assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-    }
-
-    /// Composed [`FaultTimeline`]s (any mix of slowdown, drain, link
-    /// flap, and switch reboot) with or without a client [`RetryPolicy`]
-    /// are still shard-count invariant — every fault edge and retry tick
-    /// is a fabric-domain-0 control event — and the clients' whole-run
-    /// conservation identity `generated == completed + lost +
-    /// outstanding` holds at run end, retries and evictions included.
+    /// Composed [`FaultTimeline`]s (any mix of slowdown, server stop,
+    /// drain, link flap, and switch reboot) with or without a client
+    /// [`RetryPolicy`] are still shard-count invariant — every fault edge
+    /// and retry tick is a fabric-domain-0 control event — and the
+    /// clients' whole-run conservation identity `generated == completed +
+    /// lost + outstanding` holds at run end, retries and evictions
+    /// included. Draws that `validate()` rejects (a stop overlapping a
+    /// slowdown of the same server) are skipped.
     #[test]
     fn fault_timelines_conserve_and_are_shard_count_invariant(
         shape in shapes(),
@@ -209,6 +163,7 @@ proptest! {
         loss in any::<bool>(),
         retry in proptest::option::of((60_000u64..300_000, 0u32..4, 0u64..64)),
         slow in proptest::option::of((0usize..16, 200_000u64..900_000, 100_000u64..800_000, 15u32..80)),
+        stop in proptest::option::of((0usize..16, 200_000u64..900_000, 1u64..600_000)),
         drain in proptest::option::of((0usize..8, 200_000u64..900_000, 100_000u64..800_000)),
         flap in proptest::option::of((0usize..8, 200_000u64..900_000, 100_000u64..800_000, 2u64..64)),
         reboot in proptest::option::of((200_000u64..900_000, 100_000u64..600_000, 0u64..200_000)),
@@ -222,6 +177,13 @@ proptest! {
                     start_ns: start,
                     end_ns: start + dur,
                     factor: f64::from(f10) / 10.0,
+                }));
+            }
+            if let Some((sid, fail, detect)) = stop {
+                faults.push(Fault::ServerStop(ServerFailurePlan {
+                    sid: (sid % s.servers.len()) as u16,
+                    fail_at_ns: fail,
+                    removed_at_ns: fail + detect,
                 }));
             }
             // Drains and flaps need a fabric: fold the drawn rack into
@@ -263,6 +225,7 @@ proptest! {
             }
             s
         };
+        prop_assume!(build().validate().is_ok());
         let (serial, serial_trace) = Sim::run_traced(build(), 1);
         let (sharded, sharded_trace) = Sim::run_traced(build(), shards);
         prop_assert_eq!(

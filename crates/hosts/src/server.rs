@@ -162,11 +162,6 @@ impl ServerSim {
         self.busy_workers = 0;
     }
 
-    /// Brings a failed server back, empty.
-    pub fn revive(&mut self) {
-        self.alive = true;
-    }
-
     /// True when the server is up.
     pub fn is_alive(&self) -> bool {
         self.alive
@@ -188,7 +183,7 @@ impl ServerSim {
     /// Draws the execution time for one request (class → shape → jitter →
     /// degradation). The slowdown multiplies *after* the stochastic
     /// stages, so the RNG draw sequence is identical whether or not a
-    /// degradation plan is active — healthy runs stay seed-pinned.
+    /// slowdown is active — healthy runs stay seed-pinned.
     fn draw_service_ns(&mut self, op: &RpcOp) -> u64 {
         let class = match &self.cfg.hot_key {
             Some(hk) => hk.class_ns(op),
@@ -393,11 +388,6 @@ mod tests {
             s.on_request(pkt(CloneStatus::NotCloned), 0),
             Admission::CloneDropped
         );
-        s.revive();
-        assert!(matches!(
-            s.on_request(pkt(CloneStatus::NotCloned), 0),
-            Admission::Start { .. }
-        ));
     }
 
     #[test]

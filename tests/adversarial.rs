@@ -154,7 +154,7 @@ fn degradation_actually_degrades() {
     // degraded kind must be measurably worse than its healthy twin.
     let healthy = {
         let mut s = cell("slowdown", Scheme::NETCLONE);
-        s.degradation.slowdown = None;
+        s.faults.faults.clear();
         Sim::run(s)
     };
     let slow = Sim::run(cell("slowdown", Scheme::NETCLONE));
@@ -167,7 +167,7 @@ fn degradation_actually_degrades() {
 
     let undrained = {
         let mut s = cell("drain", Scheme::NETCLONE);
-        s.degradation.drain = None;
+        s.faults.faults.clear();
         Sim::run(s)
     };
     let drained = Sim::run(cell("drain", Scheme::NETCLONE));

@@ -12,7 +12,7 @@
 //! commit.
 
 use netclone::cluster::experiments::{adversarial, fattree, Scale};
-use netclone::cluster::{RunCtx, Scenario, Scheme, Sim, Topology};
+use netclone::cluster::{Fault, RunCtx, Scenario, Scheme, Sim, Topology};
 use netclone::workloads::exp25;
 
 const WARMUP_NS: u64 = 10_000_000;
@@ -51,13 +51,12 @@ fn degraded(kind: &str) -> Scenario {
     s.offered_rps = s.capacity_rps() * 0.6;
     s.seed = 7;
     let (start, end) = (WARMUP_NS + MEASURE_NS / 4, WARMUP_NS + 3 * MEASURE_NS / 4);
-    if let Some(sl) = &mut s.degradation.slowdown {
-        sl.start_ns = start;
-        sl.end_ns = end;
-    }
-    if let Some(d) = &mut s.degradation.drain {
-        d.drain_at_ns = start;
-        d.restore_at_ns = end;
+    for fault in &mut s.faults.faults {
+        match fault {
+            Fault::Slowdown(sl) => (sl.start_ns, sl.end_ns) = (start, end),
+            Fault::Drain(d) => (d.drain_at_ns, d.restore_at_ns) = (start, end),
+            _ => unreachable!("adversarial kinds inject a slowdown or a drain"),
+        }
     }
     s
 }

@@ -1,23 +1,30 @@
 //! Failure-handling integration tests (§3.6): server death + control-plane
 //! removal, switch power cycles, and packet loss.
 
-use netclone::cluster::scenario::ServerFailurePlan;
-use netclone::cluster::{DrainPlan, Scenario, Scheme, Sim, SlowdownPlan, SwitchFailurePlan};
+use netclone::cluster::{
+    DrainPlan, Fault, Scenario, Scheme, ServerFailurePlan, Sim, SlowdownPlan, SwitchFailurePlan,
+};
 use netclone::workloads::exp25;
 use netclone_cluster::Topology;
 
-#[test]
-fn server_failure_degrades_then_recovers() {
+/// The testbed at 30% load with server 2 failing at 20 ms and removed
+/// by the control plane at 30 ms.
+fn server_failure_scenario() -> Scenario {
     let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 0.0);
     s.offered_rps = s.capacity_rps() * 0.3;
     s.warmup_ns = 5_000_000;
     s.measure_ns = 80_000_000;
-    s.server_failure = Some(ServerFailurePlan {
+    s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
         sid: 2,
         fail_at_ns: 20_000_000,
         removed_at_ns: 30_000_000,
-    });
-    let r = Sim::run(s);
+    }));
+    s
+}
+
+#[test]
+fn server_failure_degrades_then_recovers() {
+    let r = Sim::run(server_failure_scenario());
     // Requests routed to the dead server during the 10 ms detection window
     // are lost; everything after removal completes.
     assert!(r.completed > 0);
@@ -48,11 +55,11 @@ fn netclone_masks_some_failures_through_cloning() {
         s.offered_rps = s.capacity_rps() * 0.25;
         s.warmup_ns = 5_000_000;
         s.measure_ns = 60_000_000;
-        s.server_failure = Some(ServerFailurePlan {
+        s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
             sid: 0,
             fail_at_ns: 20_000_000,
             removed_at_ns: 40_000_000,
-        });
+        }));
         let r = Sim::run(s);
         *lost = r.generated - r.completed;
     }
@@ -69,11 +76,11 @@ fn switch_power_cycle_loses_only_soft_state() {
     s.warmup_ns = 0;
     s.measure_ns = 100_000_000;
     s.timeseries_bucket_ns = 10_000_000;
-    s.switch_failure = Some(SwitchFailurePlan {
+    s.faults.faults.push(Fault::Reboot(SwitchFailurePlan {
         fail_at_ns: 30_000_000,
         reactivate_at_ns: 40_000_000,
         bringup_ns: 10_000_000,
-    });
+    }));
     let r = Sim::run(s);
     let rates = r.throughput_series.rates_per_sec();
     // Hole during [30ms, 50ms): bucket 3 keeps only in-flight stragglers,
@@ -145,16 +152,18 @@ fn compound_failure_scenario() -> Scenario {
     s.offered_rps = s.capacity_rps() * 0.3;
     s.warmup_ns = 5_000_000;
     s.measure_ns = 60_000_000;
-    s.switch_failure = Some(SwitchFailurePlan {
-        fail_at_ns: 20_000_000,
-        reactivate_at_ns: 25_000_000,
-        bringup_ns: 5_000_000,
-    });
-    s.degradation.drain = Some(DrainPlan {
-        rack: 3,
-        drain_at_ns: 40_000_000,
-        restore_at_ns: 50_000_000,
-    });
+    s.faults.faults = vec![
+        Fault::Reboot(SwitchFailurePlan {
+            fail_at_ns: 20_000_000,
+            reactivate_at_ns: 25_000_000,
+            bringup_ns: 5_000_000,
+        }),
+        Fault::Drain(DrainPlan {
+            rack: 3,
+            drain_at_ns: 40_000_000,
+            restore_at_ns: 50_000_000,
+        }),
+    ];
     s
 }
 
@@ -168,10 +177,37 @@ fn switch_failure_and_drain_are_sharding_invariant() {
     assert_eq!(serial, sharded);
 }
 
+/// Pinned seed state of the two fail-stop runs: the priming order of the
+/// kill, removal, reboot and drain edges decides every control key, so
+/// any reordering moves these counts.
+#[test]
+fn failure_runs_reproduce_the_pinned_seed_state() {
+    let cases = [
+        (
+            "server_failure",
+            server_failure_scenario(),
+            (705_435, 75_758, 75_723, 0),
+        ),
+        (
+            "compound_failure",
+            compound_failure_scenario(),
+            (606_523, 56_670, 47_045, 12_788),
+        ),
+    ];
+    for (name, scenario, pinned) in cases {
+        let r = Sim::run(scenario);
+        assert_eq!(
+            (r.events, r.generated, r.completed, r.packets_lost),
+            pinned,
+            "{name}: (events, generated, completed, packets_lost) drifted"
+        );
+    }
+}
+
 #[test]
 fn drained_leaf_recovers_after_restore() {
     let mut s = compound_failure_scenario();
-    s.switch_failure = None; // isolate the drain
+    s.faults.faults.remove(0); // isolate the drain
     let r = Sim::run(s);
     assert!(r.completed > 0);
     assert!(
@@ -210,15 +246,14 @@ fn slowdown_is_gray_not_fail_stop() {
     s.offered_rps = s.capacity_rps() * 0.3;
     s.warmup_ns = 5_000_000;
     s.measure_ns = 60_000_000;
-    s.degradation.slowdown = Some(SlowdownPlan {
+    let healthy = Sim::run(s.clone());
+    s.faults.faults.push(Fault::Slowdown(SlowdownPlan {
         sid: 0,
         start_ns: 20_000_000,
         end_ns: 40_000_000,
         factor: 4.0,
-    });
-    let slow = Sim::run(s.clone());
-    s.degradation.slowdown = None;
-    let healthy = Sim::run(s);
+    }));
+    let slow = Sim::run(s);
     // Gray failure loses nothing: the only incompletes are the same
     // end-of-run stragglers a healthy open-loop run leaves in flight
     // (plus the queue the slow server is still draining).

@@ -5,7 +5,9 @@
 
 use netclone::cluster::experiments::Scale;
 use netclone::cluster::harness::{find, RunCtx};
-use netclone::cluster::{Scenario, Scheme, Sim, SwitchFailurePlan, Topology};
+use netclone::cluster::{
+    Fault, Scenario, Scheme, ServerFailurePlan, Sim, SwitchFailurePlan, Topology,
+};
 use netclone::core::SwitchCounters;
 use netclone::workloads::exp25;
 
@@ -141,16 +143,18 @@ fn sharded_run_equals_serial_byte_for_byte() {
 #[test]
 fn sharded_run_equals_serial_under_failures() {
     let mut s = four_rack_scenario();
-    s.switch_failure = Some(SwitchFailurePlan {
-        fail_at_ns: 4_000_000,
-        reactivate_at_ns: 5_000_000,
-        bringup_ns: 1_000_000,
-    });
-    s.server_failure = Some(netclone::cluster::scenario::ServerFailurePlan {
-        sid: 1,
-        fail_at_ns: 3_000_000,
-        removed_at_ns: 3_500_000,
-    });
+    s.faults.faults = vec![
+        Fault::Reboot(SwitchFailurePlan {
+            fail_at_ns: 4_000_000,
+            reactivate_at_ns: 5_000_000,
+            bringup_ns: 1_000_000,
+        }),
+        Fault::ServerStop(ServerFailurePlan {
+            sid: 1,
+            fail_at_ns: 3_000_000,
+            removed_at_ns: 3_500_000,
+        }),
+    ];
     let serial = result_bytes(&Sim::run(s.clone()));
     let sharded = result_bytes(&Sim::run_with_shards(s, 4));
     assert_eq!(serial, sharded);
