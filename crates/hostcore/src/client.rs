@@ -210,9 +210,8 @@ pub struct ClientCore {
     mode: ClientMode,
     rng: StdRng,
     next_seq: u32,
-    /// client_seq → request state. Keys are this client's own sequence
-    /// numbers, hence the integer hasher.
-    outstanding: IntMap<u32, Pending>,
+    /// client_seq → request state.
+    outstanding: SeqTable,
     /// Lower bound on every outstanding `deadline_ns` (exact after each
     /// [`Self::on_tick`] scan): ticks before it skip the scan.
     earliest_deadline_ns: u64,
@@ -226,6 +225,7 @@ pub struct ClientCore {
 }
 
 /// Per-request bookkeeping for an outstanding (not yet answered) request.
+#[derive(Clone, Copy)]
 struct Pending {
     born_ns: u64,
     /// Next timeout edge; `u64::MAX` when no timeout is configured.
@@ -235,6 +235,116 @@ struct Pending {
     /// Transmission attempts beyond the first.
     tries: u32,
     op: RpcOp,
+}
+
+/// The outstanding requests, direct-mapped by sequence number: slot
+/// `seq & mask` holds `(seq, Pending)`. A client issues its numbers
+/// consecutively, so live requests rarely share a slot, and looking up
+/// any number — including one off the wire — is one slot read.
+///
+/// When a new number lands on an occupied slot, the table doubles if it
+/// is at least a quarter full; otherwise the older request (one left
+/// unanswered while `mask + 1` later ones came and went) moves to a small
+/// overflow map. Memory stays proportional to what is outstanding even
+/// when some request is never answered, and the overflow is consulted
+/// only while it holds such stragglers.
+struct SeqTable {
+    slots: Vec<Option<(u32, Pending)>>,
+    /// `slots.len() - 1`; the length is a power of two.
+    mask: usize,
+    /// Occupied slots.
+    in_slots: usize,
+    /// Stragglers displaced from their slot, keyed by sequence number.
+    overflow: IntMap<u32, Pending>,
+}
+
+impl SeqTable {
+    const INITIAL_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        SeqTable {
+            slots: vec![None; Self::INITIAL_SLOTS],
+            mask: Self::INITIAL_SLOTS - 1,
+            in_slots: 0,
+            overflow: IntMap::default(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.in_slots + self.overflow.len()
+    }
+
+    fn index(&self, seq: u32) -> usize {
+        seq as usize & self.mask
+    }
+
+    fn insert(&mut self, seq: u32, p: Pending) {
+        let mut i = self.index(seq);
+        while self.slots[i].is_some() && self.in_slots * 4 >= self.slots.len() {
+            self.grow();
+            i = self.index(seq);
+        }
+        match self.slots[i].replace((seq, p)) {
+            None => self.in_slots += 1,
+            Some((older, q)) => {
+                self.overflow.insert(older, q);
+            }
+        }
+    }
+
+    /// Doubles the slot count. Entries that had distinct slots keep
+    /// distinct ones (their low bits still differ), so nothing collides.
+    fn grow(&mut self) {
+        let slots = vec![None; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, slots);
+        self.mask = self.slots.len() - 1;
+        for (seq, p) in old.into_iter().flatten() {
+            let i = self.index(seq);
+            self.slots[i] = Some((seq, p));
+        }
+    }
+
+    fn get(&self, seq: u32) -> Option<&Pending> {
+        match &self.slots[self.index(seq)] {
+            Some((s, p)) if *s == seq => Some(p),
+            _ if self.overflow.is_empty() => None,
+            _ => self.overflow.get(&seq),
+        }
+    }
+
+    fn get_mut(&mut self, seq: u32) -> Option<&mut Pending> {
+        let i = self.index(seq);
+        match &mut self.slots[i] {
+            Some((s, p)) if *s == seq => Some(p),
+            _ if self.overflow.is_empty() => None,
+            _ => self.overflow.get_mut(&seq),
+        }
+    }
+
+    fn remove(&mut self, seq: u32) -> Option<Pending> {
+        let i = self.index(seq);
+        let slot = &mut self.slots[i];
+        if matches!(slot, Some((s, _)) if *s == seq) {
+            self.in_slots -= 1;
+            slot.take().map(|(_, p)| p)
+        } else if self.overflow.is_empty() {
+            None
+        } else {
+            self.overflow.remove(&seq)
+        }
+    }
+
+    /// Every outstanding request, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Pending)> {
+        let slots = self.slots.iter().flatten().map(|(s, p)| (*s, p));
+        slots.chain(self.overflow.iter().map(|(s, p)| (*s, p)))
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(None);
+        self.in_slots = 0;
+        self.overflow.clear();
+    }
 }
 
 impl ClientCore {
@@ -247,7 +357,7 @@ impl ClientCore {
             mode,
             rng: StdRng::seed_from_u64(seed),
             next_seq: 0,
-            outstanding: IntMap::default(),
+            outstanding: SeqTable::new(),
             earliest_deadline_ns: u64::MAX,
             outbox: VecDeque::new(),
             timeout_ns: None,
@@ -323,7 +433,7 @@ impl ClientCore {
     /// The RPC operation of an outstanding request — frontends rebuild the
     /// application payload of a retransmission from this.
     pub fn pending_op(&self, seq: u32) -> Option<RpcOp> {
-        self.outstanding.get(&seq).map(|p| p.op)
+        self.outstanding.get(seq).map(|p| p.op)
     }
 
     /// Remaining client-wide retransmission budget (0 when no
@@ -452,7 +562,7 @@ impl ClientCore {
         if !nc.is_response() || nc.client_id != self.cid {
             return RxEvent::Ignored;
         }
-        match self.outstanding.remove(&nc.client_seq) {
+        match self.outstanding.remove(nc.client_seq) {
             Some(p) => {
                 let latency_ns = now.saturating_sub(p.born_ns);
                 self.latencies.record(latency_ns);
@@ -489,7 +599,7 @@ impl ClientCore {
         }
         let mut expired = Vec::new();
         self.earliest_deadline_ns = u64::MAX;
-        for (&seq, p) in &self.outstanding {
+        for (seq, p) in self.outstanding.iter() {
             if p.deadline_ns <= now {
                 expired.push(seq);
             } else {
@@ -500,12 +610,12 @@ impl ClientCore {
             return 0;
         }
         // Retransmissions draw fresh addressing from the client RNG, so
-        // the processing order must be a pure function of the state — a
-        // HashMap's iteration order is not.
+        // they go in sequence order: slot order also depends on the
+        // table's size and on which requests overflowed.
         expired.sort_unstable();
         let mut evicted = 0;
         for seq in expired {
-            let p = self.outstanding.get_mut(&seq).expect("collected above");
+            let p = self.outstanding.get_mut(seq).expect("collected above");
             let tries_left = self.retry.is_some_and(|pol| p.tries < pol.max_retries);
             if tries_left && self.budget_left > 0 {
                 let pol = self.retry.expect("tries_left implies a policy");
@@ -521,7 +631,7 @@ impl ClientCore {
                 if tries_left {
                     self.stats.budget_exhausted += 1;
                 }
-                self.outstanding.remove(&seq);
+                self.outstanding.remove(seq);
                 self.stats.lost += 1;
                 self.lifetime.lost += 1;
                 evicted += 1;
@@ -533,7 +643,7 @@ impl ClientCore {
     /// Gives up on one specific request (e.g. a blocking call that timed
     /// out), counting it as lost. Returns false if it was not outstanding.
     pub fn abandon(&mut self, seq: u32) -> bool {
-        let removed = self.outstanding.remove(&seq).is_some();
+        let removed = self.outstanding.remove(seq).is_some();
         if removed {
             self.stats.lost += 1;
             self.lifetime.lost += 1;
@@ -781,6 +891,27 @@ mod tests {
         let mut c = nc_core(14).with_seq_base(1_000);
         assert_eq!(c.generate(echo(), 0), 1_000);
         assert_eq!(c.generate(echo(), 0), 1_001);
+    }
+
+    /// A request nobody answers must not make the table grow with every
+    /// later request: once enough later numbers wrap round onto its slot,
+    /// it moves to the overflow and the table stays at its first size.
+    #[test]
+    fn one_straggler_costs_one_overflow_entry_not_a_bigger_table() {
+        let mut c = nc_core(15);
+        let straggler = c.generate(echo(), 0);
+        c.poll();
+        for i in 1..=1_000_000 {
+            c.generate(echo(), i);
+            let resp = response_for(&c.poll().unwrap(), CloneStatus::NotCloned);
+            assert!(c.on_packet(&resp, i).latency_ns().is_some());
+        }
+        assert_eq!(c.outstanding.slots.len(), SeqTable::INITIAL_SLOTS);
+        assert_eq!(c.outstanding.overflow.len(), 1);
+        assert_eq!(c.outstanding(), 1);
+        assert_eq!(c.pending_op(straggler), Some(echo()));
+        assert!(c.abandon(straggler));
+        assert_eq!(c.outstanding(), 0);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! through. Both report the observed queue length to the core, which
 //! applies the protocol rules and keeps the counters the evaluation reads.
 //!
-//! Counters are relaxed atomics and every method takes `&self`, so a core
-//! can sit behind an `Arc` and be read while it is being driven, without a
-//! lock on the per-packet path: each real-socket worker thread owns one
-//! core that its server handle reads (and merges across workers) for
-//! statistics; the DES frontend simply uses it single-threaded.
+//! A core has exactly one owner. Its counters are plain `Cell`s behind
+//! `&self` methods, so the type is `Send` but not `Sync`: one thread drives
+//! it, each counter update is an ordinary add, and sharing a core between
+//! threads does not compile. The DES server owns one; each real-socket
+//! worker thread owns one and publishes its [`ServerStats`] to the server
+//! handle, which merges them across workers.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use netclone_proto::{CloneStatus, NetCloneHdr, ServerId, ServerState};
 
@@ -55,21 +56,23 @@ impl ServerStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    served: AtomicU64,
-    clones_dropped: AtomicU64,
-    idle_reports: AtomicU64,
-    responses: AtomicU64,
-    peak_queue: AtomicUsize,
-}
-
-/// The sans-io server protocol core. Thread-safe by construction: all
-/// methods take `&self` and counters are relaxed atomics.
+/// The sans-io server protocol core, driven by one thread.
+///
+/// It may move to the thread that drives it, but not be shared with
+/// another:
+///
+/// ```compile_fail,E0277
+/// use netclone_hostcore::ServerCore;
+///
+/// let core = ServerCore::new(0);
+/// std::thread::scope(|s| {
+///     s.spawn(|| core.stats());
+/// });
+/// ```
 #[derive(Debug)]
 pub struct ServerCore {
     sid: ServerId,
-    counters: Counters,
+    stats: Cell<ServerStats>,
 }
 
 impl ServerCore {
@@ -77,7 +80,7 @@ impl ServerCore {
     pub fn new(sid: ServerId) -> Self {
         ServerCore {
             sid,
-            counters: Counters::default(),
+            stats: Cell::default(),
         }
     }
 
@@ -88,13 +91,13 @@ impl ServerCore {
 
     /// Statistics so far.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            served: self.counters.served.load(Ordering::Relaxed),
-            clones_dropped: self.counters.clones_dropped.load(Ordering::Relaxed),
-            idle_reports: self.counters.idle_reports.load(Ordering::Relaxed),
-            responses: self.counters.responses.load(Ordering::Relaxed),
-            peak_queue: self.counters.peak_queue.load(Ordering::Relaxed),
-        }
+        self.stats.get()
+    }
+
+    fn count(&self, f: impl FnOnce(&mut ServerStats)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Applies the §3.4 admission rule to a request with clone status
@@ -104,7 +107,7 @@ impl ServerCore {
     /// dropped, while the original (CLO=1) is processed normally."
     pub fn admit(&self, clo: CloneStatus, queue_len: usize) -> AdmitDecision {
         if clo == CloneStatus::Clone && queue_len > 0 {
-            self.counters.clones_dropped.fetch_add(1, Ordering::Relaxed);
+            self.count(|s| s.clones_dropped += 1);
             AdmitDecision::DropClone
         } else {
             AdmitDecision::Admit
@@ -114,20 +117,18 @@ impl ServerCore {
     /// Records the queue depth after an admitted request was actually
     /// enqueued (requests started immediately never deepen the queue).
     pub fn note_queue_depth(&self, queue_len: usize) {
-        self.counters
-            .peak_queue
-            .fetch_max(queue_len, Ordering::Relaxed);
+        self.count(|s| s.peak_queue = s.peak_queue.max(queue_len));
     }
 
     /// Builds the response for `req`, piggybacking the queue length
     /// observed at send time (§3.4/§5.6.1), and accounts the completion.
     pub fn response(&self, req: &NetCloneHdr, queue_len: usize) -> NetCloneHdr {
         let state = ServerState::from_queue_len(queue_len);
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        self.counters.responses.fetch_add(1, Ordering::Relaxed);
-        if state.is_idle() {
-            self.counters.idle_reports.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(|s| {
+            s.served += 1;
+            s.responses += 1;
+            s.idle_reports += u64::from(state.is_idle());
+        });
         NetCloneHdr::response_to(req, self.sid, state)
     }
 }
@@ -174,29 +175,5 @@ mod tests {
         assert_eq!(st.served, 2);
         assert_eq!(st.responses, 2);
         assert_eq!(st.idle_reports, 1);
-    }
-
-    #[test]
-    fn core_is_shareable_across_threads() {
-        let s = std::sync::Arc::new(ServerCore::new(0));
-        let req = NetCloneHdr::request(0, 0, 0, 0);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..1_000 {
-                        s.admit(CloneStatus::Clone, 1);
-                        s.response(&req, 0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let st = s.stats();
-        assert_eq!(st.clones_dropped, 4_000);
-        assert_eq!(st.served, 4_000);
-        assert_eq!(st.idle_reports, 4_000);
     }
 }

@@ -246,13 +246,21 @@ proptest! {
 }
 
 /// One step against a retrying core and its full-scan reference model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum TickStep {
     Generate,
     /// Answer the `n`-th (mod len) outstanding request.
     Answer(usize),
     /// Advance the clock by this much, then sweep.
     Tick(u64),
+    /// Generate `n` requests at one instant, then answer every one of them
+    /// (in generation order, or reversed) except the burst positions in
+    /// `keep` (mod `n`), which stay outstanding as stragglers.
+    Burst {
+        n: usize,
+        keep: Vec<usize>,
+        reverse: bool,
+    },
 }
 
 fn arb_tick_step() -> impl Strategy<Value = TickStep> {
@@ -264,6 +272,24 @@ fn arb_tick_step() -> impl Strategy<Value = TickStep> {
         (0u64..TIMEOUT_NS / 4).prop_map(TickStep::Tick),
         (0u64..TIMEOUT_NS / 4).prop_map(TickStep::Tick),
         (0u64..TIMEOUT_NS * 3).prop_map(TickStep::Tick),
+        // Enough requests at once to outgrow any small outstanding table,
+        // and stragglers for later sequence numbers to collide with.
+        (
+            100usize..=300,
+            proptest::collection::vec(any::<usize>(), 0..=3),
+            any::<bool>(),
+        )
+            .prop_map(|(n, keep, reverse)| TickStep::Burst { n, keep, reverse }),
+    ]
+}
+
+/// Where a core's sequence numbers start: at zero, just below the `u32`
+/// wrap, or at a restarted worker incarnation's `k << 24` partition.
+fn arb_seq_base() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        (u32::MAX - 64)..=u32::MAX,
+        (0u32..=255).prop_map(|k| k << 24),
     ]
 }
 
@@ -274,11 +300,14 @@ proptest! {
     /// earliest deadline. That must be a pure early-out: against a model
     /// that scans every outstanding request on every tick, the evictions
     /// and the retransmitted sequence numbers (in order) are identical,
-    /// whatever mix of completions, backoffs and quiet ticks came before.
+    /// whatever mix of completions, backoffs and quiet ticks came before —
+    /// including bursts that grow the outstanding table, stragglers that
+    /// later sequence numbers displace, and sequence numbers that wrap.
     #[test]
     fn tick_early_out_matches_a_full_scan(
         steps in proptest::collection::vec(arb_tick_step(), 1..200),
         seed in any::<u64>(),
+        seq_base in arb_seq_base(),
     ) {
         let policy = RetryPolicy {
             timeout_ns: TIMEOUT_NS,
@@ -291,7 +320,8 @@ proptest! {
             ClientMode::NetClone { num_groups: 30, num_filter_tables: 2 },
             seed,
         )
-        .with_retry(policy);
+        .with_retry(policy)
+        .with_seq_base(seq_base);
         // seq → (deadline, current timeout, tries, last transmitted packet)
         let mut model: BTreeMap<u32, (u64, u64, u32, PacketMeta)> = BTreeMap::new();
         let mut now = 0u64;
@@ -305,6 +335,30 @@ proptest! {
                 TickStep::Answer(n) => {
                     if let Some(&seq) = model.keys().nth(n % model.len().max(1)) {
                         let (.., meta) = model.remove(&seq).expect("picked from the model");
+                        let completed = matches!(
+                            c.on_packet(&response_to(&meta, false), now),
+                            RxEvent::Completed { .. }
+                        );
+                        prop_assert!(completed);
+                    }
+                }
+                TickStep::Burst { n, keep, reverse } => {
+                    let mut burst: Vec<u32> = (0..n)
+                        .map(|_| {
+                            let seq = c.generate(RpcOp::Echo { class_ns: 10_000 }, now);
+                            let meta = c.poll().expect("one packet per request");
+                            model.insert(seq, (now + TIMEOUT_NS, TIMEOUT_NS, 0, meta));
+                            seq
+                        })
+                        .collect();
+                    if reverse {
+                        burst.reverse();
+                    }
+                    for (i, seq) in burst.into_iter().enumerate() {
+                        if keep.iter().any(|k| k % n == i) {
+                            continue;
+                        }
+                        let (.., meta) = model.remove(&seq).expect("generated above");
                         let completed = matches!(
                             c.on_packet(&response_to(&meta, false), now),
                             RxEvent::Completed { .. }

@@ -11,14 +11,18 @@
 //! is [`netclone_hostcore::ServerCore`], shared verbatim with the
 //! simulated server in `netclone-hosts`.
 //!
-//! Workers run **supervised**: a panicking worker is caught, counted
-//! ([`ServerHandle::restarts`]), and its loop re-entered — the core is an
-//! `Arc` shared with the handle, so no counters are lost across a crash.
-//! An optional [`FaultShim`] per worker perturbs datagrams between codec
-//! and socket in both directions, deterministically from a seed.
+//! A core is single-owner (`!Sync`): the worker thread drives it and,
+//! after every admission drop or response, publishes its [`ServerStats`]
+//! to a per-worker block of atomics that the handle reads. Workers run
+//! **supervised**: a panicking worker is caught, counted
+//! ([`ServerHandle::restarts`]), and its loop re-entered with the same
+//! core, which lives outside the caught closure, so no counters are lost
+//! across a crash. An optional [`FaultShim`] per worker perturbs datagrams
+//! between codec and socket in both directions, deterministically from a
+//! seed.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,12 +79,47 @@ impl UdpServerConfig {
     }
 }
 
-/// A running server: per-worker cores behind one socket. Counters are
-/// relaxed atomics inside each core and merged when read, so nothing on
-/// the per-packet path contends.
+/// One worker's [`ServerStats`] as it last published them. The worker is
+/// the only writer, so a publish is five relaxed stores, and the handle
+/// may read from any thread. Cache-line aligned so that workers
+/// publishing side by side never write the same line.
+#[derive(Default)]
+#[repr(align(64))]
+struct PublishedStats {
+    served: AtomicU64,
+    clones_dropped: AtomicU64,
+    idle_reports: AtomicU64,
+    responses: AtomicU64,
+    peak_queue: AtomicUsize,
+}
+
+impl PublishedStats {
+    fn publish(&self, s: ServerStats) {
+        self.served.store(s.served, Ordering::Relaxed);
+        self.clones_dropped
+            .store(s.clones_dropped, Ordering::Relaxed);
+        self.idle_reports.store(s.idle_reports, Ordering::Relaxed);
+        self.responses.store(s.responses, Ordering::Relaxed);
+        self.peak_queue.store(s.peak_queue, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> ServerStats {
+        ServerStats {
+            served: self.served.load(Ordering::Relaxed),
+            clones_dropped: self.clones_dropped.load(Ordering::Relaxed),
+            idle_reports: self.idle_reports.load(Ordering::Relaxed),
+            responses: self.responses.load(Ordering::Relaxed),
+            peak_queue: self.peak_queue.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A running server: per-worker cores behind one socket. Each worker
+/// publishes its core's counters to its own block, merged when read, so
+/// nothing on the per-packet path contends.
 pub struct ServerHandle {
     addr: SocketAddr,
-    cores: Vec<Arc<ServerCore>>,
+    published: Arc<[PublishedStats]>,
     stop: Arc<AtomicBool>,
     restarts: Arc<AtomicU32>,
     workers: Vec<JoinHandle<()>>,
@@ -101,13 +140,12 @@ impl ServerHandle {
         let epoch = Instant::now();
         let n = cfg.workers.max(1);
 
-        let mut cores = Vec::with_capacity(n);
+        let published: Arc<[PublishedStats]> = (0..n).map(|_| PublishedStats::default()).collect();
         let mut workers = Vec::with_capacity(n);
         for w in 0..n {
-            let core = Arc::new(ServerCore::new(cfg.sid));
-            cores.push(Arc::clone(&core));
             let cfg = cfg.clone();
             let sock = socket.try_clone()?;
+            let published = Arc::clone(&published);
             let stop = Arc::clone(&stop);
             let restarts = Arc::clone(&restarts);
             let crashed = Arc::clone(&crashed);
@@ -115,14 +153,23 @@ impl ServerHandle {
                 std::thread::Builder::new()
                     .name(format!("server{}-worker{}", cfg.sid, w))
                     .spawn(move || {
-                        supervise_worker(sock, cfg, core, w, epoch, stop, restarts, crashed)
+                        supervise_worker(
+                            sock,
+                            cfg,
+                            &published[w],
+                            w,
+                            epoch,
+                            stop,
+                            restarts,
+                            crashed,
+                        )
                     })?,
             );
         }
 
         Ok(ServerHandle {
             addr,
-            cores,
+            published,
             stop,
             restarts,
             workers,
@@ -138,15 +185,15 @@ impl ServerHandle {
     /// simulated server).
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
-        for c in &self.cores {
-            total.merge(&c.stats());
+        for p in self.published.iter() {
+            total.merge(&p.read());
         }
         total
     }
 
     /// Per-worker statistics, in worker order.
     pub fn worker_stats(&self) -> Vec<ServerStats> {
-        self.cores.iter().map(|c| c.stats()).collect()
+        self.published.iter().map(PublishedStats::read).collect()
     }
 
     /// Requests served so far.
@@ -192,22 +239,27 @@ impl Drop for ServerHandle {
 }
 
 /// Runs one worker's loop, re-entering it after a panic until told to
-/// stop. The core lives in the handle (`Arc`), so a crash loses no
-/// counters — only the in-flight batch.
+/// stop. The worker's core lives here, outside the caught closure, so a
+/// crash loses no counters — only the in-flight batch.
 #[allow(clippy::too_many_arguments)]
 fn supervise_worker(
     sock: UdpSocket,
     cfg: UdpServerConfig,
-    core: Arc<ServerCore>,
+    published: &PublishedStats,
     windex: usize,
     epoch: Instant,
     stop: Arc<AtomicBool>,
     restarts: Arc<AtomicU32>,
     crashed: Arc<AtomicBool>,
 ) {
+    let core = ServerCore::new(cfg.sid);
+    let worker = Worker {
+        core: &core,
+        published,
+    };
     while !stop.load(Ordering::SeqCst) {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(&sock, &cfg, &core, windex, epoch, &stop, &crashed)
+            worker_loop(&sock, &cfg, worker, windex, epoch, &stop, &crashed)
         }));
         match attempt {
             Ok(()) => break,
@@ -218,10 +270,23 @@ fn supervise_worker(
     }
 }
 
+/// A worker's core and the block it publishes the core's counters to.
+#[derive(Clone, Copy)]
+struct Worker<'a> {
+    core: &'a ServerCore,
+    published: &'a PublishedStats,
+}
+
+impl Worker<'_> {
+    fn publish(self) {
+        self.published.publish(self.core.stats());
+    }
+}
+
 fn worker_loop(
     sock: &UdpSocket,
     cfg: &UdpServerConfig,
-    core: &ServerCore,
+    worker: Worker<'_>,
     windex: usize,
     epoch: Instant,
     stop: &AtomicBool,
@@ -251,7 +316,7 @@ fn worker_loop(
                 serve_one(
                     sock,
                     cfg,
-                    core,
+                    worker,
                     &mut shim,
                     epoch,
                     &p,
@@ -267,7 +332,9 @@ fn worker_loop(
         };
         for i in 0..n {
             if let Some((w, k)) = cfg.crash_worker {
-                if w == windex && core.stats().served >= k && !crashed.swap(true, Ordering::SeqCst)
+                if w == windex
+                    && worker.core.stats().served >= k
+                    && !crashed.swap(true, Ordering::SeqCst)
                 {
                     panic!("injected server worker crash");
                 }
@@ -295,7 +362,7 @@ fn worker_loop(
                 serve_one(
                     sock,
                     cfg,
-                    core,
+                    worker,
                     &mut shim,
                     epoch,
                     dg,
@@ -314,7 +381,7 @@ fn worker_loop(
 fn serve_one(
     sock: &UdpSocket,
     cfg: &UdpServerConfig,
-    core: &ServerCore,
+    worker: Worker<'_>,
     shim: &mut Option<FaultShim>,
     epoch: Instant,
     dg: &[u8],
@@ -328,13 +395,17 @@ fn serve_one(
     if !meta.nc.is_request() {
         return;
     }
+    let core = worker.core;
     if core.admit(meta.nc.clo, backlog) == AdmitDecision::DropClone {
+        worker.publish();
         return;
     }
     core.note_queue_depth(backlog);
     let value = cfg.executor.execute(&op);
-    // Piggyback the queue state observed at response-send time.
+    // Piggyback the queue state observed at response-send time, and
+    // publish the count before the response can reach anyone.
     let nc = core.response(&meta.nc, backlog);
+    worker.publish();
     let resp = PacketMeta::netclone_response(cfg.vip, meta.src_ip, nc, 0);
     encode_packet_into(&resp, &op, &value, out);
     crate::batch::note_growth(out_cap, out.capacity());
