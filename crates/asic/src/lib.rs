@@ -44,4 +44,4 @@ pub use pass::PacketPass;
 pub use register::RegisterArray;
 pub use resources::{Layout, ResourceReport};
 pub use spec::AsicSpec;
-pub use table::MatchTable;
+pub use table::{DenseTable, MatchTable};

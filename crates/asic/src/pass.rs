@@ -52,6 +52,7 @@ impl PacketPass {
     ///
     /// Called by the resource wrappers; programs normally never call this
     /// directly.
+    #[inline]
     pub fn access(&mut self, resource: ResourceId, stage: u8) -> Result<(), AsicError> {
         if stage < self.current_stage {
             return Err(AsicError::StageRegression {

@@ -86,7 +86,7 @@ impl NetCloneSwitch {
             return Err(ControlError::UnknownSid(sid));
         };
         self.servers.remove(pos);
-        self.addr_t.remove(&sid);
+        self.addr_t.remove(sid);
         self.rebuild_groups()?;
         Ok(())
     }
@@ -129,7 +129,7 @@ impl NetCloneSwitch {
 
     /// Control-plane peek at a group entry (tests/diagnostics).
     pub fn group(&self, gid: u16) -> Option<(ServerId, ServerId)> {
-        self.grp_t.peek(&gid)
+        self.grp_t.peek(gid)
     }
 
     /// Replaces the group table with an explicit pair list (ablation

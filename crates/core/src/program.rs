@@ -23,6 +23,11 @@
 //! also accommodates the RackSched fallback, which may pick server 2 — one
 //! of the "several challenges" §3.7 alludes to.)
 //!
+//! `GrpT` and `AddrT` are keyed by the 16-bit `GRP` and `SID` header
+//! fields, so they are [`DenseTable`]s: a lookup indexes an array. The
+//! multi-packet hash is computed only when the feature is on; with it off,
+//! nothing reads the hash, and skipping it changes no output.
+//!
 //! ## Replication
 //!
 //! Cloning uses multicast + recirculation exactly as §3.4 describes: the
@@ -34,8 +39,8 @@
 
 use netclone_asic::resources::{Allocation, ResourceKind};
 use netclone_asic::{
-    AsicSpec, DataPlane, Emission, EmissionSink, HashUnit, Layout, MatchTable, PacketPass, PortId,
-    RegisterArray, ResourceReport,
+    AsicSpec, DataPlane, DenseTable, Emission, EmissionSink, HashUnit, Layout, MatchTable,
+    PacketPass, PortId, RegisterArray, ResourceReport,
 };
 use netclone_proto::{CloneStatus, Ipv4, MsgType, PacketMeta, ReqId, ServerId, ServerState};
 
@@ -65,10 +70,10 @@ pub struct NetCloneSwitch {
     /// Global sequence register for request IDs (Algorithm 1: `SEQ`).
     pub(crate) seq: RegisterArray<u32>,
     /// Group ID → (Srv1, Srv2) (`GrpT`).
-    pub(crate) grp_t: MatchTable<u16, (ServerId, ServerId)>,
+    pub(crate) grp_t: DenseTable<(ServerId, ServerId)>,
     /// Server ID → (IP, egress port) (`AddrT`; the action also supplies
     /// the port — see module docs).
-    pub(crate) addr_t: MatchTable<ServerId, (u32, PortId)>,
+    pub(crate) addr_t: DenseTable<(u32, PortId)>,
     /// Tracked server states (`StateT`): 0 = idle, n = queue length.
     pub(crate) state_t: RegisterArray<u16>,
     /// The shadow copy (`ShadowT`), kept identical by construction (§3.4).
@@ -111,14 +116,14 @@ impl NetCloneSwitch {
         // forwarding with the traditional L2/L3 routing module").
         let mac_t: MatchTable<u64, PortId> =
             MatchTable::alloc(&mut layout, "MacT", STAGE_ROUTE, 65_536, 6, 2, 1).expect(PIPE);
-        let grp_t = MatchTable::alloc(&mut layout, "GrpT", STAGE_GRP, 65_536, 2, 4, 2).expect(PIPE);
+        let grp_t = DenseTable::alloc(&mut layout, "GrpT", STAGE_GRP, 65_536, 2, 4, 2).expect(PIPE);
         let state_t = RegisterArray::alloc(&mut layout, "StateT", STAGE_STATE, cfg.max_servers, 2)
             .expect(PIPE);
         let shadow_t =
             RegisterArray::alloc(&mut layout, "ShadowT", STAGE_SHADOW, cfg.max_servers, 2)
                 .expect(PIPE);
         let addr_t =
-            MatchTable::alloc(&mut layout, "AddrT", STAGE_ADDR, 4_096, 2, 6, 2).expect(PIPE);
+            DenseTable::alloc(&mut layout, "AddrT", STAGE_ADDR, 4_096, 2, 6, 2).expect(PIPE);
         let filter_hash = HashUnit::alloc(
             &mut layout,
             "FilterHash",
@@ -315,17 +320,15 @@ impl NetCloneSwitch {
         };
 
         // Stage 1: multi-packet message hash (CRC of the Lamport tuple),
-        // computed whether or not the feature is on — hash units run
-        // unconditionally on hardware. The low bits index the affinity
-        // table; the full (never-zero) value is the message tag.
-        let mpk_full = {
+        // needed only by the affinity table and so computed only when the
+        // feature is on. The low bits index the affinity table; the full
+        // (never-zero) value is the message tag.
+        let mpk_full = self.cfg.multi_packet_enabled.then(|| {
             let mut data = [0u8; 6];
             data[..2].copy_from_slice(&pkt.nc.client_id.to_be_bytes());
             data[2..].copy_from_slice(&pkt.nc.client_seq.to_be_bytes());
             self.mpk_hash.hash(&mut pass, &data).expect(PIPE)
-        };
-        let mpk_tag = mpk_full | 1; // never zero: zero is the empty-slot sentinel
-        let mpk_slot = (mpk_full & ((1 << 12) - 1)) as usize;
+        });
 
         // Stages 2–3: the two tracked states — one from the state table,
         // one from its shadow (lines 6; the §3.4 workaround).
@@ -342,7 +345,9 @@ impl NetCloneSwitch {
         // table and (when this packet clones) installs the tag, so later
         // packets of the same message are cloned regardless of state.
         let clone_by_state = self.cfg.cloning_enabled && both_idle && cloneable;
-        let forced = if self.cfg.multi_packet_enabled {
+        let forced = if let Some(mpk_full) = mpk_full {
+            let mpk_tag = mpk_full | 1; // never zero: zero is the empty-slot sentinel
+            let mpk_slot = (mpk_full & ((1 << 12) - 1)) as usize;
             let old = self
                 .mpk_t
                 .read_modify_write(&mut pass, mpk_slot, |cur| {

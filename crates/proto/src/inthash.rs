@@ -1,11 +1,13 @@
 //! [`IntHasher`] — the hasher behind the per-packet maps (`netclone-asic`'s
 //! `MatchTable`, `netclone-hostcore`'s outstanding-request map).
 //!
-//! Their keys are small integers this program hands out itself (group and
-//! server ids, testbed addresses, client sequence numbers), so SipHash's
-//! protection against crafted collisions buys nothing there and costs more
-//! than the rest of a table lookup. Keys *inserted* from outside the
-//! program must keep the `std` default hasher.
+//! Their keys are integers this program hands out itself (testbed
+//! addresses, client sequence numbers), so SipHash's protection against
+//! crafted collisions buys nothing there and costs more than the rest of a
+//! table lookup. A key taken off the wire only *probes*: how far a lookup
+//! walks is set by the installed keys. Keys *inserted* from outside the
+//! program must keep the `std` default hasher. (Group and server ids need
+//! no hasher at all: `DenseTable` indexes an array with them.)
 //!
 //! `std`'s `HashMap` picks the bucket from the low bits of the hash and the
 //! in-bucket tag from the top 7, so both ends must depend on every key
@@ -91,10 +93,12 @@ mod tests {
 
     #[test]
     fn both_ends_spread_on_the_real_key_families() {
+        // `MatchTable` is generic, so small u16 keys (the group-id and
+        // server-id shapes) must spread too.
         for n in [2u16, 6, 16, 64] {
-            assert_spreads("group ids", 0..n * (n - 1));
+            assert_spreads("small u16 keys", 0..n * (n - 1));
         }
-        assert_spreads("server ids", 0u16..4096);
+        assert_spreads("u16 keys up to 4096", 0u16..4096);
         assert_spreads("server addresses", (0..1024).map(|i| Ipv4::server(i).0));
         assert_spreads("client addresses", (0..1024).map(|i| Ipv4::client(i).0));
         for base in [0u32, 1 << 20, u32::MAX - 5_000] {
