@@ -39,7 +39,7 @@ pub mod table;
 
 pub use dataplane::{DataPlane, Emission, EmissionSink, PortId};
 pub use error::AsicError;
-pub use hash::{crc32, HashUnit};
+pub use hash::{crc32, CrcSlotOrder, HashUnit};
 pub use pass::PacketPass;
 pub use register::RegisterArray;
 pub use resources::{Layout, ResourceReport};

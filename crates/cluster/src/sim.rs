@@ -775,31 +775,25 @@ impl Shard {
         }
         let op = self.draw_op(cid);
         let tor = self.client_leaf[cid];
-        let pkts = self.clients[cid]
+        // The clients move out for the emission so the callback can borrow
+        // `self` freely; `mem::take` swaps in an (unallocated) empty Vec.
+        let mut clients = std::mem::take(&mut self.clients);
+        clients[cid]
             .as_mut()
             .expect("owned client")
-            .generate(op, now);
-        for (pkt, tx_done) in pkts {
-            if self.lose_packet() {
-                self.packets_lost += 1;
-                continue;
-            }
-            let Some(at) = self.edge_hop(EdgeLink::ClientUp(cid), tx_done, pkt.meta.wire_bytes)
-            else {
-                continue; // tail-dropped at the access link
-            };
-            let pid = self.payloads.alloc(pkt.op, pkt.born_ns);
-            self.sched(
-                at,
-                Ev::SwitchIn(
-                    tor,
-                    SimPacket {
-                        meta: pkt.meta,
-                        pid,
-                    },
-                ),
-            );
-        }
+            .generate_each(op, now, |meta, tx_done| {
+                if self.lose_packet() {
+                    self.packets_lost += 1;
+                    return;
+                }
+                let Some(at) = self.edge_hop(EdgeLink::ClientUp(cid), tx_done, meta.wire_bytes)
+                else {
+                    return; // tail-dropped at the access link
+                };
+                let pid = self.payloads.alloc(op, now);
+                self.sched(at, Ev::SwitchIn(tor, SimPacket { meta, pid }));
+            });
+        self.clients = clients;
         let rng = self.arrival_rngs[cid]
             .as_mut()
             .expect("arrival stream of an owned client");

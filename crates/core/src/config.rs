@@ -123,6 +123,22 @@ impl NetCloneConfig {
         if self.num_filter_tables == 0 {
             return Err("need at least one filter table".into());
         }
+        // The filter hash emits 1..=32 bits, and each filter table is one
+        // register array of 4-byte cells in a stage of its own.
+        if !(1..=32).contains(&self.filter_slots_log2) {
+            return Err(format!(
+                "filter_slots_log2 {} out of range 1..=32",
+                self.filter_slots_log2
+            ));
+        }
+        let table_bytes = 4u64 << self.filter_slots_log2;
+        if table_bytes > self.spec.sram_per_stage_bytes {
+            return Err(format!(
+                "filter_slots_log2 {}: a {table_bytes}-byte filter table exceeds \
+                 one stage's {} bytes of SRAM",
+                self.filter_slots_log2, self.spec.sram_per_stage_bytes
+            ));
+        }
         if self.switch_id == 0 {
             return Err("switch_id 0 is reserved for 'unstamped' (§3.7)".into());
         }
@@ -168,5 +184,44 @@ mod tests {
             ..NetCloneConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn filter_width_zero_is_rejected_by_name() {
+        let c = NetCloneConfig {
+            filter_slots_log2: 0,
+            ..NetCloneConfig::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("filter_slots_log2"), "{err}");
+    }
+
+    #[test]
+    fn filter_width_past_the_hash_is_rejected_by_name() {
+        let c = NetCloneConfig {
+            filter_slots_log2: 33,
+            ..NetCloneConfig::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("filter_slots_log2"), "{err}");
+    }
+
+    #[test]
+    fn filter_width_past_a_stage_is_rejected_by_name() {
+        // 2^19 four-byte cells fill a Tofino stage's 2 MiB exactly; 2^20
+        // do not fit.
+        let fits = NetCloneConfig {
+            filter_slots_log2: 19,
+            ..NetCloneConfig::default()
+        };
+        assert!(fits.validate().is_ok());
+        let _builds = crate::program::NetCloneSwitch::new(fits);
+        let c = NetCloneConfig {
+            filter_slots_log2: 20,
+            ..NetCloneConfig::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("filter_slots_log2"), "{err}");
+        assert!(err.contains("SRAM"), "{err}");
     }
 }

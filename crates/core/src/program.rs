@@ -28,6 +28,18 @@
 //! multi-packet hash is computed only when the feature is on; with it off,
 //! nothing reads the hash, and skipping it changes no output.
 //!
+//! ## Filter slot order
+//!
+//! A filter table's logical slot is the CRC slot `h = CRC(REQ_ID)` of
+//! Algorithm 1 line 18. The register array stores slot `h` at physical
+//! index `B·h`, where [`CrcSlotOrder`] inverts the CRC's linear map on the
+//! low `REQ_ID` bits, so consecutive request IDs fill neighbouring cells
+//! instead of one random cache line each. `B` is a bijection: every
+//! read-modify-write meets exactly the value it would meet in CRC order,
+//! so the program's output is unchanged bit for bit. It is a storage
+//! choice of the simulator alone; the §4.1 accounting (one hash unit, one
+//! register array per table) does not change.
+//!
 //! ## Replication
 //!
 //! Cloning uses multicast + recirculation exactly as §3.4 describes: the
@@ -39,8 +51,8 @@
 
 use netclone_asic::resources::{Allocation, ResourceKind};
 use netclone_asic::{
-    AsicSpec, DataPlane, DenseTable, Emission, EmissionSink, HashUnit, Layout, MatchTable,
-    PacketPass, PortId, RegisterArray, ResourceReport,
+    AsicSpec, CrcSlotOrder, DataPlane, DenseTable, Emission, EmissionSink, HashUnit, Layout,
+    MatchTable, PacketPass, PortId, RegisterArray, ResourceReport,
 };
 use netclone_proto::{CloneStatus, Ipv4, MsgType, PacketMeta, ReqId, ServerId, ServerState};
 
@@ -80,8 +92,11 @@ pub struct NetCloneSwitch {
     pub(crate) shadow_t: RegisterArray<u16>,
     /// CRC unit for filter-slot indices.
     pub(crate) filter_hash: HashUnit,
-    /// K filter tables (`FilterT`), register arrays of request IDs (§3.5).
+    /// K filter tables (`FilterT`), register arrays of request IDs (§3.5),
+    /// each stored in `filter_order` (see module docs).
     pub(crate) filters: Vec<RegisterArray<u32>>,
+    /// Where logical filter slot `h` lives in a filter array.
+    pub(crate) filter_order: CrcSlotOrder,
     /// L3 exact-match route table: destination IP → egress port.
     pub(crate) route_t: MatchTable<u32, PortId>,
     /// L2 switching table (MAC → port), part of the traditional forwarding
@@ -132,6 +147,7 @@ impl NetCloneSwitch {
             cfg.filter_slots_log2 as u32,
         )
         .expect(PIPE);
+        let filter_order = CrcSlotOrder::new(cfg.filter_slots_log2 as u32);
         let mpk_hash = HashUnit::alloc(&mut layout, "MpkHash", STAGE_MPK_HASH, 6, 32).expect(PIPE);
         let mpk_t = RegisterArray::alloc(&mut layout, "ClonedReqT", STAGE_MPK_TABLE, 1 << 12, 4)
             .expect(PIPE);
@@ -173,6 +189,7 @@ impl NetCloneSwitch {
             shadow_t,
             filter_hash,
             filters,
+            filter_order,
             route_t,
             mac_t,
             mpk_hash,
@@ -447,11 +464,13 @@ impl NetCloneSwitch {
 
         // Lines 17–25: the filter engages only for cloned requests.
         if pkt.nc.clo.was_cloned() && self.cfg.filtering_enabled {
-            // Stage 4: slot index = CRC(REQ_ID) (line 18).
+            // Stage 4: slot index = CRC(REQ_ID) (line 18), stored at its
+            // physical index in the filter arrays.
             let h = self
                 .filter_hash
                 .hash(&mut pass, &pkt.nc.req_id.to_be_bytes())
-                .expect(PIPE) as usize;
+                .expect(PIPE);
+            let slot = self.filter_order.physical(h) as usize;
             // The client-chosen IDX picks the *table* (§3.5).
             let t = (pkt.nc.idx as usize) % self.filters.len();
             let req_id = pkt.nc.req_id;
@@ -461,7 +480,11 @@ impl NetCloneSwitch {
             // whatever was there (lines 22–23; overwrites are allowed to
             // survive collisions and lost responses).
             let old = self.filters[t]
-                .read_modify_write(&mut pass, h, |cur| if cur == req_id { 0 } else { req_id })
+                .read_modify_write(
+                    &mut pass,
+                    slot,
+                    |cur| if cur == req_id { 0 } else { req_id },
+                )
                 .expect(PIPE);
             if old == req_id {
                 self.counters.responses_filtered += 1;

@@ -7,9 +7,15 @@
 //! response dedup, clone-win/redundant accounting, latency recording —
 //! lives in [`netclone_hostcore::ClientCore`] and is shared verbatim with
 //! the real-socket clients in `netclone-net`.
+//!
+//! [`ClientSim::generate_each`] is the simulator's send path: it hands each
+//! emitted packet's metadata to a callback, and the caller keeps the one
+//! payload (`op`, born at `now`) itself, so no per-packet `AppPacket` is
+//! built or copied. [`ClientSim::generate`] collects the same emissions
+//! into a [`TxBurst`] for callers that want them as values.
 
 use netclone_hostcore::ClientCore;
-use netclone_proto::{ClientId, Ipv4, RpcOp};
+use netclone_proto::{ClientId, Ipv4, PacketMeta, RpcOp};
 use netclone_stats::LatencyHistogram;
 
 pub use netclone_hostcore::{ClientMode, ClientStats, LifetimeCounters, RetryPolicy};
@@ -166,11 +172,8 @@ impl ClientSim {
     /// sender thread's per-packet cost (`tx_free_at`), exactly like an
     /// application handing buffers to a userspace NIC queue.
     pub fn generate(&mut self, op: RpcOp, now: u64) -> TxBurst {
-        self.core.generate(op, now);
         let mut out = TxBurst::new();
-        while let Some(meta) = self.core.poll() {
-            let tx_done = now.max(self.tx_free_at) + self.tx_cost_ns;
-            self.tx_free_at = tx_done;
+        self.generate_each(op, now, |meta, tx_done| {
             out.push((
                 AppPacket {
                     meta,
@@ -178,9 +181,22 @@ impl ClientSim {
                     born_ns: now,
                 },
                 tx_done,
-            ));
-        }
+            ))
+        });
         out
+    }
+
+    /// [`Self::generate`] without the burst: hands each emitted packet's
+    /// metadata and TX-completion time to `emit`, in send order. The
+    /// payload of every packet is `op`, born at `now`, so the caller keeps
+    /// it once instead of receiving a copy per packet.
+    pub fn generate_each(&mut self, op: RpcOp, now: u64, mut emit: impl FnMut(PacketMeta, u64)) {
+        self.core.generate(op, now);
+        while let Some(meta) = self.core.poll() {
+            let tx_done = now.max(self.tx_free_at) + self.tx_cost_ns;
+            self.tx_free_at = tx_done;
+            emit(meta, tx_done);
+        }
     }
 
     /// Drives the core's timeout wheel at `now`.

@@ -304,6 +304,7 @@ fn worker_loop(
                     worker,
                     &mut shim,
                     epoch,
+                    stop,
                     &p,
                     0,
                     &mut out,
@@ -350,6 +351,7 @@ fn worker_loop(
                     worker,
                     &mut shim,
                     epoch,
+                    stop,
                     dg,
                     backlog,
                     &mut out,
@@ -361,7 +363,8 @@ fn worker_loop(
 }
 
 /// Decodes, admits, executes, and answers one request datagram, passing
-/// the response through the shim's Tx side.
+/// the response through the shim's Tx side. Execution ends early once
+/// `stop` is set (see [`WorkExecutor::execute_until`]).
 #[allow(clippy::too_many_arguments)]
 fn serve_one(
     sock: &UdpSocket,
@@ -369,6 +372,7 @@ fn serve_one(
     worker: Worker<'_>,
     shim: &mut Option<FaultShim>,
     epoch: Instant,
+    stop: &AtomicBool,
     dg: &[u8],
     backlog: usize,
     out: &mut Vec<u8>,
@@ -386,7 +390,7 @@ fn serve_one(
         return;
     }
     core.note_queue_depth(backlog);
-    let value = cfg.executor.execute(&op);
+    let value = cfg.executor.execute_until(&op, stop);
     // Piggyback the queue state observed at response-send time, and
     // publish the count before the response can reach anyone.
     let nc = core.response(&meta.nc, backlog);

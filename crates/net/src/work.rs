@@ -1,6 +1,7 @@
 //! Server-side work execution: what a worker thread actually does with a
 //! request in the real runtime.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,10 +27,18 @@ impl WorkExecutor {
 
     /// Runs one operation, returning the response value bytes.
     pub fn execute(&self, op: &RpcOp) -> Vec<u8> {
+        static NEVER: AtomicBool = AtomicBool::new(false);
+        self.execute_until(op, &NEVER)
+    }
+
+    /// [`Self::execute`] on a worker that `stop` shuts down: a synthetic
+    /// spin ends early once `stop` is set, so an echo naming any service
+    /// time (a forged one included) cannot outlive its worker.
+    pub(crate) fn execute_until(&self, op: &RpcOp, stop: &AtomicBool) -> Vec<u8> {
         match self {
             WorkExecutor::Synthetic => {
                 if let RpcOp::Echo { class_ns } = op {
-                    spin_for(Duration::from_nanos(*class_ns));
+                    spin_for(Duration::from_nanos(*class_ns), stop);
                 }
                 Vec::new()
             }
@@ -56,10 +65,10 @@ impl WorkExecutor {
 }
 
 /// Busy-waits for approximately `d` (spin, not sleep: microsecond-scale
-/// service times are far below timer resolution).
-fn spin_for(d: Duration) {
+/// service times are far below timer resolution), or until `stop` is set.
+fn spin_for(d: Duration, stop: &AtomicBool) {
     let start = Instant::now();
-    while start.elapsed() < d {
+    while start.elapsed() < d && !stop.load(Ordering::Relaxed) {
         std::hint::spin_loop();
     }
 }

@@ -207,6 +207,43 @@ fn client_ids_past_the_port_space_are_refused() {
 }
 
 #[test]
+fn a_forged_endless_echo_does_not_wedge_shutdown() {
+    let mut tb =
+        Testbed::spawn(NetCloneConfig::default(), 2, 1, WorkExecutor::Synthetic).expect("testbed");
+    let client = tb.client(31).expect("client");
+    let attacker = UdpSocket::bind("127.0.0.1:0").unwrap();
+    // A well-formed request from the client's address whose echo names
+    // the longest service time the wire can carry. Both servers are idle,
+    // so the switch clones it and both synthetic workers start spinning.
+    let req =
+        PacketMeta::netclone_request(client.vip(), NetCloneHdr::request(0, 0, 0, 0x5A5A_5A5A), 0);
+    let mut dg = Vec::new();
+    encode_packet_into(&req, &RpcOp::Echo { class_ns: u64::MAX }, &[], &mut dg);
+    attacker.send_to(&dg, tb.switch_addr()).unwrap();
+    let sent = std::time::Instant::now();
+    while tb.switch_handle().counters().requests == 0 {
+        assert!(sent.elapsed() < TIMEOUT, "the switch never saw the echo");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Let the servers take it off their sockets and enter the spin. (Only
+    // the parent's wedge depends on this; a stoppable spin passes either
+    // way.)
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Shutdown runs on a thread of its own so a wedge fails the test
+    // instead of hanging it; on success the thread is joined.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        tb.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("Testbed::shutdown returns within 2 s of a forged endless echo");
+    shutdown.join().expect("shutdown thread");
+}
+
+#[test]
 fn hostile_datagrams_never_wedge_the_switch() {
     let mut tb =
         Testbed::spawn(NetCloneConfig::default(), 2, 2, WorkExecutor::Synthetic).expect("testbed");
