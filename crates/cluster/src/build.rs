@@ -33,7 +33,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::calib;
-use crate::payload::PayloadSlab;
 use crate::scenario::{Fault, Scenario, Workload};
 use crate::scheme::Scheme;
 use crate::sim::{BgState, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
@@ -785,7 +784,6 @@ impl ScenarioBuilder {
                 synthetic,
                 kvmix: kvmix.clone(),
                 sink: netclone_asic::EmissionSink::new(),
-                payloads: PayloadSlab::new(),
                 end_ns,
                 measure_start_ns: 0,
                 throughput: TimeSeries::new(scenario.timeseries_bucket_ns, ts_buckets),

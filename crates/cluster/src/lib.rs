@@ -27,7 +27,6 @@ pub mod calib;
 pub mod experiments;
 pub mod harness;
 pub mod metrics;
-pub(crate) mod payload;
 pub mod scenario;
 pub mod scheme;
 pub(crate) mod shard;

@@ -12,7 +12,7 @@
 //!
 //! The run state lives in per-rack `Shard`s: each shard owns its leaf
 //! engine(s), its racks' clients and servers, a slice of the loss/workload
-//! RNG streams, a private [`EventQueue`], and a private `PayloadSlab`.
+//! RNG streams and a private [`EventQueue`].
 //! [`Sim::run`] drives one shard serially;
 //! [`Sim::run_with_shards`] fans the racks out across threads under the
 //! conservative lookahead protocol in `crate::shard`. Both produce
@@ -58,13 +58,11 @@
 //! * switch programs write into the shard's reusable
 //!   [`EmissionSink`] (see the contract in `netclone_asic::dataplane`),
 //!   which `Shard::on_switch_in` drains in place;
-//! * events carry a `SimPacket` — metadata plus a payload-slab id —
-//!   instead of a full `AppPacket`, so the immutable `(op, born_ns)`
-//!   pair is interned once per packet rather than copied through every
-//!   hop (see the `payload` module for the reference-counting
-//!   discipline);
 //! * the event queue is `netclone-des`'s timing wheel: slot lists linked
-//!   through a node slab, so no `Ev` moves between schedule and pop;
+//!   through a node slab, so no `Ev` moves between schedule and pop —
+//!   which is why events carry their whole [`AppPacket`] by value: it is
+//!   written once, into the node, and a clone or a response is a plain
+//!   copy with new metadata;
 //! * a switch pass tracks touched resources in a bitmask and match
 //!   tables hash with `netclone_proto::IntHasher`, so neither allocates
 //!   nor runs SipHash per packet (`tests/alloc_hotpath.rs` counts).
@@ -107,33 +105,32 @@ use std::sync::Arc;
 use crate::build::ScenarioBuilder;
 use crate::calib;
 use crate::metrics::RunResult;
-use crate::payload::{PayloadId, PayloadSlab, SimPacket};
 use crate::scenario::Scenario;
 use crate::shard::ShardCoordinator;
 use crate::topology::{flow_hash, UpperTier, UpperWalk, UPLINK_PORT};
 
 /// Simulation events.
 ///
-/// Packet-bearing variants carry a [`SimPacket`] (metadata + interned
-/// payload id), not a full `AppPacket` — see the module docs.
+/// Packet-bearing variants carry the whole [`AppPacket`] — see the module
+/// docs; `ev_fits_in_a_queue_node_budget` pins the size.
 /// `SwitchIn` always targets a *leaf*; the upper tier is walked inline.
 pub(crate) enum Ev {
     /// Client `cid` generates its next request.
     Gen(usize),
     /// A packet reaches leaf switch `idx` of the fabric.
-    SwitchIn(usize, SimPacket),
+    SwitchIn(usize, AppPacket),
     /// A packet reaches server `idx`'s NIC.
-    ServerIn(usize, SimPacket),
+    ServerIn(usize, AppPacket),
     /// Server `idx` finishes serving `pkt` (valid only in `epoch`).
     ServerDone {
         idx: usize,
         epoch: u32,
-        pkt: SimPacket,
+        pkt: AppPacket,
     },
     /// A packet reaches client `cid`'s NIC.
-    ClientIn(usize, SimPacket),
+    ClientIn(usize, AppPacket),
     /// A packet reaches the coordinator.
-    CoordIn(SimPacket),
+    CoordIn(AppPacket),
     /// A packet reaches the head of downlink `via` into leaf `leaf`
     /// (congestion-aware links only): the destination rack's domain
     /// offers it to the queue.
@@ -143,7 +140,7 @@ pub(crate) enum Ev {
         /// Downlink index (== the ECMP uplink index that carried it up).
         via: usize,
         /// The packet.
-        pkt: SimPacket,
+        pkt: AppPacket,
     },
     /// Source rack `r` generates its next background packet.
     BgGen(usize),
@@ -348,9 +345,6 @@ pub(crate) struct Shard {
     /// The shard's reusable emission buffer (`on_switch_in` drains it in
     /// place; see the `EmissionSink` contract).
     pub(crate) sink: EmissionSink,
-    /// Interned `(op, born_ns)` payloads for packets in flight *within*
-    /// this shard; cross-shard packets are re-interned on arrival.
-    pub(crate) payloads: PayloadSlab,
     pub(crate) end_ns: u64,
     pub(crate) measure_start_ns: u64,
     pub(crate) throughput: TimeSeries,
@@ -382,35 +376,12 @@ pub(crate) struct Shard {
     pub(crate) trace: Option<Vec<(u64, u64)>>,
 }
 
-/// A cross-shard event in transit: the sender stamps the deterministic
-/// delivery key and materialises any payload (the slabs are
-/// shard-private), the receiver re-interns it.
+/// A cross-shard event in transit, under the delivery key its sender
+/// stamped. Only `SwitchIn`, `DownlinkIn` and `BgDown` ever cross racks.
 pub(crate) struct CrossMsg {
     pub at: u64,
     pub tie: u64,
-    pub ev: CrossEv,
-}
-
-/// The cross-shard event kinds (the only events that ever cross racks).
-pub(crate) enum CrossEv {
-    /// A packet arriving at a foreign leaf (fixed-latency fabrics).
-    SwitchIn {
-        leaf: usize,
-        meta: PacketMeta,
-        op: RpcOp,
-        born_ns: u64,
-    },
-    /// A packet arriving at a foreign leaf's downlink queue
-    /// (congestion-aware fabrics).
-    DownlinkIn {
-        leaf: usize,
-        via: usize,
-        meta: PacketMeta,
-        op: RpcOp,
-        born_ns: u64,
-    },
-    /// A background packet arriving at the victim leaf's downlink queue.
-    BgDown { leaf: usize, via: usize, wire: u16 },
+    pub ev: Ev,
 }
 
 impl Shard {
@@ -449,8 +420,7 @@ impl Shard {
 
     /// Schedules `ev` on this shard's queue, keyed by the executing
     /// domain. All targets are local by construction (the only non-local
-    /// sends go through the outbox in [`Self::send_to_leaf`] and the
-    /// background path).
+    /// sends go through [`Self::send_to_rack`]).
     #[inline]
     fn sched(&mut self, at_ns: u64, ev: Ev) {
         let tie = self.next_tie();
@@ -490,17 +460,6 @@ impl Shard {
             }
         } else {
             self.kvmix.as_ref().expect("kv workload").sample(rng)
-        }
-    }
-
-    /// Reconstitutes the host-layer view of an in-flight packet.
-    #[inline]
-    fn app(&self, sp: &SimPacket) -> AppPacket {
-        let (op, born_ns) = self.payloads.get(sp.pid);
-        AppPacket {
-            meta: sp.meta,
-            op,
-            born_ns,
         }
     }
 
@@ -692,7 +651,7 @@ impl Shard {
     }
 
     /// The client's retry wheel: expired requests retransmit through the
-    /// same loss/link/payload pipeline as first transmissions (a retry
+    /// same loss/link pipeline as first transmissions (a retry
     /// storm loads the fabric like real traffic), without touching the
     /// offered-load accounting — retries are recovery, not offered work.
     /// Reschedules itself at the policy cadence until generation ends.
@@ -708,17 +667,7 @@ impl Shard {
             else {
                 continue; // tail-dropped at the access link
             };
-            let pid = self.payloads.alloc(pkt.op, pkt.born_ns);
-            self.sched(
-                at,
-                Ev::SwitchIn(
-                    tor,
-                    SimPacket {
-                        meta: pkt.meta,
-                        pid,
-                    },
-                ),
-            );
+            self.sched(at, Ev::SwitchIn(tor, pkt));
         }
         if now < self.end_ns {
             let tick = self
@@ -790,8 +739,12 @@ impl Shard {
                 else {
                     return; // tail-dropped at the access link
                 };
-                let pid = self.payloads.alloc(op, now);
-                self.sched(at, Ev::SwitchIn(tor, SimPacket { meta, pid }));
+                let pkt = AppPacket {
+                    meta,
+                    op,
+                    born_ns: now,
+                };
+                self.sched(at, Ev::SwitchIn(tor, pkt));
             });
         self.clients = clients;
         let rng = self.arrival_rngs[cid]
@@ -801,10 +754,9 @@ impl Shard {
         self.sched(now + gap, Ev::Gen(cid));
     }
 
-    fn on_switch_in(&mut self, sw: usize, sp: SimPacket, now: u64) {
+    fn on_switch_in(&mut self, sw: usize, pkt: AppPacket, now: u64) {
         if !self.switch_up || !self.leaf_up[sw] {
             self.packets_lost += 1;
-            self.payloads.release(sp.pid);
             return;
         }
         // The sink moves out for the drain so scheduling below can borrow
@@ -813,12 +765,14 @@ impl Shard {
         self.engines[sw]
             .as_mut()
             .expect("owned leaf engine")
-            .process(sp.meta, 0, now, &mut sink);
+            .process(pkt.meta, 0, now, &mut sink);
         for e in sink.drain() {
             if self.lose_packet() {
                 self.packets_lost += 1;
                 continue;
             }
+            let out = AppPacket { meta: e.pkt, ..pkt };
+            let mut egress = now + e.latency_ns;
             if e.port == UPLINK_PORT && self.racks > 1 {
                 // A leaf→upper traversal: no host NIC on this hop, the
                 // fabric link latency applies instead; the upper tier is
@@ -826,54 +780,38 @@ impl Shard {
                 // uplink (a fat-tree has several; leaf/spine has uplink 0).
                 let h = flow_hash(e.pkt.src_ip, e.pkt.dst_ip, self.ecmp_seed);
                 let walk = self.tier.walk(sw, e.pkt.dst_ip, h);
-                let mut egress = now + e.latency_ns;
                 if let Some(ls) = &mut self.links {
                     match ls.up[sw][walk.via].offer(egress, u32::from(e.pkt.wire_bytes)) {
                         Verdict::Forward { depart_ns, .. } => egress = depart_ns,
                         Verdict::Drop => continue,
                     }
                 }
-                self.via_upper(walk, e.pkt, egress, sp.pid);
-            } else {
-                let egress = now + e.latency_ns;
-                let out = SimPacket {
-                    meta: e.pkt,
-                    pid: sp.pid,
-                };
-                if e.port == COORD_PORT {
-                    if let Some(at) = self.edge_hop(EdgeLink::CoordDown, egress, e.pkt.wire_bytes) {
-                        self.payloads.retain(sp.pid);
-                        self.sched(at, Ev::CoordIn(out));
-                    }
-                } else if e.port >= client_port(0) {
-                    let cid = (e.port - client_port(0)) as usize;
-                    if cid >= self.clients.len() {
-                        no_host("client", e.port);
-                    }
-                    if let Some(at) =
-                        self.edge_hop(EdgeLink::ClientDown(cid), egress, e.pkt.wire_bytes)
-                    {
-                        self.payloads.retain(sp.pid);
-                        self.sched(at, Ev::ClientIn(cid, out));
-                    }
-                } else if e.port >= server_port(0) {
-                    let idx = (e.port - server_port(0)) as usize;
-                    if idx >= self.servers.len() {
-                        no_host("server", e.port);
-                    }
-                    if let Some(at) =
-                        self.edge_hop(EdgeLink::ServerDown(idx), egress, e.pkt.wire_bytes)
-                    {
-                        self.payloads.retain(sp.pid);
-                        self.sched(at, Ev::ServerIn(idx, out));
-                    }
+                self.via_upper(walk, out, egress);
+            } else if e.port == COORD_PORT {
+                if let Some(at) = self.edge_hop(EdgeLink::CoordDown, egress, e.pkt.wire_bytes) {
+                    self.sched(at, Ev::CoordIn(out));
+                }
+            } else if e.port >= client_port(0) {
+                let cid = (e.port - client_port(0)) as usize;
+                if cid >= self.clients.len() {
+                    no_host("client", e.port);
+                }
+                if let Some(at) = self.edge_hop(EdgeLink::ClientDown(cid), egress, e.pkt.wire_bytes)
+                {
+                    self.sched(at, Ev::ClientIn(cid, out));
+                }
+            } else if e.port >= server_port(0) {
+                let idx = (e.port - server_port(0)) as usize;
+                if idx >= self.servers.len() {
+                    no_host("server", e.port);
+                }
+                if let Some(at) = self.edge_hop(EdgeLink::ServerDown(idx), egress, e.pkt.wire_bytes)
+                {
+                    self.sched(at, Ev::ServerIn(idx, out));
                 }
             }
         }
         self.sink = sink;
-        // The consumed ingress packet's reference, released last so the
-        // payload stayed alive while emissions were scheduled.
-        self.payloads.release(sp.pid);
     }
 
     /// Carries one packet along its `walk` through the upper tier, from
@@ -886,7 +824,7 @@ impl Shard {
     /// (with `send_to_leaf`) it grows `handle` by a tenth and costs the
     /// single-rack loop, which never gets here, 1 % of its time.
     #[inline(never)]
-    fn via_upper(&mut self, walk: UpperWalk, meta: PacketMeta, egress_ns: u64, pid: PayloadId) {
+    fn via_upper(&mut self, walk: UpperWalk, pkt: AppPacket, egress_ns: u64) {
         let Some(leaf) = walk.leaf else {
             self.tier.count_dropped(walk.hops()[0]);
             return;
@@ -899,7 +837,7 @@ impl Shard {
             }
         }
         let crossed = walk.hops().len() as u64 * (self.inter_rack_ns + self.pass_ns);
-        self.send_to_leaf(leaf, walk.via, meta, egress_ns + crossed, pid);
+        self.send_to_leaf(leaf, walk.via, pkt, egress_ns + crossed);
     }
 
     /// Parks a packet leaving the upper tier at `down_egress_ns` (the
@@ -908,53 +846,25 @@ impl Shard {
     /// links it becomes a [`Ev::DownlinkIn`] so the *destination* rack's
     /// domain offers it to downlink `via`'s queue. Cross-shard targets go
     /// through the outbox under a sender-stamped key either way.
-    fn send_to_leaf(
-        &mut self,
-        leaf: usize,
-        via: usize,
-        meta: PacketMeta,
-        down_egress_ns: u64,
-        pid: PayloadId,
-    ) {
-        let dst = self.shard_of_rack(leaf);
-        let (at, local_ev) = if self.links.is_some() {
-            (
-                down_egress_ns,
-                Ev::DownlinkIn {
-                    leaf,
-                    via,
-                    pkt: SimPacket { meta, pid },
-                },
-            )
+    fn send_to_leaf(&mut self, leaf: usize, via: usize, pkt: AppPacket, down_egress_ns: u64) {
+        if self.links.is_some() {
+            self.send_to_rack(leaf, down_egress_ns, Ev::DownlinkIn { leaf, via, pkt });
         } else {
-            (
-                down_egress_ns + self.inter_rack_ns,
-                Ev::SwitchIn(leaf, SimPacket { meta, pid }),
-            )
-        };
+            let at = down_egress_ns + self.inter_rack_ns;
+            self.send_to_rack(leaf, at, Ev::SwitchIn(leaf, pkt));
+        }
+    }
+
+    /// Schedules `ev`, an event of rack `rack`'s domain, at `at`: on this
+    /// shard's queue when it owns the rack, otherwise through the outbox
+    /// under a key stamped here, by the sending domain.
+    fn send_to_rack(&mut self, rack: usize, at: u64, ev: Ev) {
+        let dst = self.shard_of_rack(rack);
         if dst == self.id {
-            self.payloads.retain(pid);
-            self.sched(at, local_ev);
+            self.sched(at, ev);
         } else {
             let tie = self.next_tie();
             self.events_scheduled += 1;
-            let (op, born_ns) = self.payloads.get(pid);
-            let ev = if self.links.is_some() {
-                CrossEv::DownlinkIn {
-                    leaf,
-                    via,
-                    meta,
-                    op,
-                    born_ns,
-                }
-            } else {
-                CrossEv::SwitchIn {
-                    leaf,
-                    meta,
-                    op,
-                    born_ns,
-                }
-            };
             self.outbox[dst].push(CrossMsg { at, tie, ev });
         }
     }
@@ -962,13 +872,12 @@ impl Shard {
     /// A packet reaches the head of downlink `via` into `leaf`: the
     /// destination rack offers it to the queue; a tail-drop ends it here,
     /// otherwise it reaches the leaf after serialization + propagation.
-    fn on_downlink_in(&mut self, leaf: usize, via: usize, sp: SimPacket, now: u64) {
+    fn on_downlink_in(&mut self, leaf: usize, via: usize, pkt: AppPacket, now: u64) {
         let ls = self.links.as_mut().expect("downlink event requires links");
-        match ls.down[leaf][via].offer(now, u32::from(sp.meta.wire_bytes)) {
-            Verdict::Forward { depart_ns, .. } => {
-                self.sched(depart_ns + self.inter_rack_ns, Ev::SwitchIn(leaf, sp));
-            }
-            Verdict::Drop => self.payloads.release(sp.pid),
+        if let Verdict::Forward { depart_ns, .. } =
+            ls.down[leaf][via].offer(now, u32::from(pkt.meta.wire_bytes))
+        {
+            self.sched(depart_ns + self.inter_rack_ns, Ev::SwitchIn(leaf, pkt));
         }
     }
 
@@ -994,29 +903,12 @@ impl Shard {
             // Each upper switch crossed is a propagation plus a pass.
             let hops = walk.hops().len() as u64;
             let at = depart_ns + hops * (self.inter_rack_ns + self.pass_ns);
-            let dst = self.shard_of_rack(victim);
-            if dst == self.id {
-                self.sched(
-                    at,
-                    Ev::BgDown {
-                        leaf: victim,
-                        via,
-                        wire,
-                    },
-                );
-            } else {
-                let tie = self.next_tie();
-                self.events_scheduled += 1;
-                self.outbox[dst].push(CrossMsg {
-                    at,
-                    tie,
-                    ev: CrossEv::BgDown {
-                        leaf: victim,
-                        via,
-                        wire,
-                    },
-                });
-            }
+            let ev = Ev::BgDown {
+                leaf: victim,
+                via,
+                wire,
+            };
+            self.send_to_rack(victim, at, ev);
         }
         let bg = self.bg.as_mut().expect("bg event requires background");
         let rng = bg.rngs[r].as_mut().expect("bg stream of an owned rack");
@@ -1031,91 +923,49 @@ impl Shard {
         let _ = ls.down[leaf][via].offer(now, u32::from(wire));
     }
 
-    fn on_server_in(&mut self, idx: usize, sp: SimPacket, now: u64) {
+    fn on_server_in(&mut self, idx: usize, pkt: AppPacket, now: u64) {
         if !self.servers[idx].as_ref().expect("owned server").is_alive() {
-            self.payloads.release(sp.pid);
             return; // a dead server swallows packets
         }
         let seen_at = now + calib::HOST_RX_STACK_NS;
-        let app = self.app(&sp);
-        match self.servers[idx]
+        // Queued packets live inside the server; dropped clones are gone.
+        if let Admission::Start { done_at } = self.servers[idx]
             .as_mut()
             .expect("owned server")
-            .on_request(app, seen_at)
+            .on_request(pkt, seen_at)
         {
-            Admission::Start { done_at } => {
-                // The packet keeps its payload reference while in service.
-                self.sched(
-                    done_at,
-                    Ev::ServerDone {
-                        idx,
-                        epoch: self.server_epoch[idx],
-                        pkt: sp,
-                    },
-                );
-            }
-            Admission::Queued | Admission::CloneDropped => {
-                // Queued packets live inside the server (full AppPacket);
-                // dropped clones are gone. Either way this reference ends.
-                self.payloads.release(sp.pid);
-            }
+            let epoch = self.server_epoch[idx];
+            self.sched(done_at, Ev::ServerDone { idx, epoch, pkt });
         }
     }
 
-    fn on_server_done(&mut self, idx: usize, epoch: u32, sp: SimPacket, now: u64) {
+    fn on_server_done(&mut self, idx: usize, epoch: u32, pkt: AppPacket, now: u64) {
         let server = self.servers[idx].as_mut().expect("owned server");
         if epoch != self.server_epoch[idx] || !server.is_alive() {
-            self.payloads.release(sp.pid);
             return; // the server died while this was in service
         }
-        let completion = server.on_service_done(&sp.meta.nc, now);
+        let completion = server.on_service_done(&pkt.meta.nc, now);
         let sid = server.sid();
-        let resp_meta =
-            PacketMeta::netclone_response(Ipv4::server(sid), sp.meta.src_ip, completion.resp, 84);
+        let meta =
+            PacketMeta::netclone_response(Ipv4::server(sid), pkt.meta.src_ip, completion.resp, 84);
         if self.lose_packet() {
             self.packets_lost += 1;
-            self.payloads.release(sp.pid);
-        } else if let Some(at) = self.edge_hop(EdgeLink::ServerUp(idx), now, resp_meta.wire_bytes) {
-            // The response inherits the request's payload reference.
-            self.sched(
-                at,
-                Ev::SwitchIn(
-                    self.server_leaf[idx],
-                    SimPacket {
-                        meta: resp_meta,
-                        pid: sp.pid,
-                    },
-                ),
-            );
-        } else {
-            // Tail-dropped at the server's access link.
-            self.payloads.release(sp.pid);
+        } else if let Some(at) = self.edge_hop(EdgeLink::ServerUp(idx), now, meta.wire_bytes) {
+            // The response carries the request's op and birth time.
+            let leaf = self.server_leaf[idx];
+            self.sched(at, Ev::SwitchIn(leaf, AppPacket { meta, ..pkt }));
         }
-        if let Some((next_pkt, next_done)) = completion.next {
-            // A queued request leaves the server's internal queue and
-            // re-enters the event system: intern its payload afresh.
-            let pid = self.payloads.alloc(next_pkt.op, next_pkt.born_ns);
-            self.sched(
-                next_done,
-                Ev::ServerDone {
-                    idx,
-                    epoch: self.server_epoch[idx],
-                    pkt: SimPacket {
-                        meta: next_pkt.meta,
-                        pid,
-                    },
-                },
-            );
+        if let Some((pkt, next_done)) = completion.next {
+            let epoch = self.server_epoch[idx];
+            self.sched(next_done, Ev::ServerDone { idx, epoch, pkt });
         }
     }
 
-    fn on_client_in(&mut self, cid: usize, sp: SimPacket, now: u64) {
-        let app = self.app(&sp);
+    fn on_client_in(&mut self, cid: usize, pkt: AppPacket, now: u64) {
         let outcome = self.clients[cid]
             .as_mut()
             .expect("owned client")
-            .on_response(&app, now);
-        self.payloads.release(sp.pid);
+            .on_response(&pkt, now);
         if outcome.latency_ns.is_some() && self.measure_start_ns > 0 {
             self.throughput.record(outcome.done_at);
             if outcome.done_at <= self.end_ns {
@@ -1124,13 +974,11 @@ impl Shard {
         }
     }
 
-    fn on_coord_in(&mut self, sp: SimPacket, now: u64) {
-        let app = self.app(&sp);
-        self.payloads.release(sp.pid);
+    fn on_coord_in(&mut self, pkt: AppPacket, now: u64) {
         let coord = self.coordinator.as_mut().expect("coordinator scheme");
-        let events = match app.meta.nc.msg_type {
-            MsgType::Req => coord.on_request(app, now),
-            MsgType::Resp => coord.on_response(app, now),
+        let events = match pkt.meta.nc.msg_type {
+            MsgType::Req => coord.on_request(pkt, now),
+            MsgType::Resp => coord.on_response(pkt, now),
         };
         for e in events {
             if self.lose_packet() {
@@ -1141,17 +989,7 @@ impl Shard {
             else {
                 continue; // tail-dropped at the coordinator's access link
             };
-            let pid = self.payloads.alloc(e.pkt.op, e.pkt.born_ns);
-            self.sched(
-                at,
-                Ev::SwitchIn(
-                    self.coord_leaf,
-                    SimPacket {
-                        meta: e.pkt.meta,
-                        pid,
-                    },
-                ),
-            );
+            self.sched(at, Ev::SwitchIn(self.coord_leaf, e.pkt));
         }
     }
 
@@ -1176,33 +1014,7 @@ impl Shard {
             );
             // The sender already counted this event; schedule without
             // touching `events_scheduled` or the local key counters.
-            let ev = match m.ev {
-                CrossEv::SwitchIn {
-                    leaf,
-                    meta,
-                    op,
-                    born_ns,
-                } => {
-                    let pid = self.payloads.alloc(op, born_ns);
-                    Ev::SwitchIn(leaf, SimPacket { meta, pid })
-                }
-                CrossEv::DownlinkIn {
-                    leaf,
-                    via,
-                    meta,
-                    op,
-                    born_ns,
-                } => {
-                    let pid = self.payloads.alloc(op, born_ns);
-                    Ev::DownlinkIn {
-                        leaf,
-                        via,
-                        pkt: SimPacket { meta, pid },
-                    }
-                }
-                CrossEv::BgDown { leaf, via, wire } => Ev::BgDown { leaf, via, wire },
-            };
-            self.q.schedule_keyed(SimTime::from_ns(m.at), m.tie, ev);
+            self.q.schedule_keyed(SimTime::from_ns(m.at), m.tie, m.ev);
         }
     }
 
@@ -1289,7 +1101,23 @@ mod tests {
         shard.engines[0] = Some(Box::new(rogue));
         let nc = NetCloneHdr::request(0, 0, 0, 0);
         let meta = PacketMeta::netclone_response(Ipv4::server(0), stray, nc, 84);
-        let pid = shard.payloads.alloc(RpcOp::Echo { class_ns: 0 }, 0);
-        shard.handle(0, Ev::SwitchIn(0, SimPacket { meta, pid }));
+        let pkt = AppPacket {
+            meta,
+            op: RpcOp::Echo { class_ns: 0 },
+            born_ns: 0,
+        };
+        shard.handle(0, Ev::SwitchIn(0, pkt));
+    }
+
+    /// The wheel stores an `Ev` inline in every node, so its size is the
+    /// queue's memory cost per event: a new field must not grow it past
+    /// the whole `AppPacket` plus a leaf, a downlink and a tag.
+    #[test]
+    fn ev_fits_in_a_queue_node_budget() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 88,
+            "Ev is {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 }

@@ -9,10 +9,10 @@
 //! the real-socket clients in `netclone-net`.
 //!
 //! [`ClientSim::generate_each`] is the simulator's send path: it hands each
-//! emitted packet's metadata to a callback, and the caller keeps the one
-//! payload (`op`, born at `now`) itself, so no per-packet `AppPacket` is
-//! built or copied. [`ClientSim::generate`] collects the same emissions
-//! into a [`TxBurst`] for callers that want them as values.
+//! emitted packet's metadata to a callback, which builds the packet where
+//! it is stored (the simulator, straight into its event), so no burst is
+//! collected and copied. [`ClientSim::generate`] collects the same
+//! emissions into a [`TxBurst`] for callers that want them as values.
 
 use netclone_hostcore::ClientCore;
 use netclone_proto::{ClientId, Ipv4, PacketMeta, RpcOp};
@@ -188,8 +188,8 @@ impl ClientSim {
 
     /// [`Self::generate`] without the burst: hands each emitted packet's
     /// metadata and TX-completion time to `emit`, in send order. The
-    /// payload of every packet is `op`, born at `now`, so the caller keeps
-    /// it once instead of receiving a copy per packet.
+    /// payload of every packet is `op`, born at `now`, which the caller
+    /// already holds.
     pub fn generate_each(&mut self, op: RpcOp, now: u64, mut emit: impl FnMut(PacketMeta, u64)) {
         self.core.generate(op, now);
         while let Some(meta) = self.core.poll() {

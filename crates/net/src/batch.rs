@@ -610,9 +610,9 @@ mod tests {
         }
     }
 
-    /// Stages `payloads[i]` for `dests[i]` (`None`: the connected peer).
-    fn stage(send: &mut SendBatch, payloads: &[&[u8]], dests: &[Option<SocketAddr>]) {
-        for (p, d) in payloads.iter().zip(dests) {
+    /// Stages `datagrams[i]` for `dests[i]` (`None`: the connected peer).
+    fn stage(send: &mut SendBatch, datagrams: &[&[u8]], dests: &[Option<SocketAddr>]) {
+        for (p, d) in datagrams.iter().zip(dests) {
             let slot = send.slot();
             slot.clear();
             slot.extend_from_slice(p);
@@ -644,16 +644,16 @@ mod tests {
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
         let (aa, ba) = (a.local_addr().unwrap(), b.local_addr().unwrap());
         let mut send = SendBatch::new();
-        let payloads: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 3 + i as usize]).collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let datagrams: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 3 + i as usize]).collect();
+        let refs: Vec<&[u8]> = datagrams.iter().map(Vec::as_slice).collect();
         let dests: Vec<_> = (0..6)
             .map(|i| Some(if i % 2 == 0 { aa } else { ba }))
             .collect();
         stage(&mut send, &refs, &dests);
         assert_eq!(send.flush(&tx).unwrap(), 6);
         assert!(send.is_empty());
-        assert_eq!(drain(&a), [0, 2, 4].map(|i| payloads[i].clone()));
-        assert_eq!(drain(&b), [1, 3, 5].map(|i| payloads[i].clone()));
+        assert_eq!(drain(&a), [0, 2, 4].map(|i| datagrams[i].clone()));
+        assert_eq!(drain(&b), [1, 3, 5].map(|i| datagrams[i].clone()));
     }
 
     #[test]

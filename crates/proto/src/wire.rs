@@ -1,4 +1,4 @@
-//! Binary wire codec for the NetClone header and RPC payloads.
+//! Binary wire codec for the NetClone header and the RPC operation.
 //!
 //! Layout (network byte order), 20 bytes total for the header:
 //!

@@ -2,8 +2,7 @@
 //!
 //! Measurement plumbing for the NetClone reproduction: latency histograms
 //! with microsecond-tail fidelity, streaming mean/σ summaries, per-second
-//! throughput timeseries, and result rendering (markdown, CSV, and ASCII
-//! charts for the examples).
+//! throughput timeseries, and result rendering (markdown and CSV).
 //!
 //! The paper reports 99th-percentile latency against achieved throughput
 //! for every figure; [`LatencyHistogram`] is the core type backing those
@@ -11,14 +10,12 @@
 //! per power of two, giving ≤ 1.6 % relative bucket error across the whole
 //! ns→minutes range while staying allocation-free after construction.
 
-pub mod chart;
 pub mod hist;
 pub mod report;
 pub mod summary;
 pub mod table;
 pub mod timeseries;
 
-pub use chart::AsciiChart;
 pub use hist::LatencyHistogram;
 pub use report::{Report, Section};
 pub use summary::Summary;

@@ -1,5 +1,5 @@
 //! A miniature Figure 7(a): p99 latency vs throughput for Baseline,
-//! C-Clone, and NetClone under Exp(25), rendered as an ASCII chart.
+//! C-Clone, and NetClone under Exp(25), one line of points per scheme.
 //!
 //! ```text
 //! cargo run --release --example synthetic_sweep
@@ -7,7 +7,6 @@
 
 use netclone::cluster::sweep::{capacity_fractions, sweep};
 use netclone::cluster::{Scenario, Scheme};
-use netclone::stats::AsciiChart;
 use netclone::workloads::exp25;
 
 fn main() {
@@ -16,13 +15,8 @@ fn main() {
     template.measure_ns = 60_000_000;
     let rates = capacity_fractions(&template, 0.1, 0.95, 7);
 
-    let mut chart = AsciiChart::new(72, 18).log_y();
-    println!("Exp(25), 6 workers — p99 latency (us, log) vs achieved throughput (MRPS)\n");
-    for (scheme, marker) in [
-        (Scheme::Baseline, 'b'),
-        (Scheme::CClone, 'c'),
-        (Scheme::NETCLONE, 'N'),
-    ] {
+    println!("Exp(25), 6 workers — p99 latency (us) vs achieved throughput (MRPS)\n");
+    for scheme in [Scheme::Baseline, Scheme::CClone, Scheme::NETCLONE] {
         let mut t = template.clone();
         t.scheme = scheme;
         let points = sweep(&t, &rates);
@@ -35,12 +29,6 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(" ")
         );
-        chart = chart.series(
-            scheme.label(),
-            marker,
-            points.iter().map(|p| (p.achieved_mrps, p.p99_us)),
-        );
     }
-    println!("\n{}", chart.render());
-    println!("Note C-Clone's curve ending early (static cloning halves capacity, paper §2.2).");
+    println!("\nNote C-Clone's curve ending early (static cloning halves capacity, paper §2.2).");
 }

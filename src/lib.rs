@@ -89,7 +89,7 @@ pub use netclone_net as net;
 pub use netclone_policies as policies;
 /// Packet formats and the wire codec (paper Fig. 3).
 pub use netclone_proto as proto;
-/// Histograms, summaries, tables, charts.
+/// Histograms, summaries, time series, reports, tables.
 pub use netclone_stats as stats;
 /// Service-time distributions, arrivals, Zipf, op mixes (§5.1.2).
 pub use netclone_workloads as workloads;
