@@ -12,14 +12,16 @@
 //! `netclone-net`'s soft switch, tests) drives the result through
 //! [`netclone_core::SwitchEngine`], so there is exactly one
 //! implementation of each data plane and no per-scheme dispatch anywhere
-//! else. A single-rack topology yields a one-engine [`Fabric`] programmed
-//! exactly like [`build_engine`]'s; multi-rack topologies get one engine
-//! per leaf plus a plain-L3 spine, wired per §3.7 (NetClone logic only
-//! where clients attach, `SWITCH_ID`-gated pass-through everywhere else).
+//! else. Both program every switch from one host table and
+//! [`FabricShape::port_toward`]: a single-rack topology yields a
+//! one-engine [`Fabric`] programmed exactly like [`build_engine`]'s;
+//! multi-rack topologies get one engine per leaf plus a plain-L3 upper
+//! tier, wired per §3.7 (NetClone logic only where clients attach,
+//! `SWITCH_ID`-gated pass-through everywhere else).
 
 use std::sync::Arc;
 
-use netclone_core::ports::{client_port, server_port, COORD_PORT, MAX_SERVER_PORTS};
+use netclone_core::ports::{server_port, COORD_PORT, MAX_SERVER_PORTS};
 use netclone_core::{NetCloneConfig, NetCloneSwitch, Scheduling, SwitchEngine};
 use netclone_des::sync::tie_key;
 use netclone_des::{EventQueue, SeedFactory, SimTime};
@@ -36,9 +38,7 @@ use crate::calib;
 use crate::scenario::{Fault, Scenario, Workload};
 use crate::scheme::Scheme;
 use crate::sim::{BgState, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
-use crate::topology::{
-    agg_down_port, core_port, spine_port, Fabric, FabricShape, UpperTier, UPLINK_PORT,
-};
+use crate::topology::{Fabric, FabricShape, HostKind, Hosts, Topology, UpperTier};
 
 /// Virtual address of the LÆDGE coordinator host.
 pub(crate) const COORD_IP: Ipv4 = Ipv4::new(10, 0, 3, 1);
@@ -101,295 +101,114 @@ fn scheme_engine(scenario: &Scenario, switch_id: SwitchId) -> Box<dyn SwitchEngi
     }
 }
 
-/// Builds and programs the single-rack switch engine for a scenario.
+/// The host table of `scenario`'s fleet placed by `topo`.
+fn host_table(scenario: &Scenario, topo: &Topology) -> Hosts {
+    let coord = scenario.scheme.uses_coordinator().then_some(COORD_IP);
+    Hosts::new(topo, scenario.servers.len(), scenario.n_clients, coord)
+}
+
+/// Builds and programs switch `sw` of a `racks`-leaf fabric of `shape`
+/// (roles as in [`build_fabric`]): a host on `sw`'s own leaf through its
+/// access port, any other through [`FabricShape::port_toward`]. Servers
+/// register in sid order, the order the group table is built from.
+fn program_switch(
+    scenario: &Scenario,
+    hosts: &Hosts,
+    racks: usize,
+    shape: FabricShape,
+    sw: usize,
+) -> Box<dyn SwitchEngine> {
+    let mut e = if sw < racks {
+        scheme_engine(scenario, (sw + 1) as SwitchId)
+    } else {
+        Box::new(PlainL3Switch::new(netclone_asic::AsicSpec::tofino()))
+    };
+    let control = sw < racks
+        && scheme_has_engine(scenario.scheme)
+        && hosts
+            .iter()
+            .any(|h| h.leaf == sw && matches!(h.kind, HostKind::Client(_)));
+    for h in hosts.iter() {
+        let port = if h.leaf == sw {
+            h.port
+        } else {
+            shape.port_toward(racks, sw, h.leaf)
+        };
+        match h.kind {
+            HostKind::Server(sid) if control => e.register_server(sid, h.ip, port),
+            _ => e.register_route(h.ip, port),
+        }
+        .expect("host registration");
+    }
+    match &scenario.custom_groups {
+        Some(groups) if control => e.install_custom_groups(groups).expect("custom groups"),
+        _ => {}
+    }
+    e
+}
+
+/// Builds and programs the single-rack switch engine for a scenario: the
+/// one-leaf fabric, every host local, whatever the scenario's topology.
 ///
-/// Together with the internal per-leaf engine factory this is the only
-/// place in the workspace where a [`Scheme`] is mapped to a switch
-/// program; everything
+/// Together with [`build_fabric`] this is the only place in the workspace
+/// where a [`Scheme`] is mapped to a switch program; everything
 /// downstream sees `dyn SwitchEngine`. The real-socket soft switch and
 /// the equivalence tests program from here too.
 pub fn build_engine(scenario: &Scenario) -> Box<dyn SwitchEngine> {
-    let mut engine = scheme_engine(scenario, 1);
-    for sid in 0..scenario.servers.len() as u16 {
-        engine
-            .register_server(sid, Ipv4::server(sid), server_port(sid))
-            .expect("server registration");
-    }
-    for cid in 0..scenario.n_clients as u16 {
-        engine
-            .register_client(Ipv4::client(cid), client_port(cid))
-            .expect("client registration");
-    }
-    if scenario.scheme.uses_coordinator() {
-        engine
-            .register_route(COORD_IP, COORD_PORT)
-            .expect("coordinator route");
-    }
-    if let Some(groups) = &scenario.custom_groups {
-        engine.install_custom_groups(groups).expect("custom groups");
-    }
-    engine
+    let hosts = host_table(scenario, &Topology::single_rack());
+    program_switch(scenario, &hosts, 1, FabricShape::LeafSpine, 0)
 }
 
 /// Builds and programs the whole fabric for a scenario's topology.
 ///
-/// Single rack: one engine, programmed exactly as [`build_engine`] does —
-/// the pre-topology simulator, bit for bit. Multi-rack (§3.7):
-///
-/// * every **client-bearing leaf** runs the scheme's engine (switch_id =
-///   rack + 1) with the full server table — local servers on their access
-///   ports, remote ones via the uplink — so cloning happens only where
-///   clients attach;
-/// * every **other leaf** of an in-switch scheme runs the same engine type
-///   but only has routes (the `SWITCH_ID` gate bounces foreign-stamped
-///   packets to plain forwarding, and nothing ever enters it unstamped);
-/// * the **spine** and all leaves of the client-driven schemes are plain
-///   L3 switches routing each endpoint toward its rack.
+/// Single rack: one engine, programmed exactly as [`build_engine`] does.
+/// Multi-rack (§3.7): every **client-bearing leaf** runs the scheme's
+/// engine (switch_id = rack + 1) with the full server table and the custom
+/// groups, so cloning happens only where clients attach; every **other
+/// leaf** of an in-switch scheme runs the same engine type with routes
+/// only (the `SWITCH_ID` gate bounces foreign-stamped packets to plain
+/// forwarding); the **upper tier** and all leaves of the client-driven
+/// schemes are plain L3, routing each host toward its leaf.
 pub fn build_fabric(scenario: &Scenario) -> Fabric {
     let topo = &scenario.topology;
-    let n_servers = scenario.servers.len();
-    topo.validate(n_servers, scenario.n_clients)
+    topo.validate(scenario.servers.len(), scenario.n_clients)
         .expect("invalid topology");
-    let server_leaf: Vec<usize> = (0..n_servers).map(|s| topo.server_rack(s)).collect();
-    let client_leaf: Vec<usize> = (0..scenario.n_clients)
-        .map(|c| topo.client_rack(c))
+    let hosts = host_table(scenario, topo);
+    let engines = (0..topo.num_switches())
+        .map(|sw| program_switch(scenario, &hosts, topo.racks, topo.shape, sw))
         .collect();
-    // The LÆDGE coordinator hangs off rack 0's leaf by convention.
-    let coord_leaf = 0usize;
-
-    let mut fabric = Fabric {
-        engines: Vec::with_capacity(topo.num_switches()),
+    Fabric {
+        engines,
         racks: topo.racks,
         inter_rack_ns: topo.inter_rack_ns,
+        hosts,
         shape: topo.shape,
         ecmp_seed: topo.ecmp_seed,
-        server_leaf,
-        client_leaf,
-        coord_leaf,
-    };
-    if topo.racks == 1 {
-        fabric.engines.push(build_engine(scenario));
-        return fabric;
     }
-
-    for r in 0..topo.racks {
-        let has_clients = fabric.client_leaf.contains(&r);
-        let mut e = scheme_engine(scenario, (r + 1) as SwitchId);
-        if scheme_has_engine(scenario.scheme) && has_clients {
-            // Client-side ToR: the full NetClone control plane. AddrT
-            // resolves every server — rack-local ones to their access
-            // port, remote ones to the uplink (the paper's Fig. 5 setup
-            // generalised).
-            for sid in 0..n_servers as u16 {
-                let port = if fabric.server_leaf[sid as usize] == r {
-                    server_port(sid)
-                } else {
-                    UPLINK_PORT
-                };
-                e.register_server(sid, Ipv4::server(sid), port)
-                    .expect("server registration");
-            }
-            for cid in 0..scenario.n_clients as u16 {
-                if fabric.client_leaf[cid as usize] == r {
-                    e.register_client(Ipv4::client(cid), client_port(cid))
-                        .expect("client registration");
-                } else {
-                    e.register_route(Ipv4::client(cid), UPLINK_PORT)
-                        .expect("remote client route");
-                }
-            }
-            if let Some(groups) = &scenario.custom_groups {
-                e.install_custom_groups(groups).expect("custom groups");
-            }
-        } else {
-            // Routing-only leaf: local endpoints on their access ports,
-            // everything else via the uplink.
-            for sid in 0..n_servers as u16 {
-                let port = if fabric.server_leaf[sid as usize] == r {
-                    server_port(sid)
-                } else {
-                    UPLINK_PORT
-                };
-                e.register_route(Ipv4::server(sid), port)
-                    .expect("server route");
-            }
-            for cid in 0..scenario.n_clients as u16 {
-                let port = if fabric.client_leaf[cid as usize] == r {
-                    client_port(cid)
-                } else {
-                    UPLINK_PORT
-                };
-                e.register_route(Ipv4::client(cid), port)
-                    .expect("client route");
-            }
-        }
-        if scenario.scheme.uses_coordinator() {
-            let port = if coord_leaf == r {
-                COORD_PORT
-            } else {
-                UPLINK_PORT
-            };
-            e.register_route(COORD_IP, port).expect("coordinator route");
-        }
-        fabric.engines.push(e);
-    }
-
-    let upper = build_upper(
-        scenario,
-        topo.shape,
-        topo.racks,
-        &fabric.server_leaf,
-        &fabric.client_leaf,
-        coord_leaf,
-    );
-    fabric.engines.extend(upper);
-    fabric
-}
-
-/// Builds and programs the upper tier of a multi-rack fabric: the
-/// leaf/spine spine, or a fat-tree's aggregation then core switches
-/// ([`crate::topology`]'s global index order, minus the leaves). All
-/// plain L3 and stateless, which is why the event loop forwards through
-/// [`build_upper_tier`]'s table instead; these engines are what that
-/// table is tested against.
-fn build_upper(
-    scenario: &Scenario,
-    shape: FabricShape,
-    racks: usize,
-    server_leaf: &[usize],
-    client_leaf: &[usize],
-    coord_leaf: usize,
-) -> Vec<Box<dyn SwitchEngine>> {
-    match shape {
-        FabricShape::LeafSpine => {
-            vec![build_spine(scenario, server_leaf, client_leaf, coord_leaf)]
-        }
-        FabricShape::FatTree {
-            pods,
-            aggs_per_pod,
-            cores_per_group,
-        } => {
-            let lpp = shape.leaves_per_pod(racks);
-            let mut out: Vec<Box<dyn SwitchEngine>> =
-                Vec::with_capacity(pods * aggs_per_pod + aggs_per_pod * cores_per_group);
-            // Aggregation switches, pod-major: in-pod endpoints on the
-            // down-port of their leaf, everything else up to the cores.
-            for p in 0..pods {
-                for _j in 0..aggs_per_pod {
-                    let mut agg = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
-                    for sid in 0..server_leaf.len() as u16 {
-                        let leaf = server_leaf[sid as usize];
-                        let port = if leaf / lpp == p {
-                            agg_down_port(leaf % lpp)
-                        } else {
-                            UPLINK_PORT
-                        };
-                        agg.add_route(Ipv4::server(sid), port);
-                    }
-                    for cid in 0..client_leaf.len() as u16 {
-                        let leaf = client_leaf[cid as usize];
-                        let port = if leaf / lpp == p {
-                            agg_down_port(leaf % lpp)
-                        } else {
-                            UPLINK_PORT
-                        };
-                        agg.add_route(Ipv4::client(cid), port);
-                    }
-                    if scenario.scheme.uses_coordinator() {
-                        let port = if coord_leaf / lpp == p {
-                            agg_down_port(coord_leaf % lpp)
-                        } else {
-                            UPLINK_PORT
-                        };
-                        agg.add_route(COORD_IP, port);
-                    }
-                    out.push(Box::new(agg));
-                }
-            }
-            // Core switches, group-major (group `j` serves agg `j` of
-            // every pod): each routes every endpoint down to its pod.
-            for _j in 0..aggs_per_pod {
-                for _c in 0..cores_per_group {
-                    let mut core = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
-                    for sid in 0..server_leaf.len() as u16 {
-                        core.add_route(
-                            Ipv4::server(sid),
-                            core_port(server_leaf[sid as usize] / lpp),
-                        );
-                    }
-                    for cid in 0..client_leaf.len() as u16 {
-                        core.add_route(
-                            Ipv4::client(cid),
-                            core_port(client_leaf[cid as usize] / lpp),
-                        );
-                    }
-                    if scenario.scheme.uses_coordinator() {
-                        core.add_route(COORD_IP, core_port(coord_leaf / lpp));
-                    }
-                    out.push(Box::new(core));
-                }
-            }
-            out
-        }
-    }
-}
-
-/// Builds and programs the aggregation spine: plain L3, one route per
-/// endpoint toward its rack's leaf.
-fn build_spine(
-    scenario: &Scenario,
-    server_leaf: &[usize],
-    client_leaf: &[usize],
-    coord_leaf: usize,
-) -> Box<dyn SwitchEngine> {
-    let mut spine = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
-    for sid in 0..server_leaf.len() as u16 {
-        spine.add_route(Ipv4::server(sid), spine_port(server_leaf[sid as usize]));
-    }
-    for cid in 0..client_leaf.len() as u16 {
-        spine.add_route(Ipv4::client(cid), spine_port(client_leaf[cid as usize]));
-    }
-    if scenario.scheme.uses_coordinator() {
-        spine.add_route(COORD_IP, spine_port(coord_leaf));
-    }
-    Box::new(spine)
 }
 
 /// Compiles the upper tier of `fabric` — the spine, or the aggregation
 /// and core switches, that [`build_fabric`] programs after the leaves —
-/// into its forwarding table: the same endpoints, each toward its leaf.
-pub fn build_upper_tier(scenario: &Scenario, fabric: &Fabric) -> UpperTier {
-    let (servers, clients) = (&fabric.server_leaf, &fabric.client_leaf);
-    let servers = (0..).map(Ipv4::server).zip(servers.iter().copied());
-    let clients = (0..).map(Ipv4::client).zip(clients.iter().copied());
-    let coord = scenario.scheme.uses_coordinator();
-    let coord = coord.then_some((COORD_IP, fabric.coord_leaf));
-    let endpoints = servers.chain(clients).chain(coord);
-    UpperTier::new(fabric.racks, fabric.shape, endpoints)
+/// into its forwarding table: the same hosts, each toward its leaf.
+pub fn build_upper_tier(fabric: &Fabric) -> UpperTier {
+    let hosts = fabric.hosts.iter().map(|h| (h.ip, h.leaf));
+    UpperTier::new(fabric.racks, fabric.shape, hosts)
 }
 
 /// Each rack's share of the requests it terminates, in units of
 /// `1 / (clients × servers)`: its share of the clients plus its share of
 /// the servers, plus one whole on the coordinator's rack when the scheme
 /// has one (every request crosses it).
-fn rack_weights(
-    scenario: &Scenario,
-    racks: usize,
-    server_leaf: &[usize],
-    client_leaf: &[usize],
-    coord_leaf: usize,
-) -> Vec<u64> {
-    let n_servers = server_leaf.len().max(1) as u64;
-    let n_clients = client_leaf.len().max(1) as u64;
+fn rack_weights(hosts: &Hosts, racks: usize) -> Vec<u64> {
+    let n_servers = hosts.n_servers.max(1) as u64;
+    let n_clients = hosts.n_clients.max(1) as u64;
     let mut w = vec![0; racks];
-    for &r in client_leaf {
-        w[r] += n_servers;
-    }
-    for &r in server_leaf {
-        w[r] += n_clients;
-    }
-    if scenario.scheme.uses_coordinator() {
-        w[coord_leaf] += n_clients * n_servers;
+    for h in hosts.iter() {
+        w[h.leaf] += match h.kind {
+            HostKind::Client(_) => n_servers,
+            HostKind::Server(_) => n_clients,
+            HostKind::Coord => n_clients * n_servers,
+        };
     }
     w
 }
@@ -517,16 +336,12 @@ impl ScenarioBuilder {
         let scenario = Arc::new(self.scenario);
         let seeds = SeedFactory::new(scenario.seed);
         let n_servers = scenario.servers.len();
-        assert!(
-            n_servers >= 2,
-            "NetClone requires at least two servers (§5.3.2)"
-        );
         if let Err(e) = scenario.validate() {
             panic!("invalid scenario: {e}");
         }
 
         let fabric = build_fabric(&scenario);
-        let tier = build_upper_tier(&scenario, &fabric);
+        let tier = build_upper_tier(&fabric);
 
         // ---- workload -----------------------------------------------
         let (synthetic, kvmix, cost) = match &scenario.workload {
@@ -643,16 +458,10 @@ impl ScenarioBuilder {
             inter_rack_ns,
             shape,
             ecmp_seed,
-            server_leaf,
-            client_leaf,
-            coord_leaf,
+            hosts,
         } = fabric;
         let nshards = shards.clamp(1, racks);
-        let rack_shard = partition(
-            shape,
-            &rack_weights(&scenario, racks, &server_leaf, &client_leaf, coord_leaf),
-            nshards,
-        );
+        let rack_shard = partition(shape, &rack_weights(&hosts, racks), nshards);
         let shard_of = |rack: usize| rack_shard[rack];
 
         // Multi-rack fabrics carry the upper tier's engines after the
@@ -667,15 +476,6 @@ impl ScenarioBuilder {
         // before anything is scattered — the draw order is a pure
         // function of the scenario.
         let mut bg_setup = scenario.background.map(|b| {
-            assert!(
-                scenario.links.is_some(),
-                "background traffic requires congestion-aware links"
-            );
-            assert!(
-                racks > 1,
-                "background traffic requires a multi-rack topology"
-            );
-            assert!(b.victim_rack < racks, "victim rack out of range");
             let arrivals = netclone_workloads::PoissonArrivals::new(b.rps / (racks - 1) as f64);
             let mut rngs: Vec<Option<StdRng>> = (0..racks)
                 .map(|r| (r != b.victim_rack).then(|| seeds.rng_for("bg", r as u64)))
@@ -713,48 +513,27 @@ impl ScenarioBuilder {
                 inter_rack_ns,
                 ecmp_seed,
                 pass_ns: netclone_asic::AsicSpec::tofino().pass_latency_ns,
-                server_leaf: server_leaf.clone(),
-                client_leaf: client_leaf.clone(),
-                coord_leaf,
+                hosts: hosts.clone(),
                 // Congestion-aware links: every shard materialises only
                 // the links its racks own (access links by host, leaf
                 // uplinks/downlinks by rack) — link state is touched only
                 // by the owning rack's event domain.
                 links: scenario.links.as_ref().map(|spec| {
-                    let n_up = shape.n_uplinks();
+                    let leaf_links = |r: usize| {
+                        let owned = racks > 1 && shard_of(r) == k;
+                        let n = if owned { shape.n_uplinks() } else { 0 };
+                        (0..n).map(|_| spec.fabric_link()).collect::<Vec<_>>()
+                    };
                     LinkState {
-                        client_up: (0..n_clients)
-                            .map(|c| (shard_of(client_leaf[c]) == k).then(|| spec.edge_link()))
-                            .collect(),
-                        client_down: (0..n_clients)
-                            .map(|c| (shard_of(client_leaf[c]) == k).then(|| spec.edge_link()))
-                            .collect(),
-                        server_up: (0..n_servers)
-                            .map(|i| (shard_of(server_leaf[i]) == k).then(|| spec.edge_link()))
-                            .collect(),
-                        server_down: (0..n_servers)
-                            .map(|i| (shard_of(server_leaf[i]) == k).then(|| spec.edge_link()))
-                            .collect(),
-                        coord_up: (shard_of(coord_leaf) == k).then(|| spec.edge_link()),
-                        coord_down: (shard_of(coord_leaf) == k).then(|| spec.edge_link()),
-                        up: (0..racks)
-                            .map(|r| {
-                                if racks > 1 && shard_of(r) == k {
-                                    (0..n_up).map(|_| spec.fabric_link()).collect()
-                                } else {
-                                    Vec::new()
-                                }
+                        access: hosts
+                            .iter()
+                            .map(|h| {
+                                let owned = shard_of(h.leaf) == k;
+                                owned.then(|| [spec.edge_link(), spec.edge_link()])
                             })
                             .collect(),
-                        down: (0..racks)
-                            .map(|r| {
-                                if racks > 1 && shard_of(r) == k {
-                                    (0..n_up).map(|_| spec.fabric_link()).collect()
-                                } else {
-                                    Vec::new()
-                                }
-                            })
-                            .collect(),
+                        up: (0..racks).map(leaf_links).collect(),
+                        down: (0..racks).map(leaf_links).collect(),
                     }
                 }),
                 bg: bg_setup.as_ref().map(|(arrivals, _, _, b)| BgState {
@@ -813,10 +592,10 @@ impl ScenarioBuilder {
             }
         }
         for (i, s) in servers.into_iter().enumerate() {
-            out[shard_of(server_leaf[i])].servers[i] = Some(s);
+            out[shard_of(hosts[hosts.server(i)].leaf)].servers[i] = Some(s);
         }
         for (cid, c) in clients.into_iter().enumerate() {
-            let k = shard_of(client_leaf[cid]);
+            let k = shard_of(hosts[hosts.client(cid)].leaf);
             out[k].clients[cid] = Some(c);
             out[k].arrival_rngs[cid] = Some(std::mem::replace(
                 &mut arrival_rngs[cid],
@@ -824,15 +603,16 @@ impl ScenarioBuilder {
             ));
             out[k].workload_rngs[cid] = Some(seeds.rng_for("workload", cid as u64));
         }
-        out[shard_of(coord_leaf)].coordinator = coordinator;
+        if coordinator.is_some() {
+            out[shard_of(hosts[hosts.coord()].leaf)].coordinator = coordinator;
+        }
 
         Self::prime(
             &mut out,
             &scenario,
             &first_gaps,
             &bg_first_gaps,
-            &client_leaf,
-            &server_leaf,
+            &hosts,
             &rack_shard,
         );
         let lookahead = lookahead_ns(
@@ -862,10 +642,11 @@ impl ScenarioBuilder {
         scenario: &Scenario,
         first_gaps: &[u64],
         bg_first_gaps: &[Option<u64>],
-        client_leaf: &[usize],
-        server_leaf: &[usize],
+        hosts: &Hosts,
         rack_shard: &[usize],
     ) {
+        let client_shard = |cid: usize| rack_shard[hosts[hosts.client(cid)].leaf];
+        let server_shard = |sid: u16| rack_shard[hosts[hosts.server(sid.into())].leaf];
         let mut ctl = 0u64;
         let prime_one = |shards: &mut [Shard], ctl: &mut u64, owner: usize, at: u64, ev: Ev| {
             let tie = tie_key(CONTROL_SRC, *ctl);
@@ -885,13 +666,7 @@ impl ScenarioBuilder {
         };
 
         for (cid, gap) in first_gaps.iter().enumerate() {
-            prime_one(
-                shards,
-                &mut ctl,
-                rack_shard[client_leaf[cid]],
-                *gap,
-                Ev::Gen(cid),
-            );
+            prime_one(shards, &mut ctl, client_shard(cid), *gap, Ev::Gen(cid));
         }
         broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
         // Fault edges ride the control domain too, in declaration order.
@@ -903,25 +678,10 @@ impl ScenarioBuilder {
         for &fault in &scenario.faults.faults {
             match fault {
                 Fault::Slowdown(plan) => {
-                    let owner = rack_shard[server_leaf[plan.sid as usize]];
-                    let idx = plan.sid as usize;
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.start_ns,
-                        Ev::ServerSlow {
-                            idx,
-                            factor: plan.factor,
-                        },
-                    );
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.end_ns,
-                        Ev::ServerSlow { idx, factor: 1.0 },
-                    );
+                    let (owner, idx) = (server_shard(plan.sid), plan.sid as usize);
+                    let slow = |factor| Ev::ServerSlow { idx, factor };
+                    prime_one(shards, &mut ctl, owner, plan.start_ns, slow(plan.factor));
+                    prime_one(shards, &mut ctl, owner, plan.end_ns, slow(1.0));
                 }
                 Fault::Drain(plan) => {
                     let owner = rack_shard[plan.rack];
@@ -972,13 +732,8 @@ impl ScenarioBuilder {
                     });
                 }
                 Fault::ServerStop(plan) => {
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        rack_shard[server_leaf[plan.sid as usize]],
-                        plan.fail_at_ns,
-                        Ev::ServerKill(plan.sid as usize),
-                    );
+                    let (owner, kill) = (server_shard(plan.sid), Ev::ServerKill(plan.sid.into()));
+                    prime_one(shards, &mut ctl, owner, plan.fail_at_ns, kill);
                     broadcast(shards, &mut ctl, plan.removed_at_ns, &|| {
                         Ev::ServerRemove(plan.sid)
                     });
@@ -989,14 +744,9 @@ impl ScenarioBuilder {
         // the client's shard. Absent a retry policy no tick is ever
         // scheduled (and the legacy scenarios stay seed-pinned).
         if let Some(policy) = scenario.retry {
-            for (cid, leaf) in client_leaf.iter().enumerate().take(scenario.n_clients) {
-                prime_one(
-                    shards,
-                    &mut ctl,
-                    rack_shard[*leaf],
-                    policy.tick_ns(),
-                    Ev::ClientTick(cid),
-                );
+            for cid in 0..scenario.n_clients {
+                let tick = Ev::ClientTick(cid);
+                prime_one(shards, &mut ctl, client_shard(cid), policy.tick_ns(), tick);
             }
         }
         // Background incast: one first arrival per source rack, owned by

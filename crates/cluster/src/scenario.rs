@@ -460,12 +460,37 @@ impl Scenario {
         threads as f64 / (mean_ns / 1e9)
     }
 
-    /// Checks the server count against the fabric's limits and the fault
-    /// timeline against the rest of the scenario. Called by the builder
-    /// before any event is primed; the error message names the limit or
-    /// the conflicting faults.
+    /// Checks the server count against the fabric's limits, the topology
+    /// and the background traffic against the fleet and the links, and the
+    /// fault timeline against the rest of the scenario. Called by the
+    /// builder before any event is primed; the error message names the
+    /// limit, the mismatch or the conflicting faults.
     pub fn validate(&self) -> Result<(), String> {
-        crate::build::check_server_count(self.scheme, self.servers.len())?;
+        let n_servers = self.servers.len();
+        if n_servers < 2 {
+            return Err(format!(
+                "NetClone requires at least two servers (§5.3.2), got {n_servers}"
+            ));
+        }
+        crate::build::check_server_count(self.scheme, n_servers)?;
+        self.topology.validate(n_servers, self.n_clients)?;
+        if let Some(b) = &self.background {
+            let racks = self.topology.racks;
+            if self.links.is_none() {
+                return Err("background traffic requires congestion-aware links \
+                     (Scenario::links)"
+                    .to_string());
+            }
+            if racks < 2 {
+                return Err("background traffic requires a multi-rack topology".to_string());
+            }
+            if b.victim_rack >= racks {
+                return Err(format!(
+                    "background victim rack {} but the topology has {racks}",
+                    b.victim_rack
+                ));
+            }
+        }
         let faults = &self.faults.faults;
         for fault in faults {
             self.validate_fault(fault)?;
@@ -873,6 +898,56 @@ mod tests {
         s.faults = FaultTimeline::correlated_gray(&[0, 2, 4], 10_000_000, 20_000_000, 6.0);
         assert!(s.validate().is_ok());
         assert_eq!(s.faults.faults.len(), 3);
+    }
+
+    // The builder cannot run any of the next scenarios: `validate` names
+    // the problem instead of leaving the builder to panic.
+    #[test]
+    fn a_placement_missing_a_server_is_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.servers.truncate(4);
+        s.topology = Topology::uniform(2).with_server_racks(vec![0, 1, 1]);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("covers 3 of 4"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn a_single_server_is_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.servers.truncate(1);
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("at least two servers"),
+            "unhelpful error: {err}"
+        );
+    }
+
+    #[test]
+    fn background_needs_links_several_racks_and_a_victim_among_them() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.topology = Topology::uniform(4);
+        s.links = Some(LinkSpec::flat(10.0, 150_000));
+        s.background = Some(Background {
+            rps: 1e5,
+            wire_bytes: 1500,
+            victim_rack: 3,
+        });
+        assert_eq!(s.validate(), Ok(()));
+        let mut no_links = s.clone();
+        no_links.links = None;
+        let mut one_rack = s.clone();
+        one_rack.topology = Topology::single_rack();
+        let mut three_racks = s.clone();
+        three_racks.topology = Topology::uniform(3);
+        let bad = [
+            (no_links, "links"),
+            (one_rack, "multi-rack"),
+            (three_racks, "victim rack 3"),
+        ];
+        for (s, want) in bad {
+            let err = s.validate().unwrap_err();
+            assert!(err.contains(want), "unhelpful error: {err}");
+        }
     }
 
     #[test]

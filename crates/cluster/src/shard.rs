@@ -64,6 +64,7 @@ use netclone_stats::LatencyHistogram;
 use crate::build::ScenarioBuilder;
 use crate::metrics::{LinkStat, LinkTotals, RunResult};
 use crate::sim::{CrossMsg, Shard};
+use crate::topology::HostKind;
 
 /// Owns a run's shards from build to merged [`RunResult`].
 pub(crate) struct ShardCoordinator {
@@ -182,6 +183,8 @@ impl ShardCoordinator {
         let scenario = shards[0].scenario.clone();
         let racks = shards[0].racks;
         let rack_shard = shards[0].rack_shard.clone();
+        let hosts = &shards[0].hosts;
+        let owner = |h: usize| rack_shard[hosts[h].leaf];
         let n_clients = scenario.n_clients;
         let n_servers = scenario.servers.len();
         for sh in shards.iter() {
@@ -203,8 +206,9 @@ impl ShardCoordinator {
         let mut lifetime = netclone_hosts::LifetimeCounters::default();
         let mut outstanding = 0u64;
         for cid in 0..n_clients {
-            let owner = rack_shard[shards[0].client_leaf[cid]];
-            let c = shards[owner].clients[cid].as_ref().expect("client owner");
+            let c = shards[owner(hosts.client(cid))].clients[cid]
+                .as_ref()
+                .expect("client owner");
             latency.merge(c.latencies());
             generated += c.stats().generated;
             redundant += c.stats().redundant;
@@ -243,12 +247,12 @@ impl ShardCoordinator {
         }
         let switch: SwitchCounters = per_switch.iter().sum();
 
-        // Link stats, in deterministic fabric order: host access links
-        // (clients, servers, coordinator), then each leaf's uplinks and
-        // downlinks. Only congested links (a drop or an ECN mark) get a
-        // row; the totals cover every link. Counters are whole-run — the
-        // conservation identities (offered == forwarded + dropped) only
-        // hold unwindowed.
+        // Link stats, in deterministic fabric order: host access links (in
+        // the host table's order: clients, servers, coordinator), then
+        // each leaf's uplinks and downlinks. Only congested links (a drop
+        // or an ECN mark) get a row; the totals cover every link. Counters
+        // are whole-run — the conservation identities (offered ==
+        // forwarded + dropped) only hold unwindowed.
         let mut link_stats: Vec<LinkStat> = Vec::new();
         let mut link_totals: Option<LinkTotals> = None;
         if scenario.links.is_some() {
@@ -268,44 +272,16 @@ impl ShardCoordinator {
                             });
                         }
                     };
-                let client_leaf = shards[0].client_leaf.clone();
-                let server_leaf = shards[0].server_leaf.clone();
-                let coord_leaf = shards[0].coord_leaf;
-                for cid in 0..n_clients {
-                    let ls = shards[rack_shard[client_leaf[cid]]]
-                        .links
-                        .as_ref()
-                        .expect("links enabled");
-                    let up = ls.client_up[cid].as_ref().expect("client owner").counters();
-                    take(format!("client{cid}.up"), up, &mut totals.edge);
-                    let down = ls.client_down[cid]
-                        .as_ref()
-                        .expect("client owner")
-                        .counters();
-                    take(format!("client{cid}.down"), down, &mut totals.edge);
-                }
-                for idx in 0..n_servers {
-                    let ls = shards[rack_shard[server_leaf[idx]]]
-                        .links
-                        .as_ref()
-                        .expect("links enabled");
-                    let up = ls.server_up[idx].as_ref().expect("server owner").counters();
-                    take(format!("server{idx}.up"), up, &mut totals.edge);
-                    let down = ls.server_down[idx]
-                        .as_ref()
-                        .expect("server owner")
-                        .counters();
-                    take(format!("server{idx}.down"), down, &mut totals.edge);
-                }
-                {
-                    let ls = shards[rack_shard[coord_leaf]]
-                        .links
-                        .as_ref()
-                        .expect("links enabled");
-                    let up = ls.coord_up.as_ref().expect("coord owner").counters();
-                    take("coord.up".into(), up, &mut totals.edge);
-                    let down = ls.coord_down.as_ref().expect("coord owner").counters();
-                    take("coord.down".into(), down, &mut totals.edge);
+                for (h, host) in hosts.iter().enumerate() {
+                    let ls = shards[owner(h)].links.as_ref().expect("links enabled");
+                    let [up, down] = ls.access[h].as_ref().expect("host owner");
+                    let name = match host.kind {
+                        HostKind::Client(cid) => format!("client{cid}"),
+                        HostKind::Server(sid) => format!("server{sid}"),
+                        HostKind::Coord => "coord".into(),
+                    };
+                    take(format!("{name}.up"), up.counters(), &mut totals.edge);
+                    take(format!("{name}.down"), down.counters(), &mut totals.edge);
                 }
                 for r in 0..racks {
                     let ls = shards[rack_shard[r]].links.as_ref().expect("links enabled");
@@ -325,7 +301,7 @@ impl ShardCoordinator {
         let mut responses = 0;
         let mut per_server_served = Vec::with_capacity(n_servers);
         for idx in 0..n_servers {
-            let sh = &shards[rack_shard[shards[0].server_leaf[idx]]];
+            let sh = &shards[owner(hosts.server(idx))];
             let st = sh.servers[idx].as_ref().expect("server owner").stats();
             let b = sh.server_stats_at_warmup[idx];
             clone_drops += st.clones_dropped - b.clones_dropped;

@@ -107,7 +107,7 @@ use crate::calib;
 use crate::metrics::RunResult;
 use crate::scenario::Scenario;
 use crate::shard::ShardCoordinator;
-use crate::topology::{flow_hash, UpperTier, UpperWalk, UPLINK_PORT};
+use crate::topology::{flow_hash, Hosts, UpperTier, UpperWalk, UPLINK_PORT};
 
 /// Simulation events.
 ///
@@ -222,16 +222,14 @@ pub(crate) struct LossModel {
 }
 
 /// The congestion-aware links owned by one shard (see the module docs):
-/// host access links by global host id, leaf uplinks/downlinks by
-/// `[rack][uplink index]`. Entries of foreign racks are `None`/empty —
-/// every link is touched only by its owning rack's event domain.
+/// host access links by host id (the [`Hosts`] table's order), leaf
+/// uplinks/downlinks by `[rack][uplink index]`. Entries of foreign racks
+/// are `None`/empty — every link is touched only by its owning rack's
+/// event domain.
 pub(crate) struct LinkState {
-    pub client_up: Vec<Option<Link>>,
-    pub client_down: Vec<Option<Link>>,
-    pub server_up: Vec<Option<Link>>,
-    pub server_down: Vec<Option<Link>>,
-    pub coord_up: Option<Link>,
-    pub coord_down: Option<Link>,
+    /// Host `h`'s access links, indexed by [`UP`] (host → leaf) and
+    /// [`DOWN`] (leaf → host).
+    pub access: Vec<Option<[Link; 2]>>,
     /// Leaf `r` → upper tier via uplink `j`.
     pub up: Vec<Vec<Link>>,
     /// Upper tier → leaf `r` via downlink `j`.
@@ -278,16 +276,10 @@ fn no_host(kind: &str, port: PortId) -> ! {
     panic!("port {port} has no {kind}")
 }
 
-/// Which host access link an [`Shard::edge_hop`] traversal uses.
-#[derive(Clone, Copy)]
-enum EdgeLink {
-    ClientUp(usize),
-    ClientDown(usize),
-    ServerUp(usize),
-    ServerDown(usize),
-    CoordUp,
-    CoordDown,
-}
+/// The host → leaf direction of an access link ([`LinkState::access`]).
+const UP: usize = 0;
+/// The leaf → host direction of an access link.
+const DOWN: usize = 1;
 
 /// One shard of a testbed simulation: the event loop state for a subset
 /// of the racks (all of them, for a serial run).
@@ -321,9 +313,8 @@ pub(crate) struct Shard {
     /// One switch pass latency, ns (upper-tier hops and background
     /// packets cross switches without an engine but still pay the pass).
     pub(crate) pass_ns: u64,
-    pub(crate) server_leaf: Vec<usize>,
-    pub(crate) client_leaf: Vec<usize>,
-    pub(crate) coord_leaf: usize,
+    /// Every host and the leaf it hangs off (the fabric's table).
+    pub(crate) hosts: Hosts,
     /// Congestion-aware links (`None` = fixed-latency hops).
     pub(crate) links: Option<LinkState>,
     /// Background incast traffic (`None` = quiet fabric).
@@ -463,25 +454,18 @@ impl Shard {
         }
     }
 
-    /// Carries a packet across one host access link, starting at
-    /// `egress_ns` (when the sender's last bit is ready): returns the
-    /// arrival time at the far end, or `None` if the bounded queue
-    /// tail-dropped it. Links disabled → the historical fixed-latency
-    /// hop, arithmetic unchanged.
+    /// Carries a packet across host `host`'s access link in direction
+    /// `dir` ([`UP`] or [`DOWN`]), starting at `egress_ns` (when the
+    /// sender's last bit is ready): returns the arrival time at the far
+    /// end, or `None` if the bounded queue tail-dropped it. Links disabled
+    /// → the historical fixed-latency hop, arithmetic unchanged.
     #[inline]
-    fn edge_hop(&mut self, which: EdgeLink, egress_ns: u64, wire: u16) -> Option<u64> {
+    fn edge_hop(&mut self, host: usize, dir: usize, egress_ns: u64, wire: u16) -> Option<u64> {
         let Some(ls) = &mut self.links else {
             return Some(egress_ns + calib::LINK_ONE_WAY_NS);
         };
-        let link = match which {
-            EdgeLink::ClientUp(cid) => ls.client_up[cid].as_mut(),
-            EdgeLink::ClientDown(cid) => ls.client_down[cid].as_mut(),
-            EdgeLink::ServerUp(idx) => ls.server_up[idx].as_mut(),
-            EdgeLink::ServerDown(idx) => ls.server_down[idx].as_mut(),
-            EdgeLink::CoordUp => ls.coord_up.as_mut(),
-            EdgeLink::CoordDown => ls.coord_down.as_mut(),
-        }
-        .expect("access link of an owned host");
+        let links = ls.access[host].as_mut();
+        let link = &mut links.expect("access link of an owned host")[dir];
         match link.offer(egress_ns, u32::from(wire)) {
             Verdict::Forward { depart_ns, .. } => Some(depart_ns + calib::LINK_ONE_WAY_NS),
             Verdict::Drop => None,
@@ -491,7 +475,7 @@ impl Shard {
     pub(crate) fn handle(&mut self, now: u64, ev: Ev) {
         match ev {
             Ev::Gen(cid) => {
-                self.set_rack_ctx(self.client_leaf[cid]);
+                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_gen(cid, now);
             }
             Ev::SwitchIn(sw, pkt) => {
@@ -499,19 +483,19 @@ impl Shard {
                 self.on_switch_in(sw, pkt, now);
             }
             Ev::ServerIn(idx, pkt) => {
-                self.set_rack_ctx(self.server_leaf[idx]);
+                self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
                 self.on_server_in(idx, pkt, now);
             }
             Ev::ServerDone { idx, epoch, pkt } => {
-                self.set_rack_ctx(self.server_leaf[idx]);
+                self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
                 self.on_server_done(idx, epoch, pkt, now);
             }
             Ev::ClientIn(cid, pkt) => {
-                self.set_rack_ctx(self.client_leaf[cid]);
+                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_client_in(cid, pkt, now);
             }
             Ev::CoordIn(pkt) => {
-                self.set_rack_ctx(self.coord_leaf);
+                self.set_rack_ctx(self.hosts[self.hosts.coord()].leaf);
                 self.on_coord_in(pkt, now);
             }
             Ev::DownlinkIn { leaf, via, pkt } => {
@@ -594,7 +578,7 @@ impl Shard {
                 self.on_link_flap(rack, factor);
             }
             Ev::ClientTick(cid) => {
-                self.set_rack_ctx(self.client_leaf[cid]);
+                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_client_tick(cid, now);
             }
         }
@@ -606,47 +590,17 @@ impl Shard {
     /// links, and only its domain ever touches them, so the flap composes
     /// with the sharded loop's bit-identity argument unchanged.
     fn on_link_flap(&mut self, rack: usize, factor: u64) {
-        let Shard {
-            links,
-            client_leaf,
-            server_leaf,
-            coord_leaf,
-            ..
-        } = self;
-        let ls = links.as_mut().expect("link flap requires links");
-        for l in &mut ls.up[rack] {
+        let ls = self.links.as_mut().expect("link flap requires links");
+        let hosts = self.hosts.iter().zip(&mut ls.access);
+        let access = hosts
+            .filter(|(h, _)| h.leaf == rack)
+            .flat_map(|(_, links)| links.as_mut().expect("access links of an owned rack"));
+        for l in ls.up[rack]
+            .iter_mut()
+            .chain(&mut ls.down[rack])
+            .chain(access)
+        {
             l.set_degradation(factor);
-        }
-        for l in &mut ls.down[rack] {
-            l.set_degradation(factor);
-        }
-        for (cid, leaf) in client_leaf.iter().enumerate() {
-            if *leaf == rack {
-                if let Some(l) = ls.client_up[cid].as_mut() {
-                    l.set_degradation(factor);
-                }
-                if let Some(l) = ls.client_down[cid].as_mut() {
-                    l.set_degradation(factor);
-                }
-            }
-        }
-        for (idx, leaf) in server_leaf.iter().enumerate() {
-            if *leaf == rack {
-                if let Some(l) = ls.server_up[idx].as_mut() {
-                    l.set_degradation(factor);
-                }
-                if let Some(l) = ls.server_down[idx].as_mut() {
-                    l.set_degradation(factor);
-                }
-            }
-        }
-        if *coord_leaf == rack {
-            if let Some(l) = ls.coord_up.as_mut() {
-                l.set_degradation(factor);
-            }
-            if let Some(l) = ls.coord_down.as_mut() {
-                l.set_degradation(factor);
-            }
         }
     }
 
@@ -656,15 +610,15 @@ impl Shard {
     /// offered-load accounting — retries are recovery, not offered work.
     /// Reschedules itself at the policy cadence until generation ends.
     fn on_client_tick(&mut self, cid: usize, now: u64) {
-        let tor = self.client_leaf[cid];
+        let host = self.hosts.client(cid);
+        let tor = self.hosts[host].leaf;
         let pkts = self.clients[cid].as_mut().expect("owned client").tick(now);
         for (pkt, tx_done) in pkts {
             if self.lose_packet() {
                 self.packets_lost += 1;
                 continue;
             }
-            let Some(at) = self.edge_hop(EdgeLink::ClientUp(cid), tx_done, pkt.meta.wire_bytes)
-            else {
+            let Some(at) = self.edge_hop(host, UP, tx_done, pkt.meta.wire_bytes) else {
                 continue; // tail-dropped at the access link
             };
             self.sched(at, Ev::SwitchIn(tor, pkt));
@@ -691,8 +645,8 @@ impl Shard {
             any_deregistered |= e.deregister_server(sid).is_ok();
         }
         if any_deregistered {
-            for cid in 0..self.client_leaf.len() {
-                let leaf = self.client_leaf[cid];
+            for cid in 0..self.clients.len() {
+                let leaf = self.hosts[self.hosts.client(cid)].leaf;
                 let Some(c) = self.clients[cid].as_mut() else {
                     continue;
                 };
@@ -723,7 +677,8 @@ impl Shard {
             self.generated_in_window += 1;
         }
         let op = self.draw_op(cid);
-        let tor = self.client_leaf[cid];
+        let host = self.hosts.client(cid);
+        let tor = self.hosts[host].leaf;
         // The clients move out for the emission so the callback can borrow
         // `self` freely; `mem::take` swaps in an (unallocated) empty Vec.
         let mut clients = std::mem::take(&mut self.clients);
@@ -735,8 +690,7 @@ impl Shard {
                     self.packets_lost += 1;
                     return;
                 }
-                let Some(at) = self.edge_hop(EdgeLink::ClientUp(cid), tx_done, meta.wire_bytes)
-                else {
+                let Some(at) = self.edge_hop(host, UP, tx_done, meta.wire_bytes) else {
                     return; // tail-dropped at the access link
                 };
                 let pkt = AppPacket {
@@ -788,7 +742,8 @@ impl Shard {
                 }
                 self.via_upper(walk, out, egress);
             } else if e.port == COORD_PORT {
-                if let Some(at) = self.edge_hop(EdgeLink::CoordDown, egress, e.pkt.wire_bytes) {
+                let host = self.hosts.coord();
+                if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
                     self.sched(at, Ev::CoordIn(out));
                 }
             } else if e.port >= client_port(0) {
@@ -796,8 +751,8 @@ impl Shard {
                 if cid >= self.clients.len() {
                     no_host("client", e.port);
                 }
-                if let Some(at) = self.edge_hop(EdgeLink::ClientDown(cid), egress, e.pkt.wire_bytes)
-                {
+                let host = self.hosts.client(cid);
+                if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
                     self.sched(at, Ev::ClientIn(cid, out));
                 }
             } else if e.port >= server_port(0) {
@@ -805,8 +760,8 @@ impl Shard {
                 if idx >= self.servers.len() {
                     no_host("server", e.port);
                 }
-                if let Some(at) = self.edge_hop(EdgeLink::ServerDown(idx), egress, e.pkt.wire_bytes)
-                {
+                let host = self.hosts.server(idx);
+                if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
                     self.sched(at, Ev::ServerIn(idx, out));
                 }
             }
@@ -948,11 +903,12 @@ impl Shard {
         let sid = server.sid();
         let meta =
             PacketMeta::netclone_response(Ipv4::server(sid), pkt.meta.src_ip, completion.resp, 84);
+        let host = self.hosts.server(idx);
         if self.lose_packet() {
             self.packets_lost += 1;
-        } else if let Some(at) = self.edge_hop(EdgeLink::ServerUp(idx), now, meta.wire_bytes) {
+        } else if let Some(at) = self.edge_hop(host, UP, now, meta.wire_bytes) {
             // The response carries the request's op and birth time.
-            let leaf = self.server_leaf[idx];
+            let leaf = self.hosts[host].leaf;
             self.sched(at, Ev::SwitchIn(leaf, AppPacket { meta, ..pkt }));
         }
         if let Some((pkt, next_done)) = completion.next {
@@ -980,16 +936,16 @@ impl Shard {
             MsgType::Req => coord.on_request(pkt, now),
             MsgType::Resp => coord.on_response(pkt, now),
         };
+        let host = self.hosts.coord();
         for e in events {
             if self.lose_packet() {
                 self.packets_lost += 1;
                 continue;
             }
-            let Some(at) = self.edge_hop(EdgeLink::CoordUp, e.send_at, e.pkt.meta.wire_bytes)
-            else {
+            let Some(at) = self.edge_hop(host, UP, e.send_at, e.pkt.meta.wire_bytes) else {
                 continue; // tail-dropped at the coordinator's access link
             };
-            self.sched(at, Ev::SwitchIn(self.coord_leaf, e.pkt));
+            self.sched(at, Ev::SwitchIn(self.hosts[host].leaf, e.pkt));
         }
     }
 

@@ -9,12 +9,13 @@
 //!
 //! [`Topology`] describes the fabric shape: how many racks, where servers
 //! and clients sit, and the extra per-link latency of the leaf↔spine
-//! hops. [`Fabric`] is the built artifact — one
-//! [`SwitchEngine`] per switch plus the
-//! routing metadata ([`Fabric::hop`]/[`Fabric::route`]) to walk emissions
-//! between switches; [`UpperTier`] is the same wiring above the leaves
-//! compiled to one table, which is what the event loop walks. Assembly
-//! (which engine runs on which leaf, what gets registered where) lives in
+//! hops. A fabric's host table lists every server, client and coordinator
+//! once, with its address, leaf and access port. [`Fabric`] is the built
+//! artifact — one [`SwitchEngine`] per switch plus the routing metadata
+//! ([`Fabric::hop`]/[`Fabric::route`]) to walk emissions between
+//! switches; [`UpperTier`] is the same wiring above the leaves compiled to
+//! one table, which is what the event loop walks. Assembly (which engine
+//! runs on which leaf, what gets registered where) lives in
 //! [`crate::build::build_fabric`].
 //!
 //! ## Shapes
@@ -44,13 +45,20 @@
 //! single-rack ports ([`netclone_core::ports`]). On the spine,
 //! [`spine_port`]`(r)` faces leaf *r*. On an aggregation switch,
 //! [`agg_down_port`]`(i)` faces leaf *i* of its pod and [`UPLINK_PORT`]
-//! faces its core group. On a core, [`core_port`]`(p)` faces pod *p*. A
-//! single-rack topology has no upper tier and no uplink — the fabric
-//! degenerates to exactly the pre-topology simulator.
+//! faces its core group. On a core, [`core_port`]`(p)` faces pod *p*.
+//! [`FabricShape::port_toward`] is [`Fabric::route`]'s inverse: the port a
+//! switch forwards on toward a given leaf. Every switch is programmed from
+//! the host table and that one function — a host on the switch's own leaf
+//! through its access port, any other toward its leaf. A single-rack
+//! topology has no upper tier and no uplink — the fabric degenerates to
+//! exactly the pre-topology simulator.
+
+use std::ops::Deref;
 
 use netclone_asic::PortId;
+use netclone_core::ports::{client_port, server_port, COORD_PORT};
 use netclone_core::{SwitchCounters, SwitchEngine};
-use netclone_proto::Ipv4;
+use netclone_proto::{Ipv4, ServerId};
 
 /// Leaf port facing the spine. Servers sit at `10+`, clients at `100+`,
 /// the coordinator at 99, so 1 is free on every leaf.
@@ -168,6 +176,35 @@ impl FabricShape {
             } => racks + pods * aggs_per_pod + j * cores_per_group + c,
         }
     }
+
+    /// The port switch `sw` of a `racks`-leaf fabric uses toward leaf
+    /// `leaf`: the inverse of [`Fabric::route`], which maps that port back
+    /// to the next switch on the way. A leaf, and an aggregation switch of
+    /// another pod, go up ([`UPLINK_PORT`]); the spine and an aggregation
+    /// switch of the leaf's pod go down to the leaf, a core down to its
+    /// pod. (For a leaf, `leaf` is another one: its own hosts hang off
+    /// their access ports.)
+    pub fn port_toward(&self, racks: usize, sw: usize, leaf: usize) -> PortId {
+        if sw < racks {
+            return UPLINK_PORT;
+        }
+        match *self {
+            FabricShape::LeafSpine => spine_port(leaf),
+            FabricShape::FatTree {
+                pods, aggs_per_pod, ..
+            } => {
+                let pod = self.pod_of_leaf(racks, leaf);
+                let u = sw - racks;
+                if u >= pods * aggs_per_pod {
+                    core_port(pod)
+                } else if u / aggs_per_pod == pod {
+                    agg_down_port(leaf % self.leaves_per_pod(racks))
+                } else {
+                    UPLINK_PORT
+                }
+            }
+        }
+    }
 }
 
 /// Where the hosts of one kind sit across the racks.
@@ -245,12 +282,6 @@ impl Topology {
             },
             ..Topology::single_rack()
         }
-    }
-
-    /// Overrides the leaf↔spine link latency.
-    pub fn with_inter_rack_ns(mut self, ns: u64) -> Self {
-        self.inter_rack_ns = ns;
-        self
     }
 
     /// Overrides the ECMP hash seed.
@@ -349,6 +380,95 @@ impl Topology {
     }
 }
 
+/// What a [`Host`] is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum HostKind {
+    /// Client `cid`.
+    Client(u16),
+    /// Server `sid`.
+    Server(ServerId),
+    /// The LÆDGE coordinator.
+    Coord,
+}
+
+/// One host of the fabric: what it is, its address, and where it attaches.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Host {
+    pub kind: HostKind,
+    pub ip: Ipv4,
+    /// The leaf it hangs off.
+    pub leaf: usize,
+    /// Its access port on that leaf.
+    pub port: PortId,
+}
+
+/// The host table: every client by cid, then every server by sid, then
+/// the coordinator when the scheme has one — the one list every switch's
+/// routes, the compiled upper tier and the host access links are read
+/// from. A host's index in it is its global host id.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Hosts {
+    list: Vec<Host>,
+    pub n_clients: usize,
+    pub n_servers: usize,
+}
+
+impl Hosts {
+    /// The hosts of a fleet placed by `topo`; the coordinator at `coord`,
+    /// if any, hangs off rack 0's leaf by convention.
+    pub fn new(topo: &Topology, n_servers: usize, n_clients: usize, coord: Option<Ipv4>) -> Self {
+        let clients = (0..n_clients as u16).map(|cid| Host {
+            kind: HostKind::Client(cid),
+            ip: Ipv4::client(cid),
+            leaf: topo.client_rack(cid.into()),
+            port: client_port(cid),
+        });
+        let servers = (0..n_servers as ServerId).map(|sid| Host {
+            kind: HostKind::Server(sid),
+            ip: Ipv4::server(sid),
+            leaf: topo.server_rack(sid.into()),
+            port: server_port(sid),
+        });
+        let coord = coord.map(|ip| Host {
+            kind: HostKind::Coord,
+            ip,
+            leaf: 0,
+            port: COORD_PORT,
+        });
+        Hosts {
+            list: clients.chain(servers).chain(coord).collect(),
+            n_clients,
+            n_servers,
+        }
+    }
+
+    /// Host id of client `cid`.
+    #[inline]
+    pub fn client(&self, cid: usize) -> usize {
+        cid
+    }
+
+    /// Host id of server `sid`.
+    #[inline]
+    pub fn server(&self, sid: usize) -> usize {
+        self.n_clients + sid
+    }
+
+    /// Host id of the coordinator (past the end when there is none).
+    #[inline]
+    pub fn coord(&self) -> usize {
+        self.n_clients + self.n_servers
+    }
+}
+
+impl Deref for Hosts {
+    type Target = [Host];
+
+    fn deref(&self) -> &[Host] {
+        &self.list
+    }
+}
+
 /// One step of a packet's walk through the fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Hop {
@@ -370,12 +490,8 @@ pub struct Fabric {
     pub engines: Vec<Box<dyn SwitchEngine>>,
     pub(crate) racks: usize,
     pub(crate) inter_rack_ns: u64,
-    /// Leaf index of each server (by sim index == sid).
-    pub(crate) server_leaf: Vec<usize>,
-    /// Leaf index of each client (by cid).
-    pub(crate) client_leaf: Vec<usize>,
-    /// Leaf the LÆDGE coordinator hangs off (rack 0 by convention).
-    pub(crate) coord_leaf: usize,
+    /// Every host and where it attaches.
+    pub(crate) hosts: Hosts,
     /// The upper-fabric wiring above the leaves.
     pub(crate) shape: FabricShape,
     /// Seed of the ECMP [`flow_hash`].
@@ -410,17 +526,17 @@ impl Fabric {
 
     /// Leaf switch of server `idx`.
     pub fn server_leaf(&self, idx: usize) -> usize {
-        self.server_leaf[idx]
+        self.hosts[self.hosts.server(idx)].leaf
     }
 
     /// Leaf switch of client `cid`.
     pub fn client_leaf(&self, cid: usize) -> usize {
-        self.client_leaf[cid]
+        self.hosts[self.hosts.client(cid)].leaf
     }
 
-    /// Leaf switch of the coordinator host.
+    /// Leaf switch of the coordinator host (the scheme must have one).
     pub fn coord_leaf(&self) -> usize {
-        self.coord_leaf
+        self.hosts[self.hosts.coord()].leaf
     }
 
     /// One-way latency of a leaf↔spine link, ns.
@@ -689,15 +805,12 @@ mod tests {
     }
 
     /// An engine-less fabric: `route` is pure arithmetic over the shape.
-    fn fat_tree_fabric(k: usize) -> Fabric {
-        let t = Topology::fat_tree(k);
+    fn fabric(t: Topology) -> Fabric {
         Fabric {
             engines: Vec::new(),
             racks: t.racks,
             inter_rack_ns: t.inter_rack_ns,
-            server_leaf: Vec::new(),
-            client_leaf: Vec::new(),
-            coord_leaf: 0,
+            hosts: Hosts::default(),
             shape: t.shape,
             ecmp_seed: 0,
         }
@@ -727,7 +840,7 @@ mod tests {
 
     #[test]
     fn fat_tree_route_transitions() {
-        let f = fat_tree_fabric(4);
+        let f = fabric(Topology::fat_tree(4));
         let (pods, a, c) = (4usize, 2usize, 2usize);
         let (racks, lpp) = (8usize, 2usize);
         for leaf in 0..racks {
@@ -766,7 +879,7 @@ mod tests {
         // From any leaf, following UPLINK_PORT transitions and then the
         // down-ports reaches any destination leaf in ≤ 4 switch-to-switch
         // hops without revisiting a tier.
-        let f = fat_tree_fabric(6);
+        let f = fabric(Topology::fat_tree(6));
         let shape = f.shape();
         let (racks, lpp) = (18usize, 3usize);
         for src in 0..racks {
@@ -795,6 +908,34 @@ mod tests {
                         f.route(down_from, agg_down_port(dst % lpp), h),
                         Hop::Switch(dst)
                     );
+                }
+            }
+        }
+    }
+
+    /// `port_toward` inverts `route`: from any switch, following the port
+    /// toward a leaf reaches that leaf in at most four hops, whatever the
+    /// flow hash picks on the way up.
+    #[test]
+    fn port_toward_leads_every_switch_to_the_leaf() {
+        for t in [
+            Topology::uniform(5),
+            Topology::fat_tree(4),
+            Topology::fat_tree(6),
+        ] {
+            let (racks, shape, n) = (t.racks, t.shape, t.num_switches());
+            let f = fabric(t);
+            for (sw, leaf) in (0..n).flat_map(|sw| (0..racks).map(move |l| (sw, l))) {
+                for h in [0u64, 1, 5, 0xdead_beef] {
+                    let (mut at, mut hops) = (sw, 0);
+                    while at != leaf {
+                        let port = shape.port_toward(racks, at, leaf);
+                        let Hop::Switch(next) = f.route(at, port, h) else {
+                            panic!("switch {at} toward leaf {leaf} stays local");
+                        };
+                        (at, hops) = (next, hops + 1);
+                        assert!(hops <= 4, "switch {sw} toward leaf {leaf} loops");
+                    }
                 }
             }
         }

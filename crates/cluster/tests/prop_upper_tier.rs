@@ -1,9 +1,10 @@
 //! The compiled upper tier against the engine-backed fabric it stands in
 //! for. The event loop forwards through [`UpperTier::walk`], one table
 //! lookup per packet; `build_fabric` still programs a `PlainL3Switch` per
-//! spine, aggregation and core switch, and walking a packet through those
-//! engines with [`Fabric::route`](netclone_cluster::topology::Fabric::route)
-//! is the oracle. For *any* shape (leaf/spine of 1–8 racks, fat-trees
+//! spine, aggregation and core switch (each route through
+//! `FabricShape::port_toward`), and walking a packet through those engines
+//! with [`Fabric::route`](netclone_cluster::topology::Fabric::route) is the
+//! oracle. For *any* shape (leaf/spine of 1–8 racks, fat-trees
 //! k ∈ {4, 6}, arbitrary placement), any scheme (with or without the
 //! coordinator's route), every endpoint pair plus addresses nobody owns,
 //! and several flow hashes per pair, the two agree on the destination
@@ -60,7 +61,7 @@ proptest! {
             .with_client_racks(client_racks.iter().map(|r| r % racks).collect())
             .with_ecmp_seed(ecmp_seed);
         let mut fabric = build_fabric(&s);
-        let mut tier = build_upper_tier(&s, &fabric);
+        let mut tier = build_upper_tier(&fabric);
         if racks == 1 {
             prop_assert!(tier.counters().is_empty(), "one rack has no upper tier");
             return;

@@ -91,11 +91,6 @@ impl NetCloneSwitch {
         Ok(())
     }
 
-    /// Registers a client endpoint (responses route to it).
-    pub fn add_client(&mut self, ip: Ipv4, port: PortId) -> Result<(), ControlError> {
-        self.route_t.insert(ip.0, port).map_err(ControlError::Table)
-    }
-
     /// Installs a plain L3 route (e.g. toward an aggregation switch in
     /// multi-rack topologies).
     pub fn add_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), ControlError> {

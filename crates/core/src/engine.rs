@@ -88,10 +88,8 @@ pub trait SwitchEngine: DataPlane + Send {
         })
     }
 
-    /// Registers a client endpoint (responses route to it).
-    fn register_client(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError>;
-
-    /// Installs a plain L3 route (coordinator hosts, aggregation links).
+    /// Installs a plain L3 route: a client or coordinator host, or a
+    /// remote endpoint via an inter-switch port.
     fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError>;
 
     /// Replaces the group table with an explicit pair list (ablations).
@@ -126,10 +124,6 @@ impl SwitchEngine for NetCloneSwitch {
         self.remove_server(sid).map_err(EngineError::from)
     }
 
-    fn register_client(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
-        self.add_client(ip, port).map_err(EngineError::from)
-    }
-
     fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
         self.add_route(ip, port).map_err(EngineError::from)
     }
@@ -154,7 +148,7 @@ mod tests {
                 .register_server(sid, Ipv4::server(sid), 10 + sid)
                 .unwrap();
         }
-        engine.register_client(Ipv4::client(0), 100).unwrap();
+        engine.register_route(Ipv4::client(0), 100).unwrap();
         assert_eq!(engine.num_groups(), 2);
 
         let req =

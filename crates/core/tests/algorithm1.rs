@@ -19,7 +19,7 @@ fn build_switch(n: u16, cfg: NetCloneConfig) -> NetCloneSwitch {
         sw.add_server(sid, Ipv4::server(sid), server_port(sid))
             .unwrap();
     }
-    sw.add_client(Ipv4::client(0), CLIENT_PORT).unwrap();
+    sw.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
     sw
 }
 

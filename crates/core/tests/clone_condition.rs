@@ -37,7 +37,7 @@ fn build(cond: CloneCondition) -> NetCloneSwitch {
     for sid in 0..4u16 {
         sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
     }
-    sw.add_client(Ipv4::client(0), 100).unwrap();
+    sw.add_route(Ipv4::client(0), 100).unwrap();
     sw
 }
 

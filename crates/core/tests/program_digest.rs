@@ -70,7 +70,7 @@ fn digest(cfg: NetCloneConfig, seed: u64) -> u64 {
             .unwrap();
     }
     for cid in 0..CLIENTS {
-        sw.add_client(Ipv4::client(cid), client_port(cid)).unwrap();
+        sw.add_route(Ipv4::client(cid), client_port(cid)).unwrap();
     }
     let mut rng = Rng(seed);
     let mut h = 0xCBF2_9CE4_8422_2325u64;

@@ -15,7 +15,7 @@ fn build(n: u16) -> NetCloneSwitch {
     for sid in 0..n {
         sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
     }
-    sw.add_client(Ipv4::client(0), CLIENT_PORT).unwrap();
+    sw.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
     sw
 }
 

@@ -60,11 +60,6 @@ impl KvStore {
         KvStore { values }
     }
 
-    /// Builds the paper's population: 1 M objects × 64 B values.
-    pub fn paper_population() -> Self {
-        Self::populate(1_000_000, 64)
-    }
-
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -339,12 +339,6 @@ impl DeadlineTimeout {
         }
         Ok(())
     }
-
-    /// Timeout syscalls this helper has issued so far this process (all
-    /// instances combined); see [`path_counters`].
-    pub fn syscalls_issued() -> u64 {
-        path_counters().timeout_syscalls
-    }
 }
 
 /// Direct `sendmmsg`/`recvmmsg` bindings (Linux only, `mmsg` feature).

@@ -184,7 +184,7 @@ impl SwitchHandle {
         let mut s = self.shared.lock();
         let port = s.port(client_port(0), cid)?;
         s.program
-            .register_client(vip, port)
+            .register_route(vip, port)
             .map_err(|e| e.to_string())?;
         s.port_map[usize::from(port)] = Some(sock);
         Ok(())

@@ -34,7 +34,7 @@ fn expected() -> (SwitchCounters, Deliveries) {
             .register_server(sid, Ipv4::server(sid), 10 + sid)
             .unwrap();
     }
-    engine.register_client(Ipv4::client(0), 100).unwrap();
+    engine.register_route(Ipv4::client(0), 100).unwrap();
     let groups = engine.num_groups();
     let mut out = Deliveries::new();
     for seq in 0..BURST {

@@ -47,7 +47,7 @@ mod tests {
         for sid in 0..4u16 {
             sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
         }
-        sw.add_client(Ipv4::client(0), 2).unwrap();
+        sw.add_route(Ipv4::client(0), 2).unwrap();
         // Load server states: group 0's first candidate busy, second idle.
         let (s1, s2) = sw.group(0).unwrap();
         let probe = sw.process_collected(

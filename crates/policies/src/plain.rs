@@ -101,11 +101,6 @@ impl SwitchEngine for PlainL3Switch {
         Ok(())
     }
 
-    fn register_client(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
-        self.add_route(ip, port);
-        Ok(())
-    }
-
     fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
         self.add_route(ip, port);
         Ok(())

@@ -179,7 +179,7 @@ impl TwoTier {
                 .add_server(sid, Ipv4::server(sid), UPLINK)
                 .unwrap();
         }
-        client_tor.add_client(Ipv4::client(0), CLIENT_PORT).unwrap();
+        client_tor.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
 
         // Aggregation: plain L3 both ways (port 1 → client ToR, 2 → server
         // ToR).
