@@ -1,11 +1,11 @@
 //! One module per paper artifact: every figure and table of the
 //! evaluation, plus the §4.1 resource report and this reproduction's
-//! ablations. Each module keeps its typed result (for shape assertions)
-//! and exposes an [`Experiment`](crate::harness::Experiment) marker that
-//! the [`harness registry`](crate::harness::registry) lists; all output
-//! flows through the unified [`netclone_stats::Report`] artifact.
+//! ablations. Each module keeps its typed result (for shape assertions;
+//! the load sweeps return [`Panel`](crate::sweep::Panel)s) and exports a
+//! `pub const EXPERIMENT` that the
+//! [`harness registry`](crate::harness::registry) lists; all output flows
+//! through the unified [`netclone_stats::Report`] artifact.
 
-pub mod panel;
 pub mod scale;
 
 pub mod ablations;

@@ -198,19 +198,10 @@ pub fn run(ctx: &RunCtx) -> Report {
 }
 
 /// The ablation suite in the experiment registry.
-pub struct Ablations;
-
-impl Experiment for Ablations {
-    fn id(&self) -> &'static str {
-        "ablations"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["ablation", "design"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx)
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "ablations",
+    title: TITLE,
+    tags: &["ablation", "design"],
+    topology: "single-rack",
+    run,
+};

@@ -31,14 +31,13 @@
 //! `--shards 4` on this experiment's JSON).
 
 use netclone_kvstore::{HotKeyCost, ServiceCostModel};
-use netclone_stats::{Report, Table};
+use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, exp25, heavy_tail_25};
 
 use crate::harness::{Experiment, RunCtx};
-use crate::metrics::RunResult;
 use crate::scenario::{DrainPlan, Fault, Scenario, SlowdownPlan, Workload};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, sweep_table, Panel};
 use crate::topology::Topology;
 
 const TITLE: &str = "Adversarial shootout: heavy tails, hot keys, mid-run degradation";
@@ -120,116 +119,54 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
     s
 }
 
-/// One measured cell of the shootout.
-pub struct Cell {
-    /// The adversarial kind (one of [`KINDS`]).
-    pub kind: &'static str,
-    /// The full run result.
-    pub run: RunResult,
+/// Runs the shootout on the given context: one panel per kind, one
+/// series per scheme.
+pub fn run(ctx: &RunCtx) -> Vec<Panel> {
+    shootout(ctx, "adversarial", &KINDS, scenario)
 }
 
-/// The typed result: every (kind, scheme, load) cell, in sweep order.
-pub struct AdversarialResult {
-    /// The measured cells.
-    pub cells: Vec<Cell>,
-}
-
-impl AdversarialResult {
-    /// Renders the shootout as one table: kind × scheme × load rows with
-    /// the tail percentiles and the clone-win diagnostic.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new([
-            "scenario",
-            "scheme",
-            "offered (MRPS)",
-            "achieved (MRPS)",
-            "p50 (us)",
-            "p99 (us)",
-            "p999 (us)",
-            "clone-win ratio",
-        ]);
-        for cell in &self.cells {
-            let (p50, p99, p999) = cell.run.percentiles_us();
-            t.row([
-                cell.kind.to_string(),
-                cell.run.scheme.to_string(),
-                format!("{:.3}", cell.run.offered_rps / 1e6),
-                format!("{:.3}", cell.run.achieved_mrps()),
-                format!("{p50:.1}"),
-                format!("{p99:.1}"),
-                format!("{p999:.1}"),
-                format!("{:.3}", cell.run.clone_win_ratio()),
-            ]);
-        }
-        t
-    }
-
-    /// Converts the shootout into the unified report artifact.
-    pub fn into_report(self) -> Report {
-        let table = self.to_table();
-        Report::new("adversarial", TITLE).with_table(table)
-    }
-
-    /// p99 of the given (kind, scheme) series at the highest load point
-    /// (for shape assertions).
-    pub fn p99_at_peak(&self, kind: &str, scheme: &str) -> Option<f64> {
-        self.cells
-            .iter()
-            .rev()
-            .find(|c| c.kind == kind && c.run.scheme == scheme)
-            .map(|c| c.run.p99_us())
-    }
-}
-
-/// Runs the shootout on the given context.
-pub fn run(ctx: &RunCtx) -> AdversarialResult {
-    let mut cells: Vec<(&'static str, Scenario)> = Vec::new();
-    for kind in KINDS {
-        // Rates come from each kind's own capacity (the heavy-tail and
-        // hot-key models shift the mean service time), measured once per
-        // kind so every scheme sweeps the identical offered loads.
+/// Sweeps [`SCHEMES`] over [`LOAD_RANGE`] of each kind's own capacity,
+/// one panel per kind — the shape this suite and `chaos` share. Rates
+/// come from each kind's own template (the heavy-tail and hot-key models
+/// shift the mean service time), measured once per kind so every scheme
+/// sweeps the identical offered loads.
+pub(crate) fn shootout(
+    ctx: &RunCtx,
+    label: &str,
+    kinds: &[&str],
+    scenario: fn(&str, Scheme, &RunCtx) -> Scenario,
+) -> Vec<Panel> {
+    let mut specs = Vec::new();
+    for &kind in kinds {
         let template = scenario(kind, Scheme::Baseline, ctx);
-        let rates = capacity_fractions(
-            &template,
-            LOAD_RANGE.0,
-            LOAD_RANGE.1,
-            ctx.scale.sweep_points(),
-        );
-        for scheme in SCHEMES {
-            for &rate in &rates {
-                let mut s = scenario(kind, scheme, ctx);
-                s.offered_rps = rate;
-                cells.push((kind, s));
-            }
-        }
+        let (lo, hi) = LOAD_RANGE;
+        let rates = capacity_fractions(&template, lo, hi, ctx.scale.sweep_points());
+        specs.extend(per_scheme(kind, &template, &SCHEMES, &rates));
     }
-    let cells = ctx.map("adversarial", cells, |(kind, s)| Cell {
-        kind,
-        run: ctx.run_sim(s),
-    });
-    AdversarialResult { cells }
+    run_sweeps(ctx, label, specs)
+}
+
+/// Renders the shootout as one table: kind × scheme × load rows with
+/// the tail percentiles and the clone-win diagnostic.
+pub fn report(panels: &[Panel]) -> Report {
+    Report::new("adversarial", TITLE).with_table(sweep_table(
+        panels,
+        "scenario",
+        &[
+            ("p999 (us)", |r| format!("{:.1}", r.percentiles_us().2)),
+            ("clone-win ratio", |r| format!("{:.3}", r.clone_win_ratio())),
+        ],
+    ))
 }
 
 /// The adversarial shootout in the experiment registry.
-pub struct Adversarial;
-
-impl Experiment for Adversarial {
-    fn id(&self) -> &'static str {
-        "adversarial"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "sweep", "adversarial", "degradation", "laedge"]
-    }
-    fn topology(&self) -> &'static str {
-        "mixed"
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "adversarial",
+    title: TITLE,
+    tags: &["table", "sweep", "adversarial", "degradation", "laedge"],
+    topology: "mixed",
+    run: |ctx| report(&run(ctx)),
+};
 
 #[cfg(test)]
 mod tests {
@@ -239,30 +176,31 @@ mod tests {
     #[test]
     fn smoke_run_covers_every_cell_and_netclone_wins_under_slowdown() {
         let ctx = RunCtx::new(Scale::Smoke).with_jobs(crate::harness::default_jobs());
-        let r = run(&ctx);
-        assert_eq!(
-            r.cells.len(),
-            KINDS.len() * SCHEMES.len() * Scale::Smoke.sweep_points()
-        );
-        for cell in &r.cells {
-            assert!(cell.run.completed > 0, "{} {}", cell.kind, cell.run.scheme);
+        let panels = run(&ctx);
+        let names: Vec<&str> = panels.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, KINDS);
+        for p in &panels {
+            assert_eq!(
+                p.runs().count(),
+                SCHEMES.len() * Scale::Smoke.sweep_points()
+            );
+            for r in p.runs() {
+                assert!(r.completed > 0, "{} {}", p.name, r.scheme);
+            }
         }
         // The acceptance shape: under the gray-failure slowdown, cloning
         // with the idle signal beats unconditional duplication on p99 at
         // the peak load point (C-Clone's doubled load saturates first).
-        let nc = r.p99_at_peak("slowdown", "NetClone").expect("series");
-        let dup = r.p99_at_peak("slowdown", "C-Clone").expect("series");
+        let slowdown = &panels[3];
+        let nc = slowdown.peak("NetClone").expect("series").p99_us();
+        let dup = slowdown.peak("C-Clone").expect("series").p99_us();
         assert!(nc < dup, "slowdown p99: NetClone {nc} >= C-Clone {dup}");
         // The drain cells actually exercised the drain: packets were
         // lost while the leaf was down.
         assert!(
-            r.cells
-                .iter()
-                .filter(|c| c.kind == "drain")
-                .all(|c| c.run.packets_lost > 0),
+            panels[4].runs().all(|r| r.packets_lost > 0),
             "drain cells lost no packets"
         );
-        let report = r.into_report();
-        assert!(report.to_markdown().contains("adversarial"));
+        assert!(report(&panels).to_markdown().contains("adversarial"));
     }
 }

@@ -41,14 +41,14 @@
 //! 4` on this experiment's JSON); `tests/chaos.rs` pins the exact
 //! seed-42 state per kind.
 
-use netclone_stats::{Report, Table};
+use netclone_stats::Report;
 use netclone_workloads::exp25;
 
+use crate::experiments::adversarial;
 use crate::harness::{Experiment, RunCtx};
-use crate::metrics::RunResult;
 use crate::scenario::{Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{sweep_table, Panel};
 use crate::topology::Topology;
 
 const TITLE: &str = "Chaos shootout: fault timelines vs recovering clients";
@@ -61,13 +61,10 @@ pub const KINDS: [&str; 4] = [
     "retry-storm",
 ];
 
-/// Schemes under test: the in-network policy, the coordinator policy,
-/// and unconditional client duplication.
-pub const SCHEMES: [Scheme; 3] = [Scheme::NETCLONE, Scheme::Laedge, Scheme::CClone];
-
-/// Load fractions swept (of each template's own capacity — see the
-/// adversarial suite for why the asymmetry vs C-Clone is the point).
-pub const LOAD_RANGE: (f64, f64) = (0.3, 0.7);
+/// Schemes under test, swept over the adversarial suite's
+/// [`LOAD_RANGE`](adversarial::LOAD_RANGE) (see there for why the
+/// asymmetry vs C-Clone is the point).
+pub const SCHEMES: [Scheme; 3] = adversarial::SCHEMES;
 
 /// The recovery policy every chaos client runs (except retry-storm's
 /// tighter one): a 1 ms timeout — far past the healthy p99, so retries
@@ -137,121 +134,36 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
     s
 }
 
-/// One measured cell of the shootout.
-pub struct Cell {
-    /// The chaos kind (one of [`KINDS`]).
-    pub kind: &'static str,
-    /// The full run result.
-    pub run: RunResult,
+/// Runs the shootout on the given context: one panel per kind, one
+/// series per scheme.
+pub fn run(ctx: &RunCtx) -> Vec<Panel> {
+    adversarial::shootout(ctx, "chaos", &KINDS, scenario)
 }
 
-/// The typed result: every (kind, scheme, load) cell, in sweep order.
-pub struct ChaosResult {
-    /// The measured cells.
-    pub cells: Vec<Cell>,
-}
-
-impl ChaosResult {
-    /// Renders the shootout as one table: kind × scheme × load rows with
-    /// the tail percentiles and the recovery diagnostics.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new([
-            "scenario",
-            "scheme",
-            "offered (MRPS)",
-            "achieved (MRPS)",
-            "p50 (us)",
-            "p99 (us)",
-            "p999 (us)",
-            "retried",
-            "retry wins",
-            "lost",
-            "budget out",
-        ]);
-        for cell in &self.cells {
-            let (p50, p99, p999) = cell.run.percentiles_us();
-            t.row([
-                cell.kind.to_string(),
-                cell.run.scheme.to_string(),
-                format!("{:.3}", cell.run.offered_rps / 1e6),
-                format!("{:.3}", cell.run.achieved_mrps()),
-                format!("{p50:.1}"),
-                format!("{p99:.1}"),
-                format!("{p999:.1}"),
-                cell.run.client_retried.to_string(),
-                cell.run.client_retry_wins.to_string(),
-                cell.run.client_lost.to_string(),
-                cell.run.client_budget_exhausted.to_string(),
-            ]);
-        }
-        t
-    }
-
-    /// Converts the shootout into the unified report artifact.
-    pub fn into_report(self) -> Report {
-        let table = self.to_table();
-        Report::new("chaos", TITLE).with_table(table)
-    }
-
-    /// p99 of the given (kind, scheme) series at the highest load point
-    /// (for shape assertions).
-    pub fn p99_at_peak(&self, kind: &str, scheme: &str) -> Option<f64> {
-        self.cells
-            .iter()
-            .rev()
-            .find(|c| c.kind == kind && c.run.scheme == scheme)
-            .map(|c| c.run.p99_us())
-    }
-}
-
-/// Runs the shootout on the given context.
-pub fn run(ctx: &RunCtx) -> ChaosResult {
-    let mut cells: Vec<(&'static str, Scenario)> = Vec::new();
-    for kind in KINDS {
-        // Rates come from each kind's own capacity, measured once per
-        // kind so every scheme sweeps the identical offered loads.
-        let template = scenario(kind, Scheme::Baseline, ctx);
-        let rates = capacity_fractions(
-            &template,
-            LOAD_RANGE.0,
-            LOAD_RANGE.1,
-            ctx.scale.sweep_points(),
-        );
-        for scheme in SCHEMES {
-            for &rate in &rates {
-                let mut s = scenario(kind, scheme, ctx);
-                s.offered_rps = rate;
-                cells.push((kind, s));
-            }
-        }
-    }
-    let cells = ctx.map("chaos", cells, |(kind, s)| Cell {
-        kind,
-        run: ctx.run_sim(s),
-    });
-    ChaosResult { cells }
+/// Renders the shootout as one table: kind × scheme × load rows with
+/// the tail percentiles and the recovery diagnostics.
+pub fn report(panels: &[Panel]) -> Report {
+    Report::new("chaos", TITLE).with_table(sweep_table(
+        panels,
+        "scenario",
+        &[
+            ("p999 (us)", |r| format!("{:.1}", r.percentiles_us().2)),
+            ("retried", |r| r.client_retried.to_string()),
+            ("retry wins", |r| r.client_retry_wins.to_string()),
+            ("lost", |r| r.client_lost.to_string()),
+            ("budget out", |r| r.client_budget_exhausted.to_string()),
+        ],
+    ))
 }
 
 /// The chaos shootout in the experiment registry.
-pub struct Chaos;
-
-impl Experiment for Chaos {
-    fn id(&self) -> &'static str {
-        "chaos"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "sweep", "chaos", "faults", "retry", "recovery"]
-    }
-    fn topology(&self) -> &'static str {
-        "mixed"
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "chaos",
+    title: TITLE,
+    tags: &["table", "sweep", "chaos", "faults", "retry", "recovery"],
+    topology: "mixed",
+    run: |ctx| report(&run(ctx)),
+};
 
 #[cfg(test)]
 mod tests {
@@ -261,56 +173,51 @@ mod tests {
     #[test]
     fn smoke_run_covers_every_cell_and_recovery_is_exercised() {
         let ctx = RunCtx::new(Scale::Smoke).with_jobs(crate::harness::default_jobs());
-        let r = run(&ctx);
-        assert_eq!(
-            r.cells.len(),
-            KINDS.len() * SCHEMES.len() * Scale::Smoke.sweep_points()
-        );
-        for cell in &r.cells {
-            // The storm is allowed to *win* against the non-NetClone
-            // schemes: LÆDGE's coordinator wedges on leaked slots (see
-            // the module docs), and C-Clone's doubled load under a tight
-            // timeout collapses metastably (every response lands after
-            // its request was evicted). Those cells must still show the
-            // damage; every other cell must complete work.
-            if cell.kind == "retry-storm" && cell.run.scheme != "NetClone" {
-                assert!(
-                    cell.run.client_lost > 0 || cell.run.completed > 0,
-                    "{} {} neither completed nor lost anything",
-                    cell.kind,
-                    cell.run.scheme
-                );
-                continue;
+        let panels = run(&ctx);
+        let names: Vec<&str> = panels.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, KINDS);
+        for p in &panels {
+            assert_eq!(
+                p.runs().count(),
+                SCHEMES.len() * Scale::Smoke.sweep_points()
+            );
+            for r in p.runs() {
+                // The storm is allowed to *win* against the non-NetClone
+                // schemes: LÆDGE's coordinator wedges on leaked slots (see
+                // the module docs), and C-Clone's doubled load under a tight
+                // timeout collapses metastably (every response lands after
+                // its request was evicted). Those cells must still show the
+                // damage; every other cell must complete work.
+                if p.name == "retry-storm" && r.scheme != "NetClone" {
+                    assert!(
+                        r.client_lost > 0 || r.completed > 0,
+                        "{} {} neither completed nor lost anything",
+                        p.name,
+                        r.scheme
+                    );
+                    continue;
+                }
+                assert!(r.completed > 0, "{} {}", p.name, r.scheme);
             }
-            assert!(cell.run.completed > 0, "{} {}", cell.kind, cell.run.scheme);
-        }
-        // Every fault kind actually triggered the recovery path.
-        for kind in KINDS {
+            // Every fault kind actually triggered the recovery path.
             assert!(
-                r.cells
-                    .iter()
-                    .filter(|c| c.kind == kind)
-                    .any(|c| c.run.client_retried > 0),
-                "{kind} cells never retried"
+                p.runs().any(|r| r.client_retried > 0),
+                "{} cells never retried",
+                p.name
             );
         }
         // The strained policy ran out of budget somewhere in the storm.
         assert!(
-            r.cells
-                .iter()
-                .filter(|c| c.kind == "retry-storm")
-                .any(|c| c.run.client_budget_exhausted > 0),
+            panels[3].runs().any(|r| r.client_budget_exhausted > 0),
             "retry-storm never exhausted a budget"
         );
         // The flap congested the flapped rack's links.
         assert!(
-            r.cells
-                .iter()
-                .filter(|c| c.kind == "linkflap")
-                .any(|c| c.run.link_ecn_marks() > 0 || c.run.link_drops() > 0),
+            panels[2]
+                .runs()
+                .any(|r| r.link_ecn_marks() > 0 || r.link_drops() > 0),
             "linkflap produced no congestion signal"
         );
-        let report = r.into_report();
-        assert!(report.to_markdown().contains("chaos"));
+        assert!(report(&panels).to_markdown().contains("chaos"));
     }
 }

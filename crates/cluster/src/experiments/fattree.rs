@@ -16,8 +16,8 @@
 //!   the clone-win ratio degrades as the ratio grows, while p99 inflates
 //!   for everyone.
 //!
-//! The per-link drop table ([`FatTreeResult::links_table`]) names the
-//! congested links — the victim's downlinks, by construction.
+//! The report's congested-links section names the congested links — the
+//! victim's downlinks, by construction.
 //!
 //! Scale picks the radix (`--fattree-k` overrides): Smoke k=4 (8 racks,
 //! 16 host slots), Standard and Full k=6 (18 racks, 54 slots) — the
@@ -28,9 +28,10 @@ use netclone_stats::{Report, Table};
 use netclone_workloads::exp50;
 
 use crate::harness::{Experiment, RunCtx};
-use crate::metrics::RunResult;
+use crate::metrics::{LinkTotals, RunResult};
 use crate::scenario::{Background, Scenario, ServerSpec};
 use crate::scheme::Scheme;
+use crate::sweep::{per_scheme, run_sweeps, sweep_table, Panel};
 use crate::topology::Topology;
 
 const TITLE: &str = "Fat-tree oversubscription: clone-win ratio and p99 under incast";
@@ -131,77 +132,49 @@ pub fn scenario(k: usize, oversub: f64, scheme: Scheme, ctx: &RunCtx) -> Scenari
     s
 }
 
-/// One measured cell of the sweep.
-pub struct Cell {
-    /// Oversubscription ratio (fabric = edge ÷ ratio).
-    pub oversub: f64,
-    /// The full run result.
-    pub run: RunResult,
+/// The oversubscription ratios a run sweeps: `--oversub`'s one ratio, or
+/// [`OVERSUB`].
+pub fn ratios(ctx: &RunCtx) -> Vec<f64> {
+    ctx.oversub.map_or(OVERSUB.to_vec(), |r| vec![r])
 }
 
-/// The typed result: every (ratio, scheme) cell, in sweep order.
-pub struct FatTreeResult {
-    /// The fat-tree radix.
-    pub k: usize,
-    /// The measured cells.
-    pub cells: Vec<Cell>,
-}
-
-impl FatTreeResult {
-    /// The headline table: ratio × scheme rows with tail latency, the
-    /// clone-win ratio, and the fabric-wide drop/mark totals by tier.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new([
-            "oversub",
-            "scheme",
-            "offered (MRPS)",
-            "achieved (MRPS)",
-            "p50 (us)",
-            "p99 (us)",
-            "clone-win ratio",
-            "up drops",
-            "down drops",
-            "edge drops",
-            "ecn marks",
-        ]);
-        for cell in &self.cells {
-            let (p50, p99, _) = cell.run.percentiles_us();
-            let lt = cell.run.link_totals.unwrap_or_default();
-            t.row([
-                format!("{}:1", cell.oversub),
-                cell.run.scheme.to_string(),
-                format!("{:.3}", cell.run.offered_rps / 1e6),
-                format!("{:.3}", cell.run.achieved_mrps()),
-                format!("{p50:.1}"),
-                format!("{p99:.1}"),
-                format!("{:.3}", cell.run.clone_win_ratio()),
-                lt.up.dropped.to_string(),
-                lt.down.dropped.to_string(),
-                lt.edge.dropped.to_string(),
-                cell.run.link_ecn_marks().to_string(),
-            ]);
-        }
-        t
+/// Runs the sweep on the given context: one panel per ratio (named
+/// `"{ratio}:1"`), one single-point series per scheme.
+pub fn run(ctx: &RunCtx) -> Vec<Panel> {
+    let k = radix_for(ctx);
+    let mut specs = Vec::new();
+    for oversub in ratios(ctx) {
+        let template = scenario(k, oversub, Scheme::Baseline, ctx);
+        let rates = [template.offered_rps];
+        specs.extend(per_scheme(
+            &format!("{oversub}:1"),
+            &template,
+            &SCHEMES,
+            &rates,
+        ));
     }
+    run_sweeps(ctx, "fattree", specs)
+}
 
-    /// The congested links, per cell: every link that dropped or
-    /// ECN-marked a packet, capped at the eight worst per cell.
-    pub fn links_table(&self) -> Table {
-        let mut t = Table::new([
-            "oversub",
-            "scheme",
-            "link",
-            "forwarded",
-            "dropped",
-            "ecn marked",
-        ]);
-        for cell in &self.cells {
-            let mut links: Vec<_> = cell.run.link_stats.iter().collect();
+/// The congested links, per run: every link that dropped or ECN-marked
+/// a packet, capped at the eight worst per run.
+fn links_table(panels: &[Panel]) -> Table {
+    let mut t = Table::new([
+        "oversub",
+        "scheme",
+        "link",
+        "forwarded",
+        "dropped",
+        "ecn marked",
+    ]);
+    for panel in panels {
+        for r in panel.runs() {
+            let mut links: Vec<_> = r.link_stats.iter().collect();
             links.sort_by_key(|l| std::cmp::Reverse((l.dropped, l.ecn_marked)));
             for l in links.into_iter().take(8) {
                 t.row([
-                    format!("{}:1", cell.oversub),
-                    cell.run.scheme.to_string(),
+                    panel.name.clone(),
+                    r.scheme.to_string(),
                     l.link.clone(),
                     l.forwarded.to_string(),
                     l.dropped.to_string(),
@@ -209,85 +182,55 @@ impl FatTreeResult {
                 ]);
             }
         }
-        t
     }
-
-    /// Converts the sweep into the unified report artifact.
-    pub fn into_report(self) -> Report {
-        let k = self.k;
-        let main = self.to_table();
-        let links = self.links_table();
-        Report::new("fattree", TITLE)
-            .with_section(
-                format!("k={k} fat-tree, oversubscription sweep"),
-                "fattree",
-                main,
-            )
-            .with_note(format!(
-                "edge {EDGE_GBPS} Gbit/s; fabric = edge / ratio; queue {QUEUE_BYTES} B/link; \
-                 background incast {:.0}% of wire-speed victim downlink capacity",
-                BG_FRACTION * 100.0
-            ))
-            .with_section("congested links (worst 8 per cell)", "fattree_links", links)
-    }
-
-    /// p99 latency (µs) of the given (ratio, scheme) cell.
-    pub fn p99_at(&self, oversub: f64, scheme: &str) -> Option<f64> {
-        self.cell(oversub, scheme).map(|c| c.run.p99_us())
-    }
-
-    /// Clone-win ratio of the given (ratio, scheme) cell.
-    pub fn clone_win_at(&self, oversub: f64, scheme: &str) -> Option<f64> {
-        self.cell(oversub, scheme).map(|c| c.run.clone_win_ratio())
-    }
-
-    fn cell(&self, oversub: f64, scheme: &str) -> Option<&Cell> {
-        self.cells
-            .iter()
-            .find(|c| c.oversub == oversub && c.run.scheme == scheme)
-    }
+    t
 }
 
-/// Runs the sweep on the given context.
-pub fn run(ctx: &RunCtx) -> FatTreeResult {
-    let k = radix_for(ctx);
-    let ratios: Vec<f64> = match ctx.oversub {
-        Some(r) => vec![r],
-        None => OVERSUB.to_vec(),
-    };
-    let mut cells: Vec<(f64, Scenario)> = Vec::new();
-    for &oversub in &ratios {
-        for scheme in SCHEMES {
-            cells.push((oversub, scenario(k, oversub, scheme, ctx)));
-        }
-    }
-    let cells = ctx.map("fattree", cells, |(oversub, s)| Cell {
-        oversub,
-        run: ctx.run_sim(s),
-    });
-    FatTreeResult { k, cells }
+/// The report of a radix-`k` sweep: ratio × scheme rows with tail
+/// latency, the clone-win ratio and the fabric-wide drop/mark totals by
+/// tier, then the congested-links section.
+pub fn report(k: usize, panels: &[Panel]) -> Report {
+    let main = sweep_table(
+        panels,
+        "oversub",
+        &[
+            ("clone-win ratio", |r| format!("{:.3}", r.clone_win_ratio())),
+            ("up drops", |r| totals(r).up.dropped.to_string()),
+            ("down drops", |r| totals(r).down.dropped.to_string()),
+            ("edge drops", |r| totals(r).edge.dropped.to_string()),
+            ("ecn marks", |r| r.link_ecn_marks().to_string()),
+        ],
+    );
+    Report::new("fattree", TITLE)
+        .with_section(
+            format!("k={k} fat-tree, oversubscription sweep"),
+            "fattree",
+            main,
+        )
+        .with_note(format!(
+            "edge {EDGE_GBPS} Gbit/s; fabric = edge / ratio; queue {QUEUE_BYTES} B/link; \
+             background incast {:.0}% of wire-speed victim downlink capacity",
+            BG_FRACTION * 100.0
+        ))
+        .with_section(
+            "congested links (worst 8 per cell)",
+            "fattree_links",
+            links_table(panels),
+        )
+}
+
+fn totals(r: &RunResult) -> LinkTotals {
+    r.link_totals.unwrap_or_default()
 }
 
 /// The fat-tree oversubscription sweep in the experiment registry.
-pub struct FatTree;
-
-impl Experiment for FatTree {
-    fn id(&self) -> &'static str {
-        "fattree"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "sweep", "topology", "links", "congestion"]
-    }
-    fn topology(&self) -> &'static str {
-        "fat-tree"
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fattree",
+    title: TITLE,
+    tags: &["table", "sweep", "topology", "links", "congestion"],
+    topology: "fat-tree",
+    run: |ctx| report(radix_for(ctx), &run(ctx)),
+};
 
 #[cfg(test)]
 mod tests {
@@ -297,25 +240,23 @@ mod tests {
     #[test]
     fn smoke_run_covers_every_cell() {
         let ctx = RunCtx::new(Scale::Smoke).with_jobs(crate::harness::default_jobs());
-        let r = run(&ctx);
-        assert_eq!(r.k, 4);
-        assert_eq!(r.cells.len(), OVERSUB.len() * SCHEMES.len());
-        for cell in &r.cells {
-            assert!(
-                cell.run.completed > 0,
-                "{}:1 {}",
-                cell.oversub,
-                cell.run.scheme
-            );
-            let totals = cell.run.link_totals.expect("links enabled");
-            // Conservation per tier: everything offered is forwarded or
-            // dropped, nowhere else.
-            for t in [totals.edge, totals.up, totals.down] {
-                assert_eq!(t.offered, t.forwarded + t.dropped);
+        assert_eq!(radix_for(&ctx), 4);
+        let panels = run(&ctx);
+        let names: Vec<String> = panels.iter().map(|p| p.name.clone()).collect();
+        assert_eq!(names, ["1:1", "2:1", "3:1", "4:1"]);
+        for p in &panels {
+            assert_eq!(p.runs().count(), SCHEMES.len());
+            for r in p.runs() {
+                assert!(r.completed > 0, "{} {}", p.name, r.scheme);
+                let totals = r.link_totals.expect("links enabled");
+                // Conservation per tier: everything offered is forwarded or
+                // dropped, nowhere else.
+                for t in [totals.edge, totals.up, totals.down] {
+                    assert_eq!(t.offered, t.forwarded + t.dropped);
+                }
             }
         }
-        let report = r.into_report();
-        assert!(report.to_markdown().contains("fattree"));
+        assert!(report(4, &panels).to_markdown().contains("fattree"));
     }
 
     #[test]
@@ -353,8 +294,9 @@ mod tests {
     #[test]
     fn oversub_override_pins_one_ratio() {
         let ctx = RunCtx::new(Scale::Smoke).with_oversub(2.0);
-        let r = run(&ctx);
-        assert_eq!(r.cells.len(), SCHEMES.len());
-        assert!(r.cells.iter().all(|c| c.oversub == 2.0));
+        let panels = run(&ctx);
+        assert_eq!(panels.len(), 1);
+        assert_eq!(panels[0].name, "2:1");
+        assert_eq!(panels[0].runs().count(), SCHEMES.len());
     }
 }

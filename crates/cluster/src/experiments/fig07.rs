@@ -11,14 +11,12 @@
 //! for the 25 μs workloads); for the 50 μs workloads the high-load
 //! improvement becomes negligible.
 
-use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, bimodal_50_500, exp25, exp50, SyntheticWorkload};
 
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 const TITLE: &str =
     "Synthetic workloads: p99 latency vs throughput (Baseline / C-Clone / NetClone, 6 workers)";
@@ -37,16 +35,7 @@ pub fn run(ctx: &RunCtx) -> Figure {
         template.warmup_ns = ctx.scale.warmup_ns();
         template.measure_ns = ctx.scale.measure_ns();
         let rates = capacity_fractions(&template, 0.08, 0.95, ctx.scale.sweep_points());
-        for scheme in schemes {
-            let mut t = template.clone();
-            t.scheme = scheme;
-            specs.push(SweepSpec {
-                panel: wl.label(),
-                scheme: scheme.label(),
-                template: t,
-                rates: rates.clone(),
-            });
-        }
+        specs.extend(per_scheme(&wl.label(), &template, &schemes, &rates));
     }
     Figure {
         id: "fig07",
@@ -56,19 +45,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 7 in the experiment registry.
-pub struct Fig07;
-
-impl Experiment for Fig07 {
-    fn id(&self) -> &'static str {
-        "fig07"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "synthetic"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig07",
+    title: TITLE,
+    tags: &["figure", "sweep", "synthetic"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -8,15 +8,13 @@
 //! C-Clone exhibit low throughput … LÆDGE performs even worse than
 //! C-Clone since it relies on a CPU-based coordinator."
 
-use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, exp25};
 
 use crate::calib;
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::{Scenario, ServerSpec};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 const TITLE: &str =
     "Scalability comparison: C-Clone / LAEDGE / NetClone (5 workers, one host as coordinator)";
@@ -36,16 +34,7 @@ pub fn run(ctx: &RunCtx) -> Figure {
         template.warmup_ns = ctx.scale.warmup_ns();
         template.measure_ns = ctx.scale.measure_ns();
         let rates = capacity_fractions(&template, 0.05, 0.9, ctx.scale.sweep_points());
-        for scheme in schemes {
-            let mut t = template.clone();
-            t.scheme = scheme;
-            specs.push(SweepSpec {
-                panel: wl.label(),
-                scheme: scheme.label(),
-                template: t,
-                rates: rates.clone(),
-            });
-        }
+        specs.extend(per_scheme(&wl.label(), &template, &schemes, &rates));
     }
     Figure {
         id: "fig08",
@@ -55,19 +44,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 8 in the experiment registry.
-pub struct Fig08;
-
-impl Experiment for Fig08 {
-    fn id(&self) -> &'static str {
-        "fig08"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "comparison", "laedge"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig08",
+    title: TITLE,
+    tags: &["figure", "sweep", "comparison", "laedge"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -7,15 +7,13 @@
 //! high loads (clone-drop processing cost + herding on a small idle pool),
 //! and the effect fades at 6 servers.
 
-use netclone_stats::Report;
 use netclone_workloads::exp25;
 
 use crate::calib;
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::{Scenario, ServerSpec};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, run_sweeps, Figure, SweepSpec};
 
 const TITLE: &str = "Impact of the number of servers (Exp(25); 2/4/6 workers)";
 
@@ -60,19 +58,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 9 in the experiment registry.
-pub struct Fig09;
-
-impl Experiment for Fig09 {
-    fn id(&self) -> &'static str {
-        "fig09"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "scalability"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig09",
+    title: TITLE,
+    tags: &["figure", "sweep", "scalability"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

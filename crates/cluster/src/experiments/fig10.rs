@@ -10,15 +10,13 @@
 //! homogeneous settings it can trail plain NetClone at very high loads
 //! (more tracked-vs-actual state mismatches).
 
-use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, exp25};
 
 use crate::calib;
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::{Scenario, ServerSpec};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 const TITLE: &str = "NetClone + RackSched under homogeneous/heterogeneous workers";
 
@@ -64,16 +62,7 @@ pub fn run(ctx: &RunCtx) -> Figure {
                     "Homogeneous"
                 }
             );
-            for scheme in schemes {
-                let mut t = template.clone();
-                t.scheme = scheme;
-                specs.push(SweepSpec {
-                    panel: panel.clone(),
-                    scheme: scheme.label(),
-                    template: t,
-                    rates: rates.clone(),
-                });
-            }
+            specs.extend(per_scheme(&panel, &template, &schemes, &rates));
         }
     }
     Figure {
@@ -84,19 +73,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 10 in the experiment registry.
-pub struct Fig10;
-
-impl Experiment for Fig10 {
-    fn id(&self) -> &'static str {
-        "fig10"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "racksched"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig10",
+    title: TITLE,
+    tags: &["figure", "sweep", "racksched"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

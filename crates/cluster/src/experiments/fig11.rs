@@ -8,13 +8,10 @@
 //! 22.59× for 99/1) and shrinks with load; C-Clone matches NetClone's
 //! latency but at half the throughput.
 
-use netclone_stats::Report;
-
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::{Scenario, Workload};
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 pub(crate) const TITLE_REDIS: &str = "Redis workload: p99 vs throughput (GET/SCAN mixes)";
 pub(crate) const TITLE_MEMCACHED: &str = "Memcached workload: p99 vs throughput (GET/SCAN mixes)";
@@ -40,16 +37,7 @@ pub fn run_kv(ctx: &RunCtx, memcached: bool) -> Figure {
             (get_frac * 100.0).round() as u32,
             ((1.0 - get_frac) * 100.0).round() as u32
         );
-        for scheme in schemes {
-            let mut t = template.clone();
-            t.scheme = scheme;
-            specs.push(SweepSpec {
-                panel: panel.clone(),
-                scheme: scheme.label(),
-                template: t,
-                rates: rates.clone(),
-            });
-        }
+        specs.extend(per_scheme(&panel, &template, &schemes, &rates));
     }
     Figure {
         id,
@@ -68,19 +56,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 11 in the experiment registry.
-pub struct Fig11;
-
-impl Experiment for Fig11 {
-    fn id(&self) -> &'static str {
-        "fig11"
-    }
-    fn title(&self) -> &'static str {
-        TITLE_REDIS
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "kv", "redis"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig11",
+    title: TITLE_REDIS,
+    tags: &["figure", "sweep", "kv", "redis"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -5,11 +5,9 @@
 //! matches Fig. 11 ("similar trends"); the paper reports a largest
 //! improvement of 22.0× and a smallest of 1.06× for 99/1.
 
-use netclone_stats::Report;
-
 use crate::experiments::fig11;
-use crate::experiments::panel::Figure;
 use crate::harness::{Experiment, RunCtx};
+use crate::sweep::Figure;
 
 /// Runs the figure on the given context.
 pub fn run(ctx: &RunCtx) -> Figure {
@@ -17,19 +15,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 12 in the experiment registry.
-pub struct Fig12;
-
-impl Experiment for Fig12 {
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-    fn title(&self) -> &'static str {
-        fig11::TITLE_MEMCACHED
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "kv", "memcached"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig12",
+    title: fig11::TITLE_MEMCACHED,
+    tags: &["figure", "sweep", "kv", "memcached"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

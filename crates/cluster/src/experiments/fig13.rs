@@ -117,19 +117,10 @@ pub fn run(ctx: &RunCtx) -> Fig13 {
 }
 
 /// Figure 13 in the experiment registry.
-pub struct Fig13Exp;
-
-impl Experiment for Fig13Exp {
-    fn id(&self) -> &'static str {
-        "fig13"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "state-signal"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig13",
+    title: TITLE,
+    tags: &["figure", "state-signal"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -6,14 +6,12 @@
 //! service-time variability is low … performance improvement slightly
 //! decreases."
 
-use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, exp25, Jitter};
 
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 const TITLE: &str = "Low service-time variability (p = 0.001)";
 
@@ -27,16 +25,7 @@ pub fn run(ctx: &RunCtx) -> Figure {
         template.warmup_ns = ctx.scale.warmup_ns();
         template.measure_ns = ctx.scale.measure_ns();
         let rates = capacity_fractions(&template, 0.08, 0.95, ctx.scale.sweep_points());
-        for scheme in schemes {
-            let mut t = template.clone();
-            t.scheme = scheme;
-            specs.push(SweepSpec {
-                panel: wl.label(),
-                scheme: scheme.label(),
-                template: t,
-                rates: rates.clone(),
-            });
-        }
+        specs.extend(per_scheme(&wl.label(), &template, &schemes, &rates));
     }
     Figure {
         id: "fig14",
@@ -46,19 +35,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 14 in the experiment registry.
-pub struct Fig14;
-
-impl Experiment for Fig14 {
-    fn id(&self) -> &'static str {
-        "fig14"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "low-variability"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig14",
+    title: TITLE,
+    tags: &["figure", "sweep", "low-variability"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

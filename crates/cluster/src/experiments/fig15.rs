@@ -5,14 +5,12 @@
 //! matters; as load grows the extra responses overwhelm the client
 //! receivers and the unfiltered variant becomes *worse than the baseline*.
 
-use netclone_stats::Report;
 use netclone_workloads::exp25;
 
-use crate::experiments::panel::Figure;
-use crate::harness::{run_sweeps, Experiment, RunCtx, SweepSpec};
+use crate::harness::{Experiment, RunCtx};
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, Figure};
 
 const TITLE: &str = "Impact of redundant response filtering (Exp(25))";
 
@@ -27,17 +25,7 @@ pub fn run(ctx: &RunCtx) -> Figure {
     template.warmup_ns = ctx.scale.warmup_ns();
     template.measure_ns = ctx.scale.measure_ns();
     let rates = capacity_fractions(&template, 0.1, 0.98, ctx.scale.sweep_points());
-    let mut specs = Vec::new();
-    for scheme in schemes {
-        let mut t = template.clone();
-        t.scheme = scheme;
-        specs.push(SweepSpec {
-            panel: "Exp(25)".into(),
-            scheme: scheme.label(),
-            template: t,
-            rates: rates.clone(),
-        });
-    }
+    let specs = per_scheme("Exp(25)", &template, &schemes, &rates);
     Figure {
         id: "fig15",
         title: TITLE,
@@ -46,19 +34,10 @@ pub fn run(ctx: &RunCtx) -> Figure {
 }
 
 /// Figure 15 in the experiment registry.
-pub struct Fig15;
-
-impl Experiment for Fig15 {
-    fn id(&self) -> &'static str {
-        "fig15"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "sweep", "filtering"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig15",
+    title: TITLE,
+    tags: &["figure", "sweep", "filtering"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -105,19 +105,10 @@ pub fn run(ctx: &RunCtx) -> Fig16 {
 }
 
 /// Figure 16 in the experiment registry.
-pub struct Fig16Exp;
-
-impl Experiment for Fig16Exp {
-    fn id(&self) -> &'static str {
-        "fig16"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["figure", "timeline", "failure"]
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "fig16",
+    title: TITLE,
+    tags: &["figure", "timeline", "failure"],
+    topology: "single-rack",
+    run: |ctx| run(ctx).into_report(),
+};

@@ -13,14 +13,13 @@
 //!   *it* terminates, so its idle-tracking confidence degrades as the
 //!   fleet spreads — visible in the clone-win ratio.
 
-use netclone_stats::{Report, Table};
+use netclone_stats::Report;
 use netclone_workloads::exp25;
 
 use crate::harness::{Experiment, RunCtx};
-use crate::metrics::RunResult;
 use crate::scenario::Scenario;
 use crate::scheme::Scheme;
-use crate::sweep::capacity_fractions;
+use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, sweep_table, Panel};
 use crate::topology::Topology;
 
 const TITLE: &str = "Multi-rack scale-out: leaf/spine fabric (§3.7)";
@@ -31,113 +30,42 @@ pub const RACK_COUNTS: [usize; 3] = [1, 2, 4];
 /// Schemes under test.
 pub const SCHEMES: [Scheme; 2] = [Scheme::Baseline, Scheme::NETCLONE];
 
-/// One measured cell of the sweep.
-pub struct Cell {
-    /// Number of racks.
-    pub racks: usize,
-    /// The full run result.
-    pub run: RunResult,
-}
-
-/// The typed result: every (racks, scheme, load) cell, in sweep order.
-pub struct MultiRackResult {
-    /// The measured cells.
-    pub cells: Vec<Cell>,
-}
-
-impl MultiRackResult {
-    /// Renders the sweep as one table: racks × scheme × load rows with
-    /// the paper's headline metrics plus the cloning diagnostics.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new([
-            "racks",
-            "scheme",
-            "offered (MRPS)",
-            "achieved (MRPS)",
-            "p50 (us)",
-            "p99 (us)",
-            "clone rate",
-            "clone-win ratio",
-        ]);
-        for cell in &self.cells {
-            let (p50, p99, _) = cell.run.percentiles_us();
-            t.row([
-                cell.racks.to_string(),
-                cell.run.scheme.to_string(),
-                format!("{:.3}", cell.run.offered_rps / 1e6),
-                format!("{:.3}", cell.run.achieved_mrps()),
-                format!("{p50:.1}"),
-                format!("{p99:.1}"),
-                format!("{:.3}", cell.run.switch.clone_rate()),
-                format!("{:.3}", cell.run.clone_win_ratio()),
-            ]);
-        }
-        t
-    }
-
-    /// Converts the sweep into the unified report artifact.
-    pub fn into_report(self) -> Report {
-        let table = self.to_table();
-        Report::new("multirack", TITLE).with_table(table)
-    }
-
-    /// p99 of the given (racks, scheme) series at the highest load point
-    /// (for shape assertions).
-    pub fn p99_at_peak(&self, racks: usize, scheme: &str) -> Option<f64> {
-        self.cells
-            .iter()
-            .rev()
-            .find(|c| c.racks == racks && c.run.scheme == scheme)
-            .map(|c| c.run.p99_us())
-    }
-}
-
-/// Runs the sweep on the given context.
-pub fn run(ctx: &RunCtx) -> MultiRackResult {
+/// Runs the sweep on the given context: one panel per rack count, one
+/// series per scheme.
+pub fn run(ctx: &RunCtx) -> Vec<Panel> {
     let mut template = Scenario::synthetic_default(Scheme::Baseline, exp25(), 1.0);
     template.warmup_ns = ctx.scale.warmup_ns();
     template.measure_ns = ctx.scale.measure_ns();
     let rates = capacity_fractions(&template, 0.3, 0.9, ctx.scale.sweep_points());
-
-    let mut cells: Vec<(usize, Scenario)> = Vec::new();
-    for &racks in &RACK_COUNTS {
-        for scheme in SCHEMES {
-            for &rate in &rates {
-                let mut s = template.clone();
-                s.scheme = scheme;
-                s.offered_rps = rate;
-                s.topology = Topology::uniform(racks);
-                cells.push((racks, s));
-            }
-        }
+    let mut specs = Vec::new();
+    for racks in RACK_COUNTS {
+        template.topology = Topology::uniform(racks);
+        specs.extend(per_scheme(&racks.to_string(), &template, &SCHEMES, &rates));
     }
-    let cells = ctx.map("multirack", cells, |(racks, s)| Cell {
-        racks,
-        run: ctx.run_sim(s),
-    });
-    MultiRackResult { cells }
+    run_sweeps(ctx, "multirack", specs)
+}
+
+/// Renders the sweep as one table: racks × scheme × load rows with the
+/// paper's headline metrics plus the cloning diagnostics.
+pub fn report(panels: &[Panel]) -> Report {
+    Report::new("multirack", TITLE).with_table(sweep_table(
+        panels,
+        "racks",
+        &[
+            ("clone rate", |r| format!("{:.3}", r.switch.clone_rate())),
+            ("clone-win ratio", |r| format!("{:.3}", r.clone_win_ratio())),
+        ],
+    ))
 }
 
 /// The multi-rack sweep in the experiment registry.
-pub struct MultiRack;
-
-impl Experiment for MultiRack {
-    fn id(&self) -> &'static str {
-        "multirack"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "sweep", "topology", "multirack"]
-    }
-    fn topology(&self) -> &'static str {
-        "leaf/spine"
-    }
-    fn run(&self, ctx: &RunCtx) -> Report {
-        run(ctx).into_report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "multirack",
+    title: TITLE,
+    tags: &["table", "sweep", "topology", "multirack"],
+    topology: "leaf/spine",
+    run: |ctx| report(&run(ctx)),
+};
 
 #[cfg(test)]
 mod tests {
@@ -147,36 +75,27 @@ mod tests {
     #[test]
     fn smoke_run_covers_every_cell() {
         let ctx = RunCtx::new(Scale::Smoke).with_jobs(crate::harness::default_jobs());
-        let r = run(&ctx);
-        assert_eq!(
-            r.cells.len(),
-            RACK_COUNTS.len() * SCHEMES.len() * Scale::Smoke.sweep_points()
-        );
-        for cell in &r.cells {
-            assert!(
-                cell.run.completed > 0,
-                "{}r {}",
-                cell.racks,
-                cell.run.scheme
+        let panels = run(&ctx);
+        assert_eq!(panels.len(), RACK_COUNTS.len());
+        for (p, racks) in panels.iter().zip(RACK_COUNTS) {
+            assert_eq!(p.name, racks.to_string());
+            assert_eq!(
+                p.runs().count(),
+                SCHEMES.len() * Scale::Smoke.sweep_points()
             );
-            let switches = if cell.racks == 1 { 1 } else { cell.racks + 1 };
-            assert_eq!(cell.run.per_switch.len(), switches);
-        }
-        // NetClone still clones — and still beats the baseline tail at
-        // the peak load point — in every multi-rack shape.
-        for &racks in &RACK_COUNTS {
-            let cloned: u64 = r
-                .cells
-                .iter()
-                .filter(|c| c.racks == racks && c.run.scheme == "NetClone")
-                .map(|c| c.run.switch.cloned)
-                .sum();
+            for r in p.runs() {
+                assert!(r.completed > 0, "{racks}r {}", r.scheme);
+                let switches = if racks == 1 { 1 } else { racks + 1 };
+                assert_eq!(r.per_switch.len(), switches);
+            }
+            // NetClone still clones — and still beats the baseline tail
+            // at the peak load point — in every multi-rack shape.
+            let cloned: u64 = p.points("NetClone").iter().map(|r| r.switch.cloned).sum();
             assert!(cloned > 0, "no clones at {racks} racks");
-            let nc = r.p99_at_peak(racks, "NetClone").expect("NetClone series");
-            let base = r.p99_at_peak(racks, "Baseline").expect("Baseline series");
+            let nc = p.peak("NetClone").expect("NetClone series").p99_us();
+            let base = p.peak("Baseline").expect("Baseline series").p99_us();
             assert!(nc < base, "{racks} racks: p99 {nc} >= baseline {base}");
         }
-        let report = r.into_report();
-        assert!(report.to_markdown().contains("multirack"));
+        assert!(report(&panels).to_markdown().contains("multirack"));
     }
 }

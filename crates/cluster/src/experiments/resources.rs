@@ -5,7 +5,7 @@
 use netclone_core::NetCloneSwitch;
 use netclone_stats::{Report, Table};
 
-use crate::harness::{Experiment, RunCtx};
+use crate::harness::Experiment;
 
 const TITLE: &str = "Switch resource usage (§4.1)";
 
@@ -68,22 +68,13 @@ pub fn report() -> Report {
 
 /// The §4.1 resource report in the experiment registry (pure — ignores
 /// the context).
-pub struct TabRes;
-
-impl Experiment for TabRes {
-    fn id(&self) -> &'static str {
-        "tab-res"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "resources"]
-    }
-    fn run(&self, _ctx: &RunCtx) -> Report {
-        report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "tab-res",
+    title: TITLE,
+    tags: &["table", "resources"],
+    topology: "single-rack",
+    run: |_| report(),
+};
 
 #[cfg(test)]
 mod tests {

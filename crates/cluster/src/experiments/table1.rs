@@ -7,7 +7,7 @@
 
 use netclone_stats::{Report, Table};
 
-use crate::harness::{Experiment, RunCtx};
+use crate::harness::Experiment;
 
 const TITLE: &str = "Comparison to existing works";
 
@@ -108,22 +108,13 @@ pub fn report() -> Report {
 }
 
 /// Table 1 in the experiment registry (pure — ignores the context).
-pub struct Tab01;
-
-impl Experiment for Tab01 {
-    fn id(&self) -> &'static str {
-        "tab01"
-    }
-    fn title(&self) -> &'static str {
-        TITLE
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["table", "qualitative"]
-    }
-    fn run(&self, _ctx: &RunCtx) -> Report {
-        report()
-    }
-}
+pub const EXPERIMENT: Experiment = Experiment {
+    id: "tab01",
+    title: TITLE,
+    tags: &["table", "qualitative"],
+    topology: "single-rack",
+    run: |_| report(),
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,12 @@
 //! The evaluation harness: every paper artifact behind one API.
 //!
-//! * [`Experiment`] — a figure/table as a first-class value: an id, a
-//!   title, tags, and a `run` that yields a machine-readable
-//!   [`Report`].
+//! * [`Experiment`] — a figure/table as a plain value: an id, a title,
+//!   tags, a topology label, and a `run` function that yields a
+//!   machine-readable [`Report`].
 //! * [`registry()`] — every built-in experiment, in presentation order.
-//!   Adding a scenario is a one-file change: implement the trait in a
-//!   new module and list it here; the `repro` CLI and the
-//!   JSON/CSV/markdown emitters need no edits.
+//!   Adding one is a new module that exports `pub const EXPERIMENT`
+//!   plus one line here; the `repro` CLI and the JSON/CSV/markdown
+//!   emitters need no edits.
 //! * [`RunCtx`] — what an experiment may spend: the [`Scale`]
 //!   (fidelity), a thread budget, and a progress callback.
 //! * [`Runner`] — a deterministic scoped-thread worker pool. Every
@@ -14,38 +14,31 @@
 //!   seeded RNG and depends only on its `Scenario`, so fanning cells
 //!   out across cores is bit-identical to running them serially —
 //!   results are reassembled in submission order, asserted by
-//!   `tests/harness_determinism.rs`.
+//!   `tests/harness_determinism.rs`. Load sweeps fan out through it via
+//!   [`run_sweeps`](crate::sweep::run_sweeps).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use netclone_stats::Report;
 
-use crate::experiments::panel::{Panel, Series};
 use crate::experiments::scale::Scale;
 use crate::scenario::Scenario;
 use crate::sim::Sim;
-use crate::sweep::SweepPoint;
 
-/// One paper artifact (figure, table, or ablation suite).
-///
-/// Implementations are zero-sized markers; all configuration arrives
-/// through the [`RunCtx`].
-pub trait Experiment: Sync {
+/// One paper artifact (figure, table, or ablation suite) as a value:
+/// what `repro --list` shows, and the function that runs it.
+pub struct Experiment {
     /// Stable identifier (`fig07`, `tab01`, …) — the CLI name.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// Human title (the paper caption).
-    fn title(&self) -> &'static str;
+    pub title: &'static str,
     /// Free-form labels for `repro --list` filtering and docs.
-    fn tags(&self) -> &'static [&'static str];
+    pub tags: &'static [&'static str],
     /// Topology shape the experiment simulates (shown by `repro --list`).
-    /// The paper's experiments all run the single-rack testbed; the
-    /// scale-out experiments override this.
-    fn topology(&self) -> &'static str {
-        "single-rack"
-    }
+    pub topology: &'static str,
     /// Runs the experiment and returns the unified artifact.
-    fn run(&self, ctx: &RunCtx) -> Report;
+    pub run: fn(&RunCtx) -> Report,
 }
 
 /// A progress sink: receives `label: done/total` messages, possibly
@@ -228,84 +221,35 @@ impl Runner {
     }
 }
 
-/// One scheme's load sweep within one panel, ready to fan out.
-pub struct SweepSpec {
-    /// Panel caption the resulting series belongs to.
-    pub panel: String,
-    /// Scheme label (legend entry).
-    pub scheme: &'static str,
-    /// The scenario template; `offered_rps` is overwritten per rate.
-    pub template: Scenario,
-    /// Offered rates to run, requests/second.
-    pub rates: Vec<f64>,
-}
-
-/// Runs every (spec, rate) cell of `specs` on the context's worker pool
-/// and reassembles the results into panels, preserving spec and rate
-/// order — the shared engine behind every sweep figure.
-pub fn run_sweeps(ctx: &RunCtx, label: &str, specs: Vec<SweepSpec>) -> Vec<Panel> {
-    let mut cells: Vec<(usize, Scenario)> = Vec::new();
-    for (si, spec) in specs.iter().enumerate() {
-        for &rate in &spec.rates {
-            let mut s = spec.template.clone();
-            s.offered_rps = rate;
-            cells.push((si, s));
-        }
-    }
-    let points = ctx.map(label, cells, |(si, s)| {
-        let offered = s.offered_rps;
-        (si, SweepPoint::from_run(offered, ctx.run_sim(s)))
-    });
-    let mut per_spec: Vec<Vec<SweepPoint>> = specs.iter().map(|_| Vec::new()).collect();
-    for (si, p) in points {
-        per_spec[si].push(p);
-    }
-    let mut panels: Vec<Panel> = Vec::new();
-    for (spec, points) in specs.into_iter().zip(per_spec) {
-        let series = Series {
-            scheme: spec.scheme,
-            points,
-        };
-        match panels.iter_mut().find(|p| p.name == spec.panel) {
-            Some(p) => p.series.push(series),
-            None => panels.push(Panel {
-                name: spec.panel,
-                series: vec![series],
-            }),
-        }
-    }
-    panels
-}
-
 /// Every built-in experiment, in presentation order (tables first, then
 /// the figures, then this reproduction's multi-rack sweep and
 /// ablations).
-pub fn registry() -> Vec<Box<dyn Experiment>> {
+pub fn registry() -> &'static [Experiment] {
     use crate::experiments::*;
-    vec![
-        Box::new(table1::Tab01),
-        Box::new(resources::TabRes),
-        Box::new(fig07::Fig07),
-        Box::new(fig08::Fig08),
-        Box::new(fig09::Fig09),
-        Box::new(fig10::Fig10),
-        Box::new(fig11::Fig11),
-        Box::new(fig12::Fig12),
-        Box::new(fig13::Fig13Exp),
-        Box::new(fig14::Fig14),
-        Box::new(fig15::Fig15),
-        Box::new(fig16::Fig16Exp),
-        Box::new(multirack::MultiRack),
-        Box::new(fattree::FatTree),
-        Box::new(adversarial::Adversarial),
-        Box::new(chaos::Chaos),
-        Box::new(ablations::Ablations),
+    &[
+        table1::EXPERIMENT,
+        resources::EXPERIMENT,
+        fig07::EXPERIMENT,
+        fig08::EXPERIMENT,
+        fig09::EXPERIMENT,
+        fig10::EXPERIMENT,
+        fig11::EXPERIMENT,
+        fig12::EXPERIMENT,
+        fig13::EXPERIMENT,
+        fig14::EXPERIMENT,
+        fig15::EXPERIMENT,
+        fig16::EXPERIMENT,
+        multirack::EXPERIMENT,
+        fattree::EXPERIMENT,
+        adversarial::EXPERIMENT,
+        chaos::EXPERIMENT,
+        ablations::EXPERIMENT,
     ]
 }
 
 /// Looks up one experiment by id.
-pub fn find(id: &str) -> Option<Box<dyn Experiment>> {
-    registry().into_iter().find(|e| e.id() == id)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    registry().iter().find(|e| e.id == id)
 }
 
 /// Registry ids closest to a mistyped `id`, best first (at most three):
@@ -314,7 +258,7 @@ pub fn suggest(id: &str) -> Vec<&'static str> {
     let mut scored: Vec<(usize, &'static str)> = registry()
         .iter()
         .filter_map(|e| {
-            let known = e.id();
+            let known = e.id;
             if known.contains(id) || id.contains(known) {
                 Some((0, known))
             } else {
@@ -383,13 +327,13 @@ mod tests {
     fn registry_ids_are_unique_and_titled() {
         let reg = registry();
         assert_eq!(reg.len(), 17);
-        let mut ids: Vec<&str> = reg.iter().map(|e| e.id()).collect();
+        let mut ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 17, "duplicate experiment ids");
-        for e in &reg {
-            assert!(!e.title().is_empty(), "{} has no title", e.id());
-            assert!(!e.tags().is_empty(), "{} has no tags", e.id());
+        for e in reg {
+            assert!(!e.title.is_empty(), "{} has no title", e.id);
+            assert!(!e.tags.is_empty(), "{} has no tags", e.id);
         }
     }
 

@@ -11,10 +11,11 @@
 //! ([`topology::Fabric`]).
 //!
 //! One simulation ([`sim::Sim`]) runs one (scheme, workload, offered-load)
-//! point and yields a [`metrics::RunResult`]; [`sweep()`](sweep::sweep)
-//! drives load sweeps;
+//! point and yields a [`metrics::RunResult`];
+//! [`sweep::run_sweeps`] runs schemes over offered load into panels of
+//! those results;
 //! [`experiments`] packages every figure and table of the paper's
-//! evaluation as an [`harness::Experiment`] producing a unified
+//! evaluation as an [`harness::Experiment`] value producing a unified
 //! [`netclone_stats::Report`]; [`harness::registry()`] lists them all
 //! and [`harness::Runner`] fans their cells out across cores with
 //! results bit-identical to serial execution.
@@ -43,5 +44,4 @@ pub use scenario::{
 };
 pub use scheme::Scheme;
 pub use sim::Sim;
-pub use sweep::{sweep, SweepPoint};
 pub use topology::{Fabric, Hop, Placement, Topology};

@@ -491,6 +491,9 @@ impl Scenario {
                 ));
             }
         }
+        if let Some(spec) = &self.links {
+            self.validate_links(spec)?;
+        }
         let faults = &self.faults.faults;
         for fault in faults {
             self.validate_fault(fault)?;
@@ -548,6 +551,35 @@ impl Scenario {
                      merge them into one window or separate them"
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// Link rates must be finite and positive, and the longest queue wait
+    /// a link can schedule — a full queue plus the largest frame, at the
+    /// slowest rate, under the largest flap factor — must fit in half the
+    /// `u64` picosecond range, so no departure time can wrap.
+    fn validate_links(&self, spec: &LinkSpec) -> Result<(), String> {
+        for (tier, gbps) in [("edge", spec.edge_gbps), ("fabric", spec.fabric_gbps)] {
+            if !(gbps.is_finite() && gbps > 0.0) {
+                return Err(format!(
+                    "{tier} link rate must be finite and positive, got {gbps} Gbit/s"
+                ));
+            }
+        }
+        let flap = self.faults.faults.iter().fold(1, |m, f| match f {
+            Fault::LinkFlap(lf) => m.max(lf.factor),
+            _ => m,
+        });
+        let slowest = spec.edge_gbps.min(spec.fabric_gbps);
+        let bytes = f64::from(spec.queue_bytes) + f64::from(u16::MAX);
+        let wait_ps = bytes * (8_000.0 / slowest) * flap as f64;
+        if wait_ps > (u64::MAX / 2) as f64 {
+            return Err(format!(
+                "links overflow the simulator clock: {bytes} B at {slowest} Gbit/s \
+                 with flap factor {flap} wait {wait_ps:.3e} ps, past the {:.3e} ps limit",
+                (u64::MAX / 2) as f64
+            ));
         }
         Ok(())
     }
@@ -948,6 +980,48 @@ mod tests {
             let err = s.validate().unwrap_err();
             assert!(err.contains(want), "unhelpful error: {err}");
         }
+    }
+
+    #[test]
+    fn links_that_overflow_the_clock_are_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.topology = Topology::uniform(4);
+        s.links = Some(LinkSpec::flat(10.0, 150_000));
+        assert_eq!(s.validate(), Ok(()));
+        for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (tier, edge_gbps, fabric_gbps) in [("edge", gbps, 10.0), ("fabric", 10.0, gbps)] {
+                let mut bad = s.clone();
+                let flat = LinkSpec::flat(10.0, 150_000);
+                bad.links = Some(LinkSpec {
+                    edge_gbps,
+                    fabric_gbps,
+                    ..flat
+                });
+                let err = bad.validate().unwrap_err();
+                assert!(err.contains(&format!("{tier} link rate")), "{gbps}: {err}");
+            }
+        }
+        // An infinite ratio leaves a zero fabric rate; a huge one a rate
+        // whose serialization cost saturates the link's integer clock.
+        s.links = Some(LinkSpec::oversubscribed(10.0, f64::INFINITY, 45_000));
+        assert!(s.validate().unwrap_err().contains("fabric link rate"));
+        s.links = Some(LinkSpec::oversubscribed(10.0, 1e30, 45_000));
+        assert!(s.validate().unwrap_err().contains("overflow"));
+        s.links = Some(LinkSpec::oversubscribed(10.0, 4.0, 45_000));
+        assert_eq!(s.validate(), Ok(()));
+        // A flap factor multiplies every wait on the flapped rack.
+        let flap = |factor| {
+            Fault::LinkFlap(LinkFlapPlan {
+                rack: 3,
+                start_ns: 1_000_000,
+                end_ns: 2_000_000,
+                factor,
+            })
+        };
+        s.faults.faults = vec![flap(1_000)];
+        assert_eq!(s.validate(), Ok(()));
+        s.faults.faults = vec![flap(u64::MAX / 1_000)];
+        assert!(s.validate().unwrap_err().contains("overflow"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! hops. A fabric's host table lists every server, client and coordinator
 //! once, with its address, leaf and access port. [`Fabric`] is the built
 //! artifact — one [`SwitchEngine`] per switch plus the routing metadata
-//! ([`Fabric::hop`]/[`Fabric::route`]) to walk emissions between
+//! ([`Fabric::route`]) to walk emissions between
 //! switches; [`UpperTier`] is the same wiring above the leaves compiled to
 //! one table, which is what the event loop walks. Assembly (which engine
 //! runs on which leaf, what gets registered where) lives in
@@ -599,13 +599,6 @@ impl Fabric {
                 }
             }
         }
-    }
-
-    /// [`Fabric::route`] for single-path shapes (hash 0); the historical
-    /// two-tier entry point.
-    #[inline]
-    pub fn hop(&self, sw: usize, port: PortId) -> Hop {
-        self.route(sw, port, 0)
     }
 
     /// Per-switch counter snapshots, in switch-index order.

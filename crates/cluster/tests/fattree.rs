@@ -13,20 +13,31 @@
 
 use netclone_cluster::experiments::{fattree, Scale};
 use netclone_cluster::harness::RunCtx;
-use netclone_cluster::Sim;
+use netclone_cluster::sweep::Panel;
+use netclone_cluster::{RunResult, Sim};
 
 fn smoke_ctx() -> RunCtx {
     RunCtx::new(Scale::Smoke).with_jobs(netclone_cluster::harness::default_jobs())
 }
 
+/// The run of `scheme` at oversubscription ratio `oversub`.
+fn cell<'a>(panels: &'a [Panel], oversub: f64, scheme: &str) -> &'a RunResult {
+    panels
+        .iter()
+        .find(|p| p.name == format!("{oversub}:1"))
+        .and_then(|p| p.peak(scheme))
+        .expect("cell")
+}
+
 #[test]
 fn p99_inflates_and_clone_win_degrades_with_oversubscription() {
-    let r = fattree::run(&smoke_ctx());
-    assert_eq!(r.k, 4);
+    let ctx = smoke_ctx();
+    assert_eq!(fattree::radix_for(&ctx), 4);
+    let r = fattree::run(&ctx);
     for scheme in ["Baseline", "NetClone"] {
         let p99s: Vec<f64> = fattree::OVERSUB
             .iter()
-            .map(|&o| r.p99_at(o, scheme).expect("cell"))
+            .map(|&o| cell(&r, o, scheme).p99_us())
             .collect();
         eprintln!("{scheme} p99 over {:?}: {p99s:?}", fattree::OVERSUB);
         for w in p99s.windows(2) {
@@ -38,7 +49,7 @@ fn p99_inflates_and_clone_win_degrades_with_oversubscription() {
     }
     let wins: Vec<f64> = fattree::OVERSUB
         .iter()
-        .map(|&o| r.clone_win_at(o, "NetClone").expect("cell"))
+        .map(|&o| cell(&r, o, "NetClone").clone_win_ratio())
         .collect();
     eprintln!("NetClone clone-win over {:?}: {wins:?}", fattree::OVERSUB);
     assert!(wins[0] > 0.05, "cloning must matter at 1:1: {wins:?}");
@@ -55,19 +66,15 @@ fn drops_concentrate_on_victim_downlinks_and_grow() {
     let r = fattree::run(&smoke_ctx());
     let mut prev = 0u64;
     for &o in &fattree::OVERSUB {
-        let cell = r
-            .cells
-            .iter()
-            .find(|c| c.oversub == o && c.run.scheme == "NetClone")
-            .expect("cell");
-        let totals = cell.run.link_totals.expect("links enabled");
+        let run = cell(&r, o, "NetClone");
+        let totals = run.link_totals.expect("links enabled");
         assert!(
             totals.down.dropped >= prev,
             "down drops must not shrink as the fabric thins"
         );
         prev = totals.down.dropped;
         // Every dropping link is a victim-rack (leaf 0) downlink.
-        for l in &cell.run.link_stats {
+        for l in &run.link_stats {
             if l.dropped > 0 {
                 assert!(
                     l.link.starts_with("leaf0.down"),

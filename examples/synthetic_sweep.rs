@@ -5,7 +5,9 @@
 //! cargo run --release --example synthetic_sweep
 //! ```
 
-use netclone::cluster::sweep::{capacity_fractions, sweep};
+use netclone::cluster::experiments::Scale;
+use netclone::cluster::harness::{default_jobs, RunCtx};
+use netclone::cluster::sweep::{capacity_fractions, per_scheme, run_sweeps};
 use netclone::cluster::{Scenario, Scheme};
 use netclone::workloads::exp25;
 
@@ -14,18 +16,20 @@ fn main() {
     template.warmup_ns = 10_000_000;
     template.measure_ns = 60_000_000;
     let rates = capacity_fractions(&template, 0.1, 0.95, 7);
+    let schemes = [Scheme::Baseline, Scheme::CClone, Scheme::NETCLONE];
+    let specs = per_scheme("Exp(25)", &template, &schemes, &rates);
+    let ctx = RunCtx::new(Scale::Standard).with_jobs(default_jobs());
+    let panels = run_sweeps(&ctx, "Exp(25)", specs);
 
     println!("Exp(25), 6 workers — p99 latency (us) vs achieved throughput (MRPS)\n");
-    for scheme in [Scheme::Baseline, Scheme::CClone, Scheme::NETCLONE] {
-        let mut t = template.clone();
-        t.scheme = scheme;
-        let points = sweep(&t, &rates);
+    for series in &panels[0].series {
         println!(
             "{:<10} {}",
-            scheme.label(),
-            points
+            series.scheme,
+            series
+                .points
                 .iter()
-                .map(|p| format!("({:.2} MRPS, {:.0}us)", p.achieved_mrps, p.p99_us))
+                .map(|r| format!("({:.2} MRPS, {:.0}us)", r.achieved_mrps(), r.p99_us()))
                 .collect::<Vec<_>>()
                 .join(" ")
         );

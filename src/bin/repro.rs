@@ -70,10 +70,10 @@ fn main() -> ExitCode {
                 for e in registry() {
                     println!(
                         "{:<10} {:<12} [{}]  {}",
-                        e.id(),
-                        e.topology(),
-                        e.tags().join(", "),
-                        e.title()
+                        e.id,
+                        e.topology,
+                        e.tags.join(", "),
+                        e.title
                     );
                 }
                 return ExitCode::SUCCESS;
@@ -111,8 +111,8 @@ fn main() -> ExitCode {
             }
             "--oversub" => {
                 oversub = match args.next().map(|v| v.parse::<f64>()) {
-                    Some(Ok(r)) if r >= 1.0 => Some(r),
-                    _ => return fail("--oversub needs a ratio >= 1.0"),
+                    Some(Ok(r)) if r >= 1.0 && r.is_finite() => Some(r),
+                    _ => return fail("--oversub needs a finite ratio >= 1.0"),
                 };
             }
             "--format" => {
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
         }
     }
     if ids.is_empty() {
-        ids = registry().iter().map(|e| e.id().to_string()).collect();
+        ids = registry().iter().map(|e| e.id.to_string()).collect();
     }
 
     // Resolve every id up front so a typo fails before hours of sweeps.
@@ -162,20 +162,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // An unaddressable radix would panic mid-sweep in a worker thread;
-    // refuse it here with the limit it breaks.
-    if let Some(k) = fattree_k {
-        let ctx = RunCtx::new(scale);
-        for scheme in fattree::SCHEMES {
-            if let Err(e) = fattree::scenario(k, 1.0, scheme, &ctx).validate() {
-                return fail(&format!("--fattree-k {k}: {e}"));
-            }
-        }
-    }
-
-    if let Err(e) = std::fs::create_dir_all(&out) {
-        return fail(&format!("cannot create {}: {e}", out.display()));
-    }
     let mut ctx = RunCtx::new(scale)
         .with_jobs(jobs)
         .with_shards(shards)
@@ -186,14 +172,38 @@ fn main() -> ExitCode {
     if let Some(r) = oversub {
         ctx = ctx.with_oversub(r);
     }
+
+    // An unaddressable radix or a link rate the simulator's clock cannot
+    // hold would panic mid-sweep in a worker thread; refuse it here, at
+    // the radix and ratios that would run, with the limit it breaks.
+    if fattree_k.is_some() || oversub.is_some() {
+        let k = fattree::radix_for(&ctx);
+        for ratio in fattree::ratios(&ctx) {
+            for scheme in fattree::SCHEMES {
+                if let Err(e) = fattree::scenario(k, ratio, scheme, &ctx).validate() {
+                    return fail(&format!("fattree at k={k}, {ratio}:1: {e}"));
+                }
+            }
+        }
+    }
+
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        return fail(&format!("cannot create {}: {e}", out.display()));
+    }
     for exp in experiments {
         let t0 = std::time::Instant::now();
         eprintln!(
             "== running {} at {scale:?} scale on {jobs} thread(s)…",
-            exp.id()
+            exp.id
         );
-        let report = exp.run(&ctx);
+        let report = (exp.run)(&ctx);
         eprintln!();
+        if report.id != exp.id {
+            return fail(&format!(
+                "registry entry {:?} produced a report with id {:?}",
+                exp.id, report.id
+            ));
+        }
         if let Err(e) = emit(&report, format, &out) {
             return fail(&format!("cannot write results for {}: {e}", report.id));
         }

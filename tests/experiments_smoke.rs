@@ -80,3 +80,20 @@ fn repro_refuses_an_unaddressable_fattree_radix_before_running() {
     assert!(stderr.contains("89 server ports"), "{stderr}");
     assert!(!stderr.contains("== running"), "{stderr}");
 }
+
+#[test]
+fn repro_refuses_an_oversubscription_the_link_clock_cannot_hold_before_running() {
+    for (ratio, limit) in [("inf", "finite ratio"), ("1e30", "overflow")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke", "--oversub", ratio, "fattree"])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--oversub {ratio}: {stderr}");
+        assert!(stderr.contains(limit), "--oversub {ratio}: {stderr}");
+        assert!(
+            !stderr.contains("== running"),
+            "--oversub {ratio}: {stderr}"
+        );
+    }
+}

@@ -13,8 +13,8 @@ use netclone::workloads::exp25;
 
 fn reports_match(id: &str) {
     let exp = find(id).expect("registry id");
-    let serial = exp.run(&RunCtx::new(Scale::Smoke));
-    let parallel = exp.run(&RunCtx::new(Scale::Smoke).with_jobs(8));
+    let serial = (exp.run)(&RunCtx::new(Scale::Smoke));
+    let parallel = (exp.run)(&RunCtx::new(Scale::Smoke).with_jobs(8));
     assert_eq!(
         serial.to_json(),
         parallel.to_json(),
@@ -178,8 +178,8 @@ fn sharded_run_equals_serial_with_coordinator() {
 #[test]
 fn multirack_report_with_jobs_and_shards_equals_serial() {
     let exp = find("multirack").expect("registry id");
-    let serial = exp.run(&RunCtx::new(Scale::Smoke));
-    let both = exp.run(&RunCtx::new(Scale::Smoke).with_jobs(8).with_shards(0));
+    let serial = (exp.run)(&RunCtx::new(Scale::Smoke));
+    let both = (exp.run)(&RunCtx::new(Scale::Smoke).with_jobs(8).with_shards(0));
     assert_eq!(
         serial.to_json(),
         both.to_json(),

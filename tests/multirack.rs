@@ -44,7 +44,7 @@ fn drive(
         hops += 1;
         assert!(hops <= 16, "forwarding loop");
         for e in fabric.engines[sw].process_collected(pkt, ingress, 0) {
-            match fabric.hop(sw, e.port) {
+            match fabric.route(sw, e.port, 0) {
                 Hop::Switch(next) => work.push((next, e.pkt, 0)),
                 Hop::Local(_) => delivered.push((sw, e)),
             }
