@@ -37,7 +37,7 @@ use rand::SeedableRng;
 use crate::calib;
 use crate::scenario::{Fault, Scenario, Workload};
 use crate::scheme::Scheme;
-use crate::sim::{BgState, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
+use crate::sim::{BgState, Edge, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
 use crate::topology::{Fabric, FabricShape, HostKind, Hosts, Topology, UpperTier};
 
 /// Virtual address of the LÆDGE coordinator host.
@@ -69,15 +69,17 @@ pub(crate) fn check_server_count(scheme: Scheme, n: usize) -> Result<(), String>
     Ok(())
 }
 
-/// Builds the *unprogrammed* engine for a scenario's scheme, stamping the
-/// given multi-rack identity (§3.7; single-rack deployments use 1).
-fn scheme_engine(scenario: &Scenario, switch_id: SwitchId) -> Box<dyn SwitchEngine> {
+/// The switch-program configuration of `scenario`'s scheme, stamped with
+/// the given multi-rack identity, for the schemes whose engine is a
+/// NetClone program; `None` for the plain-L3 ones.
+pub(crate) fn netclone_config(scenario: &Scenario, switch_id: SwitchId) -> Option<NetCloneConfig> {
+    let mut cfg = NetCloneConfig::paper_prototype();
+    cfg.switch_id = switch_id;
     match scenario.scheme {
         Scheme::NetClone {
             racksched,
             filtering,
         } => {
-            let mut cfg = NetCloneConfig::paper_prototype();
             cfg.scheduling = if racksched {
                 Scheduling::RackSched
             } else {
@@ -87,17 +89,22 @@ fn scheme_engine(scenario: &Scenario, switch_id: SwitchId) -> Box<dyn SwitchEngi
             cfg.num_filter_tables = scenario.n_filter_tables;
             cfg.filter_slots_log2 = scenario.filter_slots_log2;
             cfg.clone_condition = scenario.clone_condition;
-            cfg.switch_id = switch_id;
-            Box::new(NetCloneSwitch::new(cfg))
         }
-        Scheme::RackSchedOnly => {
-            let mut cfg = NetCloneConfig::paper_prototype();
-            cfg.switch_id = switch_id;
+        Scheme::RackSchedOnly => {}
+        Scheme::Baseline | Scheme::CClone | Scheme::Laedge => return None,
+    }
+    Some(cfg)
+}
+
+/// Builds the *unprogrammed* engine for a scenario's scheme, stamping the
+/// given multi-rack identity (§3.7; single-rack deployments use 1).
+fn scheme_engine(scenario: &Scenario, switch_id: SwitchId) -> Box<dyn SwitchEngine> {
+    match netclone_config(scenario, switch_id) {
+        Some(cfg) if scenario.scheme == Scheme::RackSchedOnly => {
             Box::new(netclone_policies::racksched_switch(cfg))
         }
-        Scheme::Baseline | Scheme::CClone | Scheme::Laedge => {
-            Box::new(PlainL3Switch::new(netclone_asic::AsicSpec::tofino()))
-        }
+        Some(cfg) => Box::new(NetCloneSwitch::new(cfg)),
+        None => Box::new(PlainL3Switch::new(netclone_asic::AsicSpec::tofino())),
     }
 }
 
@@ -430,7 +437,7 @@ impl ScenarioBuilder {
                     seeds.seed_for("client", cid as u64),
                 );
                 if let Some(policy) = scenario.retry {
-                    c = c.with_retry(policy);
+                    c.core = c.core.with_retry(policy);
                 }
                 c
             })
@@ -669,74 +676,31 @@ impl ScenarioBuilder {
             prime_one(shards, &mut ctl, client_shard(cid), *gap, Ev::Gen(cid));
         }
         broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
-        // Fault edges ride the control domain too, in declaration order.
-        // Faults whose state has a single consumer (a server's slow
-        // factor or liveness, a leaf's forwarding flag, a rack's link
-        // rates) prime on the owner alone; fabric-wide edges (a switch
-        // reboot, a server's removal from the tables) broadcast under
-        // shared keys.
-        for &fault in &scenario.faults.faults {
-            match fault {
-                Fault::Slowdown(plan) => {
-                    let (owner, idx) = (server_shard(plan.sid), plan.sid as usize);
-                    let slow = |factor| Ev::ServerSlow { idx, factor };
-                    prime_one(shards, &mut ctl, owner, plan.start_ns, slow(plan.factor));
-                    prime_one(shards, &mut ctl, owner, plan.end_ns, slow(1.0));
-                }
-                Fault::Drain(plan) => {
-                    let owner = rack_shard[plan.rack];
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.drain_at_ns,
-                        Ev::LeafDrain(plan.rack),
-                    );
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.restore_at_ns,
-                        Ev::LeafRestore(plan.rack),
-                    );
-                }
-                Fault::LinkFlap(plan) => {
-                    let owner = rack_shard[plan.rack];
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.start_ns,
-                        Ev::LinkFlap {
-                            rack: plan.rack,
-                            factor: plan.factor,
-                        },
-                    );
-                    prime_one(
-                        shards,
-                        &mut ctl,
-                        owner,
-                        plan.end_ns,
-                        Ev::LinkFlap {
-                            rack: plan.rack,
-                            factor: 1,
-                        },
-                    );
-                }
-                Fault::Reboot(plan) => {
-                    broadcast(shards, &mut ctl, plan.fail_at_ns, &|| Ev::SwitchFail);
-                    broadcast(shards, &mut ctl, plan.reactivate_at_ns, &|| {
-                        Ev::SwitchReactivate {
-                            bringup_ns: plan.bringup_ns,
-                        }
-                    });
-                }
-                Fault::ServerStop(plan) => {
-                    let (owner, kill) = (server_shard(plan.sid), Ev::ServerKill(plan.sid.into()));
-                    prime_one(shards, &mut ctl, owner, plan.fail_at_ns, kill);
-                    broadcast(shards, &mut ctl, plan.removed_at_ns, &|| {
-                        Ev::ServerRemove(plan.sid)
-                    });
+        // Fault edges ride the control domain too, in declaration order,
+        // start before end; `Shard::on_fault` applies them. An edge whose
+        // state has a single holder (a server's slow factor or liveness,
+        // a leaf's forwarding flag, a rack's link rates) primes on the
+        // holder's shard alone; a fabric-wide edge (a switch reboot, a
+        // server's removal from the tables) broadcasts under one key.
+        for (idx, fault) in scenario.faults.faults.iter().enumerate() {
+            let (owners, times) = match *fault {
+                Fault::Slowdown(p) => ([Some(server_shard(p.sid)); 2], [p.start_ns, p.end_ns]),
+                Fault::Drain(p) => (
+                    [Some(rack_shard[p.rack]); 2],
+                    [p.drain_at_ns, p.restore_at_ns],
+                ),
+                Fault::LinkFlap(p) => ([Some(rack_shard[p.rack]); 2], [p.start_ns, p.end_ns]),
+                Fault::Reboot(p) => ([None; 2], [p.fail_at_ns, p.reactivate_at_ns]),
+                Fault::ServerStop(p) => (
+                    [Some(server_shard(p.sid)), None],
+                    [p.fail_at_ns, p.removed_at_ns],
+                ),
+            };
+            for ((edge, owner), at) in [Edge::Start, Edge::End].into_iter().zip(owners).zip(times) {
+                let ev = || Ev::Fault { idx, edge };
+                match owner {
+                    Some(k) => prime_one(shards, &mut ctl, k, at, ev()),
+                    None => broadcast(shards, &mut ctl, at, &ev),
                 }
             }
         }

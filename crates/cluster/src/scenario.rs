@@ -460,7 +460,9 @@ impl Scenario {
         threads as f64 / (mean_ns / 1e9)
     }
 
-    /// Checks the server count against the fabric's limits, the topology
+    /// Checks the offered load, the throughput buckets and the switch
+    /// program's configuration, the server count against the fabric's
+    /// limits, the topology
     /// and the background traffic against the fleet and the links, and the
     /// fault timeline against the rest of the scenario. Called by the
     /// builder before any event is primed; the error message names the
@@ -473,6 +475,19 @@ impl Scenario {
             ));
         }
         crate::build::check_server_count(self.scheme, n_servers)?;
+        if !(self.offered_rps.is_finite() && self.offered_rps > 0.0) {
+            return Err(format!(
+                "offered_rps must be finite and positive, got {}",
+                self.offered_rps
+            ));
+        }
+        if self.timeseries_bucket_ns == 0 {
+            return Err("timeseries_bucket_ns must be positive".to_string());
+        }
+        if let Some(cfg) = crate::build::netclone_config(self, 1) {
+            cfg.validate()
+                .map_err(|e| format!("invalid switch program: {e}"))?;
+        }
         self.topology.validate(n_servers, self.n_clients)?;
         if let Some(b) = &self.background {
             let racks = self.topology.racks;
@@ -950,6 +965,49 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(
             err.contains("at least two servers"),
+            "unhelpful error: {err}"
+        );
+    }
+
+    /// The open-loop generator's rate is per client: zero, negative or
+    /// NaN load would die on the arrival process's assert mid-build.
+    #[test]
+    fn offered_load_must_be_finite_and_positive() {
+        for rps in [0.0, -1.0, f64::NAN] {
+            let s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), rps);
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("offered_rps"), "{rps}: {err}");
+        }
+    }
+
+    /// Filter shapes the switch program refuses are refused up front, for
+    /// the schemes that build one; the plain-L3 schemes have no filters.
+    #[test]
+    fn filter_shapes_the_switch_program_refuses_are_rejected() {
+        for scheme in [Scheme::NETCLONE, Scheme::Baseline] {
+            let mut no_tables = Scenario::synthetic_default(scheme, exp25(), 1e6);
+            no_tables.n_filter_tables = 0;
+            let mut no_slots = Scenario::synthetic_default(scheme, exp25(), 1e6);
+            no_slots.filter_slots_log2 = 0;
+            for (s, want) in [(no_tables, "filter table"), (no_slots, "filter_slots_log2")] {
+                match scheme {
+                    Scheme::Baseline => assert_eq!(s.validate(), Ok(())),
+                    _ => {
+                        let err = s.validate().unwrap_err();
+                        assert!(err.contains(want), "unhelpful error: {err}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_throughput_bucket_is_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.timeseries_bucket_ns = 0;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("timeseries_bucket_ns"),
             "unhelpful error: {err}"
         );
     }

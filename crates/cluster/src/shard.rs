@@ -209,24 +209,24 @@ impl ShardCoordinator {
             let c = shards[owner(hosts.client(cid))].clients[cid]
                 .as_ref()
                 .expect("client owner");
-            latency.merge(c.latencies());
-            generated += c.stats().generated;
-            redundant += c.stats().redundant;
-            clone_wins += c.stats().clone_wins;
-            lost += c.stats().lost;
-            retried += c.stats().retried;
-            retry_wins += c.stats().retry_wins;
-            budget_exhausted += c.stats().budget_exhausted;
-            let lt = c.lifetime();
+            let (st, lt) = (c.core.stats(), c.core.lifetime());
+            latency.merge(c.core.latencies());
+            generated += st.generated;
+            redundant += st.redundant;
+            clone_wins += st.clone_wins;
+            lost += st.lost;
+            retried += st.retried;
+            retry_wins += st.retry_wins;
+            budget_exhausted += st.budget_exhausted;
             assert_eq!(
                 lt.generated,
-                lt.completed + lt.lost + c.outstanding() as u64,
+                lt.completed + lt.lost + c.core.outstanding() as u64,
                 "client {cid} lost track of a request: generated != completed + lost + outstanding"
             );
             lifetime.generated += lt.generated;
             lifetime.completed += lt.completed;
             lifetime.lost += lt.lost;
-            outstanding += c.outstanding() as u64;
+            outstanding += c.core.outstanding() as u64;
         }
 
         // Per-switch windows in fabric index order (leaves, then the

@@ -82,10 +82,17 @@
 //! Event flow for one RPC (NetClone scheme):
 //!
 //! ```text
-//! Gen ─→ SwitchIn(req) ─→ ServerIn ─→ ServerDone ─→ SwitchIn(resp) ─→ ClientIn
-//!            │ (clone)                                   │ (slower resp:
-//!            └─→ ServerIn(clone) ─→ … ─┘                    filtered at switch)
+//! Gen ─→ SwitchIn(req) ─→ HostIn(server) ─→ ServerDone ─→ SwitchIn(resp) ─→ HostIn(client)
+//!            │ (clone)                                         │ (slower resp:
+//!            └─→ HostIn(clone) ─→ … ─┘                            filtered at switch)
 //! ```
+//!
+//! Every host sends through one path (`Shard::host_send`: a loss draw,
+//! the access link up, `SwitchIn` at its leaf) and receives through one
+//! event, `HostIn`, addressed by host id (`Hosts::at_port` maps a
+//! leaf's egress port back to it). A fault of the scenario's timeline
+//! reaches the loop as `Fault { idx, edge }` control events, and
+//! `Shard::on_fault` alone knows what each edge does.
 
 use netclone_asic::{EmissionSink, PortId};
 use netclone_core::ports::{client_port, server_port, COORD_PORT};
@@ -105,9 +112,9 @@ use std::sync::Arc;
 use crate::build::ScenarioBuilder;
 use crate::calib;
 use crate::metrics::RunResult;
-use crate::scenario::Scenario;
+use crate::scenario::{Fault, Scenario};
 use crate::shard::ShardCoordinator;
-use crate::topology::{flow_hash, Hosts, UpperTier, UpperWalk, UPLINK_PORT};
+use crate::topology::{flow_hash, Host, HostKind, Hosts, UpperTier, UpperWalk, UPLINK_PORT};
 
 /// Simulation events.
 ///
@@ -119,18 +126,14 @@ pub(crate) enum Ev {
     Gen(usize),
     /// A packet reaches leaf switch `idx` of the fabric.
     SwitchIn(usize, AppPacket),
-    /// A packet reaches server `idx`'s NIC.
-    ServerIn(usize, AppPacket),
+    /// A packet reaches the NIC of host `host` (an index into [`Hosts`]).
+    HostIn(usize, AppPacket),
     /// Server `idx` finishes serving `pkt` (valid only in `epoch`).
     ServerDone {
         idx: usize,
         epoch: u32,
         pkt: AppPacket,
     },
-    /// A packet reaches client `cid`'s NIC.
-    ClientIn(usize, AppPacket),
-    /// A packet reaches the coordinator.
-    CoordIn(AppPacket),
     /// A packet reaches the head of downlink `via` into leaf `leaf`
     /// (congestion-aware links only): the destination rack's domain
     /// offers it to the queue.
@@ -157,46 +160,27 @@ pub(crate) enum Ev {
     },
     /// Measurements start.
     EndWarmup,
-    /// The fabric stops forwarding (Fig. 16; see
-    /// [`crate::scenario::SwitchFailurePlan`] for multi-rack semantics).
-    SwitchFail,
-    /// The operator reactivates the fabric; bring-up begins.
-    SwitchReactivate { bringup_ns: u64 },
-    /// Bring-up complete: forwarding resumes with cleared soft state on
-    /// every switch.
-    SwitchUp,
-    /// Server `idx` dies (§3.6).
-    ServerKill(usize),
-    /// The control plane removes a failed server from the switch tables.
-    ServerRemove(ServerId),
-    /// Server `idx`'s future service draws scale by `factor` (gray
-    /// failure; 1.0 restores full speed — see
-    /// [`crate::scenario::SlowdownPlan`]).
-    ServerSlow {
-        /// The degrading server.
-        idx: usize,
-        /// Multiplicative service-time factor.
-        factor: f64,
-    },
-    /// Leaf `rack` stops forwarding (maintenance drain / leaf outage;
-    /// see [`crate::scenario::DrainPlan`]).
-    LeafDrain(usize),
-    /// Leaf `rack` resumes forwarding with its soft state cleared.
-    LeafRestore(usize),
-    /// Every rack-adjacent link of `rack` sets its rate-collapse
-    /// multiplier to `factor` (1 restores nominal; see
-    /// [`crate::scenario::LinkFlapPlan`]).
-    LinkFlap {
-        /// The victim rack.
-        rack: usize,
-        /// The serialization-cost multiplier.
-        factor: u64,
-    },
+    /// Edge `edge` of fault `idx` of the scenario's
+    /// [`FaultTimeline`](crate::scenario::FaultTimeline) (see
+    /// `Shard::on_fault`).
+    Fault { idx: usize, edge: Edge },
     /// Client `cid` runs its retry wheel: expired requests are
     /// retransmitted (or evicted) per the scenario's
     /// [`RetryPolicy`](netclone_hosts::RetryPolicy). Only primed when a
     /// policy is configured.
     ClientTick(usize),
+}
+
+/// Which edge of a fault an [`Ev::Fault`] applies.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edge {
+    /// The fault begins.
+    Start,
+    /// The fault ends: the window closes, a rebooted fabric is
+    /// reactivated, a stopped server leaves the tables.
+    End,
+    /// A reactivated fabric finishes bring-up, `bringup_ns` after `End`.
+    BroughtUp,
 }
 
 /// The source domain of the control plane (primed events, warm-up end,
@@ -272,7 +256,13 @@ fn bg_hash(rack: u64, n: u64) -> u64 {
 /// 8 % slower (2-vCPU x86-64 VM).
 #[cold]
 #[inline(never)]
-fn no_host(kind: &str, port: PortId) -> ! {
+fn no_host(port: PortId) -> ! {
+    let kind = match port {
+        COORD_PORT => "coordinator",
+        p if p >= client_port(0) => "client",
+        p if p >= server_port(0) => "server",
+        _ => "host",
+    };
     panic!("port {port} has no {kind}")
 }
 
@@ -472,6 +462,20 @@ impl Shard {
         }
     }
 
+    /// Sends `pkt` from host `host`, its last bit ready at `egress_ns`:
+    /// one loss draw, the access link up (a tail-drop ends it there), then
+    /// `SwitchIn` at the host's leaf.
+    #[inline]
+    fn host_send(&mut self, host: usize, egress_ns: u64, pkt: AppPacket) {
+        if self.lose_packet() {
+            self.packets_lost += 1;
+            return;
+        }
+        if let Some(at) = self.edge_hop(host, UP, egress_ns, pkt.meta.wire_bytes) {
+            self.sched(at, Ev::SwitchIn(self.hosts[host].leaf, pkt));
+        }
+    }
+
     pub(crate) fn handle(&mut self, now: u64, ev: Ev) {
         match ev {
             Ev::Gen(cid) => {
@@ -482,21 +486,18 @@ impl Shard {
                 self.set_rack_ctx(sw);
                 self.on_switch_in(sw, pkt, now);
             }
-            Ev::ServerIn(idx, pkt) => {
-                self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
-                self.on_server_in(idx, pkt, now);
+            Ev::HostIn(host, pkt) => {
+                let Host { kind, leaf, .. } = self.hosts[host];
+                self.set_rack_ctx(leaf);
+                match kind {
+                    HostKind::Client(cid) => self.on_client_in(cid.into(), pkt, now),
+                    HostKind::Server(sid) => self.on_server_in(sid.into(), pkt, now),
+                    HostKind::Coord => self.on_coord_in(pkt, now),
+                }
             }
             Ev::ServerDone { idx, epoch, pkt } => {
                 self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
                 self.on_server_done(idx, epoch, pkt, now);
-            }
-            Ev::ClientIn(cid, pkt) => {
-                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
-                self.on_client_in(cid, pkt, now);
-            }
-            Ev::CoordIn(pkt) => {
-                self.set_rack_ctx(self.hosts[self.hosts.coord()].leaf);
-                self.on_coord_in(pkt, now);
             }
             Ev::DownlinkIn { leaf, via, pkt } => {
                 self.set_rack_ctx(leaf);
@@ -514,73 +515,78 @@ impl Shard {
                 self.set_control_ctx();
                 self.on_end_warmup(now);
             }
-            Ev::SwitchFail => {
+            Ev::Fault { idx, edge } => {
                 self.set_control_ctx();
-                self.switch_up = false;
-            }
-            Ev::SwitchReactivate { bringup_ns } => {
-                // Broadcast control event: every shard schedules its own
-                // SwitchUp replica with the *same* key (the control
-                // counters march in lockstep), counted once.
-                self.set_control_ctx();
-                let tie = self.next_tie();
-                if self.id == 0 {
-                    self.events_scheduled += 1;
-                }
-                self.q
-                    .schedule_keyed(SimTime::from_ns(now + bringup_ns), tie, Ev::SwitchUp);
-            }
-            Ev::SwitchUp => {
-                // §3.6: only soft state is lost; the control plane's table
-                // entries are reinstalled during bring-up.
-                self.set_control_ctx();
-                for e in self.engines.iter_mut().flatten() {
-                    e.reset_soft_state();
-                }
-                self.switch_up = true;
-            }
-            Ev::ServerKill(idx) => {
-                self.set_control_ctx();
-                self.servers[idx].as_mut().expect("owned server").kill();
-                self.server_epoch[idx] += 1;
-            }
-            Ev::ServerRemove(sid) => {
-                self.set_control_ctx();
-                self.on_server_remove(sid);
-            }
-            Ev::ServerSlow { idx, factor } => {
-                // Gray failure: only future service draws change; the
-                // switch keeps the server in its tables and the queue
-                // keeps filling — which is the point.
-                self.set_control_ctx();
-                self.servers[idx]
-                    .as_mut()
-                    .expect("owned server")
-                    .set_slow_factor(factor);
-            }
-            Ev::LeafDrain(rack) => {
-                self.set_control_ctx();
-                self.leaf_up[rack] = false;
-            }
-            Ev::LeafRestore(rack) => {
-                // Fig. 16 bring-up semantics scoped to one leaf: packets
-                // flow again, but the leaf's soft state (idle tracking,
-                // filters) restarts cold.
-                self.set_control_ctx();
-                self.leaf_up[rack] = true;
-                self.engines[rack]
-                    .as_mut()
-                    .expect("owned leaf engine")
-                    .reset_soft_state();
-            }
-            Ev::LinkFlap { rack, factor } => {
-                self.set_control_ctx();
-                self.on_link_flap(rack, factor);
+                self.on_fault(idx, edge, now);
             }
             Ev::ClientTick(cid) => {
                 self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_client_tick(cid, now);
             }
+        }
+    }
+
+    /// Applies edge `edge` of fault `idx` of the scenario's timeline.
+    /// `build` primed each edge on the shards that hold what it changes:
+    /// the owner of the server, leaf or rack, or every shard for the
+    /// fabric-wide edges (a reboot, a server's removal from the tables).
+    fn on_fault(&mut self, idx: usize, edge: Edge, now: u64) {
+        let start = edge == Edge::Start;
+        match self.scenario.faults.faults[idx] {
+            Fault::Slowdown(plan) => {
+                // Gray failure: only future service draws change; the
+                // switch keeps the server in its tables and the queue
+                // keeps filling — which is the point.
+                let factor = if start { plan.factor } else { 1.0 };
+                self.servers[usize::from(plan.sid)]
+                    .as_mut()
+                    .expect("owned server")
+                    .set_slow_factor(factor);
+            }
+            Fault::Drain(plan) if start => self.leaf_up[plan.rack] = false,
+            Fault::Drain(plan) => {
+                // Fig. 16 bring-up semantics scoped to one leaf: packets
+                // flow again, but the leaf's soft state (idle tracking,
+                // filters) restarts cold.
+                self.leaf_up[plan.rack] = true;
+                self.engines[plan.rack]
+                    .as_mut()
+                    .expect("owned leaf engine")
+                    .reset_soft_state();
+            }
+            Fault::LinkFlap(plan) => {
+                self.on_link_flap(plan.rack, if start { plan.factor } else { 1 });
+            }
+            Fault::Reboot(_) if start => self.switch_up = false,
+            Fault::Reboot(plan) if edge == Edge::End => {
+                // Broadcast: every shard schedules its own bring-up
+                // replica with the *same* key (the control counters march
+                // in lockstep), counted once.
+                let tie = self.next_tie();
+                if self.id == 0 {
+                    self.events_scheduled += 1;
+                }
+                let up = Ev::Fault {
+                    idx,
+                    edge: Edge::BroughtUp,
+                };
+                let at = SimTime::from_ns(now + plan.bringup_ns);
+                self.q.schedule_keyed(at, tie, up);
+            }
+            Fault::Reboot(_) => {
+                // §3.6: only soft state is lost; the control plane's table
+                // entries are reinstalled during bring-up.
+                for e in self.engines.iter_mut().flatten() {
+                    e.reset_soft_state();
+                }
+                self.switch_up = true;
+            }
+            Fault::ServerStop(plan) if start => {
+                let sid = usize::from(plan.sid);
+                self.servers[sid].as_mut().expect("owned server").kill();
+                self.server_epoch[sid] += 1;
+            }
+            Fault::ServerStop(plan) => self.on_server_remove(plan.sid),
         }
     }
 
@@ -611,17 +617,9 @@ impl Shard {
     /// Reschedules itself at the policy cadence until generation ends.
     fn on_client_tick(&mut self, cid: usize, now: u64) {
         let host = self.hosts.client(cid);
-        let tor = self.hosts[host].leaf;
         let pkts = self.clients[cid].as_mut().expect("owned client").tick(now);
         for (pkt, tx_done) in pkts {
-            if self.lose_packet() {
-                self.packets_lost += 1;
-                continue;
-            }
-            let Some(at) = self.edge_hop(host, UP, tx_done, pkt.meta.wire_bytes) else {
-                continue; // tail-dropped at the access link
-            };
-            self.sched(at, Ev::SwitchIn(tor, pkt));
+            self.host_send(host, tx_done, pkt);
         }
         if now < self.end_ns {
             let tick = self
@@ -650,7 +648,7 @@ impl Shard {
                 let Some(c) = self.clients[cid].as_mut() else {
                     continue;
                 };
-                if let ClientMode::NetClone { num_groups, .. } = c.mode_mut() {
+                if let ClientMode::NetClone { num_groups, .. } = c.core.mode_mut() {
                     *num_groups = self.engines[leaf]
                         .as_ref()
                         .expect("a client's leaf lives on its shard")
@@ -660,7 +658,7 @@ impl Shard {
         }
         let dead_ip = Ipv4::server(sid);
         for c in self.clients.iter_mut().flatten() {
-            match c.mode_mut() {
+            match c.core.mode_mut() {
                 ClientMode::DirectRandom { servers } | ClientMode::DirectDuplicate { servers } => {
                     servers.retain(|ip| *ip != dead_ip);
                 }
@@ -678,7 +676,6 @@ impl Shard {
         }
         let op = self.draw_op(cid);
         let host = self.hosts.client(cid);
-        let tor = self.hosts[host].leaf;
         // The clients move out for the emission so the callback can borrow
         // `self` freely; `mem::take` swaps in an (unallocated) empty Vec.
         let mut clients = std::mem::take(&mut self.clients);
@@ -686,19 +683,12 @@ impl Shard {
             .as_mut()
             .expect("owned client")
             .generate_each(op, now, |meta, tx_done| {
-                if self.lose_packet() {
-                    self.packets_lost += 1;
-                    return;
-                }
-                let Some(at) = self.edge_hop(host, UP, tx_done, meta.wire_bytes) else {
-                    return; // tail-dropped at the access link
-                };
                 let pkt = AppPacket {
                     meta,
                     op,
                     born_ns: now,
                 };
-                self.sched(at, Ev::SwitchIn(tor, pkt));
+                self.host_send(host, tx_done, pkt);
             });
         self.clients = clients;
         let rng = self.arrival_rngs[cid]
@@ -741,28 +731,12 @@ impl Shard {
                     }
                 }
                 self.via_upper(walk, out, egress);
-            } else if e.port == COORD_PORT {
-                let host = self.hosts.coord();
+            } else {
+                let Some(host) = self.hosts.at_port(e.port) else {
+                    no_host(e.port);
+                };
                 if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
-                    self.sched(at, Ev::CoordIn(out));
-                }
-            } else if e.port >= client_port(0) {
-                let cid = (e.port - client_port(0)) as usize;
-                if cid >= self.clients.len() {
-                    no_host("client", e.port);
-                }
-                let host = self.hosts.client(cid);
-                if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
-                    self.sched(at, Ev::ClientIn(cid, out));
-                }
-            } else if e.port >= server_port(0) {
-                let idx = (e.port - server_port(0)) as usize;
-                if idx >= self.servers.len() {
-                    no_host("server", e.port);
-                }
-                let host = self.hosts.server(idx);
-                if let Some(at) = self.edge_hop(host, DOWN, egress, e.pkt.wire_bytes) {
-                    self.sched(at, Ev::ServerIn(idx, out));
+                    self.sched(at, Ev::HostIn(host, out));
                 }
             }
         }
@@ -878,10 +852,9 @@ impl Shard {
         let _ = ls.down[leaf][via].offer(now, u32::from(wire));
     }
 
+    /// A dead server refuses the request like a dropped clone, so it
+    /// swallows packets without a check here.
     fn on_server_in(&mut self, idx: usize, pkt: AppPacket, now: u64) {
-        if !self.servers[idx].as_ref().expect("owned server").is_alive() {
-            return; // a dead server swallows packets
-        }
         let seen_at = now + calib::HOST_RX_STACK_NS;
         // Queued packets live inside the server; dropped clones are gone.
         if let Admission::Start { done_at } = self.servers[idx]
@@ -903,14 +876,8 @@ impl Shard {
         let sid = server.sid();
         let meta =
             PacketMeta::netclone_response(Ipv4::server(sid), pkt.meta.src_ip, completion.resp, 84);
-        let host = self.hosts.server(idx);
-        if self.lose_packet() {
-            self.packets_lost += 1;
-        } else if let Some(at) = self.edge_hop(host, UP, now, meta.wire_bytes) {
-            // The response carries the request's op and birth time.
-            let leaf = self.hosts[host].leaf;
-            self.sched(at, Ev::SwitchIn(leaf, AppPacket { meta, ..pkt }));
-        }
+        // The response carries the request's op and birth time.
+        self.host_send(self.hosts.server(idx), now, AppPacket { meta, ..pkt });
         if let Some((pkt, next_done)) = completion.next {
             let epoch = self.server_epoch[idx];
             self.sched(next_done, Ev::ServerDone { idx, epoch, pkt });
@@ -936,16 +903,8 @@ impl Shard {
             MsgType::Req => coord.on_request(pkt, now),
             MsgType::Resp => coord.on_response(pkt, now),
         };
-        let host = self.hosts.coord();
         for e in events {
-            if self.lose_packet() {
-                self.packets_lost += 1;
-                continue;
-            }
-            let Some(at) = self.edge_hop(host, UP, e.send_at, e.pkt.meta.wire_bytes) else {
-                continue; // tail-dropped at the coordinator's access link
-            };
-            self.sched(at, Ev::SwitchIn(self.hosts[host].leaf, e.pkt));
+            self.host_send(self.hosts.coord(), e.send_at, e.pkt);
         }
     }
 
@@ -977,7 +936,7 @@ impl Shard {
     fn on_end_warmup(&mut self, now: u64) {
         self.measure_start_ns = now.max(1);
         for c in self.clients.iter_mut().flatten() {
-            c.reset_measurements();
+            c.core.reset_measurements();
         }
         for (r, e) in self.engines.iter().enumerate() {
             if let Some(e) = e {
@@ -1037,12 +996,9 @@ mod tests {
     use netclone_policies::PlainL3Switch;
     use netclone_proto::NetCloneHdr;
 
-    /// An egress port no host hangs off is a hole in the port plan
-    /// (`Scenario::validate` keeps the ranges apart), not a packet to
-    /// drop without a counter.
-    #[test]
-    #[should_panic(expected = "port 102 has no client")]
-    fn emission_to_a_hostless_port_is_caught() {
+    /// Runs one packet to `dst` through a single-rack Baseline leaf whose
+    /// only route sends `dst` out of `port`.
+    fn emit_to_port(dst: Ipv4, port: PortId) {
         let s = Scenario::synthetic_default(
             crate::scheme::Scheme::Baseline,
             netclone_workloads::exp25(),
@@ -1051,18 +1007,34 @@ mod tests {
         assert_eq!(s.n_clients, 2);
         let (mut shards, _) = ScenarioBuilder::new(s).build_shards(1, false);
         let shard = &mut shards[0];
-        let stray = Ipv4::client(2);
         let mut rogue = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
-        rogue.add_route(stray, 102);
+        rogue.add_route(dst, port);
         shard.engines[0] = Some(Box::new(rogue));
         let nc = NetCloneHdr::request(0, 0, 0, 0);
-        let meta = PacketMeta::netclone_response(Ipv4::server(0), stray, nc, 84);
+        let meta = PacketMeta::netclone_response(Ipv4::server(0), dst, nc, 84);
         let pkt = AppPacket {
             meta,
             op: RpcOp::Echo { class_ns: 0 },
             born_ns: 0,
         };
         shard.handle(0, Ev::SwitchIn(0, pkt));
+    }
+
+    /// An egress port no host hangs off is a hole in the port plan
+    /// (`Scenario::validate` keeps the ranges apart), not a packet to
+    /// drop without a counter.
+    #[test]
+    #[should_panic(expected = "port 102 has no client")]
+    fn emission_to_a_hostless_port_is_caught() {
+        emit_to_port(Ipv4::client(2), 102);
+    }
+
+    /// So is a port below the server range — here the uplink port of a
+    /// leaf that has no upper tier.
+    #[test]
+    #[should_panic(expected = "port 1 has no host")]
+    fn emission_below_the_server_ports_is_caught() {
+        emit_to_port(Ipv4::client(0), UPLINK_PORT);
     }
 
     /// The wheel stores an `Ev` inline in every node, so its size is the

@@ -459,6 +459,23 @@ impl Hosts {
     pub fn coord(&self) -> usize {
         self.n_clients + self.n_servers
     }
+
+    /// The host at access port `port` of its leaf — the inverse of
+    /// [`Host::port`] — or `None` when no host hangs off that port.
+    #[inline]
+    pub fn at_port(&self, port: PortId) -> Option<usize> {
+        let (id, end) = if port >= client_port(0) {
+            (usize::from(port - client_port(0)), self.n_clients)
+        } else if port == COORD_PORT {
+            (self.coord(), self.list.len())
+        } else if port >= server_port(0) {
+            let sid = usize::from(port - server_port(0));
+            (self.server(sid), self.server(self.n_servers))
+        } else {
+            return None;
+        };
+        (id < end).then_some(id)
+    }
 }
 
 impl Deref for Hosts {
@@ -929,6 +946,34 @@ mod tests {
                         (at, hops) = (next, hops + 1);
                         assert!(hops <= 4, "switch {sw} toward leaf {leaf} loops");
                     }
+                }
+            }
+        }
+    }
+
+    /// `at_port` inverts the port plan: every host's access port leads
+    /// back to its id, and a port outside every host's range to none.
+    #[test]
+    fn every_host_port_maps_back_to_its_host() {
+        let (n_servers, n_clients) = (6, 3);
+        for t in [
+            Topology::single_rack(),
+            Topology::uniform(4),
+            Topology::fat_tree(4),
+        ] {
+            for coord in [None, Some(Ipv4::new(10, 0, 3, 1))] {
+                let hosts = Hosts::new(&t, n_servers, n_clients, coord);
+                for (id, h) in hosts.iter().enumerate() {
+                    assert_eq!(hosts.at_port(h.port), Some(id), "{h:?}");
+                }
+                let mut empty: Vec<PortId> = (0..10).collect();
+                empty.push(server_port(n_servers as ServerId));
+                empty.push(client_port(n_clients as u16));
+                if coord.is_none() {
+                    empty.push(COORD_PORT);
+                }
+                for port in empty {
+                    assert_eq!(hosts.at_port(port), None, "port {port}");
                 }
             }
         }

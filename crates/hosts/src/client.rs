@@ -1,22 +1,24 @@
-//! The open-loop client model: a thin DES frontend over the shared
-//! [`ClientCore`] protocol state machine, adding only what the simulator
-//! models that real hosts get for free from the OS — per-packet CPU costs
-//! on the sender and receiver threads (§4.2's VMA path).
+//! The open-loop client model: the shared [`ClientCore`] protocol state
+//! machine plus the timing the simulator models that real hosts get for
+//! free from the OS — per-packet CPU costs on the sender and receiver
+//! threads (§4.2's VMA path).
 //!
 //! All protocol logic — request addressing for every compared scheme,
-//! response dedup, clone-win/redundant accounting, latency recording —
-//! lives in [`netclone_hostcore::ClientCore`] and is shared verbatim with
-//! the real-socket clients in `netclone-net`.
+//! response dedup, clone-win/redundant accounting, retries, latency
+//! recording — lives in [`netclone_hostcore::ClientCore`] and is shared
+//! verbatim with the real-socket clients in `netclone-net`. A
+//! [`ClientSim`] exposes it as its public `core` field: its counters, its
+//! addressing mode and its retry policy are read and set there.
 //!
 //! [`ClientSim::generate_each`] is the simulator's send path: it hands each
 //! emitted packet's metadata to a callback, which builds the packet where
 //! it is stored (the simulator, straight into its event), so no burst is
 //! collected and copied. [`ClientSim::generate`] collects the same
-//! emissions into a [`TxBurst`] for callers that want them as values.
+//! emissions into a [`TxBurst`], a fixed array rather than a `Vec`, for
+//! callers that want them as values without an allocation per request.
 
 use netclone_hostcore::ClientCore;
-use netclone_proto::{ClientId, Ipv4, PacketMeta, RpcOp};
-use netclone_stats::LatencyHistogram;
+use netclone_proto::{ClientId, PacketMeta, RpcOp};
 
 pub use netclone_hostcore::{ClientMode, ClientStats, LifetimeCounters, RetryPolicy};
 
@@ -91,7 +93,8 @@ pub struct RxOutcome {
 /// One simulated client host: the shared protocol core plus the two
 /// serial thread resources (sender, receiver) the paper's client runs on.
 pub struct ClientSim {
-    core: ClientCore,
+    /// The protocol core: addressing, dedup, retries and every counter.
+    pub core: ClientCore,
     tx_cost_ns: u64,
     rx_cost_ns: u64,
     tx_free_at: u64,
@@ -118,51 +121,6 @@ impl ClientSim {
             tx_free_at: 0,
             rx_free_at: 0,
         }
-    }
-
-    /// Arms the retry-on-timeout recovery path (see [`RetryPolicy`]):
-    /// [`Self::tick`] then retransmits expired requests instead of just
-    /// evicting them.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.core = self.core.with_retry(policy);
-        self
-    }
-
-    /// The client's address.
-    pub fn ip(&self) -> Ipv4 {
-        self.core.ip()
-    }
-
-    /// The client's identity.
-    pub fn cid(&self) -> ClientId {
-        self.core.cid()
-    }
-
-    /// Mutable access to the addressing mode — the §3.6 failure path
-    /// updates "the number of groups on the client side" (and direct modes
-    /// drop dead servers) through this.
-    pub fn mode_mut(&mut self) -> &mut ClientMode {
-        self.core.mode_mut()
-    }
-
-    /// Latency histogram of completed requests.
-    pub fn latencies(&self) -> &LatencyHistogram {
-        self.core.latencies()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> ClientStats {
-        self.core.stats()
-    }
-
-    /// Requests still awaiting their first response.
-    pub fn outstanding(&self) -> usize {
-        self.core.outstanding()
-    }
-
-    /// Discards warm-up measurements (keeps outstanding bookkeeping).
-    pub fn reset_measurements(&mut self) {
-        self.core.reset_measurements();
     }
 
     /// Generates one request at time `now` and returns the packet(s) the
@@ -193,9 +151,7 @@ impl ClientSim {
     pub fn generate_each(&mut self, op: RpcOp, now: u64, mut emit: impl FnMut(PacketMeta, u64)) {
         self.core.generate(op, now);
         while let Some(meta) = self.core.poll() {
-            let tx_done = now.max(self.tx_free_at) + self.tx_cost_ns;
-            self.tx_free_at = tx_done;
-            emit(meta, tx_done);
+            emit(meta, self.tx_slot(now));
         }
     }
 
@@ -213,8 +169,7 @@ impl ClientSim {
                 .core
                 .pending_op(meta.nc.client_seq)
                 .expect("a retransmitted request is still outstanding");
-            let tx_done = now.max(self.tx_free_at) + self.tx_cost_ns;
-            self.tx_free_at = tx_done;
+            let tx_done = self.tx_slot(now);
             out.push((
                 AppPacket {
                     meta,
@@ -227,10 +182,11 @@ impl ClientSim {
         out
     }
 
-    /// Whole-run conservation counters (see
-    /// [`netclone_hostcore::client::LifetimeCounters`]).
-    pub fn lifetime(&self) -> LifetimeCounters {
-        self.core.lifetime()
+    /// The sender thread takes one packet handed to it at `now`: returns
+    /// its TX-completion time, behind every packet already queued.
+    fn tx_slot(&mut self, now: u64) -> u64 {
+        self.tx_free_at = now.max(self.tx_free_at) + self.tx_cost_ns;
+        self.tx_free_at
     }
 
     /// Receiver thread handles one response arriving at `now`.
@@ -252,7 +208,7 @@ impl ClientSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclone_proto::{NetCloneHdr, ServerState};
+    use netclone_proto::{Ipv4, NetCloneHdr, ServerState};
 
     fn echo() -> RpcOp {
         RpcOp::Echo { class_ns: 25_000 }
@@ -305,7 +261,7 @@ mod tests {
             assert_ne!(out[0].0.meta.dst_ip, out[1].0.meta.dst_ip);
             assert_eq!(out[0].0.meta.nc.client_seq, out[1].0.meta.nc.client_seq);
         }
-        assert_eq!(c.stats().packets_sent, 200);
+        assert_eq!(c.core.stats().packets_sent, 200);
     }
 
     #[test]
@@ -335,10 +291,10 @@ mod tests {
         assert_eq!(r1.latency_ns, Some(40_500));
         let r2 = c.on_response(&resp, 41_000);
         assert_eq!(r2.latency_ns, None);
-        let st = c.stats();
+        let st = c.core.stats();
         assert_eq!(st.completed, 1);
         assert_eq!(st.redundant, 1);
-        assert_eq!(c.latencies().count(), 1);
+        assert_eq!(c.core.latencies().count(), 1);
     }
 
     #[test]
@@ -407,8 +363,8 @@ mod tests {
             8,
         );
         let pkt = c.generate(echo(), 0)[0].0;
-        c.reset_measurements();
-        assert_eq!(c.stats().generated, 0);
+        c.core.reset_measurements();
+        assert_eq!(c.core.stats().generated, 0);
         // The in-flight request still completes after the reset.
         let r = c.on_response(&response_to(&pkt), 50_000);
         assert!(r.latency_ns.is_some());
@@ -425,23 +381,23 @@ mod tests {
             350,
             0,
             10,
-        )
-        .with_retry(RetryPolicy::new(10_000));
+        );
+        c.core = c.core.with_retry(RetryPolicy::new(10_000));
         let pkt = c.generate(echo(), 0)[0].0;
         assert!(c.tick(9_999).is_empty());
         let rt = c.tick(10_000);
         assert_eq!(rt.len(), 1);
         assert_eq!(rt[0].0.meta.nc.client_seq, pkt.meta.nc.client_seq);
         assert_eq!(rt[0].1, 10_350, "retransmit pays the sender-thread cost");
-        assert_eq!(c.stats().retried, 1);
+        assert_eq!(c.core.stats().retried, 1);
         // The retransmission's response completes the original request.
         let r = c.on_response(&response_to(&rt[0].0), 15_000);
         assert!(r.latency_ns.is_some());
-        assert_eq!(c.stats().retry_wins, 1);
-        let lt = c.lifetime();
+        assert_eq!(c.core.stats().retry_wins, 1);
+        let lt = c.core.lifetime();
         assert_eq!(
             lt.generated,
-            lt.completed + lt.lost + c.outstanding() as u64
+            lt.completed + lt.lost + c.core.outstanding() as u64
         );
     }
 
@@ -461,6 +417,6 @@ mod tests {
         let mut resp = response_to(&pkt);
         resp.meta.nc.clo = netclone_proto::CloneStatus::Clone;
         c.on_response(&resp, 1_000);
-        assert_eq!(c.stats().clone_wins, 1);
+        assert_eq!(c.core.stats().clone_wins, 1);
     }
 }

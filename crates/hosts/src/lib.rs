@@ -20,6 +20,8 @@
 //! filtering, the §3.4 clone-drop rule, piggyback construction, and all
 //! accounting; this crate adds only the *timing* the simulator models
 //! (serial sender/receiver threads, dispatcher + FCFS queue + workers).
+//! A [`ClientSim`] is its `core` field plus the sender and receiver
+//! timers: the core's counters and mode are read there, not forwarded.
 //! The request-addressing modes of the evaluation — NetClone (group ID,
 //! unspecified destination), Baseline (random server), C-Clone (duplicate
 //! to two random servers), and coordinator-directed (LÆDGE) — come from

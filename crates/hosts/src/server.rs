@@ -175,11 +175,6 @@ impl ServerSim {
         self.slow_factor = factor;
     }
 
-    /// Current degradation factor.
-    pub fn slow_factor(&self) -> f64 {
-        self.slow_factor
-    }
-
     /// Draws the execution time for one request (class → shape → jitter →
     /// degradation). The slowdown multiplies *after* the stochastic
     /// stages, so the RNG draw sequence is identical whether or not a
@@ -404,7 +399,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         s.set_slow_factor(1.0);
-        assert_eq!(s.slow_factor(), 1.0);
     }
 
     #[test]

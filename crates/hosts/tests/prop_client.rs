@@ -63,11 +63,11 @@ proptest! {
                 }
             }
         }
-        let st = c.stats();
+        let st = c.core.stats();
         prop_assert_eq!(st.completed, n as u64);
         prop_assert_eq!(st.redundant, expect_redundant);
-        prop_assert_eq!(c.latencies().count(), n as u64);
-        prop_assert_eq!(c.outstanding(), 0);
+        prop_assert_eq!(c.core.latencies().count(), n as u64);
+        prop_assert_eq!(c.core.outstanding(), 0);
     }
 
     /// The receiver thread is a serial resource: k simultaneous responses

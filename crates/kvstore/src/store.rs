@@ -29,17 +29,6 @@ pub enum ExecResult {
     NoStoreWork,
 }
 
-impl ExecResult {
-    /// Payload size of the response this result produces, in bytes.
-    pub fn response_bytes(&self) -> usize {
-        match self {
-            ExecResult::Value(v) => v.len(),
-            ExecResult::Range { bytes, .. } => bytes.len(),
-            ExecResult::Miss | ExecResult::Stored | ExecResult::NoStoreWork => 0,
-        }
-    }
-}
-
 /// A dense, index-backed object store.
 pub struct KvStore {
     values: Vec<Box<[u8]>>,
@@ -214,19 +203,5 @@ mod tests {
             }),
             ExecResult::Stored
         );
-    }
-
-    #[test]
-    fn response_bytes_reflect_payload() {
-        assert_eq!(ExecResult::Value(vec![0; 64]).response_bytes(), 64);
-        assert_eq!(
-            ExecResult::Range {
-                bytes: vec![0; 640],
-                objects: 10
-            }
-            .response_bytes(),
-            640
-        );
-        assert_eq!(ExecResult::Stored.response_bytes(), 0);
     }
 }

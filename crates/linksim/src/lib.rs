@@ -30,8 +30,6 @@
 //! with the caller (the simulator's calibrated one-way latencies), so a
 //! zero-length queue degenerates to the pre-linksim fixed-latency hop.
 
-use netclone_proto::PacketMeta;
-
 /// Outcome of offering one packet to a link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -166,13 +164,6 @@ impl Link {
         }
     }
 
-    /// [`Link::offer`] with the size taken from a packet's on-wire frame
-    /// length ([`PacketMeta::wire_bytes`]).
-    #[inline]
-    pub fn offer_meta(&mut self, now_ns: u64, meta: &PacketMeta) -> Verdict {
-        self.offer(now_ns, u32::from(meta.wire_bytes))
-    }
-
     /// Counter snapshot.
     #[inline]
     pub fn counters(&self) -> LinkCounters {
@@ -231,17 +222,11 @@ impl LinkSpec {
     pub fn fabric_link(&self) -> Link {
         Link::new(self.fabric_gbps, self.queue_bytes, self.ecn_threshold_bytes)
     }
-
-    /// The implied leaf oversubscription ratio.
-    pub fn oversub_ratio(&self) -> f64 {
-        self.edge_gbps / self.fabric_gbps
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta};
 
     #[test]
     fn serialization_matches_rate() {
@@ -324,17 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn offer_meta_uses_wire_bytes() {
-        let meta =
-            PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(1, 0, 0, 0), 84);
-        let mut l = Link::new(100.0, 1 << 20, 0);
-        match l.offer_meta(0, &meta) {
-            Verdict::Forward { depart_ns, .. } => assert_eq!(depart_ns, 7),
-            Verdict::Drop => panic!("idle link dropped"),
-        }
-    }
-
-    #[test]
     fn degradation_collapses_and_restores_the_rate() {
         let mut l = Link::new(10.0, 1 << 20, 0);
         assert_eq!(l.serialization_ns(1_000), 800);
@@ -359,9 +333,6 @@ mod tests {
     fn spec_oversubscription_arithmetic() {
         let s = LinkSpec::oversubscribed(10.0, 4.0, 150_000);
         assert!((s.fabric_gbps - 2.5).abs() < 1e-9);
-        assert!((s.oversub_ratio() - 4.0).abs() < 1e-9);
-        let flat = LinkSpec::flat(10.0, 150_000);
-        assert!((flat.oversub_ratio() - 1.0).abs() < 1e-9);
         // The fabric link of a 4:1 spec is 4x slower than its edge link.
         assert_eq!(
             s.fabric_link().serialization_ns(1_000),

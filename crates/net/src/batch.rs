@@ -5,8 +5,8 @@
 //! argument): on Linux they drive `sendmmsg`/`recvmmsg` directly (raw
 //! libc syscalls declared here — the vendored dependency set is offline,
 //! so no `libc` crate), moving up to [`BATCH`] datagrams per kernel
-//! crossing. Everywhere else (or with the `mmsg` feature disabled) a
-//! portable loop over `send`/`recv` keeps the exact same API.
+//! crossing. Everywhere else a portable loop over `send`/`recv` keeps the
+//! exact same API.
 //!
 //! A send batch may mix destinations: a slot staged with
 //! [`SendBatch::commit_to`] carries its own address (the soft switch fans
@@ -168,7 +168,7 @@ impl SendBatch {
         self.used = 0;
         let (slots, dests) = (&self.slots[..n], &self.dests[..n]);
         let (sent, err) = match n {
-            #[cfg(all(target_os = "linux", feature = "mmsg"))]
+            #[cfg(target_os = "linux")]
             2.. => mmsg::send_all(sock, slots, dests),
             // A lone datagram (and the portable path) goes out with plain
             // `send`/`send_to` calls.
@@ -257,11 +257,11 @@ impl RecvBatch {
     /// the Linux path forces `MSG_DONTWAIT` either way.
     pub fn recv_nonblocking(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
-        #[cfg(all(target_os = "linux", feature = "mmsg"))]
+        #[cfg(target_os = "linux")]
         {
             self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_DONTWAIT)?;
         }
-        #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+        #[cfg(not(target_os = "linux"))]
         while self.count < BATCH && self.recv_one(sock)? {}
         Ok(self.count)
     }
@@ -272,20 +272,20 @@ impl RecvBatch {
     /// on a time-out or a signal.
     pub fn recv_timeout_then_drain(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
-        #[cfg(all(target_os = "linux", feature = "mmsg"))]
+        #[cfg(target_os = "linux")]
         {
             self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_WAITFORONE)?;
         }
         // Portable path: a blocking socket cannot drain more without
         // risking a second block — batch size degrades to 1.
-        #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+        #[cfg(not(target_os = "linux"))]
         self.recv_one(sock)?;
         Ok(self.count)
     }
 
     /// Portable path: one `recv` into the next free slot. `Ok(false)` when
     /// nothing arrived.
-    #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+    #[cfg(not(target_os = "linux"))]
     fn recv_one(&mut self, sock: &UdpSocket) -> io::Result<bool> {
         let i = self.count;
         match sock.recv(&mut self.bufs[i]) {
@@ -341,13 +341,13 @@ impl DeadlineTimeout {
     }
 }
 
-/// Direct `sendmmsg`/`recvmmsg` bindings (Linux only, `mmsg` feature).
+/// Direct `sendmmsg`/`recvmmsg` bindings (Linux only).
 ///
 /// The msghdr and sockaddr layouts match the 64-bit System V ABI glibc/musl
 /// both use; the syscall-array scratch space lives on the stack ([`BATCH`]
 /// entries, of which only those in use are written), so batching adds no
 /// allocations and the batch structs stay `Send`.
-#[cfg(all(target_os = "linux", feature = "mmsg"))]
+#[cfg(target_os = "linux")]
 mod mmsg {
     use super::{is_quiet, BATCH};
     use std::io;
@@ -593,11 +593,7 @@ mod tests {
         let mut recv = RecvBatch::new();
         // One call takes the whole queue (the portable path's blocking
         // receive takes one datagram per call).
-        let expect = if cfg!(all(target_os = "linux", feature = "mmsg")) {
-            9
-        } else {
-            1
-        };
+        let expect = if cfg!(target_os = "linux") { 9 } else { 1 };
         assert_eq!(recv.recv_timeout_then_drain(&rx).unwrap(), expect);
         for (i, dg) in recv.iter().enumerate() {
             assert_eq!(dg, [i as u8]);
