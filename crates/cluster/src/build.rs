@@ -1,43 +1,41 @@
 //! Scenario → testbed assembly.
 //!
 //! [`ScenarioBuilder`] turns a [`Scenario`] into runnable per-rack
-//! shards: it picks and programs the switch engine for the scheme,
-//! spawns the server and client models, wires the optional coordinator,
-//! scatters everything to its owning shard, and schedules the priming
-//! events under the shared control-domain key counter. The simulator
-//! itself ([`Sim`][crate::sim::Sim]) is only the event loop.
+//! shards: each shard builds the records of the racks it owns (the
+//! leaf's switch program, the rack's clients and servers, their RNG
+//! streams) and the coordinator if it hangs off one of them; the builder
+//! then schedules the priming events under the shared control-domain key
+//! counter. The simulator itself ([`Sim`][crate::sim::Sim]) is only the
+//! event loop.
 //!
-//! [`build_engine`] / [`build_fabric`] are the single place a scheme
-//! becomes a switch program. Every frontend (this DES testbed,
-//! `netclone-net`'s soft switch, tests) drives the result through
-//! [`netclone_core::SwitchEngine`], so there is exactly one
+//! One private `program_switch` is the single place a scheme becomes a
+//! switch program, from one host table and [`FabricShape::port_toward`]:
+//! the shards program their leaves with it, [`build_engine`] the one-rack
+//! switch, and [`build_fabric`] every switch of a topology, the oracle
+//! the compiled upper tier is checked against. Every frontend (this DES
+//! testbed, `netclone-net`'s soft switch, tests) drives the result
+//! through [`netclone_core::SwitchEngine`], so there is exactly one
 //! implementation of each data plane and no per-scheme dispatch anywhere
-//! else. Both program every switch from one host table and
-//! [`FabricShape::port_toward`]: a single-rack topology yields a
-//! one-engine [`Fabric`] programmed exactly like [`build_engine`]'s;
-//! multi-rack topologies get one engine per leaf plus a plain-L3 upper
-//! tier, wired per §3.7 (NetClone logic only where clients attach,
-//! `SWITCH_ID`-gated pass-through everywhere else).
+//! else. Per §3.7, NetClone logic runs only where clients attach, and
+//! `SWITCH_ID`-gated pass-through everywhere else.
 
 use std::sync::Arc;
 
 use netclone_core::ports::{server_port, COORD_PORT, MAX_SERVER_PORTS};
-use netclone_core::{NetCloneConfig, NetCloneSwitch, Scheduling, SwitchEngine};
+use netclone_core::{NetCloneConfig, NetCloneSwitch, Scheduling, SwitchCounters, SwitchEngine};
 use netclone_des::sync::tie_key;
 use netclone_des::{EventQueue, SeedFactory, SimTime};
-use netclone_hosts::{ClientMode, ClientSim, ServerConfig, ServerSim};
+use netclone_hosts::{ClientMode, ClientSim, ServerConfig, ServerSim, ServerStats};
 use netclone_kvstore::ServiceCostModel;
 use netclone_policies::{CoordinatorConfig, LaedgeCoordinator, PlainL3Switch};
 use netclone_proto::{Ipv4, SwitchId};
 use netclone_stats::TimeSeries;
-use netclone_workloads::{KvMix, ServiceShape, ZipfSampler};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use netclone_workloads::{KvMix, PoissonArrivals, ServiceShape, ZipfSampler};
 
 use crate::calib;
 use crate::scenario::{Fault, Scenario, Workload};
 use crate::scheme::Scheme;
-use crate::sim::{BgState, Edge, Ev, LinkState, LossModel, Shard, CONTROL_SRC};
+use crate::sim::{BgState, ClientHost, Edge, Ev, Rack, ServerHost, Shard, CONTROL_SRC};
 use crate::topology::{Fabric, FabricShape, HostKind, Hosts, Topology, UpperTier};
 
 /// Virtual address of the LÆDGE coordinator host.
@@ -342,13 +340,15 @@ impl ScenarioBuilder {
     pub(crate) fn build_shards(self, shards: usize, traced: bool) -> (Vec<Shard>, u64) {
         let scenario = Arc::new(self.scenario);
         let seeds = SeedFactory::new(scenario.seed);
-        let n_servers = scenario.servers.len();
         if let Err(e) = scenario.validate() {
             panic!("invalid scenario: {e}");
         }
-
-        let fabric = build_fabric(&scenario);
-        let tier = build_upper_tier(&fabric);
+        let topo = &scenario.topology;
+        let (racks, shape) = (topo.racks, topo.shape);
+        let hosts = host_table(&scenario, topo);
+        let tier = UpperTier::new(racks, shape, hosts.iter().map(|h| (h.ip, h.leaf)));
+        let nshards = shards.clamp(1, racks);
+        let rack_shard = partition(shape, &rack_weights(&hosts, racks), nshards);
 
         // ---- workload -----------------------------------------------
         let (synthetic, kvmix, cost) = match &scenario.workload {
@@ -368,38 +368,92 @@ impl ScenarioBuilder {
                 )
             }
         };
+        let arrivals = PoissonArrivals::new(scenario.offered_rps / scenario.n_clients as f64);
+        let bg = scenario.background.map(|b| BgState {
+            arrivals: PoissonArrivals::new(b.rps / (racks - 1) as f64),
+            wire: b.wire_bytes,
+            victim: b.victim_rack,
+        });
 
-        // ---- servers -------------------------------------------------
-        let servers: Vec<ServerSim> = scenario
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                ServerSim::new(ServerConfig {
-                    sid: i as u16,
-                    workers: spec.workers,
-                    dispatch_ns: calib::DISPATCH_NS,
-                    clone_drop_ns: calib::CLONE_DROP_NS,
-                    // The service-model seam: an explicit shape override
-                    // wins; otherwise the workload's own model applies.
-                    shape: scenario
-                        .service_model
-                        .shape
-                        .unwrap_or(if synthetic.is_some() {
-                            ServiceShape::Exponential
-                        } else {
-                            ServiceShape::Gamma4
-                        }),
-                    jitter: scenario.jitter,
-                    cost,
-                    hot_key: scenario.service_model.hot_key,
-                    seed: seeds.seed_for("server", i as u64),
-                })
-            })
+        // ---- the records ---------------------------------------------
+        // Each entity is built on the shard that owns its rack. Every
+        // stream is its own `SeedFactory` fan-out, so the order in which
+        // records are made (and their first gaps drawn, in `prime`)
+        // cannot shift a draw.
+        let fabric_links = || match &scenario.links {
+            Some(spec) if racks > 1 => (0..shape.n_uplinks()).map(|_| spec.fabric_link()).collect(),
+            _ => Vec::new(),
+        };
+        let rack = |r: usize| Rack {
+            engine: program_switch(&scenario, &hosts, racks, shape, r),
+            up: true,
+            at_warmup: SwitchCounters::default(),
+            loss: (scenario.loss > 0.0).then(|| seeds.rng_for("loss", r as u64)),
+            bg: bg
+                .filter(|b| b.victim != r)
+                .map(|_| seeds.rng_for("bg", r as u64)),
+            bg_sent: 0,
+            uplinks: fabric_links(),
+            downlinks: fabric_links(),
+        };
+        let server = |i: usize, workers: usize| ServerHost {
+            sim: ServerSim::new(ServerConfig {
+                sid: i as u16,
+                workers,
+                dispatch_ns: calib::DISPATCH_NS,
+                clone_drop_ns: calib::CLONE_DROP_NS,
+                // The service-model seam: an explicit shape override wins;
+                // otherwise the workload's own model applies.
+                shape: scenario
+                    .service_model
+                    .shape
+                    .unwrap_or(if synthetic.is_some() {
+                        ServiceShape::Exponential
+                    } else {
+                        ServiceShape::Gamma4
+                    }),
+                jitter: scenario.jitter,
+                cost,
+                hot_key: scenario.service_model.hot_key,
+                seed: seeds.seed_for("server", i as u64),
+            }),
+            at_warmup: ServerStats::default(),
+        };
+        let server_ips: Vec<Ipv4> = (0..scenario.servers.len() as u16)
+            .map(Ipv4::server)
             .collect();
-
-        // ---- coordinator ---------------------------------------------
-        let coordinator = scenario.scheme.uses_coordinator().then(|| {
+        // A NetClone client takes its group count from its own ToR: that
+        // is the engine its requests traverse (§3.7).
+        let client = |cid: usize, tor: &dyn SwitchEngine| {
+            let servers = server_ips.clone();
+            let mode = match scenario.scheme {
+                Scheme::Baseline => ClientMode::DirectRandom { servers },
+                Scheme::CClone => ClientMode::DirectDuplicate { servers },
+                Scheme::Laedge => ClientMode::Coordinator { ip: COORD_IP },
+                Scheme::NetClone { .. } | Scheme::RackSchedOnly => ClientMode::NetClone {
+                    num_groups: tor.num_groups(),
+                    num_filter_tables: u8::try_from(scenario.n_filter_tables)
+                        .expect("validate bounds the filter tables"),
+                },
+            };
+            let seed = seeds.seed_for("client", cid as u64);
+            let mut sim = ClientSim::new(
+                cid as u16,
+                mode,
+                calib::CLIENT_TX_NS,
+                calib::CLIENT_RX_NS,
+                seed,
+            );
+            if let Some(policy) = scenario.retry {
+                sim.core = sim.core.with_retry(policy);
+            }
+            ClientHost {
+                sim,
+                arrivals: seeds.rng_for("arrivals", cid as u64),
+                ops: seeds.rng_for("workload", cid as u64),
+            }
+        };
+        let coordinator = || {
             let mut c = LaedgeCoordinator::new(CoordinatorConfig {
                 ip: COORD_IP,
                 per_packet_ns: calib::COORD_PKT_NS,
@@ -408,95 +462,7 @@ impl ScenarioBuilder {
                 c.add_server(i as u16, Ipv4::server(i as u16), spec.workers);
             }
             c
-        });
-
-        // ---- clients --------------------------------------------------
-        let server_ips: Vec<Ipv4> = (0..n_servers as u16).map(Ipv4::server).collect();
-        let clients: Vec<ClientSim> = (0..scenario.n_clients as u16)
-            .map(|cid| {
-                let mode = match scenario.scheme {
-                    Scheme::Baseline => ClientMode::DirectRandom {
-                        servers: server_ips.clone(),
-                    },
-                    Scheme::CClone => ClientMode::DirectDuplicate {
-                        servers: server_ips.clone(),
-                    },
-                    Scheme::Laedge => ClientMode::Coordinator { ip: COORD_IP },
-                    Scheme::NetClone { .. } | Scheme::RackSchedOnly => ClientMode::NetClone {
-                        // Groups come from the client's own ToR: that is
-                        // the engine its requests traverse (§3.7).
-                        num_groups: fabric.engines[fabric.client_leaf(cid as usize)].num_groups(),
-                        num_filter_tables: scenario.n_filter_tables as u8,
-                    },
-                };
-                let mut c = ClientSim::new(
-                    cid,
-                    mode,
-                    calib::CLIENT_TX_NS,
-                    calib::CLIENT_RX_NS,
-                    seeds.seed_for("client", cid as u64),
-                );
-                if let Some(policy) = scenario.retry {
-                    c.core = c.core.with_retry(policy);
-                }
-                c
-            })
-            .collect();
-
-        // ---- arrivals -------------------------------------------------
-        // The first inter-arrival gaps are drawn here, dense and in cid
-        // order, *before* the streams are scattered to their shards — the
-        // exact draw order of the pre-sharding prime loop.
-        let n_clients = scenario.n_clients;
-        let arrivals =
-            netclone_workloads::PoissonArrivals::new(scenario.offered_rps / n_clients as f64);
-        let mut arrival_rngs: Vec<StdRng> = (0..n_clients)
-            .map(|i| seeds.rng_for("arrivals", i as u64))
-            .collect();
-        let first_gaps: Vec<u64> = arrival_rngs
-            .iter_mut()
-            .map(|rng| arrivals.next_gap_ns(rng))
-            .collect();
-
-        // ---- partitioning --------------------------------------------
-        let Fabric {
-            engines,
-            racks,
-            inter_rack_ns,
-            shape,
-            ecmp_seed,
-            hosts,
-        } = fabric;
-        let nshards = shards.clamp(1, racks);
-        let rack_shard = partition(shape, &rack_weights(&hosts, racks), nshards);
-        let shard_of = |rack: usize| rack_shard[rack];
-
-        // Multi-rack fabrics carry the upper tier's engines after the
-        // leaves; the run forwards through `tier` instead, one copy (and
-        // so one set of counters) per shard.
-        let mut engines = engines;
-        engines.truncate(racks);
-
-        // ---- background incast ----------------------------------------
-        // Mirrors the arrivals discipline: the per-source-rack streams
-        // are created and their first gaps drawn dense, in rack order,
-        // before anything is scattered — the draw order is a pure
-        // function of the scenario.
-        let mut bg_setup = scenario.background.map(|b| {
-            let arrivals = netclone_workloads::PoissonArrivals::new(b.rps / (racks - 1) as f64);
-            let mut rngs: Vec<Option<StdRng>> = (0..racks)
-                .map(|r| (r != b.victim_rack).then(|| seeds.rng_for("bg", r as u64)))
-                .collect();
-            let first_gaps: Vec<Option<u64>> = rngs
-                .iter_mut()
-                .map(|o| o.as_mut().map(|rng| arrivals.next_gap_ns(rng)))
-                .collect();
-            (arrivals, rngs, first_gaps, b)
-        });
-        let bg_first_gaps: Vec<Option<u64>> = bg_setup
-            .as_ref()
-            .map(|(_, _, gaps, _)| gaps.clone())
-            .unwrap_or_default();
+        };
 
         let end_ns = scenario.warmup_ns + scenario.measure_ns;
         let ts_buckets = (end_ns / scenario.timeseries_bucket_ns + 2).max(1) as usize;
@@ -504,129 +470,74 @@ impl ScenarioBuilder {
         // (one counter == the old global sequence); multi-rack runs get
         // one domain per rack above it.
         let n_domains = if racks == 1 { 1 } else { racks + 1 };
+        let pass_ns = netclone_asic::AsicSpec::tofino().pass_latency_ns;
 
         let mut out: Vec<Shard> = (0..nshards)
-            .map(|k| Shard {
-                id: k,
-                rack_shard: rack_shard.clone(),
-                scenario: Arc::clone(&scenario),
-                q: EventQueue::new(),
-                clients: (0..n_clients).map(|_| None).collect(),
-                servers: (0..n_servers).map(|_| None).collect(),
-                server_epoch: vec![0; n_servers],
-                engines: (0..racks).map(|_| None).collect(),
-                tier: tier.clone(),
-                racks,
-                inter_rack_ns,
-                ecmp_seed,
-                pass_ns: netclone_asic::AsicSpec::tofino().pass_latency_ns,
-                hosts: hosts.clone(),
-                // Congestion-aware links: every shard materialises only
-                // the links its racks own (access links by host, leaf
-                // uplinks/downlinks by rack) — link state is touched only
-                // by the owning rack's event domain.
-                links: scenario.links.as_ref().map(|spec| {
-                    let leaf_links = |r: usize| {
-                        let owned = racks > 1 && shard_of(r) == k;
-                        let n = if owned { shape.n_uplinks() } else { 0 };
-                        (0..n).map(|_| spec.fabric_link()).collect::<Vec<_>>()
-                    };
-                    LinkState {
-                        access: hosts
-                            .iter()
-                            .map(|h| {
-                                let owned = shard_of(h.leaf) == k;
-                                owned.then(|| [spec.edge_link(), spec.edge_link()])
-                            })
-                            .collect(),
-                        up: (0..racks).map(leaf_links).collect(),
-                        down: (0..racks).map(leaf_links).collect(),
-                    }
-                }),
-                bg: bg_setup.as_ref().map(|(arrivals, _, _, b)| BgState {
-                    arrivals: *arrivals,
-                    rngs: (0..racks).map(|_| None).collect(),
-                    wire: b.wire_bytes,
-                    victim: b.victim_rack,
-                    sent: vec![0; racks],
-                }),
-                switch_up: true,
-                leaf_up: vec![true; racks],
-                coordinator: None,
-                arrivals,
-                arrival_rngs: (0..n_clients).map(|_| None).collect(),
-                workload_rngs: (0..n_clients).map(|_| None).collect(),
-                // The loss model (and its RNGs) exists only for lossy
-                // scenarios; the zero-loss fast path never draws. Each
-                // rack's stream is an independent SeedFactory fan-out, so
-                // the draws of one rack cannot shift another's — nor any
-                // non-loss stream (`tests/loss_determinism.rs`).
-                loss: (scenario.loss > 0.0).then(|| LossModel {
-                    prob: scenario.loss,
-                    rngs: (0..racks)
-                        .map(|r| (shard_of(r) == k).then(|| seeds.rng_for("loss", r as u64)))
-                        .collect(),
-                }),
-                synthetic,
-                kvmix: kvmix.clone(),
-                sink: netclone_asic::EmissionSink::new(),
-                end_ns,
-                measure_start_ns: 0,
-                throughput: TimeSeries::new(scenario.timeseries_bucket_ns, ts_buckets),
-                completed_in_window: 0,
-                generated_in_window: 0,
-                packets_lost: 0,
-                switch_counters_at_warmup: vec![Default::default(); racks],
-                upper_counters_at_warmup: tier.counters().to_vec(),
-                server_stats_at_warmup: vec![Default::default(); n_servers],
-                seq: vec![0; n_domains],
-                cur_src: CONTROL_SRC,
-                cur_rack: usize::MAX,
-                events_scheduled: 0,
-                outbox: (0..nshards).map(|_| Vec::new()).collect(),
-                trace: traced.then(Vec::new),
+            .map(|k| {
+                let owns = |leaf: usize| rack_shard[leaf] == k;
+                let racks: Vec<Option<Rack>> =
+                    (0..racks).map(|r| owns(r).then(|| rack(r))).collect();
+                let clients = (0..scenario.n_clients)
+                    .map(|cid| {
+                        let leaf = hosts[hosts.client(cid)].leaf;
+                        let tor = racks[leaf].as_ref().map(|r| &*r.engine);
+                        tor.map(|tor| client(cid, tor))
+                    })
+                    .collect();
+                let servers = scenario.servers.iter().enumerate();
+                let servers = servers
+                    .map(|(i, spec)| {
+                        owns(hosts[hosts.server(i)].leaf).then(|| server(i, spec.workers))
+                    })
+                    .collect();
+                let coord = scenario.scheme.uses_coordinator() && owns(hosts[hosts.coord()].leaf);
+                Shard {
+                    id: k,
+                    rack_shard: rack_shard.clone(),
+                    scenario: Arc::clone(&scenario),
+                    q: EventQueue::new(),
+                    racks,
+                    clients,
+                    servers,
+                    tier: tier.clone(),
+                    inter_rack_ns: topo.inter_rack_ns,
+                    ecmp_seed: topo.ecmp_seed,
+                    pass_ns,
+                    hosts: hosts.clone(),
+                    access: scenario.links.as_ref().map(|spec| {
+                        let owned = |leaf| owns(leaf).then(|| [spec.edge_link(), spec.edge_link()]);
+                        hosts.iter().map(|h| owned(h.leaf)).collect()
+                    }),
+                    bg,
+                    switch_up: true,
+                    coordinator: coord.then(coordinator),
+                    arrivals,
+                    loss: (scenario.loss > 0.0).then_some(scenario.loss),
+                    synthetic,
+                    kvmix: kvmix.clone(),
+                    sink: netclone_asic::EmissionSink::new(),
+                    end_ns,
+                    measure_start_ns: 0,
+                    throughput: TimeSeries::new(scenario.timeseries_bucket_ns, ts_buckets),
+                    completed_in_window: 0,
+                    packets_lost: 0,
+                    upper_counters_at_warmup: tier.counters().to_vec(),
+                    seq: vec![0; n_domains],
+                    cur_src: CONTROL_SRC,
+                    cur_rack: usize::MAX,
+                    events_scheduled: 0,
+                    outbox: (0..nshards).map(|_| Vec::new()).collect(),
+                    trace: traced.then(Vec::new),
+                }
             })
             .collect();
 
-        for (r, e) in engines.into_iter().enumerate() {
-            out[shard_of(r)].engines[r] = Some(e);
-        }
-        if let Some((_, rngs, _, _)) = &mut bg_setup {
-            for (r, rng) in rngs.iter_mut().enumerate() {
-                if let Some(rng) = rng.take() {
-                    out[shard_of(r)].bg.as_mut().expect("bg state").rngs[r] = Some(rng);
-                }
-            }
-        }
-        for (i, s) in servers.into_iter().enumerate() {
-            out[shard_of(hosts[hosts.server(i)].leaf)].servers[i] = Some(s);
-        }
-        for (cid, c) in clients.into_iter().enumerate() {
-            let k = shard_of(hosts[hosts.client(cid)].leaf);
-            out[k].clients[cid] = Some(c);
-            out[k].arrival_rngs[cid] = Some(std::mem::replace(
-                &mut arrival_rngs[cid],
-                StdRng::seed_from_u64(0),
-            ));
-            out[k].workload_rngs[cid] = Some(seeds.rng_for("workload", cid as u64));
-        }
-        if coordinator.is_some() {
-            out[shard_of(hosts[hosts.coord()].leaf)].coordinator = coordinator;
-        }
-
-        Self::prime(
-            &mut out,
-            &scenario,
-            &first_gaps,
-            &bg_first_gaps,
-            &hosts,
-            &rack_shard,
-        );
+        Self::prime(&mut out, &scenario, &hosts, &rack_shard);
         let lookahead = lookahead_ns(
             &tier,
             &rack_shard,
-            netclone_asic::AsicSpec::tofino().pass_latency_ns,
-            inter_rack_ns,
+            pass_ns,
+            topo.inter_rack_ns,
             scenario.links.is_some(),
         );
         (out, lookahead)
@@ -644,14 +555,8 @@ impl ScenarioBuilder {
     /// control key a shard assigns later is assigned identically by all.
     /// Logical events are counted once (on the owner, or shard 0 for
     /// broadcasts), keeping `RunResult::events` shard-count-invariant.
-    fn prime(
-        shards: &mut [Shard],
-        scenario: &Scenario,
-        first_gaps: &[u64],
-        bg_first_gaps: &[Option<u64>],
-        hosts: &Hosts,
-        rack_shard: &[usize],
-    ) {
+    /// Each first arrival gap is the first draw of its record's stream.
+    fn prime(shards: &mut [Shard], scenario: &Scenario, hosts: &Hosts, rack_shard: &[usize]) {
         let client_shard = |cid: usize| rack_shard[hosts[hosts.client(cid)].leaf];
         let server_shard = |sid: u16| rack_shard[hosts[hosts.server(sid.into())].leaf];
         let mut ctl = 0u64;
@@ -672,8 +577,12 @@ impl ScenarioBuilder {
             }
         };
 
-        for (cid, gap) in first_gaps.iter().enumerate() {
-            prime_one(shards, &mut ctl, client_shard(cid), *gap, Ev::Gen(cid));
+        for cid in 0..scenario.n_clients {
+            let k = client_shard(cid);
+            let sh = &mut shards[k];
+            let c = sh.clients[cid].as_mut().expect("owned client");
+            let gap = sh.arrivals.next_gap_ns(&mut c.arrivals);
+            prime_one(shards, &mut ctl, k, gap, Ev::Gen(cid));
         }
         broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
         // Fault edges ride the control domain too, in declaration order,
@@ -715,9 +624,12 @@ impl ScenarioBuilder {
         }
         // Background incast: one first arrival per source rack, owned by
         // the rack's shard (the victim rack has no stream).
-        for (r, gap) in bg_first_gaps.iter().enumerate() {
-            if let Some(gap) = gap {
-                prime_one(shards, &mut ctl, rack_shard[r], *gap, Ev::BgGen(r));
+        for (r, &k) in rack_shard.iter().enumerate() {
+            let sh = &mut shards[k];
+            let rack = sh.racks[r].as_mut().expect("owned rack");
+            if let (Some(bg), Some(rng)) = (&sh.bg, &mut rack.bg) {
+                let gap = bg.arrivals.next_gap_ns(rng);
+                prime_one(shards, &mut ctl, k, gap, Ev::BgGen(r));
             }
         }
         for sh in shards.iter_mut() {
@@ -794,6 +706,52 @@ mod tests {
         assert_eq!(layout(s.clone(), 2).1, 2_200);
         s.links = Some(netclone_linksim::LinkSpec::flat(10.0, 150_000));
         assert_eq!(layout(s, 2).1, 1_700);
+    }
+
+    /// Every rack, client, server and access-link record lives on the
+    /// shard that owns its rack and on no other, and so does the
+    /// coordinator; only the victim rack has no background stream, and a
+    /// lossless run holds no loss stream.
+    #[test]
+    fn each_record_lives_on_its_racks_shard_alone() {
+        let mut laedge =
+            Scenario::synthetic_default(Scheme::Laedge, netclone_workloads::exp25(), 1e5);
+        laedge.topology = Topology::uniform(4);
+        let fat = [1, 2, 4, 8].map(|n| (fat_tree(4), n));
+        for (scenario, n) in fat.into_iter().chain([(laedge, 2)]) {
+            let (shards, _) = ScenarioBuilder::new(scenario).build_shards(n, false);
+            assert_eq!(shards.len(), n);
+            let (hosts, rack_shard) = (&shards[0].hosts, &shards[0].rack_shard);
+            for sh in &shards {
+                let owns = |leaf: usize| rack_shard[leaf] == sh.id;
+                let at = |what: &str, i: usize| format!("shard {} of {n}, {what} {i}", sh.id);
+                assert!(sh.loss.is_none());
+                for (r, rack) in sh.racks.iter().enumerate() {
+                    assert_eq!(rack.is_some(), owns(r), "{}", at("rack", r));
+                    if let Some(rack) = rack {
+                        assert!(rack.loss.is_none(), "{}", at("rack", r));
+                        let victim = sh.bg.map(|b| b.victim);
+                        let quiet = victim.is_none_or(|v| v == r);
+                        assert_eq!(rack.bg.is_none(), quiet, "{}", at("rack", r));
+                    }
+                }
+                for (cid, c) in sh.clients.iter().enumerate() {
+                    let leaf = hosts[hosts.client(cid)].leaf;
+                    assert_eq!(c.is_some(), owns(leaf), "{}", at("client", cid));
+                }
+                for (sid, s) in sh.servers.iter().enumerate() {
+                    let leaf = hosts[hosts.server(sid)].leaf;
+                    assert_eq!(s.is_some(), owns(leaf), "{}", at("server", sid));
+                }
+                assert_eq!(sh.access.is_some(), sh.scenario.links.is_some());
+                for (h, links) in sh.access.iter().flatten().enumerate() {
+                    assert_eq!(links.is_some(), owns(hosts[h].leaf), "{}", at("host", h));
+                }
+                let coord =
+                    sh.scenario.scheme.uses_coordinator() && owns(hosts[hosts.coord()].leaf);
+                assert_eq!(sh.coordinator.is_some(), coord, "shard {} of {n}", sh.id);
+            }
+        }
     }
 
     /// The derived bound is tight: one pass more and the always-on check

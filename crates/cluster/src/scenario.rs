@@ -405,11 +405,10 @@ impl Scenario {
         }
     }
 
-    /// The paper's KV testbed: 2 clients, 6 workers × 8 threads.
+    /// The paper's KV testbed: 2 clients, 6 workers × 8 threads, and a
+    /// longer window; everything else as [`Self::synthetic_default`].
     pub fn kv_default(scheme: Scheme, workload: Workload, offered_rps: f64) -> Self {
         Scenario {
-            scheme,
-            n_clients: 2,
             servers: vec![
                 ServerSpec {
                     workers: calib::KV_WORKERS
@@ -417,23 +416,9 @@ impl Scenario {
                 6
             ],
             workload,
-            jitter: Jitter::HIGH,
-            offered_rps,
             warmup_ns: 50_000_000,
             measure_ns: 400_000_000,
-            loss: 0.0,
-            seed: 42,
-            service_model: ServiceModel::default(),
-            faults: FaultTimeline::default(),
-            retry: None,
-            timeseries_bucket_ns: 100_000_000,
-            n_filter_tables: 2,
-            filter_slots_log2: 17,
-            custom_groups: None,
-            clone_condition: netclone_core::CloneCondition::BothIdle,
-            topology: Topology::single_rack(),
-            links: None,
-            background: None,
+            ..Self::synthetic_default(scheme, netclone_workloads::exp25(), offered_rps)
         }
     }
 
@@ -483,6 +468,15 @@ impl Scenario {
         }
         if self.timeseries_bucket_ns == 0 {
             return Err("timeseries_bucket_ns must be positive".to_string());
+        }
+        if !(0.0..1.0).contains(&self.loss) {
+            return Err(format!("loss must be in [0, 1), got {}", self.loss));
+        }
+        if self.n_clients == 0 {
+            return Err("n_clients must be positive".to_string());
+        }
+        if let Some(sid) = self.servers.iter().position(|s| s.workers == 0) {
+            return Err(format!("server {sid} has 0 workers"));
         }
         if let Some(cfg) = crate::build::netclone_config(self, 1) {
             cfg.validate()
@@ -989,7 +983,14 @@ mod tests {
             no_tables.n_filter_tables = 0;
             let mut no_slots = Scenario::synthetic_default(scheme, exp25(), 1e6);
             no_slots.filter_slots_log2 = 0;
-            for (s, want) in [(no_tables, "filter table"), (no_slots, "filter_slots_log2")] {
+            // Eight tables would need a 13th stage.
+            let mut past_stages = Scenario::synthetic_default(scheme, exp25(), 1e6);
+            past_stages.n_filter_tables = 8;
+            for (s, want) in [
+                (no_tables, "filter table"),
+                (no_slots, "filter_slots_log2"),
+                (past_stages, "num_filter_tables 8"),
+            ] {
                 match scheme {
                     Scheme::Baseline => assert_eq!(s.validate(), Ok(())),
                     _ => {
@@ -999,6 +1000,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A NaN loss ran as 0 and a loss of 1 or more completed nothing.
+    #[test]
+    fn loss_outside_zero_to_one_is_rejected() {
+        for loss in [f64::NAN, -0.1, 1.0, 1.5] {
+            let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+            s.loss = loss;
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("loss must be in [0, 1)"), "{loss}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_clients_are_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.n_clients = 0;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("n_clients"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn a_server_without_workers_is_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        s.servers[3].workers = 0;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("server 3 has 0 workers"),
+            "unhelpful error: {err}"
+        );
     }
 
     #[test]

@@ -181,12 +181,11 @@ impl ShardCoordinator {
         let shards = &mut self.shards;
         let nshards = shards.len();
         let scenario = shards[0].scenario.clone();
-        let racks = shards[0].racks;
+        let racks = shards[0].racks.len();
         let rack_shard = shards[0].rack_shard.clone();
         let hosts = &shards[0].hosts;
-        let owner = |h: usize| rack_shard[hosts[h].leaf];
-        let n_clients = scenario.n_clients;
-        let n_servers = scenario.servers.len();
+        let owner = |h: usize| &shards[rack_shard[hosts[h].leaf]];
+        let rack = |r: usize| shards[rack_shard[r]].racks[r].as_ref().expect("rack owner");
         for sh in shards.iter() {
             assert!(
                 sh.q.is_empty(),
@@ -196,37 +195,24 @@ impl ShardCoordinator {
         }
 
         let mut latency = LatencyHistogram::new();
-        let mut generated = 0u64;
-        let mut redundant = 0u64;
-        let mut clone_wins = 0u64;
-        let mut lost = 0u64;
-        let mut retried = 0u64;
-        let mut retry_wins = 0u64;
-        let mut budget_exhausted = 0u64;
+        let mut stats = netclone_hosts::ClientStats::default();
         let mut lifetime = netclone_hosts::LifetimeCounters::default();
         let mut outstanding = 0u64;
-        for cid in 0..n_clients {
-            let c = shards[owner(hosts.client(cid))].clients[cid]
-                .as_ref()
-                .expect("client owner");
-            let (st, lt) = (c.core.stats(), c.core.lifetime());
-            latency.merge(c.core.latencies());
-            generated += st.generated;
-            redundant += st.redundant;
-            clone_wins += st.clone_wins;
-            lost += st.lost;
-            retried += st.retried;
-            retry_wins += st.retry_wins;
-            budget_exhausted += st.budget_exhausted;
+        for cid in 0..scenario.n_clients {
+            let c = &owner(hosts.client(cid)).clients[cid];
+            let core = &c.as_ref().expect("client owner").sim.core;
+            let lt = core.lifetime();
+            latency.merge(core.latencies());
+            stats.merge(&core.stats());
             assert_eq!(
                 lt.generated,
-                lt.completed + lt.lost + c.core.outstanding() as u64,
+                lt.completed + lt.lost + core.outstanding() as u64,
                 "client {cid} lost track of a request: generated != completed + lost + outstanding"
             );
             lifetime.generated += lt.generated;
             lifetime.completed += lt.completed;
             lifetime.lost += lt.lost;
-            outstanding += c.core.outstanding() as u64;
+            outstanding += core.outstanding() as u64;
         }
 
         // Per-switch windows in fabric index order (leaves, then the
@@ -234,10 +220,8 @@ impl ShardCoordinator {
         // the merge of every shard's delta.
         let upper_count = shards[0].upper_counters_at_warmup.len();
         let mut per_switch = vec![SwitchCounters::default(); racks + upper_count];
-        for r in 0..racks {
-            let sh = &shards[rack_shard[r]];
-            let e = sh.engines[r].as_ref().expect("leaf owner");
-            per_switch[r] = e.counters().since(&sh.switch_counters_at_warmup[r]);
+        for (r, merged) in per_switch[..racks].iter_mut().enumerate() {
+            *merged = rack(r).engine.counters().since(&rack(r).at_warmup);
         }
         for sh in shards.iter() {
             let windows = sh.tier.counters().iter().zip(&sh.upper_counters_at_warmup);
@@ -273,8 +257,8 @@ impl ShardCoordinator {
                         }
                     };
                 for (h, host) in hosts.iter().enumerate() {
-                    let ls = shards[owner(h)].links.as_ref().expect("links enabled");
-                    let [up, down] = ls.access[h].as_ref().expect("host owner");
+                    let access = owner(h).access.as_ref().expect("links enabled");
+                    let [up, down] = access[h].as_ref().expect("host owner");
                     let name = match host.kind {
                         HostKind::Client(cid) => format!("client{cid}"),
                         HostKind::Server(sid) => format!("server{sid}"),
@@ -284,11 +268,10 @@ impl ShardCoordinator {
                     take(format!("{name}.down"), down.counters(), &mut totals.edge);
                 }
                 for r in 0..racks {
-                    let ls = shards[rack_shard[r]].links.as_ref().expect("links enabled");
-                    for (j, l) in ls.up[r].iter().enumerate() {
+                    for (j, l) in rack(r).uplinks.iter().enumerate() {
                         take(format!("leaf{r}.up{j}"), l.counters(), &mut totals.up);
                     }
-                    for (j, l) in ls.down[r].iter().enumerate() {
+                    for (j, l) in rack(r).downlinks.iter().enumerate() {
                         take(format!("leaf{r}.down{j}"), l.counters(), &mut totals.down);
                     }
                 }
@@ -299,11 +282,11 @@ impl ShardCoordinator {
         let mut clone_drops = 0;
         let mut idle_reports = 0;
         let mut responses = 0;
-        let mut per_server_served = Vec::with_capacity(n_servers);
-        for idx in 0..n_servers {
-            let sh = &shards[owner(hosts.server(idx))];
-            let st = sh.servers[idx].as_ref().expect("server owner").stats();
-            let b = sh.server_stats_at_warmup[idx];
+        let mut per_server_served = Vec::with_capacity(scenario.servers.len());
+        for idx in 0..scenario.servers.len() {
+            let s = &owner(hosts.server(idx)).servers[idx];
+            let s = s.as_ref().expect("server owner");
+            let (st, b) = (s.sim.stats(), s.at_warmup);
             clone_drops += st.clones_dropped - b.clones_dropped;
             idle_reports += st.idle_reports - b.idle_reports;
             responses += st.responses - b.responses;
@@ -341,14 +324,14 @@ impl ShardCoordinator {
             offered_rps: scenario.offered_rps,
             achieved_rps: completed as f64 / measure_secs,
             latency,
-            generated,
+            generated: stats.generated,
             completed,
-            client_redundant: redundant,
-            client_clone_wins: clone_wins,
-            client_lost: lost,
-            client_retried: retried,
-            client_retry_wins: retry_wins,
-            client_budget_exhausted: budget_exhausted,
+            client_redundant: stats.redundant,
+            client_clone_wins: stats.clone_wins,
+            client_lost: stats.lost,
+            client_retried: stats.retried,
+            client_retry_wins: stats.retry_wins,
+            client_budget_exhausted: stats.budget_exhausted,
             lifetime,
             client_outstanding: outstanding,
             switch,

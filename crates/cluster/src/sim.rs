@@ -10,9 +10,10 @@
 //!
 //! ## Sharded execution
 //!
-//! The run state lives in per-rack `Shard`s: each shard owns its leaf
-//! engine(s), its racks' clients and servers, a slice of the loss/workload
-//! RNG streams and a private [`EventQueue`].
+//! The run state lives in `Shard`s of whole racks: a shard holds one
+//! `Rack` record per rack it owns (the leaf engine, the rack's loss and
+//! background streams and its leaf links), one `ClientHost` and one
+//! `ServerHost` per host on those racks, and a private [`EventQueue`].
 //! [`Sim::run`] drives one shard serially;
 //! [`Sim::run_with_shards`] fans the racks out across threads under the
 //! conservative lookahead protocol in `crate::shard`. Both produce
@@ -68,7 +69,7 @@
 //!   nor runs SipHash per packet (`tests/alloc_hotpath.rs` counts).
 //!
 //! Topology: the scenario's [`Topology`](crate::topology::Topology),
-//! assembled by [`crate::build::build_fabric`]. The default single rack
+//! its leaves programmed by [`crate::build`]. The default single rack
 //! (the paper's testbed) is one ToR switch with every host attached;
 //! multi-rack shapes (§3.7) add per-rack leaves and an aggregation spine,
 //! with `Ev::SwitchIn` carrying the *leaf* index and leaf↔spine
@@ -96,10 +97,10 @@
 
 use netclone_asic::{EmissionSink, PortId};
 use netclone_core::ports::{client_port, server_port, COORD_PORT};
-use netclone_core::SwitchCounters;
+use netclone_core::{SwitchCounters, SwitchEngine};
 use netclone_des::sync::tie_key;
 use netclone_des::{EventQueue, SimTime};
-use netclone_hosts::{Admission, AppPacket, ClientMode, ClientSim, ServerSim};
+use netclone_hosts::{Admission, AppPacket, ClientMode, ClientSim, ServerSim, ServerStats};
 use netclone_linksim::{Link, Verdict};
 use netclone_policies::LaedgeCoordinator;
 use netclone_proto::{Ipv4, MsgType, PacketMeta, RpcOp, ServerId};
@@ -128,12 +129,9 @@ pub(crate) enum Ev {
     SwitchIn(usize, AppPacket),
     /// A packet reaches the NIC of host `host` (an index into [`Hosts`]).
     HostIn(usize, AppPacket),
-    /// Server `idx` finishes serving `pkt` (valid only in `epoch`).
-    ServerDone {
-        idx: usize,
-        epoch: u32,
-        pkt: AppPacket,
-    },
+    /// Server `idx` finishes serving a packet (void if it has stopped
+    /// since).
+    ServerDone(usize, AppPacket),
     /// A packet reaches the head of downlink `via` into leaf `leaf`
     /// (congestion-aware links only): the destination rack's domain
     /// offers it to the queue.
@@ -189,51 +187,58 @@ pub(crate) enum Edge {
 /// degenerates to one counter identical to the old global sequence.
 pub(crate) const CONTROL_SRC: u16 = 0;
 
-/// The link-loss model, materialised only for lossy scenarios: the
-/// zero-loss fast path (`scenario.loss == 0.0`, known at build time)
-/// holds no RNGs and never draws. One independent stream per rack
-/// (`SeedFactory` fan-out, `("loss", rack)`): every traversal of a packet
-/// executing in rack *r*'s domain draws from stream *r*, so the draw
-/// order is a per-domain property that sharding cannot change. A shard
-/// only holds the streams of the racks it owns. Single-rack runs hold
-/// exactly the old `("loss", 0)` stream — pinned by
-/// `tests/loss_determinism.rs` on both sides.
-pub(crate) struct LossModel {
-    /// Per-link-traversal loss probability (`scenario.loss`).
-    pub prob: f64,
-    /// Per-rack loss streams (`None` for racks owned by other shards).
-    pub rngs: Vec<Option<StdRng>>,
+/// One rack's state, held by the shard that owns the rack: its leaf and
+/// everything only its event domain touches.
+pub(crate) struct Rack {
+    /// The leaf switch.
+    pub engine: Box<dyn SwitchEngine>,
+    /// The leaf's forwarding flag (drain plans).
+    pub up: bool,
+    /// The leaf's counters at warm-up end.
+    pub at_warmup: SwitchCounters,
+    /// The rack's loss stream, `("loss", rack)`; `None` in a lossless
+    /// run, which never draws. Every traversal of a packet executing in
+    /// this rack's domain draws from it, so the draw order is a per-domain
+    /// property that sharding cannot change (`tests/loss_determinism.rs`).
+    pub loss: Option<StdRng>,
+    /// The rack's background arrival stream, `("bg", rack)` (`None`: a
+    /// quiet fabric, or the victim rack).
+    pub bg: Option<StdRng>,
+    /// Background packets sent (the flow-hash counter: each background
+    /// packet is its own flow, spreading across uplinks).
+    pub bg_sent: u64,
+    /// Leaf → upper tier links by uplink index, and the downlinks back
+    /// (empty without congestion-aware links, or with one rack).
+    pub uplinks: Vec<Link>,
+    pub downlinks: Vec<Link>,
 }
 
-/// The congestion-aware links owned by one shard (see the module docs):
-/// host access links by host id (the [`Hosts`] table's order), leaf
-/// uplinks/downlinks by `[rack][uplink index]`. Entries of foreign racks
-/// are `None`/empty — every link is touched only by its owning rack's
-/// event domain.
-pub(crate) struct LinkState {
-    /// Host `h`'s access links, indexed by [`UP`] (host → leaf) and
-    /// [`DOWN`] (leaf → host).
-    pub access: Vec<Option<[Link; 2]>>,
-    /// Leaf `r` → upper tier via uplink `j`.
-    pub up: Vec<Vec<Link>>,
-    /// Upper tier → leaf `r` via downlink `j`.
-    pub down: Vec<Vec<Link>>,
+/// One client, held by the shard that owns its rack.
+pub(crate) struct ClientHost {
+    pub sim: ClientSim,
+    /// Its arrival stream, `("arrivals", cid)`.
+    pub arrivals: StdRng,
+    /// Its operation stream, `("workload", cid)`.
+    pub ops: StdRng,
 }
 
-/// Background incast state: per-source-rack Poisson streams converging
-/// on the victim rack's downlinks.
+/// One server, held by the shard that owns its rack.
+pub(crate) struct ServerHost {
+    pub sim: ServerSim,
+    /// Its counters at warm-up end.
+    pub at_warmup: ServerStats,
+}
+
+/// Background incast: per-source-rack Poisson streams (in each source
+/// [`Rack`]) converging on the victim rack's downlinks.
+#[derive(Clone, Copy)]
 pub(crate) struct BgState {
     /// Per-source-rack arrival process (aggregate rate ÷ source racks).
     pub arrivals: PoissonArrivals,
-    /// Per-rack arrival streams (`None` = foreign rack or the victim).
-    pub rngs: Vec<Option<StdRng>>,
     /// On-wire bytes per background packet.
     pub wire: u16,
     /// The rack whose downlinks the flows converge on.
     pub victim: usize,
-    /// Packets generated per source rack (the flow-hash counter: each
-    /// background packet is its own flow, spreading across uplinks).
-    pub sent: Vec<u64>,
 }
 
 /// Mixes a background packet's (source rack, sequence) into its ECMP
@@ -266,7 +271,7 @@ fn no_host(port: PortId) -> ! {
     panic!("port {port} has no {kind}")
 }
 
-/// The host → leaf direction of an access link ([`LinkState::access`]).
+/// The host → leaf direction of an access link ([`Shard::access`]).
 const UP: usize = 0;
 /// The leaf → host direction of an access link.
 const DOWN: usize = 1;
@@ -274,8 +279,8 @@ const DOWN: usize = 1;
 /// One shard of a testbed simulation: the event loop state for a subset
 /// of the racks (all of them, for a serial run).
 ///
-/// Host and engine vectors are indexed by *global* id with `None` holes
-/// for entities owned by other shards, so port arithmetic and
+/// Racks, clients and servers are records indexed by *global* id, `None`
+/// where another shard owns the entity, so port arithmetic and
 /// result-assembly order are identical at any shard count.
 pub(crate) struct Shard {
     /// This shard's index: the value [`Shard::shard_of_rack`] gives for
@@ -286,17 +291,14 @@ pub(crate) struct Shard {
     pub(crate) rack_shard: Vec<usize>,
     pub(crate) scenario: Arc<Scenario>,
     pub(crate) q: EventQueue<Ev>,
-    pub(crate) clients: Vec<Option<ClientSim>>,
-    pub(crate) servers: Vec<Option<ServerSim>>,
-    pub(crate) server_epoch: Vec<u32>,
-    /// Owned leaf engines, indexed by rack (`None` = foreign rack).
-    pub(crate) engines: Vec<Option<Box<dyn netclone_core::SwitchEngine>>>,
+    pub(crate) racks: Vec<Option<Rack>>,
+    pub(crate) clients: Vec<Option<ClientHost>>,
+    pub(crate) servers: Vec<Option<ServerHost>>,
     /// The upper tier — the spine, or a fat-tree's aggs and cores — as
     /// its compiled forwarding table, and this shard's share of its
-    /// per-switch counters (merged at the end). No switches when
-    /// `racks == 1`.
+    /// per-switch counters (merged at the end). No switches when there is
+    /// one rack.
     pub(crate) tier: UpperTier,
-    pub(crate) racks: usize,
     pub(crate) inter_rack_ns: u64,
     /// Seed of the ECMP flow hash.
     pub(crate) ecmp_seed: u64,
@@ -305,22 +307,19 @@ pub(crate) struct Shard {
     pub(crate) pass_ns: u64,
     /// Every host and the leaf it hangs off (the fabric's table).
     pub(crate) hosts: Hosts,
-    /// Congestion-aware links (`None` = fixed-latency hops).
-    pub(crate) links: Option<LinkState>,
+    /// Congestion-aware host access links by host id, indexed by [`UP`]
+    /// and [`DOWN`] (`None` overall: fixed-latency hops; per host: a
+    /// foreign rack's).
+    pub(crate) access: Option<Vec<Option<[Link; 2]>>>,
     /// Background incast traffic (`None` = quiet fabric).
     pub(crate) bg: Option<BgState>,
     /// Fabric-forwarding flag; a replica on every shard, flipped by
     /// broadcast control events.
     pub(crate) switch_up: bool,
-    /// Per-leaf forwarding flags (drain plans). Only the owning shard's
-    /// entries are ever consulted — a leaf's packets execute in its own
-    /// rack domain — so drain events prime on the owner alone.
-    pub(crate) leaf_up: Vec<bool>,
     pub(crate) coordinator: Option<LaedgeCoordinator>,
     pub(crate) arrivals: PoissonArrivals,
-    pub(crate) arrival_rngs: Vec<Option<StdRng>>,
-    pub(crate) workload_rngs: Vec<Option<StdRng>>,
-    pub(crate) loss: Option<LossModel>,
+    /// Per-link-traversal loss probability; `None` in a lossless run.
+    pub(crate) loss: Option<f64>,
     pub(crate) synthetic: Option<SyntheticWorkload>,
     pub(crate) kvmix: Option<Arc<KvMix>>,
     /// The shard's reusable emission buffer (`on_switch_in` drains it in
@@ -330,13 +329,9 @@ pub(crate) struct Shard {
     pub(crate) measure_start_ns: u64,
     pub(crate) throughput: TimeSeries,
     pub(crate) completed_in_window: u64,
-    pub(crate) generated_in_window: u64,
     pub(crate) packets_lost: u64,
-    /// Warm-up snapshots of the owned leaves (by rack index) and of the
-    /// upper tier's counters.
-    pub(crate) switch_counters_at_warmup: Vec<SwitchCounters>,
+    /// The upper tier's counters at warm-up end.
     pub(crate) upper_counters_at_warmup: Vec<SwitchCounters>,
-    pub(crate) server_stats_at_warmup: Vec<netclone_hosts::server::ServerStats>,
     /// Per-source tie-break sequence counters (index = source id).
     /// Control counters (`seq[0]`) evolve identically on every shard;
     /// rack counters are only touched by their owner.
@@ -378,7 +373,7 @@ impl Shard {
     /// ties.
     #[inline]
     fn src_of_rack(&self, rack: usize) -> u16 {
-        if self.racks == 1 {
+        if self.racks.len() == 1 {
             CONTROL_SRC
         } else {
             (rack + 1) as u16
@@ -420,27 +415,28 @@ impl Shard {
 
     #[inline]
     fn lose_packet(&mut self) -> bool {
-        match &mut self.loss {
-            None => false,
-            Some(m) => {
-                let rng = m.rngs[self.cur_rack]
-                    .as_mut()
-                    .expect("loss stream of an owned rack");
-                rng.random::<f64>() < m.prob
-            }
-        }
+        let Some(prob) = self.loss else {
+            return false;
+        };
+        let rack = self.racks[self.cur_rack].as_mut();
+        let rng = rack.and_then(|r| r.loss.as_mut());
+        rng.expect("loss stream of an owned rack").random::<f64>() < prob
     }
 
-    fn draw_op(&mut self, cid: usize) -> RpcOp {
-        let rng = self.workload_rngs[cid]
-            .as_mut()
-            .expect("workload stream of an owned client");
+    /// The record of owned rack `r`.
+    #[inline]
+    fn rack(&mut self, r: usize) -> &mut Rack {
+        self.racks[r].as_mut().expect("owned rack")
+    }
+
+    /// Draws a client's next operation from its `ops` stream.
+    fn draw_op(&self, ops: &mut StdRng) -> RpcOp {
         if let Some(wl) = &self.synthetic {
             RpcOp::Echo {
-                class_ns: wl.sample_class(rng),
+                class_ns: wl.sample_class(ops),
             }
         } else {
-            self.kvmix.as_ref().expect("kv workload").sample(rng)
+            self.kvmix.as_ref().expect("kv workload").sample(ops)
         }
     }
 
@@ -451,11 +447,10 @@ impl Shard {
     /// → the historical fixed-latency hop, arithmetic unchanged.
     #[inline]
     fn edge_hop(&mut self, host: usize, dir: usize, egress_ns: u64, wire: u16) -> Option<u64> {
-        let Some(ls) = &mut self.links else {
+        let Some(access) = &mut self.access else {
             return Some(egress_ns + calib::LINK_ONE_WAY_NS);
         };
-        let links = ls.access[host].as_mut();
-        let link = &mut links.expect("access link of an owned host")[dir];
+        let link = &mut access[host].as_mut().expect("access link of an owned host")[dir];
         match link.offer(egress_ns, u32::from(wire)) {
             Verdict::Forward { depart_ns, .. } => Some(depart_ns + calib::LINK_ONE_WAY_NS),
             Verdict::Drop => None,
@@ -495,9 +490,9 @@ impl Shard {
                     HostKind::Coord => self.on_coord_in(pkt, now),
                 }
             }
-            Ev::ServerDone { idx, epoch, pkt } => {
+            Ev::ServerDone(idx, pkt) => {
                 self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
-                self.on_server_done(idx, epoch, pkt, now);
+                self.on_server_done(idx, pkt, now);
             }
             Ev::DownlinkIn { leaf, via, pkt } => {
                 self.set_rack_ctx(leaf);
@@ -538,21 +533,16 @@ impl Shard {
                 // switch keeps the server in its tables and the queue
                 // keeps filling — which is the point.
                 let factor = if start { plan.factor } else { 1.0 };
-                self.servers[usize::from(plan.sid)]
-                    .as_mut()
-                    .expect("owned server")
-                    .set_slow_factor(factor);
+                self.server(plan.sid.into()).set_slow_factor(factor);
             }
-            Fault::Drain(plan) if start => self.leaf_up[plan.rack] = false,
+            Fault::Drain(plan) if start => self.rack(plan.rack).up = false,
             Fault::Drain(plan) => {
                 // Fig. 16 bring-up semantics scoped to one leaf: packets
                 // flow again, but the leaf's soft state (idle tracking,
                 // filters) restarts cold.
-                self.leaf_up[plan.rack] = true;
-                self.engines[plan.rack]
-                    .as_mut()
-                    .expect("owned leaf engine")
-                    .reset_soft_state();
+                let rack = self.rack(plan.rack);
+                rack.up = true;
+                rack.engine.reset_soft_state();
             }
             Fault::LinkFlap(plan) => {
                 self.on_link_flap(plan.rack, if start { plan.factor } else { 1 });
@@ -576,18 +566,22 @@ impl Shard {
             Fault::Reboot(_) => {
                 // §3.6: only soft state is lost; the control plane's table
                 // entries are reinstalled during bring-up.
-                for e in self.engines.iter_mut().flatten() {
-                    e.reset_soft_state();
+                for r in self.racks.iter_mut().flatten() {
+                    r.engine.reset_soft_state();
                 }
                 self.switch_up = true;
             }
-            Fault::ServerStop(plan) if start => {
-                let sid = usize::from(plan.sid);
-                self.servers[sid].as_mut().expect("owned server").kill();
-                self.server_epoch[sid] += 1;
-            }
+            // A stopped server never comes back (`validate` refuses a
+            // second stop), so `is_alive` is its whole fault state.
+            Fault::ServerStop(plan) if start => self.server(plan.sid.into()).kill(),
             Fault::ServerStop(plan) => self.on_server_remove(plan.sid),
         }
+    }
+
+    /// The simulation of owned server `idx`.
+    #[inline]
+    fn server(&mut self, idx: usize) -> &mut ServerSim {
+        &mut self.servers[idx].as_mut().expect("owned server").sim
     }
 
     /// Gray failure of the *network*: every rack-adjacent link of the
@@ -596,16 +590,15 @@ impl Shard {
     /// links, and only its domain ever touches them, so the flap composes
     /// with the sharded loop's bit-identity argument unchanged.
     fn on_link_flap(&mut self, rack: usize, factor: u64) {
-        let ls = self.links.as_mut().expect("link flap requires links");
-        let hosts = self.hosts.iter().zip(&mut ls.access);
-        let access = hosts
+        let access = self.access.as_mut().expect("link flap requires links");
+        let access = self
+            .hosts
+            .iter()
+            .zip(access)
             .filter(|(h, _)| h.leaf == rack)
             .flat_map(|(_, links)| links.as_mut().expect("access links of an owned rack"));
-        for l in ls.up[rack]
-            .iter_mut()
-            .chain(&mut ls.down[rack])
-            .chain(access)
-        {
+        let r = self.racks[rack].as_mut().expect("owned rack");
+        for l in r.uplinks.iter_mut().chain(&mut r.downlinks).chain(access) {
             l.set_degradation(factor);
         }
     }
@@ -617,8 +610,8 @@ impl Shard {
     /// Reschedules itself at the policy cadence until generation ends.
     fn on_client_tick(&mut self, cid: usize, now: u64) {
         let host = self.hosts.client(cid);
-        let pkts = self.clients[cid].as_mut().expect("owned client").tick(now);
-        for (pkt, tx_done) in pkts {
+        let c = self.clients[cid].as_mut().expect("owned client");
+        for (pkt, tx_done) in c.sim.tick(now) {
             self.host_send(host, tx_done, pkt);
         }
         if now < self.end_ns {
@@ -639,26 +632,21 @@ impl Shard {
     /// each shard walks its own engines and clients.
     fn on_server_remove(&mut self, sid: ServerId) {
         let mut any_deregistered = false;
-        for e in self.engines.iter_mut().flatten() {
-            any_deregistered |= e.deregister_server(sid).is_ok();
-        }
-        if any_deregistered {
-            for cid in 0..self.clients.len() {
-                let leaf = self.hosts[self.hosts.client(cid)].leaf;
-                let Some(c) = self.clients[cid].as_mut() else {
-                    continue;
-                };
-                if let ClientMode::NetClone { num_groups, .. } = c.core.mode_mut() {
-                    *num_groups = self.engines[leaf]
-                        .as_ref()
-                        .expect("a client's leaf lives on its shard")
-                        .num_groups();
-                }
-            }
+        for r in self.racks.iter_mut().flatten() {
+            any_deregistered |= r.engine.deregister_server(sid).is_ok();
         }
         let dead_ip = Ipv4::server(sid);
-        for c in self.clients.iter_mut().flatten() {
-            match c.core.mode_mut() {
+        for (cid, c) in self.clients.iter_mut().enumerate() {
+            let Some(c) = c else { continue };
+            match c.sim.core.mode_mut() {
+                ClientMode::NetClone { num_groups, .. } if any_deregistered => {
+                    let leaf = self.hosts[self.hosts.client(cid)].leaf;
+                    let tor = self.racks[leaf].as_ref();
+                    *num_groups = tor
+                        .expect("a client's leaf lives on its shard")
+                        .engine
+                        .num_groups();
+                }
                 ClientMode::DirectRandom { servers } | ClientMode::DirectDuplicate { servers } => {
                     servers.retain(|ip| *ip != dead_ip);
                 }
@@ -671,45 +659,35 @@ impl Shard {
         if now >= self.end_ns {
             return; // generation stops; in-flight work drains
         }
-        if now >= self.measure_start_ns && self.measure_start_ns > 0 {
-            self.generated_in_window += 1;
-        }
-        let op = self.draw_op(cid);
         let host = self.hosts.client(cid);
         // The clients move out for the emission so the callback can borrow
         // `self` freely; `mem::take` swaps in an (unallocated) empty Vec.
         let mut clients = std::mem::take(&mut self.clients);
-        clients[cid]
-            .as_mut()
-            .expect("owned client")
-            .generate_each(op, now, |meta, tx_done| {
-                let pkt = AppPacket {
-                    meta,
-                    op,
-                    born_ns: now,
-                };
-                self.host_send(host, tx_done, pkt);
-            });
+        let c = clients[cid].as_mut().expect("owned client");
+        let op = self.draw_op(&mut c.ops);
+        c.sim.generate_each(op, now, |meta, tx_done| {
+            let pkt = AppPacket {
+                meta,
+                op,
+                born_ns: now,
+            };
+            self.host_send(host, tx_done, pkt);
+        });
+        let gap = self.arrivals.next_gap_ns(&mut c.arrivals);
         self.clients = clients;
-        let rng = self.arrival_rngs[cid]
-            .as_mut()
-            .expect("arrival stream of an owned client");
-        let gap = self.arrivals.next_gap_ns(rng);
         self.sched(now + gap, Ev::Gen(cid));
     }
 
     fn on_switch_in(&mut self, sw: usize, pkt: AppPacket, now: u64) {
-        if !self.switch_up || !self.leaf_up[sw] {
+        let rack = self.racks[sw].as_mut().expect("owned leaf");
+        if !self.switch_up || !rack.up {
             self.packets_lost += 1;
             return;
         }
         // The sink moves out for the drain so scheduling below can borrow
         // `self` freely; `mem::take` swaps in an (unallocated) empty one.
         let mut sink = std::mem::take(&mut self.sink);
-        self.engines[sw]
-            .as_mut()
-            .expect("owned leaf engine")
-            .process(pkt.meta, 0, now, &mut sink);
+        rack.engine.process(pkt.meta, 0, now, &mut sink);
         for e in sink.drain() {
             if self.lose_packet() {
                 self.packets_lost += 1;
@@ -717,15 +695,16 @@ impl Shard {
             }
             let out = AppPacket { meta: e.pkt, ..pkt };
             let mut egress = now + e.latency_ns;
-            if e.port == UPLINK_PORT && self.racks > 1 {
+            if e.port == UPLINK_PORT && self.racks.len() > 1 {
                 // A leaf→upper traversal: no host NIC on this hop, the
                 // fabric link latency applies instead; the upper tier is
                 // walked inline (module docs). ECMP picks the physical
                 // uplink (a fat-tree has several; leaf/spine has uplink 0).
                 let h = flow_hash(e.pkt.src_ip, e.pkt.dst_ip, self.ecmp_seed);
                 let walk = self.tier.walk(sw, e.pkt.dst_ip, h);
-                if let Some(ls) = &mut self.links {
-                    match ls.up[sw][walk.via].offer(egress, u32::from(e.pkt.wire_bytes)) {
+                if self.access.is_some() {
+                    let up = &mut self.rack(sw).uplinks[walk.via];
+                    match up.offer(egress, u32::from(e.pkt.wire_bytes)) {
                         Verdict::Forward { depart_ns, .. } => egress = depart_ns,
                         Verdict::Drop => continue,
                     }
@@ -776,7 +755,7 @@ impl Shard {
     /// domain offers it to downlink `via`'s queue. Cross-shard targets go
     /// through the outbox under a sender-stamped key either way.
     fn send_to_leaf(&mut self, leaf: usize, via: usize, pkt: AppPacket, down_egress_ns: u64) {
-        if self.links.is_some() {
+        if self.access.is_some() {
             self.send_to_rack(leaf, down_egress_ns, Ev::DownlinkIn { leaf, via, pkt });
         } else {
             let at = down_egress_ns + self.inter_rack_ns;
@@ -802,9 +781,8 @@ impl Shard {
     /// destination rack offers it to the queue; a tail-drop ends it here,
     /// otherwise it reaches the leaf after serialization + propagation.
     fn on_downlink_in(&mut self, leaf: usize, via: usize, pkt: AppPacket, now: u64) {
-        let ls = self.links.as_mut().expect("downlink event requires links");
-        if let Verdict::Forward { depart_ns, .. } =
-            ls.down[leaf][via].offer(now, u32::from(pkt.meta.wire_bytes))
+        let down = &mut self.rack(leaf).downlinks[via];
+        if let Verdict::Forward { depart_ns, .. } = down.offer(now, u32::from(pkt.meta.wire_bytes))
         {
             self.sched(depart_ns + self.inter_rack_ns, Ev::SwitchIn(leaf, pkt));
         }
@@ -819,37 +797,34 @@ impl Shard {
         if now >= self.end_ns {
             return; // background stops with the workload
         }
-        let bg = self.bg.as_mut().expect("bg event requires background");
-        let n = bg.sent[r];
-        bg.sent[r] += 1;
+        let bg = self.bg.as_ref().expect("bg event requires background");
         let (wire, victim) = (bg.wire, bg.victim);
-        let walk = self.tier.path(r, Some(victim), bg_hash(r as u64, n));
-        let via = walk.via;
-        let ls = self.links.as_mut().expect("background requires links");
-        if let Verdict::Forward { depart_ns, .. } =
-            ls.up[r][via].offer(now + self.pass_ns, u32::from(wire))
-        {
+        let rack = self.racks[r].as_mut().expect("owned rack");
+        let walk = self
+            .tier
+            .path(r, Some(victim), bg_hash(r as u64, rack.bg_sent));
+        rack.bg_sent += 1;
+        let sent = rack.uplinks[walk.via].offer(now + self.pass_ns, u32::from(wire));
+        let rng = rack.bg.as_mut().expect("bg stream of an owned rack");
+        let gap = bg.arrivals.next_gap_ns(rng);
+        if let Verdict::Forward { depart_ns, .. } = sent {
             // Each upper switch crossed is a propagation plus a pass.
             let hops = walk.hops().len() as u64;
             let at = depart_ns + hops * (self.inter_rack_ns + self.pass_ns);
             let ev = Ev::BgDown {
                 leaf: victim,
-                via,
+                via: walk.via,
                 wire,
             };
             self.send_to_rack(victim, at, ev);
         }
-        let bg = self.bg.as_mut().expect("bg event requires background");
-        let rng = bg.rngs[r].as_mut().expect("bg stream of an owned rack");
-        let gap = bg.arrivals.next_gap_ns(rng);
         self.sched(now + gap, Ev::BgGen(r));
     }
 
     /// A background packet reaches the victim's downlink: it takes queue
     /// space (delaying and dropping RPC traffic behind it) and vanishes.
     fn on_bg_down(&mut self, leaf: usize, via: usize, wire: u16, now: u64) {
-        let ls = self.links.as_mut().expect("background requires links");
-        let _ = ls.down[leaf][via].offer(now, u32::from(wire));
+        let _ = self.rack(leaf).downlinks[via].offer(now, u32::from(wire));
     }
 
     /// A dead server refuses the request like a dropped clone, so it
@@ -857,19 +832,14 @@ impl Shard {
     fn on_server_in(&mut self, idx: usize, pkt: AppPacket, now: u64) {
         let seen_at = now + calib::HOST_RX_STACK_NS;
         // Queued packets live inside the server; dropped clones are gone.
-        if let Admission::Start { done_at } = self.servers[idx]
-            .as_mut()
-            .expect("owned server")
-            .on_request(pkt, seen_at)
-        {
-            let epoch = self.server_epoch[idx];
-            self.sched(done_at, Ev::ServerDone { idx, epoch, pkt });
+        if let Admission::Start { done_at } = self.server(idx).on_request(pkt, seen_at) {
+            self.sched(done_at, Ev::ServerDone(idx, pkt));
         }
     }
 
-    fn on_server_done(&mut self, idx: usize, epoch: u32, pkt: AppPacket, now: u64) {
-        let server = self.servers[idx].as_mut().expect("owned server");
-        if epoch != self.server_epoch[idx] || !server.is_alive() {
+    fn on_server_done(&mut self, idx: usize, pkt: AppPacket, now: u64) {
+        let server = self.server(idx);
+        if !server.is_alive() {
             return; // the server died while this was in service
         }
         let completion = server.on_service_done(&pkt.meta.nc, now);
@@ -879,16 +849,13 @@ impl Shard {
         // The response carries the request's op and birth time.
         self.host_send(self.hosts.server(idx), now, AppPacket { meta, ..pkt });
         if let Some((pkt, next_done)) = completion.next {
-            let epoch = self.server_epoch[idx];
-            self.sched(next_done, Ev::ServerDone { idx, epoch, pkt });
+            self.sched(next_done, Ev::ServerDone(idx, pkt));
         }
     }
 
     fn on_client_in(&mut self, cid: usize, pkt: AppPacket, now: u64) {
-        let outcome = self.clients[cid]
-            .as_mut()
-            .expect("owned client")
-            .on_response(&pkt, now);
+        let c = self.clients[cid].as_mut().expect("owned client");
+        let outcome = c.sim.on_response(&pkt, now);
         if outcome.latency_ns.is_some() && self.measure_start_ns > 0 {
             self.throughput.record(outcome.done_at);
             if outcome.done_at <= self.end_ns {
@@ -936,19 +903,15 @@ impl Shard {
     fn on_end_warmup(&mut self, now: u64) {
         self.measure_start_ns = now.max(1);
         for c in self.clients.iter_mut().flatten() {
-            c.core.reset_measurements();
+            c.sim.core.reset_measurements();
         }
-        for (r, e) in self.engines.iter().enumerate() {
-            if let Some(e) = e {
-                self.switch_counters_at_warmup[r] = e.counters();
-            }
+        for r in self.racks.iter_mut().flatten() {
+            r.at_warmup = r.engine.counters();
         }
         self.upper_counters_at_warmup
             .copy_from_slice(self.tier.counters());
-        for (i, s) in self.servers.iter().enumerate() {
-            if let Some(s) = s {
-                self.server_stats_at_warmup[i] = s.stats();
-            }
+        for s in self.servers.iter_mut().flatten() {
+            s.at_warmup = s.sim.stats();
         }
     }
 }
@@ -1009,7 +972,7 @@ mod tests {
         let shard = &mut shards[0];
         let mut rogue = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
         rogue.add_route(dst, port);
-        shard.engines[0] = Some(Box::new(rogue));
+        shard.racks[0].as_mut().unwrap().engine = Box::new(rogue);
         let nc = NetCloneHdr::request(0, 0, 0, 0);
         let meta = PacketMeta::netclone_response(Ipv4::server(0), dst, nc, 84);
         let pkt = AppPacket {

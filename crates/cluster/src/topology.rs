@@ -499,9 +499,9 @@ pub enum Hop {
 /// routing metadata to walk emissions between them.
 ///
 /// Index layout matches [`Topology`]: leaves `0..racks`, then the spine.
-/// Built by [`crate::build::build_fabric`]; the event loop
-/// ([`crate::sim::Sim`]) takes its leaf engines, the topology tests and
-/// the benchmark's replay drive it directly.
+/// Built by [`crate::build::build_fabric`] for the topology tests and
+/// the benchmark's replay; the event loop ([`crate::sim::Sim`]) programs
+/// only the leaves and walks the compiled [`UpperTier`] instead.
 pub struct Fabric {
     /// The per-switch engines.
     pub engines: Vec<Box<dyn SwitchEngine>>,

@@ -1,5 +1,6 @@
 //! Configuration of the NetClone switch program.
 
+use crate::program::STAGE_FILTER0;
 use netclone_asic::{AsicSpec, PortId};
 use netclone_proto::SwitchId;
 
@@ -123,6 +124,15 @@ impl NetCloneConfig {
         if self.num_filter_tables == 0 {
             return Err("need at least one filter table".into());
         }
+        // Filter table `i` takes stage `STAGE_FILTER0 + i`.
+        let limit = usize::from(self.spec.stages.saturating_sub(STAGE_FILTER0));
+        if self.num_filter_tables > limit {
+            return Err(format!(
+                "num_filter_tables {} exceeds the {limit} stages the pipeline has \
+                 left for filter tables",
+                self.num_filter_tables
+            ));
+        }
         // The filter hash emits 1..=32 bits, and each filter table is one
         // register array of 4-byte cells in a stage of its own.
         if !(1..=32).contains(&self.filter_slots_log2) {
@@ -204,6 +214,23 @@ mod tests {
         };
         let err = c.validate().unwrap_err();
         assert!(err.contains("filter_slots_log2"), "{err}");
+    }
+
+    #[test]
+    fn filter_tables_past_the_last_stage_are_rejected_by_name() {
+        let fits = NetCloneConfig {
+            num_filter_tables: 7,
+            ..NetCloneConfig::default()
+        };
+        assert!(fits.validate().is_ok());
+        let _builds = crate::program::NetCloneSwitch::new(fits);
+        let c = NetCloneConfig {
+            num_filter_tables: 8,
+            ..NetCloneConfig::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("num_filter_tables"), "{err}");
+        assert!(err.contains("the 7 stages"), "{err}");
     }
 
     #[test]

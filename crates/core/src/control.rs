@@ -97,13 +97,6 @@ impl NetCloneSwitch {
         self.route_t.insert(ip.0, port).map_err(ControlError::Table)
     }
 
-    /// Installs an L2 switching entry (the traditional forwarding base;
-    /// the parsed-metadata model routes on L3, so this is capacity/config
-    /// fidelity only).
-    pub fn add_l2_entry(&mut self, mac: u64, port: PortId) -> Result<(), ControlError> {
-        self.mac_t.insert(mac, port).map_err(ControlError::Table)
-    }
-
     /// The registered server set, in registration order.
     pub fn servers(&self) -> &[ServerId] {
         &self.servers

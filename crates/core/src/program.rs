@@ -99,9 +99,6 @@ pub struct NetCloneSwitch {
     pub(crate) filter_order: CrcSlotOrder,
     /// L3 exact-match route table: destination IP → egress port.
     pub(crate) route_t: MatchTable<u32, PortId>,
-    /// L2 switching table (MAC → port), part of the traditional forwarding
-    /// base; control-plane managed only.
-    pub(crate) mac_t: MatchTable<u64, PortId>,
     /// Multi-packet affinity: CRC unit over (CLIENT_ID, CLIENT_SEQ).
     pub(crate) mpk_hash: HashUnit,
     /// Multi-packet affinity table: message tags of cloned, unfinished
@@ -128,9 +125,10 @@ impl NetCloneSwitch {
         // L3 metadata this model carries, but allocated because the paper's
         // utilisation figures (§4.1) cover the full program including its
         // L2/L3 base (§3.1 "our switch data plane can perform packet
-        // forwarding with the traditional L2/L3 routing module").
-        let mac_t: MatchTable<u64, PortId> =
-            MatchTable::alloc(&mut layout, "MacT", STAGE_ROUTE, 65_536, 6, 2, 1).expect(PIPE);
+        // forwarding with the traditional L2/L3 routing module"). Nothing
+        // reads it, so only its footprint is kept.
+        MatchTable::<u64, PortId>::alloc(&mut layout, "MacT", STAGE_ROUTE, 65_536, 6, 2, 1)
+            .expect(PIPE);
         let grp_t = DenseTable::alloc(&mut layout, "GrpT", STAGE_GRP, 65_536, 2, 4, 2).expect(PIPE);
         let state_t = RegisterArray::alloc(&mut layout, "StateT", STAGE_STATE, cfg.max_servers, 2)
             .expect(PIPE);
@@ -191,7 +189,6 @@ impl NetCloneSwitch {
             filters,
             filter_order,
             route_t,
-            mac_t,
             mpk_hash,
             mpk_t,
             servers: Vec::new(),
