@@ -418,9 +418,8 @@ impl Shard {
         let Some(prob) = self.loss else {
             return false;
         };
-        let rack = self.racks[self.cur_rack].as_mut();
-        let rng = rack.and_then(|r| r.loss.as_mut());
-        rng.expect("loss stream of an owned rack").random::<f64>() < prob
+        let rng = self.rack(self.cur_rack).loss.as_mut();
+        rng.expect("loss stream of a lossy run").random::<f64>() < prob
     }
 
     /// The record of owned rack `r`.
