@@ -1,11 +1,12 @@
-//! The [`DataPlane`] trait: the contract between a switch program and
-//! whatever carries its packets (the discrete-event simulator or the
-//! real-socket soft switch).
+//! What a switch program emits, and the buffer it emits into: the
+//! packet-path types of the switch contract, `netclone_core::SwitchEngine`,
+//! which every program implements and every frontend (the discrete-event
+//! simulator, the real-socket soft switch) drives.
 //!
-//! A program receives one parsed packet plus its ingress port and appends
-//! the packets to emit — each with an egress port and the processing
-//! latency it accrued inside the switch (pipeline passes + any
-//! recirculations; replication and recirculation are internal to the
+//! `SwitchEngine::process` receives one parsed packet plus its ingress
+//! port and appends the packets to emit — each with an egress port and
+//! the processing latency it accrued inside the switch (pipeline passes +
+//! any recirculations; replication and recirculation are internal to the
 //! program, so callers only ever see final emissions) — into a
 //! caller-provided [`EmissionSink`].
 //!
@@ -15,7 +16,7 @@
 //! holds exactly one per run; the soft switch one per forwarding thread),
 //! so the per-packet path performs no heap allocation in steady state:
 //!
-//! * [`DataPlane::process`] only **appends**; it never reads, clears, or
+//! * `SwitchEngine::process` only **appends**; it never reads, clears, or
 //!   reorders existing contents. Callers normally hand in an empty sink
 //!   and drain it in place afterwards.
 //! * A program emits at most a handful of packets per ingress packet
@@ -117,87 +118,27 @@ impl<'a> IntoIterator for &'a EmissionSink {
     }
 }
 
-/// A switch data-plane program.
-pub trait DataPlane {
-    /// Short program name (diagnostics and reports).
-    fn name(&self) -> &'static str;
-
-    /// Processes one ingress packet, appending everything that egresses
-    /// to `out` (see the module docs for the sink contract).
-    ///
-    /// Appending nothing means the packet was dropped (e.g. a filtered
-    /// redundant response, or no route).
-    fn process(&mut self, pkt: PacketMeta, ingress: PortId, now_ns: u64, out: &mut EmissionSink);
-
-    /// Convenience for tests and diagnostics: processes one packet into a
-    /// fresh sink and returns it. Hot paths hold a reusable sink and call
-    /// [`DataPlane::process`] instead — this allocates per call.
-    fn process_collected(&mut self, pkt: PacketMeta, ingress: PortId, now_ns: u64) -> EmissionSink {
-        let mut out = EmissionSink::new();
-        self.process(pkt, ingress, now_ns, &mut out);
-        out
-    }
-
-    /// Clears all *soft* state (server states, sequence numbers, filter
-    /// fingerprints) as a power cycle would (§3.6 "Switch failures").
-    /// Match-action table entries survive: the control plane reinstalls
-    /// them on recovery.
-    fn reset_soft_state(&mut self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netclone_proto::{Ipv4, NetCloneHdr};
 
-    /// A trivial program for trait-object sanity: forwards everything to
-    /// port 0 with fixed latency.
-    struct Null;
-
-    impl DataPlane for Null {
-        fn name(&self) -> &'static str {
-            "null"
-        }
-        fn process(
-            &mut self,
-            pkt: PacketMeta,
-            _ingress: PortId,
-            _now_ns: u64,
-            out: &mut EmissionSink,
-        ) {
-            out.push(Emission {
-                pkt,
-                port: 0,
-                latency_ns: 100,
-            });
-        }
-    }
-
-    #[test]
-    fn trait_objects_work() {
-        let mut dp: Box<dyn DataPlane> = Box::new(Null);
-        let pkt =
-            PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(0, 0, 0, 0), 64);
-        let out = dp.process_collected(pkt, 5, 0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].port, 0);
-        assert_eq!(out[0].latency_ns, 100);
-        assert_eq!(dp.name(), "null");
-        dp.reset_soft_state(); // default no-op must be callable
-    }
-
     #[test]
     fn sink_appends_and_reuses_capacity() {
-        let mut dp = Null;
         let pkt =
             PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(0, 0, 0, 0), 64);
+        let e = Emission {
+            pkt,
+            port: 0,
+            latency_ns: 100,
+        };
         let mut sink = EmissionSink::new();
         let cap_before = sink.buf.capacity();
         assert_eq!(cap_before, EmissionSink::INLINE_CAPACITY);
 
-        // process() appends without clearing prior contents.
-        dp.process(pkt, 5, 0, &mut sink);
-        dp.process(pkt, 5, 0, &mut sink);
+        // push() appends without clearing prior contents.
+        sink.push(e);
+        sink.push(e);
         assert_eq!(sink.len(), 2);
 
         // Draining and clearing keep the allocation: the steady state
@@ -205,7 +146,7 @@ mod tests {
         assert_eq!(sink.drain().count(), 2);
         assert!(sink.is_empty());
         assert_eq!(sink.buf.capacity(), cap_before, "drain freed the buffer");
-        dp.process(pkt, 5, 0, &mut sink);
+        sink.push(e);
         assert_eq!(sink.len(), 1);
         sink.clear();
         assert!(sink.is_empty());

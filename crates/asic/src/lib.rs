@@ -21,10 +21,10 @@
 //!
 //! The model also provides the two packet-replication mechanisms the paper
 //! uses: **multicast** groups and **recirculation** through a loopback port
-//! ([`spec::AsicSpec::recirc_latency_ns`]), plus the [`DataPlane`] trait
-//! — the *packet path* half of the switch contract. `netclone-core`
-//! extends it with control-plane operations as `SwitchEngine`
-//! (registration, failure handling, counters); every frontend — the
+//! ([`spec::AsicSpec::recirc_latency_ns`]), plus the packet-path types of
+//! the switch contract ([`Emission`], [`EmissionSink`], [`PortId`]). The
+//! contract itself is `netclone-core`'s `SwitchEngine` (packet path,
+//! registration, failure handling, counters); every frontend — the
 //! discrete-event simulator and the real-socket soft switch — holds a
 //! `Box<dyn SwitchEngine>` and therefore drives the identical program.
 
@@ -37,7 +37,7 @@ pub mod resources;
 pub mod spec;
 pub mod table;
 
-pub use dataplane::{DataPlane, Emission, EmissionSink, PortId};
+pub use dataplane::{Emission, EmissionSink, PortId};
 pub use error::AsicError;
 pub use hash::{crc32, CrcSlotOrder, HashUnit};
 pub use pass::PacketPass;

@@ -2,7 +2,7 @@
 //! ASIC, next to the paper's reported figures, plus the back-of-the-
 //! envelope filter-capacity calculation.
 
-use netclone_core::NetCloneSwitch;
+use netclone_core::{NetCloneConfig, NetCloneSwitch};
 use netclone_stats::{Report, Table};
 
 use crate::harness::Experiment;
@@ -11,7 +11,7 @@ const TITLE: &str = "Switch resource usage (§4.1)";
 
 /// The report rows: (metric, measured, paper).
 pub fn to_table() -> Table {
-    let sw = NetCloneSwitch::paper_prototype();
+    let sw = NetCloneSwitch::new(NetCloneConfig::paper_prototype());
     let r = sw.resource_report();
     let mut t = Table::new(["metric", "this reproduction", "paper (§4.1)"]);
     t.row([
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn measured_stages_are_7() {
-        let sw = NetCloneSwitch::paper_prototype();
+        let sw = NetCloneSwitch::new(NetCloneConfig::paper_prototype());
         assert_eq!(sw.resource_report().stages_used, 7);
     }
 }

@@ -469,6 +469,10 @@ impl Scenario {
         if self.timeseries_bucket_ns == 0 {
             return Err("timeseries_bucket_ns must be positive".to_string());
         }
+        // Rates are completions over this window: an empty one is NaN.
+        if self.measure_ns == 0 {
+            return Err("measure_ns must be positive".to_string());
+        }
         if !(0.0..1.0).contains(&self.loss) {
             return Err(format!("loss must be in [0, 1), got {}", self.loss));
         }
@@ -972,6 +976,15 @@ mod tests {
             let err = s.validate().unwrap_err();
             assert!(err.contains("offered_rps"), "{rps}: {err}");
         }
+    }
+
+    /// A zero-length measurement window has no rate to report.
+    #[test]
+    fn an_empty_measurement_window_is_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e5);
+        s.warmup_ns = 1_000_000;
+        s.measure_ns = 0;
+        assert_eq!(s.validate().unwrap_err(), "measure_ns must be positive");
     }
 
     /// Filter shapes the switch program refuses are refused up front, for

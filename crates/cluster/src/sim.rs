@@ -970,7 +970,7 @@ mod tests {
         let (mut shards, _) = ScenarioBuilder::new(s).build_shards(1, false);
         let shard = &mut shards[0];
         let mut rogue = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
-        rogue.add_route(dst, port);
+        rogue.register_route(dst, port).unwrap();
         shard.racks[0].as_mut().unwrap().engine = Box::new(rogue);
         let nc = NetCloneHdr::request(0, 0, 0, 0);
         let meta = PacketMeta::netclone_response(Ipv4::server(0), dst, nc, 84);

@@ -1,40 +1,49 @@
 //! The [`SwitchEngine`] trait: the single control-plane + data-plane
 //! contract every switch program implements and every frontend drives.
 //!
-//! [`netclone_asic::DataPlane`] covers the packet path (process, soft-state
-//! reset). `SwitchEngine` extends it with the operations a *deployment*
-//! needs — endpoint registration, failure handling, group management, and
-//! counter observation — so the discrete-event simulator
-//! (`netclone-cluster`), the real-socket soft switch (`netclone-net`), and
-//! any future frontend all hold a `Box<dyn SwitchEngine>` and execute the
-//! identical program. There is exactly one implementation of the NetClone
-//! algorithm ([`NetCloneSwitch`]); the compared schemes implement the same
-//! trait (see `netclone-policies`), so swapping schemes is swapping
-//! engines, never re-implementing dispatch.
+//! It covers the packet path (process, soft-state reset) and the
+//! operations a *deployment* needs — endpoint registration, failure
+//! handling, group management, and counter observation — so the
+//! discrete-event simulator (`netclone-cluster`), the real-socket soft
+//! switch (`netclone-net`), and any future frontend all hold a
+//! `Box<dyn SwitchEngine>` and execute the identical program. There is
+//! exactly one implementation of the NetClone algorithm
+//! ([`NetCloneSwitch`](crate::NetCloneSwitch)); the compared schemes
+//! implement the same trait (see `netclone-policies`), so swapping schemes
+//! is swapping engines, never re-implementing dispatch.
 //!
 //! Not every engine supports every control operation: a plain L3 fabric
 //! has no group table. Such operations return
 //! [`EngineError::Unsupported`] instead of being compiled into per-scheme
 //! `match` arms at every call site.
 
-use netclone_asic::{DataPlane, PortId};
-use netclone_proto::{Ipv4, ServerId};
+use netclone_asic::{AsicError, EmissionSink, PortId};
+use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
-use crate::control::ControlError;
 use crate::counters::SwitchCounters;
-use crate::program::NetCloneSwitch;
 
 /// Errors returned by [`SwitchEngine`] control-plane operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The underlying control plane rejected the update.
-    Control(ControlError),
+    /// The server ID is outside the state tables' static range.
+    SidOutOfRange {
+        /// The offending server ID.
+        sid: ServerId,
+        /// Size of the state tables.
+        max: usize,
+    },
+    /// The server ID is already registered.
+    DuplicateSid(ServerId),
+    /// The server ID is not registered.
+    UnknownSid(ServerId),
+    /// A table rejected the update (capacity).
+    Table(AsicError),
     /// This engine does not implement the operation (e.g. group
     /// installation on a plain L3 switch).
     Unsupported {
         /// The operation that was requested.
         op: &'static str,
-        /// The engine that rejected it ([`DataPlane::name`]).
+        /// The engine that rejected it ([`SwitchEngine::name`]).
         engine: &'static str,
     },
 }
@@ -42,7 +51,12 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::Control(e) => write!(f, "{e}"),
+            EngineError::SidOutOfRange { sid, max } => {
+                write!(f, "server id {sid} out of range (max {max})")
+            }
+            EngineError::DuplicateSid(s) => write!(f, "server id {s} already registered"),
+            EngineError::UnknownSid(s) => write!(f, "server id {s} not registered"),
+            EngineError::Table(e) => write!(f, "table update failed: {e}"),
             EngineError::Unsupported { op, engine } => {
                 write!(f, "engine {engine} does not support {op}")
             }
@@ -52,17 +66,36 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl From<ControlError> for EngineError {
-    fn from(e: ControlError) -> Self {
-        EngineError::Control(e)
-    }
-}
-
 /// A complete switch program: data plane plus control plane.
 ///
 /// `Send` is required because the soft switch runs its engine on a
 /// forwarding thread.
-pub trait SwitchEngine: DataPlane + Send {
+pub trait SwitchEngine: Send {
+    /// Short program name (diagnostics and reports).
+    fn name(&self) -> &'static str;
+
+    /// Processes one ingress packet, appending everything that egresses
+    /// to `out` (see [`netclone_asic::dataplane`] for the sink contract).
+    ///
+    /// Appending nothing means the packet was dropped (e.g. a filtered
+    /// redundant response, or no route).
+    fn process(&mut self, pkt: PacketMeta, ingress: PortId, now_ns: u64, out: &mut EmissionSink);
+
+    /// Convenience for tests and diagnostics: processes one packet into a
+    /// fresh sink and returns it. Hot paths hold a reusable sink and call
+    /// [`SwitchEngine::process`] instead — this allocates per call.
+    fn process_collected(&mut self, pkt: PacketMeta, ingress: PortId, now_ns: u64) -> EmissionSink {
+        let mut out = EmissionSink::new();
+        self.process(pkt, ingress, now_ns, &mut out);
+        out
+    }
+
+    /// Clears all *soft* state (server states, sequence numbers, filter
+    /// fingerprints) as a power cycle would (§3.6 "Switch failures").
+    /// Match-action table entries survive: the control plane reinstalls
+    /// them on recovery.
+    fn reset_soft_state(&mut self) {}
+
     /// Snapshot of the data-plane counters.
     fn counters(&self) -> SwitchCounters {
         SwitchCounters::default()
@@ -102,42 +135,12 @@ pub trait SwitchEngine: DataPlane + Send {
     }
 }
 
-impl SwitchEngine for NetCloneSwitch {
-    fn counters(&self) -> SwitchCounters {
-        *NetCloneSwitch::counters(self)
-    }
-
-    fn num_groups(&self) -> u16 {
-        NetCloneSwitch::num_groups(self)
-    }
-
-    fn register_server(
-        &mut self,
-        sid: ServerId,
-        ip: Ipv4,
-        port: PortId,
-    ) -> Result<(), EngineError> {
-        self.add_server(sid, ip, port).map_err(EngineError::from)
-    }
-
-    fn deregister_server(&mut self, sid: ServerId) -> Result<(), EngineError> {
-        self.remove_server(sid).map_err(EngineError::from)
-    }
-
-    fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
-        self.add_route(ip, port).map_err(EngineError::from)
-    }
-
-    fn install_custom_groups(&mut self, pairs: &[(ServerId, ServerId)]) -> Result<(), EngineError> {
-        NetCloneSwitch::install_custom_groups(self, pairs).map_err(EngineError::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetCloneConfig;
-    use netclone_proto::{NetCloneHdr, PacketMeta};
+    use crate::program::NetCloneSwitch;
+    use netclone_proto::NetCloneHdr;
 
     #[test]
     fn netclone_switch_works_as_a_boxed_engine() {
@@ -182,7 +185,7 @@ mod tests {
             engine: "PlainL3",
         };
         assert!(e.to_string().contains("PlainL3"));
-        let c: EngineError = ControlError::UnknownSid(7).into();
+        let c = EngineError::UnknownSid(7);
         assert!(c.to_string().contains('7'));
     }
 }

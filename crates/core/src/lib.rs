@@ -26,9 +26,11 @@
 //! gating, multi-packet cloned-request affinity, and Lamport-style request
 //! IDs for TCP retransmission safety.
 //!
-//! The control plane ([`control`]) installs servers/clients, rebuilds the
-//! group table on server failure (§3.6), and produces the §4.1 resource
-//! report. [`ports`] is the port plan every frontend wires hosts to.
+//! [`SwitchEngine`] is the one switch contract: the packet path plus the
+//! control plane. The program implements it once; its control operations
+//! install servers/clients and rebuild the group table on server failure
+//! (§3.6), and [`control`] holds the group rebuild and the control plane's
+//! views. [`ports`] is the port plan every frontend wires hosts to.
 
 pub mod config;
 pub mod control;

@@ -51,13 +51,15 @@
 
 use netclone_asic::resources::{Allocation, ResourceKind};
 use netclone_asic::{
-    AsicSpec, CrcSlotOrder, DataPlane, DenseTable, Emission, EmissionSink, HashUnit, Layout,
-    MatchTable, PacketPass, PortId, RegisterArray, ResourceReport,
+    AsicSpec, CrcSlotOrder, DenseTable, Emission, EmissionSink, HashUnit, Layout, MatchTable,
+    PacketPass, PortId, RegisterArray, ResourceReport,
 };
 use netclone_proto::{CloneStatus, Ipv4, MsgType, PacketMeta, ReqId, ServerId, ServerState};
 
 use crate::config::{NetCloneConfig, RequestIdMode, Scheduling};
 use crate::counters::SwitchCounters;
+use crate::engine::{EngineError, SwitchEngine};
+use crate::groups::build_groups;
 
 /// Panic message for pipeline-constraint violations: the program is
 /// validated by construction, so any violation is a bug in this crate,
@@ -196,19 +198,9 @@ impl NetCloneSwitch {
         }
     }
 
-    /// Builds the paper's prototype configuration.
-    pub fn paper_prototype() -> Self {
-        Self::new(NetCloneConfig::paper_prototype())
-    }
-
     /// The program's configuration.
     pub fn config(&self) -> &NetCloneConfig {
         &self.cfg
-    }
-
-    /// Data-plane counters.
-    pub fn counters(&self) -> &SwitchCounters {
-        &self.counters
     }
 
     /// The §4.1-style resource utilisation report.
@@ -219,12 +211,6 @@ impl NetCloneSwitch {
     /// The ASIC spec the program is laid out on.
     pub fn spec(&self) -> &AsicSpec {
         self.layout.spec()
-    }
-
-    /// Number of installed groups (clients draw `GRP` uniformly from
-    /// `0..num_groups`).
-    pub fn num_groups(&self) -> u16 {
-        self.grp_t.len() as u16
     }
 
     /// Control-plane peek at a tracked server state (diagnostics/tests).
@@ -500,7 +486,7 @@ impl NetCloneSwitch {
     }
 }
 
-impl DataPlane for NetCloneSwitch {
+impl SwitchEngine for NetCloneSwitch {
     fn name(&self) -> &'static str {
         "NetClone"
     }
@@ -544,5 +530,74 @@ impl DataPlane for NetCloneSwitch {
             f.reset();
         }
         self.mpk_t.reset();
+    }
+
+    fn counters(&self) -> SwitchCounters {
+        self.counters
+    }
+
+    fn num_groups(&self) -> u16 {
+        self.grp_t.len() as u16
+    }
+
+    /// Installs the server's address/port and rebuilds the group table
+    /// over the new server set.
+    fn register_server(
+        &mut self,
+        sid: ServerId,
+        ip: Ipv4,
+        port: PortId,
+    ) -> Result<(), EngineError> {
+        if sid as usize >= self.cfg.max_servers {
+            return Err(EngineError::SidOutOfRange {
+                sid,
+                max: self.cfg.max_servers,
+            });
+        }
+        if self.servers.contains(&sid) {
+            return Err(EngineError::DuplicateSid(sid));
+        }
+        self.addr_t
+            .insert(sid, (ip.0, port))
+            .map_err(EngineError::Table)?;
+        self.route_t
+            .insert(ip.0, port)
+            .map_err(EngineError::Table)?;
+        self.servers.push(sid);
+        // Groups are the ordered 2-permutations of the server set (§3.3).
+        self.install_custom_groups(&build_groups(&self.servers))?;
+        // A fresh (or recovered) server starts tracked-idle; its first
+        // response corrects this if wrong.
+        self.state_t.poke(sid as usize, 0);
+        self.shadow_t.poke(sid as usize, 0);
+        Ok(())
+    }
+
+    /// §3.6 "Server failures": removes a failed server from every relevant
+    /// table so no new requests (cloned or not) are steered to it.
+    fn deregister_server(&mut self, sid: ServerId) -> Result<(), EngineError> {
+        let Some(pos) = self.servers.iter().position(|&s| s == sid) else {
+            return Err(EngineError::UnknownSid(sid));
+        };
+        self.servers.remove(pos);
+        self.addr_t.remove(sid);
+        self.install_custom_groups(&build_groups(&self.servers))
+    }
+
+    fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
+        self.route_t.insert(ip.0, port).map_err(EngineError::Table)
+    }
+
+    /// Replaces the group table with an explicit pair list, group ID =
+    /// list position (ablation support: e.g. unordered C(n,2) groups to
+    /// demonstrate why the paper doubles them, §3.3).
+    fn install_custom_groups(&mut self, pairs: &[(ServerId, ServerId)]) -> Result<(), EngineError> {
+        self.grp_t.clear();
+        for (gid, &pair) in pairs.iter().enumerate() {
+            self.grp_t
+                .insert(gid as u16, pair)
+                .map_err(EngineError::Table)?;
+        }
+        Ok(())
     }
 }

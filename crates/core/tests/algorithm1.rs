@@ -3,8 +3,8 @@
 //! Scripted scenarios verifying the paper's Algorithm 1 semantics and the
 //! §3.7 extensions, packet by packet.
 
-use netclone_asic::{DataPlane, EmissionSink, PortId};
-use netclone_core::{NetCloneConfig, NetCloneSwitch, RequestIdMode, Scheduling};
+use netclone_asic::{EmissionSink, PortId};
+use netclone_core::{NetCloneConfig, NetCloneSwitch, RequestIdMode, Scheduling, SwitchEngine};
 use netclone_proto::{CloneStatus, Ipv4, MsgType, NetCloneHdr, PacketMeta, ServerId, ServerState};
 
 const CLIENT_PORT: PortId = 2;
@@ -16,10 +16,10 @@ fn server_port(sid: ServerId) -> PortId {
 fn build_switch(n: u16, cfg: NetCloneConfig) -> NetCloneSwitch {
     let mut sw = NetCloneSwitch::new(cfg);
     for sid in 0..n {
-        sw.add_server(sid, Ipv4::server(sid), server_port(sid))
+        sw.register_server(sid, Ipv4::server(sid), server_port(sid))
             .unwrap();
     }
-    sw.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
+    sw.register_route(Ipv4::client(0), CLIENT_PORT).unwrap();
     sw
 }
 

@@ -3,8 +3,7 @@
 //! Tests of the cloning-condition generalisation (§3.4's rejected
 //! threshold alternative, kept as an ablation knob).
 
-use netclone_asic::DataPlane;
-use netclone_core::{CloneCondition, NetCloneConfig, NetCloneSwitch};
+use netclone_core::{CloneCondition, NetCloneConfig, NetCloneSwitch, SwitchEngine};
 use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta, ServerState};
 
 #[test]
@@ -35,9 +34,10 @@ fn build(cond: CloneCondition) -> NetCloneSwitch {
     cfg.clone_condition = cond;
     let mut sw = NetCloneSwitch::new(cfg);
     for sid in 0..4u16 {
-        sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
+        sw.register_server(sid, Ipv4::server(sid), 10 + sid)
+            .unwrap();
     }
-    sw.add_route(Ipv4::client(0), 100).unwrap();
+    sw.register_route(Ipv4::client(0), 100).unwrap();
     sw
 }
 

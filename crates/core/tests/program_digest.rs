@@ -9,9 +9,10 @@
 //! multi-packet hash: a fast-path change must keep the program's output
 //! bit for bit.
 
-use netclone_asic::DataPlane;
 use netclone_core::ports::{client_port, server_port};
-use netclone_core::{CloneCondition, NetCloneConfig, NetCloneSwitch, RequestIdMode, Scheduling};
+use netclone_core::{
+    CloneCondition, NetCloneConfig, NetCloneSwitch, RequestIdMode, Scheduling, SwitchEngine,
+};
 use netclone_proto::{CloneStatus, Ipv4, NetCloneHdr, PacketMeta, ServerState};
 
 const SERVERS: u16 = 6;
@@ -66,11 +67,12 @@ fn digest(cfg: NetCloneConfig, seed: u64) -> u64 {
     let own_switch = cfg.switch_id;
     let mut sw = NetCloneSwitch::new(cfg);
     for sid in 0..SERVERS {
-        sw.add_server(sid, Ipv4::server(sid), server_port(sid))
+        sw.register_server(sid, Ipv4::server(sid), server_port(sid))
             .unwrap();
     }
     for cid in 0..CLIENTS {
-        sw.add_route(Ipv4::client(cid), client_port(cid)).unwrap();
+        sw.register_route(Ipv4::client(cid), client_port(cid))
+            .unwrap();
     }
     let mut rng = Rng(seed);
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -135,11 +137,11 @@ fn digest(cfg: NetCloneConfig, seed: u64) -> u64 {
                     (_, 0) => sw.reset_soft_state(),
                     (None, 1..=3) => {
                         let sid = rng.below(u64::from(SERVERS)) as u16;
-                        sw.remove_server(sid).unwrap();
+                        sw.deregister_server(sid).unwrap();
                         down = Some(sid);
                     }
                     (Some(sid), 4..=6) => {
-                        sw.add_server(sid, Ipv4::server(sid), server_port(sid))
+                        sw.register_server(sid, Ipv4::server(sid), server_port(sid))
                             .unwrap();
                         down = None;
                     }
@@ -158,7 +160,7 @@ fn digest(cfg: NetCloneConfig, seed: u64) -> u64 {
             }
         }
     }
-    let c = *sw.counters();
+    let c = sw.counters();
     for x in [
         c.requests,
         c.cloned,

@@ -3,8 +3,7 @@
 //! Property tests for the response-filtering and state-tracking invariants
 //! under arbitrary interleavings.
 
-use netclone_asic::DataPlane;
-use netclone_core::{NetCloneConfig, NetCloneSwitch};
+use netclone_core::{NetCloneConfig, NetCloneSwitch, SwitchEngine};
 use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta, ServerState};
 use proptest::prelude::*;
 
@@ -13,9 +12,10 @@ const CLIENT_PORT: u16 = 2;
 fn build(n: u16) -> NetCloneSwitch {
     let mut sw = NetCloneSwitch::new(NetCloneConfig::default());
     for sid in 0..n {
-        sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
+        sw.register_server(sid, Ipv4::server(sid), 10 + sid)
+            .unwrap();
     }
-    sw.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
+    sw.register_route(Ipv4::client(0), CLIENT_PORT).unwrap();
     sw
 }
 

@@ -38,16 +38,17 @@ pub fn racksched_switch(mut cfg: NetCloneConfig) -> NetCloneSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclone_asic::DataPlane;
+    use netclone_core::SwitchEngine;
     use netclone_proto::{Ipv4, NetCloneHdr, PacketMeta, ServerState};
 
     #[test]
     fn racksched_switch_never_clones_and_balances() {
         let mut sw = racksched_switch(NetCloneConfig::default());
         for sid in 0..4u16 {
-            sw.add_server(sid, Ipv4::server(sid), 10 + sid).unwrap();
+            sw.register_server(sid, Ipv4::server(sid), 10 + sid)
+                .unwrap();
         }
-        sw.add_route(Ipv4::client(0), 2).unwrap();
+        sw.register_route(Ipv4::client(0), 2).unwrap();
         // Load server states: group 0's first candidate busy, second idle.
         let (s1, s2) = sw.group(0).unwrap();
         let probe = sw.process_collected(

@@ -2,9 +2,7 @@
 //! fabric under the Baseline and C-Clone schemes — all intelligence lives
 //! in the clients.
 
-use netclone_asic::{
-    AsicSpec, DataPlane, Emission, EmissionSink, Layout, MatchTable, PacketPass, PortId,
-};
+use netclone_asic::{AsicSpec, Emission, EmissionSink, Layout, MatchTable, PacketPass, PortId};
 use netclone_core::{EngineError, SwitchCounters, SwitchEngine};
 use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
@@ -12,8 +10,10 @@ use netclone_proto::{Ipv4, PacketMeta, ServerId};
 pub struct PlainL3Switch {
     layout: Layout,
     route_t: MatchTable<u32, PortId>,
-    forwarded: u64,
-    dropped: u64,
+    /// Only `routed_plain` and `dropped_unroutable` ever move: every
+    /// cloning/filtering counter stays 0, which is exactly what a
+    /// route-only switch reports.
+    counters: SwitchCounters,
 }
 
 impl PlainL3Switch {
@@ -25,26 +25,8 @@ impl PlainL3Switch {
         PlainL3Switch {
             layout,
             route_t,
-            forwarded: 0,
-            dropped: 0,
+            counters: SwitchCounters::default(),
         }
-    }
-
-    /// Installs a route.
-    pub fn add_route(&mut self, ip: Ipv4, port: PortId) {
-        self.route_t
-            .insert(ip.0, port)
-            .expect("route table capacity");
-    }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Packets dropped (no route).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Resource report (for comparison against NetClone's §4.1 numbers).
@@ -53,7 +35,7 @@ impl PlainL3Switch {
     }
 }
 
-impl DataPlane for PlainL3Switch {
+impl SwitchEngine for PlainL3Switch {
     fn name(&self) -> &'static str {
         "PlainL3"
     }
@@ -66,28 +48,19 @@ impl DataPlane for PlainL3Switch {
             .expect("single lookup per pass")
         {
             Some(port) => {
-                self.forwarded += 1;
+                self.counters.routed_plain += 1;
                 out.push(Emission {
                     pkt,
                     port,
                     latency_ns: self.layout.spec().pass_latency_ns,
                 });
             }
-            None => self.dropped += 1,
+            None => self.counters.dropped_unroutable += 1,
         }
     }
-}
 
-impl SwitchEngine for PlainL3Switch {
-    /// The plain fabric surfaces its forwarded/dropped totals through the
-    /// shared counter struct; every cloning/filtering counter stays 0,
-    /// which is exactly what a route-only switch reports.
     fn counters(&self) -> SwitchCounters {
-        SwitchCounters {
-            routed_plain: self.forwarded,
-            dropped_unroutable: self.dropped,
-            ..SwitchCounters::default()
-        }
+        self.counters
     }
 
     /// A plain switch has no server table — registration is just a route.
@@ -97,13 +70,11 @@ impl SwitchEngine for PlainL3Switch {
         ip: Ipv4,
         port: PortId,
     ) -> Result<(), EngineError> {
-        self.add_route(ip, port);
-        Ok(())
+        self.register_route(ip, port)
     }
 
     fn register_route(&mut self, ip: Ipv4, port: PortId) -> Result<(), EngineError> {
-        self.add_route(ip, port);
-        Ok(())
+        self.route_t.insert(ip.0, port).map_err(EngineError::Table)
     }
 
     // `deregister_server` and `install_custom_groups` keep the default
@@ -120,8 +91,8 @@ mod tests {
     #[test]
     fn routes_by_destination() {
         let mut sw = PlainL3Switch::new(AsicSpec::tofino());
-        sw.add_route(Ipv4::server(0), 10);
-        sw.add_route(Ipv4::client(0), 2);
+        sw.register_route(Ipv4::server(0), 10).unwrap();
+        sw.register_route(Ipv4::client(0), 2).unwrap();
         let mut pkt =
             PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(0, 0, 0, 0), 84);
         pkt.dst_ip = Ipv4::server(0);
@@ -130,7 +101,7 @@ mod tests {
         assert_eq!(out[0].port, 10);
         // Header is untouched: no request IDs, no cloning.
         assert_eq!(out[0].pkt.nc.req_id, 0);
-        assert_eq!(sw.forwarded(), 1);
+        assert_eq!(sw.counters().routed_plain, 1);
     }
 
     #[test]
@@ -140,13 +111,44 @@ mod tests {
             PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(0, 0, 0, 0), 84);
         pkt.dst_ip = Ipv4::new(198, 18, 0, 1);
         assert!(sw.process_collected(pkt, 2, 0).is_empty());
-        assert_eq!(sw.dropped(), 1);
+        assert_eq!(sw.counters().dropped_unroutable, 1);
+    }
+
+    #[test]
+    fn works_as_a_boxed_engine() {
+        let mut engine: Box<dyn SwitchEngine> = Box::new(PlainL3Switch::new(AsicSpec::tofino()));
+        assert_eq!(engine.name(), "PlainL3");
+        engine.register_server(0, Ipv4::server(0), 10).unwrap();
+        let mut pkt =
+            PacketMeta::netclone_request(Ipv4::client(0), NetCloneHdr::request(0, 0, 0, 0), 84);
+        pkt.dst_ip = Ipv4::server(0);
+        let out = engine.process_collected(pkt, 2, 0);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].port, 10, "register_server installed a route");
+        assert_eq!(out[0].latency_ns, AsicSpec::tofino().pass_latency_ns);
+        pkt.dst_ip = Ipv4::server(1);
+        assert!(engine.process_collected(pkt, 2, 0).is_empty());
+        let c = engine.counters();
+        assert_eq!((c.routed_plain, c.dropped_unroutable), (1, 1));
+        engine.reset_soft_state(); // the default no-op must be callable
+        let unsupported = |op| {
+            Err(EngineError::Unsupported {
+                op,
+                engine: "PlainL3",
+            })
+        };
+        let removed = engine.deregister_server(0);
+        assert_eq!(removed, unsupported("deregister_server"));
+        let groups = engine.install_custom_groups(&[(0, 1)]);
+        assert_eq!(groups, unsupported("install_custom_groups"));
     }
 
     #[test]
     fn uses_far_less_sram_than_netclone() {
         let plain = PlainL3Switch::new(AsicSpec::tofino()).resource_report();
-        let nc = netclone_core::NetCloneSwitch::paper_prototype().resource_report();
+        let nc =
+            netclone_core::NetCloneSwitch::new(netclone_core::NetCloneConfig::paper_prototype())
+                .resource_report();
         assert!(plain.sram_pct < nc.sram_pct);
         assert!(plain.stages_used < nc.stages_used);
     }

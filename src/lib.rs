@@ -14,9 +14,10 @@
 //! ## One switch program, many frontends
 //!
 //! Every switch program implements [`core::SwitchEngine`]
-//! (`netclone_core::engine`): the packet path from
-//! [`asic::DataPlane`] plus the control plane (registration, failure
-//! handling, group management, counters). Both frontends — the
+//! (`netclone_core::engine`), the one switch contract: the packet path
+//! (`process` into an [`asic::EmissionSink`], `reset_soft_state`) plus the
+//! control plane (registration, failure handling, group management,
+//! counters). Both frontends — the
 //! discrete-event testbed ([`cluster::Sim`]) and the real-socket soft
 //! switch ([`net::SoftSwitch`]) — hold a `Box<dyn SwitchEngine>` built by
 //! [`cluster::build_engine`], so they execute the *identical* program

@@ -13,10 +13,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use netclone::asic::{AsicSpec, DataPlane, EmissionSink};
+use netclone::asic::{AsicSpec, EmissionSink};
 use netclone::cluster::experiments::{fattree, Scale};
 use netclone::cluster::harness::RunCtx;
 use netclone::cluster::{build_engine, Scenario, Scheme, Sim};
+use netclone::core::SwitchEngine;
 use netclone::des::{EventQueue, SimTime};
 use netclone::hostcore::{ClientCore, ClientMode};
 use netclone::policies::PlainL3Switch;
@@ -70,7 +71,7 @@ const IN_FLIGHT: usize = 64;
 
 /// Feeds `reqs` through `engine` and appends the response each emission
 /// would draw from its server to `first` (original) / `second` (clone).
-fn run_requests<E: DataPlane + ?Sized>(
+fn run_requests<E: SwitchEngine + ?Sized>(
     engine: &mut E,
     reqs: &[PacketMeta],
     sink: &mut EmissionSink,
@@ -89,7 +90,7 @@ fn run_requests<E: DataPlane + ?Sized>(
 }
 
 /// Feeds `metas` through `engine`, discarding what it emits.
-fn run_discarding<E: DataPlane + ?Sized>(
+fn run_discarding<E: SwitchEngine + ?Sized>(
     engine: &mut E,
     metas: &[PacketMeta],
     sink: &mut EmissionSink,
@@ -176,7 +177,7 @@ fn steady_state_fast_path_allocates_nothing() {
     // ---- PlainL3Switch::process -------------------------------------
     let mut plain = PlainL3Switch::new(AsicSpec::tofino());
     for sid in 0..16 {
-        plain.add_route(Ipv4::server(sid), 10 + sid);
+        plain.register_route(Ipv4::server(sid), 10 + sid).unwrap();
     }
     let routed: Vec<PacketMeta> = (0..IN_FLIGHT + CALLS)
         .map(|i| {
@@ -188,7 +189,7 @@ fn steady_state_fast_path_allocates_nothing() {
     let (warm, counted) = routed.split_at(IN_FLIGHT);
     run_discarding(&mut plain, warm, &mut sink);
     let plain_l3 = allocs_during(|| run_discarding(&mut plain, counted, &mut sink));
-    assert_eq!(plain.forwarded() as usize, routed.len());
+    assert_eq!(plain.counters().routed_plain as usize, routed.len());
 
     // ---- EventQueue schedule + pop at a fixed depth ------------------
     // Payload the size of the simulator's packet events: an index, the

@@ -69,6 +69,30 @@ fn netclone_masks_some_failures_through_cloning() {
     );
 }
 
+/// Under Baseline the plain-L3 leaf answers `Unsupported` to the server
+/// removal, so the clients must stop addressing the dead server
+/// themselves: the sooner the removal, the fewer requests go unanswered.
+#[test]
+fn plain_l3_clients_stop_addressing_a_removed_server() {
+    let outstanding = |removed_at_ns| {
+        let mut s = Scenario::synthetic_default(Scheme::Baseline, exp25(), 0.0);
+        s.offered_rps = s.capacity_rps() * 0.25;
+        s.warmup_ns = 5_000_000;
+        s.measure_ns = 60_000_000;
+        s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
+            sid: 0,
+            fail_at_ns: 10_000_000,
+            removed_at_ns,
+        }));
+        Sim::run(s).client_outstanding
+    };
+    let (early, late) = (outstanding(20_000_000), outstanding(50_000_000));
+    assert!(
+        early * 2 < late,
+        "an earlier removal must leave far fewer requests unanswered: {early} vs {late}"
+    );
+}
+
 #[test]
 fn switch_power_cycle_loses_only_soft_state() {
     let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 0.0);

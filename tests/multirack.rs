@@ -7,7 +7,7 @@
 //! produces the *identical* per-switch [`SwitchCounters`] for the same
 //! packet trace.
 
-use netclone::asic::{DataPlane, Emission};
+use netclone::asic::Emission;
 use netclone::cluster::{build_fabric, Fabric, Hop, Scenario, Scheme, Topology};
 use netclone::core::{NetCloneConfig, NetCloneSwitch, SwitchCounters, SwitchEngine};
 use netclone::policies::PlainL3Switch;
@@ -176,18 +176,20 @@ impl TwoTier {
         let mut client_tor = NetCloneSwitch::new(c_cfg);
         for sid in 0..n_servers {
             client_tor
-                .add_server(sid, Ipv4::server(sid), UPLINK)
+                .register_server(sid, Ipv4::server(sid), UPLINK)
                 .unwrap();
         }
-        client_tor.add_route(Ipv4::client(0), CLIENT_PORT).unwrap();
+        client_tor
+            .register_route(Ipv4::client(0), CLIENT_PORT)
+            .unwrap();
 
         // Aggregation: plain L3 both ways (port 1 → client ToR, 2 → server
         // ToR).
         let mut agg = PlainL3Switch::new(netclone::asic::AsicSpec::tofino());
         for sid in 0..n_servers {
-            agg.add_route(Ipv4::server(sid), 2);
+            agg.register_route(Ipv4::server(sid), 2).unwrap();
         }
-        agg.add_route(Ipv4::client(0), 1);
+        agg.register_route(Ipv4::client(0), 1).unwrap();
 
         // Server ToR (switch_id 2): servers attach here; the gate must
         // bounce foreign-stamped packets to plain routing.
@@ -197,9 +199,11 @@ impl TwoTier {
         };
         let mut server_tor = NetCloneSwitch::new(s_cfg);
         for sid in 0..n_servers {
-            server_tor.add_route(Ipv4::server(sid), 10 + sid).unwrap();
+            server_tor
+                .register_route(Ipv4::server(sid), 10 + sid)
+                .unwrap();
         }
-        server_tor.add_route(Ipv4::client(0), UPLINK).unwrap();
+        server_tor.register_route(Ipv4::client(0), UPLINK).unwrap();
 
         TwoTier {
             client_tor,
@@ -275,8 +279,8 @@ fn hand_wired_two_tier_matches_the_builder_fabric() {
 
     let spine = fabric.spine().expect("two racks have a spine");
     let hand_counters: [SwitchCounters; 3] = [
-        *hand.client_tor.counters(),
-        *hand.server_tor.counters(),
+        hand.client_tor.counters(),
+        hand.server_tor.counters(),
         SwitchEngine::counters(&hand.agg),
     ];
     let fab_counters: [SwitchCounters; 3] = [
