@@ -33,7 +33,7 @@ use netclone_stats::TimeSeries;
 use netclone_workloads::{KvMix, PoissonArrivals, ServiceShape, ZipfSampler};
 
 use crate::calib;
-use crate::scenario::{Fault, Scenario, Workload};
+use crate::scenario::{FaultKind, Scenario, Workload};
 use crate::scheme::Scheme;
 use crate::sim::{BgState, ClientHost, Edge, Ev, Rack, ServerHost, Shard, CONTROL_SRC};
 use crate::topology::{Fabric, FabricShape, HostKind, Hosts, Topology, UpperTier};
@@ -592,20 +592,16 @@ impl ScenarioBuilder {
         // holder's shard alone; a fabric-wide edge (a switch reboot, a
         // server's removal from the tables) broadcasts under one key.
         for (idx, fault) in scenario.faults.faults.iter().enumerate() {
-            let (owners, times) = match *fault {
-                Fault::Slowdown(p) => ([Some(server_shard(p.sid)); 2], [p.start_ns, p.end_ns]),
-                Fault::Drain(p) => (
-                    [Some(rack_shard[p.rack]); 2],
-                    [p.drain_at_ns, p.restore_at_ns],
-                ),
-                Fault::LinkFlap(p) => ([Some(rack_shard[p.rack]); 2], [p.start_ns, p.end_ns]),
-                Fault::Reboot(p) => ([None; 2], [p.fail_at_ns, p.reactivate_at_ns]),
-                Fault::ServerStop(p) => (
-                    [Some(server_shard(p.sid)), None],
-                    [p.fail_at_ns, p.removed_at_ns],
-                ),
+            let owners = match fault.kind {
+                FaultKind::Slowdown { sid, .. } => [Some(server_shard(sid)); 2],
+                FaultKind::Drain { rack } | FaultKind::LinkFlap { rack, .. } => {
+                    [Some(rack_shard[rack]); 2]
+                }
+                FaultKind::Reboot { .. } => [None; 2],
+                FaultKind::ServerStop { sid } => [Some(server_shard(sid)), None],
             };
-            for ((edge, owner), at) in [Edge::Start, Edge::End].into_iter().zip(owners).zip(times) {
+            let edges = [(Edge::Start, fault.start_ns), (Edge::End, fault.end_ns)];
+            for ((edge, at), owner) in edges.into_iter().zip(owners) {
                 let ev = || Ev::Fault { idx, edge };
                 match owner {
                     Some(k) => prime_one(shards, &mut ctl, k, at, ev()),

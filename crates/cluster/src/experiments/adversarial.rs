@@ -17,13 +17,13 @@
 //!   cheap hits, the Zipf tail pays a 10× miss path — service bimodality
 //!   induced by *key popularity*, the Ditto-style fidelity shape;
 //! * **slowdown** — a gray failure: mid-window, one server's service
-//!   times inflate 4× ([`SlowdownPlan`]) and recover later. The switch
+//!   times inflate 4× ([`FaultKind::Slowdown`]) and recover later. The switch
 //!   never removes the server (it still answers), so fail-stop handling
 //!   does nothing and only cloning can route a request's *second* copy
 //!   around the slow machine;
 //! * **drain** — a 4-rack leaf/spine fabric where a server-bearing leaf
 //!   stops forwarding mid-window and returns with cold soft state
-//!   ([`DrainPlan`]) — the multi-rack degradation case.
+//!   ([`FaultKind::Drain`]) — the multi-rack degradation case.
 //!
 //! Both degradations are [`Scenario::faults`] entries. Every fault edge is
 //! a fabric-domain-0 control event, so serial
@@ -35,7 +35,7 @@ use netclone_stats::Report;
 use netclone_workloads::{bimodal_25_250, exp25, heavy_tail_25};
 
 use crate::harness::{Experiment, RunCtx};
-use crate::scenario::{DrainPlan, Fault, Scenario, SlowdownPlan, Workload};
+use crate::scenario::{Fault, FaultKind, Scenario, Workload};
 use crate::scheme::Scheme;
 use crate::sweep::{capacity_fractions, per_scheme, run_sweeps, sweep_table, Panel};
 use crate::topology::Topology;
@@ -93,29 +93,22 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
     };
     s.warmup_ns = ctx.scale.warmup_ns();
     s.measure_ns = ctx.scale.measure_ns();
-    let mid_start = s.warmup_ns + s.measure_ns / 4;
-    let mid_end = s.warmup_ns + 3 * s.measure_ns / 4;
-    match kind {
-        "slowdown" => {
-            s.faults.faults.push(Fault::Slowdown(SlowdownPlan {
-                sid: 0,
-                start_ns: mid_start,
-                end_ns: mid_end,
-                factor: 4.0,
-            }));
-        }
-        "drain" => {
-            // Rack 3 holds server 3 and no client (round-robin placement:
-            // clients 0–1 → racks 0–1) and is not the coordinator's rack
-            // (rack 0), so every scheme keeps its control path.
-            s.faults.faults.push(Fault::Drain(DrainPlan {
-                rack: 3,
-                drain_at_ns: mid_start,
-                restore_at_ns: mid_end,
-            }));
-        }
-        _ => {}
-    }
+    let degradation = match kind {
+        "slowdown" => FaultKind::Slowdown {
+            sid: 0,
+            factor: 4.0,
+        },
+        // Rack 3 holds server 3 and no client (round-robin placement:
+        // clients 0–1 → racks 0–1) and is not the coordinator's rack
+        // (rack 0), so every scheme keeps its control path.
+        "drain" => FaultKind::Drain { rack: 3 },
+        _ => return s,
+    };
+    s.faults.faults.push(Fault {
+        start_ns: s.warmup_ns + s.measure_ns / 4,
+        end_ns: s.warmup_ns + 3 * s.measure_ns / 4,
+        kind: degradation,
+    });
     s
 }
 

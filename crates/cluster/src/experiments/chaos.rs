@@ -20,7 +20,7 @@
 //!   bad-rollout shape. With a quarter of the fleet gray, random
 //!   placement alone cannot dodge it.
 //! * **linkflap** — one rack's adjacent links renegotiate down three
-//!   orders of magnitude mid-window ([`LinkFlapPlan`],
+//!   orders of magnitude mid-window ([`FaultKind::LinkFlap`],
 //!   netclone-linksim) — the classic bad-transceiver flap, 10 Gbps
 //!   falling to ~10 Mbps: the queues grow, ECN marks, and tail drops
 //!   concentrate on one rack while the switch keeps forwarding — gray
@@ -46,7 +46,7 @@ use netclone_workloads::exp25;
 
 use crate::experiments::adversarial;
 use crate::harness::{Experiment, RunCtx};
-use crate::scenario::{Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario};
+use crate::scenario::{Fault, FaultKind, FaultTimeline, RetryPolicy, Scenario};
 use crate::scheme::Scheme;
 use crate::sweep::{sweep_table, Panel};
 use crate::topology::Topology;
@@ -116,14 +116,15 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
         "linkflap" => {
             s.topology = Topology::uniform(4);
             s.links = Some(netclone_linksim::LinkSpec::flat(10.0, 150_000));
-            s.faults = FaultTimeline {
-                faults: vec![Fault::LinkFlap(LinkFlapPlan {
-                    rack: 3,
-                    start_ns: mid_start,
-                    end_ns: mid_end,
-                    factor: 1000,
-                })],
+            let kind = FaultKind::LinkFlap {
+                rack: 3,
+                factor: 1000,
             };
+            s.faults.faults.push(Fault {
+                start_ns: mid_start,
+                end_ns: mid_end,
+                kind,
+            });
         }
         "retry-storm" => {
             s.loss = 0.02;

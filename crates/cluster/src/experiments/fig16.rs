@@ -10,7 +10,7 @@ use netclone_workloads::exp25;
 
 use crate::experiments::scale::Scale;
 use crate::harness::{Experiment, RunCtx};
-use crate::scenario::{Fault, Scenario, SwitchFailurePlan};
+use crate::scenario::{Fault, FaultKind, Scenario};
 use crate::scheme::Scheme;
 
 const TITLE: &str = "Switch failure timeline (stop 5s, reactivate 7s, up ~10s)";
@@ -81,11 +81,13 @@ pub fn run(ctx: &RunCtx) -> Fig16 {
     s.warmup_ns = 0;
     s.measure_ns = 25 * sec;
     s.timeseries_bucket_ns = sec / 2;
-    s.faults.faults.push(Fault::Reboot(SwitchFailurePlan {
-        fail_at_ns: 5 * sec,
-        reactivate_at_ns: 7 * sec,
-        bringup_ns: 3 * sec,
-    }));
+    s.faults.faults.push(Fault {
+        start_ns: 5 * sec,
+        end_ns: 7 * sec,
+        kind: FaultKind::Reboot {
+            bringup_ns: 3 * sec,
+        },
+    });
     let run = ctx.run_sim(s);
     // rates_per_sec is per *sim* second — already the paper's y-axis; only
     // the time axis needs decompressing back to paper seconds.

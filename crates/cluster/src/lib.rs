@@ -39,8 +39,7 @@ pub use build::{build_engine, build_fabric, build_upper_tier, ScenarioBuilder};
 pub use harness::{registry, Experiment, RunCtx, Runner};
 pub use metrics::RunResult;
 pub use scenario::{
-    DrainPlan, Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario, ServerFailurePlan,
-    ServerSpec, ServiceModel, SlowdownPlan, SwitchFailurePlan, Workload,
+    Fault, FaultKind, FaultTimeline, RetryPolicy, Scenario, ServerSpec, ServiceModel, Workload,
 };
 pub use scheme::Scheme;
 pub use sim::Sim;

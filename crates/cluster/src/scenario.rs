@@ -91,24 +91,6 @@ impl Workload {
     }
 }
 
-/// Switch failure injection (Fig. 16).
-///
-/// The plan gates forwarding for the *whole* fabric: in the paper's
-/// single-rack testbed that is exactly the one ToR power-cycling; under a
-/// multi-rack [`Topology`] it models a fabric-wide outage (every leaf and
-/// the spine stop forwarding, and bring-up clears soft state on all of
-/// them). Per-switch failure injection is not modeled yet.
-#[derive(Clone, Copy, Debug)]
-pub struct SwitchFailurePlan {
-    /// When the switch stops forwarding, ns.
-    pub fail_at_ns: u64,
-    /// When the operator reactivates it, ns (forwarding resumes after the
-    /// pipeline bring-up time, with soft state cleared).
-    pub reactivate_at_ns: u64,
-    /// Pipeline bring-up duration, ns.
-    pub bringup_ns: u64,
-}
-
 /// Background incast traffic: bulk flows from every other rack converging
 /// on one victim rack's downlinks, contending with the RPC traffic for
 /// queue space (requires [`Scenario::links`] and a multi-rack topology).
@@ -128,111 +110,76 @@ pub struct Background {
     pub victim_rack: usize,
 }
 
-/// A server failure injection (§3.6) — **fail-stop**: the server silently
-/// drops everything from `fail_at_ns` until the control plane removes it.
-///
-/// This is the crash model. For the *gray* failure where a server keeps
-/// answering but slower (thermal throttling, a noisy neighbour, a
-/// background compaction), use [`SlowdownPlan`]. [`Scenario::validate`]
-/// rejects both on the same server at overlapping times (a server cannot
-/// be dead and slow at once), and a second stop of the same server at
-/// any time (a stopped server never comes back).
-#[derive(Clone, Copy, Debug)]
-pub struct ServerFailurePlan {
-    /// Which server dies.
-    pub sid: u16,
-    /// When it dies, ns.
-    pub fail_at_ns: u64,
-    /// When the switch control plane removes it from the tables, ns
-    /// (detection delay after the failure).
-    pub removed_at_ns: u64,
-}
+/// The largest [`FaultKind::Slowdown`] factor `validate` accepts. A
+/// million-fold slowdown is a dead server, and a far larger one
+/// overflows the clock with the first service it stretches.
+pub const MAX_SLOWDOWN_FACTOR: f64 = 1e6;
 
-/// A mid-run server **slowdown** — the gray-failure counterpart of the
-/// fail-stop [`ServerFailurePlan`]: from `start_ns` to `end_ns` every
-/// service time the server *draws* is multiplied by `factor` (in-flight
-/// requests keep their completion times). The server keeps accepting,
-/// queueing, and answering throughout, so the switch never removes it —
-/// exactly the scenario where cloning (racing a second server) should
-/// shine and where fail-stop handling does nothing.
-///
-/// Both edges are fabric-domain-0 control events, so serial and sharded
-/// runs stay byte-identical; see "Fault injection & recovery" in
-/// `docs/ARCHITECTURE.md`.
+/// One timed fault in a [`FaultTimeline`]: a window and a target.
 #[derive(Clone, Copy, Debug)]
-pub struct SlowdownPlan {
-    /// Which server degrades.
-    pub sid: u16,
-    /// When the degradation starts, ns.
+pub struct Fault {
+    /// When the fault strikes, ns.
     pub start_ns: u64,
-    /// When the server recovers to full speed, ns.
+    /// When it ends, ns: the target recovers, a rebooted switch is
+    /// reactivated, a stopped server is removed from the tables.
     pub end_ns: u64,
-    /// Multiplicative service-time factor while degraded (> 1 slows the
-    /// server; must be > 0).
-    pub factor: f64,
+    /// What fails, and how.
+    pub kind: FaultKind,
 }
 
-/// A mid-run **leaf drain** in a multi-rack fabric: from `drain_at_ns`
-/// the victim rack's leaf switch stops forwarding (maintenance drain /
-/// unplanned leaf outage — packets to and from that rack are lost), and
-/// at `restore_at_ns` it comes back with its soft state cleared, exactly
-/// like a post-power-cycle switch (Fig. 16, but scoped to one leaf
-/// instead of the whole fabric).
+/// The target and parameter of a [`Fault`].
 #[derive(Clone, Copy, Debug)]
-pub struct DrainPlan {
-    /// Which rack's leaf drains (must exist and the topology must have
-    /// more than one rack — draining the only leaf is just Fig. 16).
-    pub rack: usize,
-    /// When forwarding stops, ns.
-    pub drain_at_ns: u64,
-    /// When forwarding resumes (soft state cleared), ns.
-    pub restore_at_ns: u64,
+pub enum FaultKind {
+    /// Gray server: each service time server `sid` draws in the window
+    /// is multiplied by `factor` (in (0, [`MAX_SLOWDOWN_FACTOR`]]). It
+    /// keeps answering, so the switch never removes it.
+    Slowdown { sid: u16, factor: f64 },
+    /// Leaf drain: rack `rack`'s leaf stops forwarding, then comes back
+    /// with its soft state cleared (Fig. 16 scoped to one leaf).
+    Drain { rack: usize },
+    /// Link flap: rack `rack`'s adjacent links run at `1/factor` (≥ 2)
+    /// of their rate. Needs [`Scenario::links`] and several racks.
+    LinkFlap { rack: usize, factor: u64 },
+    /// Fabric-wide switch reboot (Fig. 16): forwarding stops at
+    /// `start_ns`, resumes `bringup_ns` after `end_ns` with soft state
+    /// cleared and the hard counters kept.
+    Reboot { bringup_ns: u64 },
+    /// Fail-stop server (§3.6): server `sid` drops everything from
+    /// `start_ns` and leaves the tables at `end_ns`, for good.
+    ServerStop { sid: u16 },
 }
 
-/// A mid-run **link flap** in a congestion-aware multi-rack fabric: from
-/// `start_ns` to `end_ns` every rack-adjacent link of the victim rack
-/// (host access links and leaf↔upper-tier uplinks/downlinks) collapses to
-/// `1/factor` of its nominal rate — an auto-negotiation downshift or a
-/// flapping optic, the gray failure of the *network* the way
-/// [`SlowdownPlan`] is the gray failure of a server. Queued packets keep
-/// their departure schedule; packets offered inside the window pay the
-/// degraded serialization cost. The multiplier is an integer, so the flap
-/// inherits the link model's determinism.
-///
-/// Requires [`Scenario::links`] and a multi-rack [`Topology`] (stateful
-/// links are only materialized per owned rack there).
-#[derive(Clone, Copy, Debug)]
-pub struct LinkFlapPlan {
-    /// The rack whose adjacent links degrade.
-    pub rack: usize,
-    /// When the rate collapses, ns.
-    pub start_ns: u64,
-    /// When the nominal rate is restored, ns.
-    pub end_ns: u64,
-    /// Rate-collapse divisor while flapped (≥ 2; 1 is a healthy link).
-    pub factor: u64,
+impl Fault {
+    /// The window the fault holds its target: `start_ns..end_ns`, which
+    /// for a reboot runs on through bring-up. Errs when that end
+    /// overflows the clock.
+    pub fn outage(&self) -> Result<(u64, u64), String> {
+        let bringup_ns = match self.kind {
+            FaultKind::Reboot { bringup_ns } => bringup_ns,
+            _ => 0,
+        };
+        let end = self.end_ns.checked_add(bringup_ns).ok_or_else(|| {
+            format!(
+                "switch reboot bring-up overflows the clock: reactivation at {} ns \
+                 + bringup_ns {bringup_ns}",
+                self.end_ns
+            )
+        })?;
+        Ok((self.start_ns, end))
+    }
 }
 
-/// One timed fault edge pair in a [`FaultTimeline`].
-#[derive(Clone, Copy, Debug)]
-pub enum Fault {
-    /// Gray server: service times multiplied inside the window.
-    Slowdown(SlowdownPlan),
-    /// Leaf drain: one rack's leaf stops forwarding, then recovers with
-    /// soft state cleared.
-    Drain(DrainPlan),
-    /// Link flap: rack-adjacent links collapse to a fraction of nominal
-    /// rate, then recover.
-    LinkFlap(LinkFlapPlan),
-    /// Fabric-wide switch reboot (the Fig. 16 power-cycle): forwarding
-    /// stops at `fail_at_ns`, resumes `bringup_ns` after
-    /// `reactivate_at_ns` with soft state cleared and the hard counters
-    /// preserved.
-    Reboot(SwitchFailurePlan),
-    /// Fail-stop server (§3.6): it drops everything from `fail_at_ns`,
-    /// and the control plane removes it from the tables at
-    /// `removed_at_ns`. It never comes back.
-    ServerStop(ServerFailurePlan),
+impl FaultKind {
+    /// The kind's name in `validate`'s errors.
+    fn name(self) -> &'static str {
+        match self {
+            FaultKind::Slowdown { .. } => "slowdown",
+            FaultKind::Drain { .. } => "drain",
+            FaultKind::LinkFlap { .. } => "link-flap",
+            FaultKind::Reboot { .. } => "switch reboot",
+            FaultKind::ServerStop { .. } => "server stop",
+        }
+    }
 }
 
 /// An ordered, validated set of timed fault edges — the scenario's one
@@ -250,11 +197,6 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// True when no fault is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
     /// Cascade preset: a maintenance wave draining `racks` one after
     /// another — rack *i* drains at `start_ns + i·stagger_ns` and
     /// restores `hold_ns` later. With `stagger_ns < hold_ns` the windows
@@ -265,12 +207,12 @@ impl FaultTimeline {
             .iter()
             .enumerate()
             .map(|(i, &rack)| {
-                let drain_at_ns = start_ns + i as u64 * stagger_ns;
-                Fault::Drain(DrainPlan {
-                    rack,
-                    drain_at_ns,
-                    restore_at_ns: drain_at_ns + hold_ns,
-                })
+                let start_ns = start_ns + i as u64 * stagger_ns;
+                Fault {
+                    start_ns,
+                    end_ns: start_ns + hold_ns,
+                    kind: FaultKind::Drain { rack },
+                }
             })
             .collect();
         FaultTimeline { faults }
@@ -282,13 +224,10 @@ impl FaultTimeline {
     pub fn correlated_gray(servers: &[u16], start_ns: u64, end_ns: u64, factor: f64) -> Self {
         let faults = servers
             .iter()
-            .map(|&sid| {
-                Fault::Slowdown(SlowdownPlan {
-                    sid,
-                    start_ns,
-                    end_ns,
-                    factor,
-                })
+            .map(|&sid| Fault {
+                start_ns,
+                end_ns,
+                kind: FaultKind::Slowdown { sid, factor },
             })
             .collect();
         FaultTimeline { faults }
@@ -447,11 +386,10 @@ impl Scenario {
 
     /// Checks the offered load, the throughput buckets and the switch
     /// program's configuration, the server count against the fabric's
-    /// limits, the topology
-    /// and the background traffic against the fleet and the links, and the
-    /// fault timeline against the rest of the scenario. Called by the
-    /// builder before any event is primed; the error message names the
-    /// limit, the mismatch or the conflicting faults.
+    /// limits, the topology and the background traffic against the fleet
+    /// and the links, and the fault timeline against the rest of the
+    /// scenario. Called by the builder before any event is primed; the
+    /// error message names the limit, the mismatch or the conflicting faults.
     pub fn validate(&self) -> Result<(), String> {
         let n_servers = self.servers.len();
         if n_servers < 2 {
@@ -514,55 +452,43 @@ impl Scenario {
         // Overlapping/duplicate windows on the same target are a
         // contradiction (which edge wins at the overlap is unanswerable),
         // not a cascade — reject them instead of guessing.
-        let window = |f: &Fault| match *f {
-            Fault::Slowdown(s) => (s.start_ns, s.end_ns),
-            Fault::Drain(d) => (d.drain_at_ns, d.restore_at_ns),
-            Fault::LinkFlap(lf) => (lf.start_ns, lf.end_ns),
-            Fault::Reboot(r) => (r.fail_at_ns, r.reactivate_at_ns + r.bringup_ns),
-            Fault::ServerStop(f) => (f.fail_at_ns, f.removed_at_ns),
-        };
+        const MERGE: &str = "merge them into one window or separate them";
+        use FaultKind::*;
         for (i, a) in faults.iter().enumerate() {
             for b in &faults[i + 1..] {
-                let (a0, a1) = window(a);
-                let (b0, b1) = window(b);
-                let overlap = !(a1 <= b0 || b1 <= a0);
-                let clash = match (a, b) {
-                    (Fault::Slowdown(x), Fault::Slowdown(y)) if x.sid == y.sid && overlap => {
-                        format!("overlapping slowdown windows on server {}", x.sid)
+                let ((a0, a1), (b0, b1)) = (a.outage()?, b.outage()?);
+                let overlap = a0 < b1 && b0 < a1;
+                let (clash, fix) = match (a.kind, b.kind) {
+                    (Slowdown { sid: x, .. }, Slowdown { sid: y, .. }) if x == y && overlap => {
+                        (format!("overlapping slowdown windows on server {x}"), MERGE)
                     }
-                    (Fault::Drain(x), Fault::Drain(y)) if x.rack == y.rack && overlap => {
-                        format!("overlapping drain windows on rack {}", x.rack)
-                    }
-                    (Fault::LinkFlap(x), Fault::LinkFlap(y)) if x.rack == y.rack && overlap => {
-                        format!("overlapping link-flap windows on rack {}", x.rack)
-                    }
-                    (Fault::Reboot(_), Fault::Reboot(_)) if overlap => {
-                        "overlapping switch reboot windows".to_string()
-                    }
-                    (Fault::ServerStop(x), Fault::ServerStop(y)) if x.sid == y.sid => {
-                        return Err(format!(
-                            "server {} is stopped twice ({a0}..{a1} ns and {b0}..{b1} ns); \
-                             a stopped server never comes back — keep one stop",
-                            x.sid
-                        ));
-                    }
-                    (Fault::ServerStop(f), Fault::Slowdown(sl))
-                    | (Fault::Slowdown(sl), Fault::ServerStop(f))
-                        if f.sid == sl.sid && overlap =>
+                    (Drain { rack: x }, Drain { rack: y })
+                    | (LinkFlap { rack: x, .. }, LinkFlap { rack: y, .. })
+                        if x == y && overlap =>
                     {
-                        return Err(format!(
-                            "server {} has a fail-stop ({}..{} ns) overlapping its \
-                             slowdown ({}..{} ns); a server cannot be dead and slow \
-                             at once — separate the windows or pick one failure mode",
-                            sl.sid, f.fail_at_ns, f.removed_at_ns, sl.start_ns, sl.end_ns
-                        ));
+                        let name = a.kind.name();
+                        (format!("overlapping {name} windows on rack {x}"), MERGE)
+                    }
+                    (Reboot { .. }, Reboot { .. }) if overlap => {
+                        ("overlapping switch reboot windows".to_string(), MERGE)
+                    }
+                    (ServerStop { sid: x }, ServerStop { sid: y }) if x == y => (
+                        format!("server {x} is stopped twice"),
+                        "a stopped server never comes back — keep one stop",
+                    ),
+                    (ServerStop { sid: x }, Slowdown { sid: y, .. })
+                    | (Slowdown { sid: y, .. }, ServerStop { sid: x })
+                        if x == y && overlap =>
+                    {
+                        (
+                            format!("server {x} has a fail-stop overlapping its slowdown"),
+                            "a server cannot be dead and slow at once — separate the \
+                             windows or pick one failure mode",
+                        )
                     }
                     _ => continue,
                 };
-                return Err(format!(
-                    "{clash}: {a0}..{a1} ns and {b0}..{b1} ns — \
-                     merge them into one window or separate them"
-                ));
+                return Err(format!("{clash} ({a0}..{a1} ns and {b0}..{b1} ns); {fix}"));
             }
         }
         Ok(())
@@ -580,8 +506,8 @@ impl Scenario {
                 ));
             }
         }
-        let flap = self.faults.faults.iter().fold(1, |m, f| match f {
-            Fault::LinkFlap(lf) => m.max(lf.factor),
+        let flap = self.faults.faults.iter().fold(1, |m, f| match f.kind {
+            FaultKind::LinkFlap { factor, .. } => m.max(factor),
             _ => m,
         });
         let slowest = spec.edge_gbps.min(spec.fabric_gbps);
@@ -597,105 +523,52 @@ impl Scenario {
         Ok(())
     }
 
-    /// Per-fault shape checks (bounds, non-empty windows, required
-    /// topology features).
+    /// Per-fault shape checks: a non-empty window that fits the clock,
+    /// the target's bounds and parameter, required topology features.
     fn validate_fault(&self, fault: &Fault) -> Result<(), String> {
-        match fault {
-            Fault::Slowdown(sl) => {
-                if sl.factor <= 0.0 || sl.factor.is_nan() {
-                    return Err(format!("slowdown factor must be > 0, got {}", sl.factor));
-                }
-                if sl.start_ns >= sl.end_ns {
-                    return Err(format!(
-                        "slowdown window is empty: start_ns {} >= end_ns {}",
-                        sl.start_ns, sl.end_ns
-                    ));
-                }
-                if sl.sid as usize >= self.servers.len() {
-                    return Err(format!(
-                        "slowdown targets server {} but the scenario has {}",
-                        sl.sid,
-                        self.servers.len()
-                    ));
-                }
-            }
-            Fault::ServerStop(f) => {
-                if f.sid as usize >= self.servers.len() {
-                    return Err(format!(
-                        "server stop targets server {} but the scenario has {}",
-                        f.sid,
-                        self.servers.len()
-                    ));
-                }
-                if f.fail_at_ns >= f.removed_at_ns {
-                    return Err(format!(
-                        "server stop window is empty: fail_at_ns {} >= removed_at_ns {}",
-                        f.fail_at_ns, f.removed_at_ns
-                    ));
-                }
-            }
-            Fault::Drain(d) => {
-                let racks = self.topology.racks;
-                if racks < 2 {
-                    return Err("leaf drain needs a multi-rack topology (draining the only \
-                         leaf is the Fig. 16 switch reboot)"
-                        .to_string());
-                }
-                if d.rack >= racks {
-                    return Err(format!(
-                        "drain targets rack {} but the topology has {racks}",
-                        d.rack
-                    ));
-                }
-                if d.drain_at_ns >= d.restore_at_ns {
-                    return Err(format!(
-                        "drain window is empty: drain_at_ns {} >= restore_at_ns {}",
-                        d.drain_at_ns, d.restore_at_ns
-                    ));
-                }
-            }
-            Fault::LinkFlap(lf) => {
-                if self.links.is_none() {
-                    return Err("link flap needs congestion-aware links (Scenario::links); \
-                         without them every hop is a fixed latency with no rate to \
-                         collapse"
-                        .to_string());
-                }
-                let racks = self.topology.racks;
-                if racks < 2 {
-                    return Err("link flap needs a multi-rack topology (stateful \
-                         rack-adjacent links exist only there)"
-                        .to_string());
-                }
-                if lf.rack >= racks {
-                    return Err(format!(
-                        "link flap targets rack {} but the topology has {racks}",
-                        lf.rack
-                    ));
-                }
-                if lf.start_ns >= lf.end_ns {
-                    return Err(format!(
-                        "link-flap window is empty: start_ns {} >= end_ns {}",
-                        lf.start_ns, lf.end_ns
-                    ));
-                }
-                if lf.factor < 2 {
-                    return Err(format!(
-                        "link-flap factor must be ≥ 2 (1 is a healthy link), got {}",
-                        lf.factor
-                    ));
-                }
-            }
-            Fault::Reboot(r) => {
-                if r.fail_at_ns >= r.reactivate_at_ns {
-                    return Err(format!(
-                        "switch reboot window is empty: fail_at_ns {} >= reactivate_at_ns {}",
-                        r.fail_at_ns, r.reactivate_at_ns
-                    ));
-                }
-            }
+        let name = fault.kind.name();
+        if fault.start_ns >= fault.end_ns {
+            return Err(format!(
+                "{name} window is empty: start_ns {} >= end_ns {}",
+                fault.start_ns, fault.end_ns
+            ));
         }
-        Ok(())
+        fault.outage()?;
+        let (n_servers, racks) = (self.servers.len(), self.topology.racks);
+        match fault.kind {
+            FaultKind::Slowdown { factor, .. }
+                if !(factor > 0.0 && factor <= MAX_SLOWDOWN_FACTOR) =>
+            {
+                Err(format!(
+                    "slowdown factor must be > 0 and ≤ {MAX_SLOWDOWN_FACTOR:e}, got {factor}"
+                ))
+            }
+            FaultKind::Slowdown { sid, .. } | FaultKind::ServerStop { sid }
+                if usize::from(sid) >= n_servers =>
+            {
+                Err(format!(
+                    "{name} targets server {sid} but the scenario has {n_servers}"
+                ))
+            }
+            FaultKind::LinkFlap { .. } if self.links.is_none() => Err(
+                "link flap needs congestion-aware links (Scenario::links); without them \
+                 every hop is a fixed latency with no rate to collapse"
+                    .to_string(),
+            ),
+            FaultKind::Drain { .. } if racks < 2 => Err("leaf drain needs a multi-rack \
+                 topology (draining the only leaf is the Fig. 16 switch reboot)"
+                .to_string()),
+            FaultKind::LinkFlap { .. } if racks < 2 => Err("link flap needs a multi-rack \
+                 topology (stateful rack-adjacent links exist only there)"
+                .to_string()),
+            FaultKind::Drain { rack } | FaultKind::LinkFlap { rack, .. } if rack >= racks => Err(
+                format!("{name} targets rack {rack} but the topology has {racks}"),
+            ),
+            FaultKind::LinkFlap { factor, .. } if factor < 2 => Err(format!(
+                "link-flap factor must be ≥ 2 (1 is a healthy link), got {factor}"
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -738,21 +611,20 @@ mod tests {
         assert_eq!(Workload::redis(0.99).label(), "99%-GET,1%-SCAN(100)");
     }
 
-    fn stop(sid: u16, fail_at_ns: u64, removed_at_ns: u64) -> Fault {
-        Fault::ServerStop(ServerFailurePlan {
-            sid,
-            fail_at_ns,
-            removed_at_ns,
-        })
+    fn fault(start_ns: u64, end_ns: u64, kind: FaultKind) -> Fault {
+        Fault {
+            start_ns,
+            end_ns,
+            kind,
+        }
+    }
+
+    fn stop(sid: u16, start_ns: u64, end_ns: u64) -> Fault {
+        fault(start_ns, end_ns, FaultKind::ServerStop { sid })
     }
 
     fn slow(sid: u16, start_ns: u64, end_ns: u64, factor: f64) -> Fault {
-        Fault::Slowdown(SlowdownPlan {
-            sid,
-            start_ns,
-            end_ns,
-            factor,
-        })
+        fault(start_ns, end_ns, FaultKind::Slowdown { sid, factor })
     }
 
     #[test]
@@ -802,16 +674,17 @@ mod tests {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
         s.faults.faults = vec![slow(0, 2_000_000, 1_000_000, 4.0)];
         assert!(s.validate().unwrap_err().contains("empty"));
-        s.faults.faults = vec![slow(0, 1_000_000, 2_000_000, 0.0)];
-        assert!(s.validate().unwrap_err().contains("factor"));
+        // A factor past the ceiling stretched the first slowed service
+        // past the clock, and the run panicked on the overflow.
+        let past = 2.0 * MAX_SLOWDOWN_FACTOR;
+        for factor in [0.0, f64::NAN, f64::INFINITY, 1e300, past] {
+            s.faults.faults = vec![slow(0, 1_000_000, 2_000_000, factor)];
+            assert!(s.validate().unwrap_err().contains("factor"), "{factor}");
+        }
+        s.faults.faults = vec![slow(0, 1_000_000, 2_000_000, MAX_SLOWDOWN_FACTOR)];
+        assert_eq!(s.validate(), Ok(()));
         // Draining the only rack is a switch reboot.
-        let drain = |rack| {
-            Fault::Drain(DrainPlan {
-                rack,
-                drain_at_ns: 1_000_000,
-                restore_at_ns: 2_000_000,
-            })
-        };
+        let drain = |rack| fault(1_000_000, 2_000_000, FaultKind::Drain { rack });
         s.faults.faults = vec![drain(0)];
         assert!(s.validate().unwrap_err().contains("multi-rack"));
         s.topology = Topology::uniform(4);
@@ -846,12 +719,8 @@ mod tests {
     fn duplicate_drain_windows_on_one_rack_are_rejected() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
         s.topology = Topology::uniform(4);
-        let d = DrainPlan {
-            rack: 2,
-            drain_at_ns: 1_000_000,
-            restore_at_ns: 2_000_000,
-        };
-        s.faults.faults = vec![Fault::Drain(d), Fault::Drain(d)];
+        let d = fault(1_000_000, 2_000_000, FaultKind::Drain { rack: 2 });
+        s.faults.faults = vec![d, d];
         let err = s.validate().unwrap_err();
         assert!(
             err.contains("overlapping drain windows on rack 2"),
@@ -866,12 +735,7 @@ mod tests {
     fn link_flap_prerequisites_are_enforced() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
         let flap = |rack, start_ns, end_ns, factor| {
-            Fault::LinkFlap(LinkFlapPlan {
-                rack,
-                start_ns,
-                end_ns,
-                factor,
-            })
+            fault(start_ns, end_ns, FaultKind::LinkFlap { rack, factor })
         };
         s.faults.faults = vec![flap(0, 1_000_000, 2_000_000, 10)];
         assert!(s.validate().unwrap_err().contains("links"));
@@ -904,12 +768,9 @@ mod tests {
     #[test]
     fn overlapping_switch_reboots_are_rejected() {
         let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
-        let reboot = |fail_at_ns, reactivate_at_ns| {
-            Fault::Reboot(SwitchFailurePlan {
-                fail_at_ns,
-                reactivate_at_ns,
-                bringup_ns: 100_000,
-            })
+        let reboot = |start_ns, end_ns| {
+            let bringup_ns = 100_000;
+            fault(start_ns, end_ns, FaultKind::Reboot { bringup_ns })
         };
         s.faults.faults = vec![reboot(2_000_000, 1_000_000)];
         assert!(s.validate().unwrap_err().contains("empty"));
@@ -924,6 +785,19 @@ mod tests {
         // The bring-up tail counts as part of the outage window.
         s.faults.faults = vec![reboot(1_000_000, 2_000_000), reboot(2_050_000, 4_000_000)];
         assert!(s.validate().unwrap_err().contains("reboot"));
+        // A bring-up past the clock's end panicked the run (one reboot)
+        // or `validate` itself (two reboots, in the overlap check).
+        let late = Fault {
+            kind: FaultKind::Reboot {
+                bringup_ns: u64::MAX - 1_000_000,
+            },
+            ..reboot(1_000_000, 2_000_000)
+        };
+        for faults in [vec![late], vec![reboot(3_000_000, 4_000_000), late]] {
+            s.faults.faults = faults;
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("overflows the clock"), "{err}");
+        }
     }
 
     #[test]
@@ -934,9 +808,13 @@ mod tests {
         assert_eq!(s.faults.faults.len(), 4);
         assert!(s.validate().is_ok());
         match s.faults.faults[3] {
-            Fault::Drain(d) => {
-                assert_eq!(d.drain_at_ns, 16_000_000);
-                assert_eq!(d.restore_at_ns, 21_000_000);
+            Fault {
+                start_ns,
+                end_ns,
+                kind: FaultKind::Drain { .. },
+            } => {
+                assert_eq!(start_ns, 16_000_000);
+                assert_eq!(end_ns, 21_000_000);
             }
             _ => unreachable!(),
         }
@@ -1113,12 +991,11 @@ mod tests {
         assert_eq!(s.validate(), Ok(()));
         // A flap factor multiplies every wait on the flapped rack.
         let flap = |factor| {
-            Fault::LinkFlap(LinkFlapPlan {
-                rack: 3,
-                start_ns: 1_000_000,
-                end_ns: 2_000_000,
-                factor,
-            })
+            fault(
+                1_000_000,
+                2_000_000,
+                FaultKind::LinkFlap { rack: 3, factor },
+            )
         };
         s.faults.faults = vec![flap(1_000)];
         assert_eq!(s.validate(), Ok(()));

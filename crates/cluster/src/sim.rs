@@ -113,7 +113,7 @@ use std::sync::Arc;
 use crate::build::ScenarioBuilder;
 use crate::calib;
 use crate::metrics::RunResult;
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::{FaultKind, Scenario};
 use crate::shard::ShardCoordinator;
 use crate::topology::{flow_hash, Host, HostKind, Hosts, UpperTier, UpperWalk, UPLINK_PORT};
 
@@ -526,28 +526,28 @@ impl Shard {
     /// fabric-wide edges (a reboot, a server's removal from the tables).
     fn on_fault(&mut self, idx: usize, edge: Edge, now: u64) {
         let start = edge == Edge::Start;
-        match self.scenario.faults.faults[idx] {
-            Fault::Slowdown(plan) => {
+        match self.scenario.faults.faults[idx].kind {
+            FaultKind::Slowdown { sid, factor } => {
                 // Gray failure: only future service draws change; the
                 // switch keeps the server in its tables and the queue
                 // keeps filling — which is the point.
-                let factor = if start { plan.factor } else { 1.0 };
-                self.server(plan.sid.into()).set_slow_factor(factor);
+                let factor = if start { factor } else { 1.0 };
+                self.server(sid.into()).set_slow_factor(factor);
             }
-            Fault::Drain(plan) if start => self.rack(plan.rack).up = false,
-            Fault::Drain(plan) => {
+            FaultKind::Drain { rack } if start => self.rack(rack).up = false,
+            FaultKind::Drain { rack } => {
                 // Fig. 16 bring-up semantics scoped to one leaf: packets
                 // flow again, but the leaf's soft state (idle tracking,
                 // filters) restarts cold.
-                let rack = self.rack(plan.rack);
+                let rack = self.rack(rack);
                 rack.up = true;
                 rack.engine.reset_soft_state();
             }
-            Fault::LinkFlap(plan) => {
-                self.on_link_flap(plan.rack, if start { plan.factor } else { 1 });
+            FaultKind::LinkFlap { rack, factor } => {
+                self.on_link_flap(rack, if start { factor } else { 1 });
             }
-            Fault::Reboot(_) if start => self.switch_up = false,
-            Fault::Reboot(plan) if edge == Edge::End => {
+            FaultKind::Reboot { .. } if start => self.switch_up = false,
+            FaultKind::Reboot { bringup_ns } if edge == Edge::End => {
                 // Broadcast: every shard schedules its own bring-up
                 // replica with the *same* key (the control counters march
                 // in lockstep), counted once.
@@ -559,10 +559,10 @@ impl Shard {
                     idx,
                     edge: Edge::BroughtUp,
                 };
-                let at = SimTime::from_ns(now + plan.bringup_ns);
+                let at = SimTime::from_ns(now + bringup_ns);
                 self.q.schedule_keyed(at, tie, up);
             }
-            Fault::Reboot(_) => {
+            FaultKind::Reboot { .. } => {
                 // §3.6: only soft state is lost; the control plane's table
                 // entries are reinstalled during bring-up.
                 for r in self.racks.iter_mut().flatten() {
@@ -572,8 +572,8 @@ impl Shard {
             }
             // A stopped server never comes back (`validate` refuses a
             // second stop), so `is_alive` is its whole fault state.
-            Fault::ServerStop(plan) if start => self.server(plan.sid.into()).kill(),
-            Fault::ServerStop(plan) => self.on_server_remove(plan.sid),
+            FaultKind::ServerStop { sid } if start => self.server(sid.into()).kill(),
+            FaultKind::ServerStop { sid } => self.on_server_remove(sid),
         }
     }
 

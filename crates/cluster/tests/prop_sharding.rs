@@ -13,9 +13,9 @@
 //! sharding executed precisely that set.
 
 use netclone_cluster::scenario::Background;
+use netclone_cluster::scenario::MAX_SLOWDOWN_FACTOR;
 use netclone_cluster::{
-    DrainPlan, Fault, FaultTimeline, LinkFlapPlan, RetryPolicy, Scenario, Scheme,
-    ServerFailurePlan, Sim, SlowdownPlan, SwitchFailurePlan, Topology,
+    Fault, FaultKind, FaultTimeline, RetryPolicy, Scenario, Scheme, Sim, Topology,
 };
 use netclone_workloads::exp25;
 use proptest::prelude::*;
@@ -81,6 +81,58 @@ fn scenario_for(shape: &Shape, seed: u64, loss: bool) -> Scenario {
     s.seed = seed;
     s.loss = if loss { 0.01 } else { 0.0 };
     s
+}
+
+/// A time anywhere on the clock, drawn inside the 2 ms test horizon
+/// four times in six so that most windows open inside the run.
+fn any_time() -> impl Strategy<Value = u64> {
+    let horizon = || 0u64..2_000_000;
+    prop_oneof![
+        horizon(),
+        horizon(),
+        horizon(),
+        horizon(),
+        any::<u64>(),
+        (u64::MAX - 2_000_000)..=u64::MAX,
+    ]
+}
+
+/// Every [`FaultKind`] with each field over its whole range: targets
+/// past the fleet or the fabric, factors from zero and NaN to ±∞, and
+/// bring-ups up to `u64::MAX`. In-range targets are drawn three times
+/// in four.
+fn any_fault() -> impl Strategy<Value = Fault> {
+    let sid = || prop_oneof![0u16..4, 0u16..4, 0u16..4, any::<u16>()];
+    let rack = || prop_oneof![0usize..4, 0usize..4, 0usize..4, any::<usize>()];
+    let factor = prop_oneof![
+        Just(0.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1e-300),
+        Just(1e300),
+        Just(MAX_SLOWDOWN_FACTOR),
+        0.1f64..20.0,
+    ];
+    let flap = prop_oneof![2u64..64, 2u64..64, 0u64..2, any::<u64>()];
+    let bringup = prop_oneof![
+        0u64..1_000_000,
+        0u64..1_000_000,
+        any::<u64>(),
+        Just(u64::MAX)
+    ];
+    let kind = prop_oneof![
+        (sid(), factor).prop_map(|(sid, factor)| FaultKind::Slowdown { sid, factor }),
+        rack().prop_map(|rack| FaultKind::Drain { rack }),
+        (rack(), flap).prop_map(|(rack, factor)| FaultKind::LinkFlap { rack, factor }),
+        bringup.prop_map(|bringup_ns| FaultKind::Reboot { bringup_ns }),
+        sid().prop_map(|sid| FaultKind::ServerStop { sid }),
+    ];
+    (any_time(), any_time(), kind).prop_map(|(a, b, kind)| Fault {
+        start_ns: a.min(b),
+        end_ns: a.max(b),
+        kind,
+    })
 }
 
 proptest! {
@@ -172,46 +224,54 @@ proptest! {
             let mut s = scenario_for(&shape, seed, loss);
             let mut faults = Vec::new();
             if let Some((sid, start, dur, f10)) = slow {
-                faults.push(Fault::Slowdown(SlowdownPlan {
-                    sid: (sid % s.servers.len()) as u16,
+                faults.push(Fault {
                     start_ns: start,
                     end_ns: start + dur,
-                    factor: f64::from(f10) / 10.0,
-                }));
+                    kind: FaultKind::Slowdown {
+                        sid: (sid % s.servers.len()) as u16,
+                        factor: f64::from(f10) / 10.0,
+                    },
+                });
             }
             if let Some((sid, fail, detect)) = stop {
-                faults.push(Fault::ServerStop(ServerFailurePlan {
-                    sid: (sid % s.servers.len()) as u16,
-                    fail_at_ns: fail,
-                    removed_at_ns: fail + detect,
-                }));
+                faults.push(Fault {
+                    start_ns: fail,
+                    end_ns: fail + detect,
+                    kind: FaultKind::ServerStop {
+                        sid: (sid % s.servers.len()) as u16,
+                    },
+                });
             }
             // Drains and flaps need a fabric: fold the drawn rack into
             // the shape when multi-rack, skip the injection otherwise.
             if shape.racks >= 2 {
                 if let Some((rack, start, dur)) = drain {
-                    faults.push(Fault::Drain(DrainPlan {
-                        rack: rack % shape.racks,
-                        drain_at_ns: start,
-                        restore_at_ns: start + dur,
-                    }));
+                    faults.push(Fault {
+                        start_ns: start,
+                        end_ns: start + dur,
+                        kind: FaultKind::Drain {
+                            rack: rack % shape.racks,
+                        },
+                    });
                 }
                 if let Some((rack, start, dur, factor)) = flap {
                     s.links = Some(netclone_linksim::LinkSpec::flat(10.0, 150_000));
-                    faults.push(Fault::LinkFlap(LinkFlapPlan {
-                        rack: rack % shape.racks,
+                    faults.push(Fault {
                         start_ns: start,
                         end_ns: start + dur,
-                        factor,
-                    }));
+                        kind: FaultKind::LinkFlap {
+                            rack: rack % shape.racks,
+                            factor,
+                        },
+                    });
                 }
             }
             if let Some((fail, dur, bringup)) = reboot {
-                faults.push(Fault::Reboot(SwitchFailurePlan {
-                    fail_at_ns: fail,
-                    reactivate_at_ns: fail + dur,
-                    bringup_ns: bringup,
-                }));
+                faults.push(Fault {
+                    start_ns: fail,
+                    end_ns: fail + dur,
+                    kind: FaultKind::Reboot { bringup_ns: bringup },
+                });
             }
             s.faults = FaultTimeline { faults };
             if let Some((timeout, tries, budget)) = retry {
@@ -246,6 +306,41 @@ proptest! {
                 r.lifetime.lost,
                 r.client_outstanding
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any fault timeline — every kind, every field over its whole range —
+    /// is refused by `validate` or runs to the end at one shard and at
+    /// two: nothing `validate` lets through may panic the run.
+    #[test]
+    fn any_fault_timeline_is_refused_or_runs(
+        racks in 1usize..=4,
+        links in any::<bool>(),
+        faults in proptest::collection::vec(any_fault(), 1..=3),
+    ) {
+        let mut s = scenario_for(
+            &Shape {
+                racks,
+                server_racks: (0..4).map(|i| i % racks).collect(),
+                client_racks: vec![0, racks - 1],
+            },
+            7,
+            false,
+        );
+        s.links = links.then(|| netclone_linksim::LinkSpec::flat(10.0, 150_000));
+        s.faults = FaultTimeline { faults };
+        if s.validate().is_ok() {
+            for shards in [1, 2] {
+                let r = Sim::run_with_shards(s.clone(), shards);
+                prop_assert_eq!(
+                    r.lifetime.generated,
+                    r.lifetime.completed + r.lifetime.lost + r.client_outstanding
+                );
+            }
         }
     }
 }

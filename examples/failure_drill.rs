@@ -13,7 +13,7 @@
 
 use netclone::cluster::experiments::{fig16, Scale};
 use netclone::cluster::harness::RunCtx;
-use netclone::cluster::{Fault, Scenario, Scheme, ServerFailurePlan, Sim};
+use netclone::cluster::{Fault, FaultKind, Scenario, Scheme, Sim};
 use netclone::workloads::exp25;
 
 fn main() {
@@ -44,11 +44,11 @@ fn main() {
     s.offered_rps = s.capacity_rps() * 0.4;
     s.warmup_ns = 10_000_000;
     s.measure_ns = 120_000_000;
-    s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
-        sid: 3,
-        fail_at_ns: 40_000_000,
-        removed_at_ns: 60_000_000, // 20 ms detection delay
-    }));
+    s.faults.faults.push(Fault {
+        start_ns: 40_000_000,
+        end_ns: 60_000_000, // 20 ms detection delay
+        kind: FaultKind::ServerStop { sid: 3 },
+    });
     let r = Sim::run(s);
     println!(
         "server 3 died at 40ms, removed from switch tables at 60ms:\n\

@@ -12,7 +12,7 @@
 //! commit.
 
 use netclone::cluster::experiments::{adversarial, fattree, Scale};
-use netclone::cluster::{Fault, RunCtx, Scenario, Scheme, Sim, Topology};
+use netclone::cluster::{FaultKind, RunCtx, Scenario, Scheme, Sim, Topology};
 use netclone::workloads::exp25;
 
 const WARMUP_NS: u64 = 10_000_000;
@@ -52,11 +52,14 @@ fn degraded(kind: &str) -> Scenario {
     s.seed = 7;
     let (start, end) = (WARMUP_NS + MEASURE_NS / 4, WARMUP_NS + 3 * MEASURE_NS / 4);
     for fault in &mut s.faults.faults {
-        match fault {
-            Fault::Slowdown(sl) => (sl.start_ns, sl.end_ns) = (start, end),
-            Fault::Drain(d) => (d.drain_at_ns, d.restore_at_ns) = (start, end),
-            _ => unreachable!("adversarial kinds inject a slowdown or a drain"),
-        }
+        assert!(
+            matches!(
+                fault.kind,
+                FaultKind::Slowdown { .. } | FaultKind::Drain { .. }
+            ),
+            "adversarial kinds inject a slowdown or a drain"
+        );
+        (fault.start_ns, fault.end_ns) = (start, end);
     }
     s
 }

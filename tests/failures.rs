@@ -1,9 +1,7 @@
 //! Failure-handling integration tests (§3.6): server death + control-plane
 //! removal, switch power cycles, and packet loss.
 
-use netclone::cluster::{
-    DrainPlan, Fault, Scenario, Scheme, ServerFailurePlan, Sim, SlowdownPlan, SwitchFailurePlan,
-};
+use netclone::cluster::{Fault, FaultKind, Scenario, Scheme, Sim};
 use netclone::workloads::exp25;
 use netclone_cluster::Topology;
 
@@ -14,11 +12,11 @@ fn server_failure_scenario() -> Scenario {
     s.offered_rps = s.capacity_rps() * 0.3;
     s.warmup_ns = 5_000_000;
     s.measure_ns = 80_000_000;
-    s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
-        sid: 2,
-        fail_at_ns: 20_000_000,
-        removed_at_ns: 30_000_000,
-    }));
+    s.faults.faults.push(Fault {
+        start_ns: 20_000_000,
+        end_ns: 30_000_000,
+        kind: FaultKind::ServerStop { sid: 2 },
+    });
     s
 }
 
@@ -55,11 +53,11 @@ fn netclone_masks_some_failures_through_cloning() {
         s.offered_rps = s.capacity_rps() * 0.25;
         s.warmup_ns = 5_000_000;
         s.measure_ns = 60_000_000;
-        s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
-            sid: 0,
-            fail_at_ns: 20_000_000,
-            removed_at_ns: 40_000_000,
-        }));
+        s.faults.faults.push(Fault {
+            start_ns: 20_000_000,
+            end_ns: 40_000_000,
+            kind: FaultKind::ServerStop { sid: 0 },
+        });
         let r = Sim::run(s);
         *lost = r.generated - r.completed;
     }
@@ -79,11 +77,11 @@ fn plain_l3_clients_stop_addressing_a_removed_server() {
         s.offered_rps = s.capacity_rps() * 0.25;
         s.warmup_ns = 5_000_000;
         s.measure_ns = 60_000_000;
-        s.faults.faults.push(Fault::ServerStop(ServerFailurePlan {
-            sid: 0,
-            fail_at_ns: 10_000_000,
-            removed_at_ns,
-        }));
+        s.faults.faults.push(Fault {
+            start_ns: 10_000_000,
+            end_ns: removed_at_ns,
+            kind: FaultKind::ServerStop { sid: 0 },
+        });
         Sim::run(s).client_outstanding
     };
     let (early, late) = (outstanding(20_000_000), outstanding(50_000_000));
@@ -100,11 +98,13 @@ fn switch_power_cycle_loses_only_soft_state() {
     s.warmup_ns = 0;
     s.measure_ns = 100_000_000;
     s.timeseries_bucket_ns = 10_000_000;
-    s.faults.faults.push(Fault::Reboot(SwitchFailurePlan {
-        fail_at_ns: 30_000_000,
-        reactivate_at_ns: 40_000_000,
-        bringup_ns: 10_000_000,
-    }));
+    s.faults.faults.push(Fault {
+        start_ns: 30_000_000,
+        end_ns: 40_000_000,
+        kind: FaultKind::Reboot {
+            bringup_ns: 10_000_000,
+        },
+    });
     let r = Sim::run(s);
     let rates = r.throughput_series.rates_per_sec();
     // Hole during [30ms, 50ms): bucket 3 keeps only in-flight stragglers,
@@ -177,16 +177,18 @@ fn compound_failure_scenario() -> Scenario {
     s.warmup_ns = 5_000_000;
     s.measure_ns = 60_000_000;
     s.faults.faults = vec![
-        Fault::Reboot(SwitchFailurePlan {
-            fail_at_ns: 20_000_000,
-            reactivate_at_ns: 25_000_000,
-            bringup_ns: 5_000_000,
-        }),
-        Fault::Drain(DrainPlan {
-            rack: 3,
-            drain_at_ns: 40_000_000,
-            restore_at_ns: 50_000_000,
-        }),
+        Fault {
+            start_ns: 20_000_000,
+            end_ns: 25_000_000,
+            kind: FaultKind::Reboot {
+                bringup_ns: 5_000_000,
+            },
+        },
+        Fault {
+            start_ns: 40_000_000,
+            end_ns: 50_000_000,
+            kind: FaultKind::Drain { rack: 3 },
+        },
     ];
     s
 }
@@ -271,12 +273,14 @@ fn slowdown_is_gray_not_fail_stop() {
     s.warmup_ns = 5_000_000;
     s.measure_ns = 60_000_000;
     let healthy = Sim::run(s.clone());
-    s.faults.faults.push(Fault::Slowdown(SlowdownPlan {
-        sid: 0,
+    s.faults.faults.push(Fault {
         start_ns: 20_000_000,
         end_ns: 40_000_000,
-        factor: 4.0,
-    }));
+        kind: FaultKind::Slowdown {
+            sid: 0,
+            factor: 4.0,
+        },
+    });
     let slow = Sim::run(s);
     // Gray failure loses nothing: the only incompletes are the same
     // end-of-run stragglers a healthy open-loop run leaves in flight

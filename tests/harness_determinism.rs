@@ -5,9 +5,7 @@
 
 use netclone::cluster::experiments::Scale;
 use netclone::cluster::harness::{find, RunCtx};
-use netclone::cluster::{
-    Fault, Scenario, Scheme, ServerFailurePlan, Sim, SwitchFailurePlan, Topology,
-};
+use netclone::cluster::{Fault, FaultKind, Scenario, Scheme, Sim, Topology};
 use netclone::core::SwitchCounters;
 use netclone::workloads::exp25;
 
@@ -144,16 +142,18 @@ fn sharded_run_equals_serial_byte_for_byte() {
 fn sharded_run_equals_serial_under_failures() {
     let mut s = four_rack_scenario();
     s.faults.faults = vec![
-        Fault::Reboot(SwitchFailurePlan {
-            fail_at_ns: 4_000_000,
-            reactivate_at_ns: 5_000_000,
-            bringup_ns: 1_000_000,
-        }),
-        Fault::ServerStop(ServerFailurePlan {
-            sid: 1,
-            fail_at_ns: 3_000_000,
-            removed_at_ns: 3_500_000,
-        }),
+        Fault {
+            start_ns: 4_000_000,
+            end_ns: 5_000_000,
+            kind: FaultKind::Reboot {
+                bringup_ns: 1_000_000,
+            },
+        },
+        Fault {
+            start_ns: 3_000_000,
+            end_ns: 3_500_000,
+            kind: FaultKind::ServerStop { sid: 1 },
+        },
     ];
     let serial = result_bytes(&Sim::run(s.clone()));
     let sharded = result_bytes(&Sim::run_with_shards(s, 4));
