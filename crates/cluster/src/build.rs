@@ -402,16 +402,12 @@ impl ScenarioBuilder {
                 workers,
                 dispatch_ns: calib::DISPATCH_NS,
                 clone_drop_ns: calib::CLONE_DROP_NS,
-                // The service-model seam: an explicit shape override wins;
-                // otherwise the workload's own model applies.
-                shape: scenario
-                    .service_model
-                    .shape
-                    .unwrap_or(if synthetic.is_some() {
-                        ServiceShape::Exponential
-                    } else {
-                        ServiceShape::Gamma4
-                    }),
+                // The workload's own execution-time shape.
+                shape: if synthetic.is_some() {
+                    ServiceShape::Exponential
+                } else {
+                    ServiceShape::Gamma4
+                },
                 jitter: scenario.jitter,
                 cost,
                 hot_key: scenario.service_model.hot_key,

@@ -10,10 +10,10 @@
 //!   a ~100 B frame on 100 GbE with kernel bypass.
 //! * Host RX stack ≈ 1 μs before the dispatcher sees a request (VMA
 //!   userspace delivery).
-//! * Client per-packet sender/receiver CPU ≈ 350/500 ns: VMA-class packet
+//! * Client per-packet sender/receiver CPU ≈ 350/670 ns: VMA-class packet
 //!   handling plus app bookkeeping; the receiver is the pricier side
 //!   (latency recording, dedup). These give a per-client RX ceiling of
-//!   2 Mpps, which is what lets redundant responses hurt at high load
+//!   1.49 Mpps, which is what lets redundant responses hurt at high load
 //!   (Fig. 15) while leaving the baseline unconstrained (§2.2).
 //! * Dispatcher enqueue ≈ 300 ns and clone-drop ≈ 200 ns per packet
 //!   (§5.3.2's "processing cost" of dropped clones).

@@ -8,6 +8,7 @@
 use netclone_stats::{Report, Table};
 use netclone_workloads::exp25;
 
+use crate::calib;
 use crate::experiments::scale::Scale;
 use crate::harness::{Experiment, RunCtx};
 use crate::scenario::{Fault, FaultKind, Scenario};
@@ -85,7 +86,7 @@ pub fn run(ctx: &RunCtx) -> Fig16 {
         start_ns: 5 * sec,
         end_ns: 7 * sec,
         kind: FaultKind::Reboot {
-            bringup_ns: 3 * sec,
+            bringup_ns: calib::SWITCH_BRINGUP_NS / compress,
         },
     });
     let run = ctx.run_sim(s);

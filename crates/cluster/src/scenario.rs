@@ -3,7 +3,7 @@
 pub use netclone_hosts::RetryPolicy;
 use netclone_kvstore::{HotKeyCost, ServiceCostModel};
 use netclone_linksim::LinkSpec;
-use netclone_workloads::{Jitter, ServiceShape, SyntheticWorkload};
+use netclone_workloads::{Jitter, SyntheticWorkload};
 
 use crate::calib;
 use crate::scheme::Scheme;
@@ -241,11 +241,6 @@ impl FaultTimeline {
 /// seed-pinned.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceModel {
-    /// Override the per-server execution-time shape (e.g.
-    /// [`ServiceShape::Gamma4`] for a synthetic workload, or
-    /// [`ServiceShape::Deterministic`] to expose the class distribution
-    /// directly).
-    pub shape: Option<ServiceShape>,
     /// Cache-aware hot/cold cost split for KV workloads: keys in the hot
     /// set are cheap hits, the Zipf tail pays the expensive miss path.
     /// Replaces the workload's flat [`ServiceCostModel`] at the servers.

@@ -385,9 +385,8 @@ impl ClientCore {
         self
     }
 
-    /// Starts sequence numbers at `base` instead of 0 — restarted worker
-    /// incarnations partition the sequence space so a resurrected worker
-    /// can never complete (or double count) its predecessor's requests.
+    /// Starts sequence numbers at `base` instead of 0, e.g. just below
+    /// `u32::MAX` to exercise the sequence wrap.
     pub fn with_seq_base(mut self, base: u32) -> Self {
         self.next_seq = base;
         self

@@ -284,7 +284,7 @@ fn arb_tick_step() -> impl Strategy<Value = TickStep> {
 }
 
 /// Where a core's sequence numbers start: at zero, just below the `u32`
-/// wrap, or at a restarted worker incarnation's `k << 24` partition.
+/// wrap, or at a high-byte offset `k << 24`.
 fn arb_seq_base() -> impl Strategy<Value = u32> {
     prop_oneof![
         Just(0u32),

@@ -33,6 +33,11 @@
 //! the KV store a [`WorkExecutor::Kv`] shares between server workers.
 //! Every thread stops on an explicit shutdown flag and is joined on drop.
 //!
+//! Client and server workers keep one crash rule, `supervise`: a
+//! worker's state — its core, fault shim, RNG, clocks and batches — lives
+//! outside the loop a panic unwinds, and the loop is re-entered with it,
+//! so a crash loses only the datagrams in flight and no counter.
+//!
 //! Every datagram uses one encoding, [`codec`]: a 10-byte virtual-L3
 //! preheader followed by the NetClone header and op of
 //! [`netclone-proto::wire`], encoded into caller-owned buffers and decoded
@@ -61,3 +66,30 @@ pub use shim::{FaultAction, FaultDirection, FaultPlan, FaultShim, FaultWindow};
 pub use switch::{SoftSwitch, SwitchHandle};
 pub use testbed::Testbed;
 pub use work::WorkExecutor;
+
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Runs a worker loop until it returns, re-entering it after every panic.
+/// Each panic bumps `restarts`; the loop's value comes back with the last
+/// panic's message.
+pub(crate) fn supervise<T>(
+    restarts: &AtomicU32,
+    mut worker_loop: impl FnMut() -> T,
+) -> (T, Option<String>) {
+    let mut last_panic = None;
+    loop {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut worker_loop)) {
+            Ok(value) => return (value, last_panic),
+            Err(panic) => {
+                restarts.fetch_add(1, Ordering::SeqCst);
+                last_panic = Some(
+                    panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic".into()),
+                );
+            }
+        }
+    }
+}

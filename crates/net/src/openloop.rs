@@ -3,24 +3,24 @@
 //! distributed"), sharded across worker threads.
 //!
 //! Each worker owns its **own** [`ClientCore`] — the core is sans-io and
-//! owns its seq space, so giving every worker a disjoint `cid` partition
-//! and a per-worker RNG stream derived from the seed removes the global
-//! `Mutex<ClientCore>` the first version of this module serialized every
-//! request through. A worker is one thread running both roles: it paces
-//! exponential-gap sends (batched through [`SendBatch`], `sendmmsg` on
-//! Linux) and busy-polls its own socket for responses (batched through
-//! [`RecvBatch`], borrowed decode), so the per-packet path takes no lock,
-//! performs no allocation, and issues a fraction of a syscall per packet.
+//! owns its seq space — with a disjoint `cid` partition and a per-worker
+//! RNG stream derived from the seed, so workers share no lock. A worker
+//! is one thread running both roles: it paces exponential-gap sends
+//! (batched through [`SendBatch`], `sendmmsg` on Linux) and busy-polls
+//! its own socket for responses (batched through [`RecvBatch`], borrowed
+//! decode), so the per-packet path takes no lock, performs no
+//! allocation, and issues a fraction of a syscall per packet.
 //! All accounting — completed, redundant, clone-win, lost — is still the
 //! core's, identical to the DES client and to [`crate::UdpClient`]; the
 //! run merges per-worker [`ClientStats`] and latency histograms into one
 //! [`OpenLoopReport`] that keeps the per-worker breakdown.
 //!
-//! Worker 0 uses the spec seed verbatim, so a `workers: 1` run generates
-//! the exact request stream (addressing, GRP/IDX draws, seq numbers) the
-//! pre-sharding client generated for the same seed.
+//! Workers run under `supervise`: a panic re-enters the loop with the
+//! worker's core, shim, RNG, pacing clock and batches, so the report
+//! counts every request a crashed worker generated.
 
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
 use netclone_hostcore::{ClientCore, ClientMode, ClientStats, RetryPolicy};
@@ -32,7 +32,8 @@ use rand::SeedableRng;
 
 use crate::batch::{RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
-use crate::shim::{FaultAction, FaultPlan, FaultShim};
+use crate::shim::{FaultDirection, FaultPlan, FaultShim};
+use crate::supervise;
 
 /// Parameters of one open-loop run.
 #[derive(Clone, Debug)]
@@ -69,8 +70,8 @@ pub struct OpenLoopSpec {
     /// untouched.
     pub faults: Option<FaultPlan>,
     /// Test/CI knob: worker `w` panics once its elapsed time passes the
-    /// given mark — first incarnation only, so the supervised restart
-    /// finishes the run. `None` in every production use.
+    /// given mark — once, so the supervised restart finishes the run.
+    /// `None` in every production use.
     pub crash_worker: Option<(usize, Duration)>,
 }
 
@@ -79,9 +80,8 @@ pub struct OpenLoopSpec {
 pub struct WorkerReport {
     /// The worker's client identity (`base_cid + worker index`).
     pub cid: u16,
-    /// The worker's core counters, merged across incarnations (a crashed
-    /// incarnation's counters are lost with its core; the report says so
-    /// via [`Self::error`]).
+    /// The worker's core counters (a restart keeps the core, so a crash
+    /// loses none).
     pub stats: ClientStats,
     /// Latency histogram (ns) of the worker's completed requests.
     pub latencies: LatencyHistogram,
@@ -96,23 +96,10 @@ pub struct WorkerReport {
 /// breakdown they were folded from.
 #[derive(Debug)]
 pub struct OpenLoopReport {
-    /// Requests sent.
-    pub sent: u64,
-    /// First responses received.
-    pub completed: u64,
-    /// Redundant/late responses received.
-    pub redundant: u64,
-    /// Completed requests won by the switch-generated clone (`CLO=2`).
-    pub clone_wins: u64,
-    /// Requests that never saw a response: evicted after
-    /// `request_timeout`, or still outstanding when the run ended.
-    pub lost: u64,
-    /// Retransmissions issued by the [`RetryPolicy`] recovery path.
-    pub retried: u64,
-    /// Completions that needed at least one retransmission.
-    pub retry_wins: u64,
-    /// Evictions forced by an exhausted per-worker retry budget.
-    pub budget_exhausted: u64,
+    /// Every worker's core counters, merged: `generated` requests sent,
+    /// `completed + lost` of them resolved (`lost`: evicted after
+    /// `request_timeout`, or still outstanding when the run ended).
+    pub stats: ClientStats,
     /// Worker restarts across the run (0 in a healthy run).
     pub restarts: u32,
     /// Latency histogram (ns) of completed requests, all workers merged.
@@ -124,19 +111,10 @@ pub struct OpenLoopReport {
 impl OpenLoopReport {
     /// Completion fraction.
     pub fn completion_rate(&self) -> f64 {
-        if self.sent == 0 {
+        if self.stats.generated == 0 {
             0.0
         } else {
-            self.completed as f64 / self.sent as f64
-        }
-    }
-
-    /// Fraction of completions won by the clone copy.
-    pub fn clone_win_ratio(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.clone_wins as f64 / self.completed as f64
+            self.stats.completed as f64 / self.stats.generated as f64
         }
     }
 
@@ -150,27 +128,19 @@ impl OpenLoopReport {
     }
 
     fn merge(per_worker: Vec<WorkerReport>) -> OpenLoopReport {
-        let mut stats = ClientStats::default();
-        let mut latencies = LatencyHistogram::new();
-        let mut restarts = 0u32;
+        let mut report = OpenLoopReport {
+            stats: ClientStats::default(),
+            restarts: 0,
+            latencies: LatencyHistogram::new(),
+            per_worker: Vec::new(),
+        };
         for w in &per_worker {
-            stats.merge(&w.stats);
-            latencies.merge(&w.latencies);
-            restarts += w.restarts;
+            report.stats.merge(&w.stats);
+            report.latencies.merge(&w.latencies);
+            report.restarts += w.restarts;
         }
-        OpenLoopReport {
-            sent: stats.generated,
-            completed: stats.completed,
-            redundant: stats.redundant,
-            clone_wins: stats.clone_wins,
-            lost: stats.lost,
-            retried: stats.retried,
-            retry_wins: stats.retry_wins,
-            budget_exhausted: stats.budget_exhausted,
-            restarts,
-            latencies,
-            per_worker,
-        }
+        report.per_worker = per_worker;
+        report
     }
 }
 
@@ -261,8 +231,11 @@ impl OpenLoopClient {
                 ),
             ));
         }
+        for ep in &self.endpoints {
+            ep.socket.connect(self.switch_addr)?;
+            ep.socket.set_nonblocking(true)?;
+        }
         let epoch = Instant::now();
-        let switch_addr = self.switch_addr;
         let mut endpoints = self.endpoints;
         let rest = endpoints.split_off(1);
         let ep0 = endpoints.pop().expect("bind_workers guarantees >= 1");
@@ -270,39 +243,27 @@ impl OpenLoopClient {
         let mut threads = Vec::with_capacity(rest.len());
         for (i, ep) in rest.into_iter().enumerate() {
             let spec = spec.clone();
-            let windex = i + 1;
-            let cid = ep.cid;
-            threads.push((
-                cid,
+            threads.push(
                 std::thread::Builder::new()
-                    .name(format!("openloop{cid}"))
-                    .spawn(move || supervised_worker(ep, switch_addr, &spec, windex, epoch))?,
-            ));
+                    .name(format!("openloop{}", ep.cid))
+                    .spawn(move || run_worker(&ep, &spec, i + 1, epoch))?,
+            );
         }
-        let first = supervised_worker(ep0, switch_addr, &spec, 0, epoch);
-
-        // Every worker's report is collected even when some failed: a
-        // panic is caught by the worker's own supervisor, and should the
-        // supervisor itself die the join failure becomes a structured
-        // per-worker error instead of wedging the run.
         let mut reports = Vec::with_capacity(spec.workers);
-        reports.push(first);
-        for (cid, t) in threads {
-            reports.push(t.join().unwrap_or_else(|_| WorkerReport {
-                cid,
-                stats: ClientStats::default(),
-                latencies: LatencyHistogram::new(),
-                restarts: 0,
-                error: Some("worker supervisor panicked; stats lost".into()),
-            }));
+        reports.push(run_worker(&ep0, &spec, 0, epoch));
+        for t in threads {
+            // A worker's panics are caught inside `run_worker`; one that
+            // escapes it is a bug, and it propagates.
+            reports.push(t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
         Ok(OpenLoopReport::merge(reports))
     }
 }
 
-/// Worker 0 inherits the spec seed verbatim (pre-sharding bit-parity);
-/// the rest get decorrelated streams via a splitmix64 step.
-fn worker_seed(seed: u64, windex: usize) -> u64 {
+/// Worker 0 inherits the spec seed verbatim; the rest get decorrelated
+/// streams via a splitmix64 step. [`FaultShim::for_worker`] derives its
+/// per-worker streams the same way.
+pub(crate) fn worker_seed(seed: u64, windex: usize) -> u64 {
     if windex == 0 {
         seed
     } else {
@@ -310,100 +271,18 @@ fn worker_seed(seed: u64, windex: usize) -> u64 {
     }
 }
 
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Runs one worker under supervision: a panicking incarnation is caught,
-/// reported, and replaced by a fresh one (new core, disjoint seq space,
-/// decorrelated RNG stream) until the run window ends. The crashed
-/// incarnation's core — and therefore its counters — dies with it; the
-/// report carries the loss as a structured error instead of wedging the
-/// join.
-fn supervised_worker(
-    ep: Endpoint,
-    switch_addr: SocketAddr,
-    spec: &OpenLoopSpec,
-    windex: usize,
-    epoch: Instant,
-) -> WorkerReport {
-    /// Give up replacing a worker that keeps dying — a crash loop is a
-    /// bug to report, not to retry forever.
-    const MAX_RESTARTS: u32 = 4;
-
-    let mut restarts = 0u32;
-    let mut error: Option<String> = None;
-    let mut stats = ClientStats::default();
-    let mut latencies = LatencyHistogram::new();
-    loop {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(&ep, switch_addr, spec, windex, epoch, restarts)
-        }));
-        match attempt {
-            Ok(Ok((s, l))) => {
-                stats.merge(&s);
-                latencies.merge(&l);
-                break;
-            }
-            Ok(Err(e)) => {
-                error = Some(format!("worker {windex} I/O error: {e}"));
-                break;
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic".into());
-                restarts += 1;
-                error = Some(format!(
-                    "worker {windex} crashed ({msg}); restarted (incarnation {restarts})"
-                ));
-                if restarts > MAX_RESTARTS || epoch.elapsed() >= spec.duration + spec.drain {
-                    break;
-                }
-            }
-        }
-    }
-    WorkerReport {
-        cid: ep.cid,
-        stats,
-        latencies,
-        restarts,
-        error,
-    }
-}
-
-/// One worker incarnation: paced batched sends interleaved with
-/// non-blocking batched receives on a single thread, no shared state.
-/// Incarnation `i > 0` (a post-crash replacement) claims a disjoint seq
-/// space and a decorrelated RNG stream, so stale responses to the dead
-/// incarnation's requests can never complete the new one's.
-fn worker_loop(
-    ep: &Endpoint,
-    switch_addr: SocketAddr,
-    spec: &OpenLoopSpec,
-    windex: usize,
-    epoch: Instant,
-    incarnation: u32,
-) -> std::io::Result<(ClientStats, LatencyHistogram)> {
-    /// How often the timeout sweep (`on_tick`) runs. Sweeping on every
-    /// packet would make the receive path O(outstanding) under load; a
-    /// fixed cadence keeps the map bounded at O(rate × timeout) entries
-    /// while amortising the scan.
-    const SWEEP_EVERY: Duration = Duration::from_millis(20);
-    /// Spin this many empty iterations before starting to yield: on a
-    /// loaded box the next packet is usually microseconds away.
-    const SPIN_BEFORE_YIELD: u32 = 64;
-
-    let seed = if incarnation == 0 {
-        worker_seed(spec.seed, windex)
-    } else {
-        splitmix64(worker_seed(spec.seed, windex) ^ incarnation as u64)
-    };
+/// Runs one worker under `supervise` and reports what its core counted,
+/// a crash included. Whatever is still unanswered when the run ends will
+/// never be: the eviction sweep plus the final drain report it as lost.
+fn run_worker(ep: &Endpoint, spec: &OpenLoopSpec, windex: usize, epoch: Instant) -> WorkerReport {
+    let seed = worker_seed(spec.seed, windex);
     let core = ClientCore::new(
         ep.cid,
         ClientMode::NetClone {
@@ -412,211 +291,233 @@ fn worker_loop(
         },
         seed,
     );
-    let mut core = match spec.retry {
-        Some(policy) => core.with_retry(policy),
-        None => core.with_timeout(spec.request_timeout.as_nanos() as u64),
-    }
-    // 2^24 seqs per incarnation: far beyond any run, and stale responses
-    // addressed to a crashed incarnation land outside the live map.
-    .with_seq_base(incarnation << 24);
-    let mut shim = spec
-        .faults
-        .as_ref()
-        .filter(|p| !p.is_empty())
-        .map(|p| FaultShim::for_worker(p, windex));
-    ep.socket.connect(switch_addr)?;
-    ep.socket.set_nonblocking(true)?;
-
-    let arrivals = PoissonArrivals::new(spec.rate_rps / spec.workers as f64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut send = SendBatch::new();
-    let mut recv = RecvBatch::new();
-    let gen_end = spec.duration;
-    let end = spec.duration + spec.drain;
-    // The epoch is shared across incarnations: a replacement spawned at
-    // elapsed time T must resume pacing from T, or `now >= next_at` holds
-    // for the whole elapsed window and the restart emits a catch-up burst
-    // of ~rate*T packets. Incarnation 0 starts at ZERO (the schedule's
-    // origin), preserving the pre-sharding pacing exactly.
-    let start = if incarnation == 0 {
-        Duration::ZERO
-    } else {
-        epoch.elapsed()
+    let mut worker = Worker {
+        sock: &ep.socket,
+        spec,
+        epoch,
+        core: match spec.retry {
+            Some(policy) => core.with_retry(policy),
+            None => core.with_timeout(spec.request_timeout.as_nanos() as u64),
+        },
+        shim: spec
+            .faults
+            .as_ref()
+            .filter(|p| !p.is_empty())
+            .map(|p| FaultShim::for_worker(p, windex)),
+        arrivals: PoissonArrivals::new(spec.rate_rps / spec.workers as f64),
+        rng: StdRng::seed_from_u64(seed),
+        send: SendBatch::new(),
+        recv: RecvBatch::new(),
+        next_at: Duration::ZERO,
+        last_sweep: Duration::ZERO,
+        crash_at: spec
+            .crash_worker
+            .filter(|&(w, _)| w == windex)
+            .map(|(_, at)| at),
     };
-    let mut next_at = start;
-    let mut last_sweep = start;
-    let mut idle = 0u32;
+    let restarts = AtomicU32::new(0);
+    let (result, panic) = supervise(&restarts, || worker.run());
+    worker.core.drain_outstanding();
+    let error = match (result, panic) {
+        (Err(e), _) => Some(format!("worker {windex} I/O error: {e}")),
+        (Ok(()), Some(msg)) => Some(format!("worker {windex} crashed ({msg}); restarted")),
+        (Ok(()), None) => None,
+    };
+    WorkerReport {
+        cid: ep.cid,
+        stats: worker.core.stats(),
+        latencies: worker.core.latencies().clone(),
+        restarts: restarts.into_inner(),
+        error,
+    }
+}
 
-    loop {
-        let now = epoch.elapsed();
-        if now >= end {
-            break;
-        }
-        // The injected crash point (CI smoke for the supervisor): first
-        // incarnation only, so the restarted worker finishes the run.
-        if incarnation == 0 {
-            if let Some((w, at)) = spec.crash_worker {
-                if w == windex && now >= at {
-                    panic!("injected worker crash");
-                }
-            }
-        }
-        let mut progressed = false;
+/// One worker's state: paced batched sends interleaved with non-blocking
+/// batched receives on a single thread, no shared state. It lives outside
+/// the loop a panic unwinds, so a restarted loop resumes with the same
+/// core, shim, RNG, pacing clock and batches.
+struct Worker<'a> {
+    sock: &'a UdpSocket,
+    spec: &'a OpenLoopSpec,
+    epoch: Instant,
+    core: ClientCore,
+    shim: Option<FaultShim>,
+    arrivals: PoissonArrivals,
+    rng: StdRng,
+    send: SendBatch,
+    recv: RecvBatch,
+    /// When the next request is due, on the epoch's clock.
+    next_at: Duration,
+    last_sweep: Duration,
+    /// The injected crash point; cleared as it fires, so it fires once.
+    crash_at: Option<Duration>,
+}
 
-        // Send side: batch up everything due, then flush in one syscall.
-        if now < gen_end && now >= next_at {
-            while !send.is_full() {
-                let t = epoch.elapsed();
-                if t < next_at || t >= gen_end {
-                    break;
-                }
-                core.generate(spec.op, t.as_nanos() as u64);
-                let meta = core.poll().expect("NetClone mode emits one packet");
-                encode_packet_into(&meta, &spec.op, &[], send.slot());
-                commit_through_shim(&mut send, &mut shim, t, &ep.socket)?;
-                next_at += Duration::from_nanos(arrivals.next_gap_ns(&mut rng));
-            }
-            send.flush(&ep.socket)?;
-            progressed = true;
-        }
+impl Worker<'_> {
+    fn run(&mut self) -> std::io::Result<()> {
+        /// How often the timeout sweep (`on_tick`) runs. Sweeping on every
+        /// packet would make the receive path O(outstanding) under load; a
+        /// fixed cadence keeps the map bounded at O(rate × timeout) entries
+        /// while amortising the scan.
+        const SWEEP_EVERY: Duration = Duration::from_millis(20);
+        /// Spin this many empty iterations before starting to yield: on a
+        /// loaded box the next packet is usually microseconds away.
+        const SPIN_BEFORE_YIELD: u32 = 64;
 
-        // Delayed datagrams whose hold expired: outbound ones go to the
-        // socket, inbound ones to the decoder.
-        if let Some(s) = shim.as_mut() {
-            let mut released = false;
-            while let Some(p) = s.due_tx(now) {
-                send.slot().clear();
-                send.slot().extend_from_slice(&p);
-                send.commit();
-                if send.is_full() {
-                    send.flush(&ep.socket)?;
-                }
-                released = true;
+        let op = self.spec.op;
+        let gen_end = self.spec.duration;
+        let end = self.spec.duration + self.spec.drain;
+        let mut idle = 0u32;
+
+        loop {
+            let now = self.epoch.elapsed();
+            if now >= end {
+                return Ok(());
             }
-            if released {
-                send.flush(&ep.socket)?;
+            if self.crash_at.is_some_and(|at| now >= at) {
+                self.crash_at = None;
+                panic!("injected worker crash");
+            }
+            let mut progressed = false;
+
+            // Send side: batch up everything due, then flush in one syscall.
+            if now < gen_end && now >= self.next_at {
+                while !self.send.is_full() {
+                    let t = self.epoch.elapsed();
+                    if t < self.next_at || t >= gen_end {
+                        break;
+                    }
+                    self.core.generate(op, t.as_nanos() as u64);
+                    let meta = self.core.poll().expect("NetClone mode emits one packet");
+                    encode_packet_into(&meta, &op, &[], self.send.slot());
+                    commit_through_shim(&mut self.send, &mut self.shim, t, self.sock)?;
+                    self.next_at += Duration::from_nanos(self.arrivals.next_gap_ns(&mut self.rng));
+                }
+                self.send.flush(self.sock)?;
                 progressed = true;
             }
-            while let Some(p) = s.due_rx(now) {
-                if let Ok((meta, _op, _value)) = decode_packet_borrowed(&p) {
-                    core.on_packet(&meta.nc, now.as_nanos() as u64);
+
+            // Parked datagrams whose hold expired: outbound ones go to the
+            // socket, inbound ones to the core.
+            if let Some(shim) = self.shim.as_mut() {
+                while let Some((dir, p)) = shim.due(now) {
+                    if dir == FaultDirection::Tx {
+                        self.send.slot().clone_from(&p);
+                        commit(&mut self.send, self.sock)?;
+                    } else {
+                        deliver(&mut self.core, &p, now.as_nanos() as u64);
+                    }
+                    progressed = true;
+                }
+                self.send.flush(self.sock)?;
+            }
+
+            // Receive side: drain whatever is queued, decode borrowed.
+            if self.recv.recv_nonblocking(self.sock)? > 0 {
+                let now = self.epoch.elapsed();
+                for dg in self.recv.iter() {
+                    let copies = self
+                        .shim
+                        .as_mut()
+                        .map_or(1, |s| s.pass(FaultDirection::Rx, now, dg).copies());
+                    for _ in 0..copies {
+                        deliver(&mut self.core, dg, now.as_nanos() as u64);
+                    }
                 }
                 progressed = true;
             }
-        }
 
-        // Receive side: drain whatever is queued, decode borrowed.
-        let got = recv.recv_nonblocking(&ep.socket)?;
-        if got > 0 {
-            let nowd = epoch.elapsed();
-            let now_ns = nowd.as_nanos() as u64;
-            for dg in recv.iter() {
-                let action = shim
-                    .as_mut()
-                    .map_or(FaultAction::Deliver, |s| s.on_rx(nowd, dg));
-                match action {
-                    FaultAction::Drop | FaultAction::Delay => continue,
-                    FaultAction::Deliver | FaultAction::Duplicate => {
-                        if let Ok((meta, _op, _value)) = decode_packet_borrowed(dg) {
-                            core.on_packet(&meta.nc, now_ns);
-                            if action == FaultAction::Duplicate {
-                                core.on_packet(&meta.nc, now_ns);
-                            }
-                        }
+            let now = self.epoch.elapsed();
+            if now.saturating_sub(self.last_sweep) >= SWEEP_EVERY {
+                self.last_sweep = now;
+                self.core.on_tick(now.as_nanos() as u64);
+                // The sweep may have scheduled retransmissions (when the
+                // core runs a retry policy): drain them through the same
+                // batched, shimmed send path as first transmissions.
+                let mut retried = false;
+                while let Some(meta) = self.core.poll() {
+                    let op = self
+                        .core
+                        .pending_op(meta.nc.client_seq)
+                        .expect("a retransmitted request is still outstanding");
+                    encode_packet_into(&meta, &op, &[], self.send.slot());
+                    commit_through_shim(&mut self.send, &mut self.shim, now, self.sock)?;
+                    retried = true;
+                }
+                if retried {
+                    self.send.flush(self.sock)?;
+                }
+            }
+
+            // Once generation is over, leave as soon as nothing can complete.
+            if now >= gen_end && self.core.outstanding() == 0 {
+                return Ok(());
+            }
+
+            // Idle policy: spin briefly (the common sub-µs case), then yield
+            // so sibling threads run on small boxes, then sleep in short
+            // bounded steps when the next send is comfortably far away.
+            if progressed {
+                idle = 0;
+            } else {
+                idle += 1;
+                if idle <= SPIN_BEFORE_YIELD {
+                    std::hint::spin_loop();
+                } else {
+                    let next_evt = if now < gen_end {
+                        self.next_at.min(end)
+                    } else {
+                        end
+                    };
+                    if next_evt > now + Duration::from_millis(1) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    } else {
+                        std::thread::yield_now();
                     }
                 }
             }
-            progressed = true;
-        }
-
-        let now = epoch.elapsed();
-        if now.saturating_sub(last_sweep) >= SWEEP_EVERY {
-            last_sweep = now;
-            core.on_tick(now.as_nanos() as u64);
-            // The sweep may have scheduled retransmissions (when the core
-            // runs a retry policy): drain them through the same batched,
-            // shimmed send path as first transmissions.
-            let mut retried = false;
-            while let Some(meta) = core.poll() {
-                let op = core
-                    .pending_op(meta.nc.client_seq)
-                    .expect("a retransmitted request is still outstanding");
-                encode_packet_into(&meta, &op, &[], send.slot());
-                commit_through_shim(&mut send, &mut shim, now, &ep.socket)?;
-                retried = true;
-            }
-            if retried {
-                send.flush(&ep.socket)?;
-            }
-        }
-
-        // Once generation is over, leave as soon as nothing can complete.
-        if now >= gen_end && core.outstanding() == 0 {
-            break;
-        }
-
-        // Idle policy: spin briefly (the common sub-µs case), then yield
-        // so sibling threads run on small boxes, then sleep in short
-        // bounded steps when the next send is comfortably far away.
-        if progressed {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle <= SPIN_BEFORE_YIELD {
-                std::hint::spin_loop();
-            } else {
-                let next_evt = if now < gen_end { next_at.min(end) } else { end };
-                if next_evt > now + Duration::from_millis(1) {
-                    std::thread::sleep(Duration::from_micros(200));
-                } else {
-                    std::thread::yield_now();
-                }
-            }
         }
     }
-
-    // Whatever is still unanswered when the run ends will never be: the
-    // eviction sweep plus this final drain report it as lost.
-    core.drain_outstanding();
-    Ok((core.stats(), core.latencies().clone()))
 }
 
-/// Commits the encoded datagram sitting in `send.slot()` subject to the
-/// shim's verdict: deliver commits once, duplicate twice, drop and delay
-/// skip the commit (the shim keeps the delayed copy). Every commit that
-/// fills the batch flushes it, so callers may drain an unbounded stream
-/// (e.g. a retransmission sweep after a stall) through this path without
-/// ever handing `SendBatch::slot` a full batch.
+/// Hands one response datagram to the core.
+fn deliver(core: &mut ClientCore, dg: &[u8], now_ns: u64) {
+    if let Ok((meta, _op, _value)) = decode_packet_borrowed(dg) {
+        core.on_packet(&meta.nc, now_ns);
+    }
+}
+
+/// Commits the encoded datagram sitting in `send.slot()` as many times as
+/// the shim lets it through now (a duplicate is a second slot holding the
+/// same bytes). Every commit that fills the batch flushes it, so callers
+/// may drain an unbounded stream (e.g. a retransmission sweep after a
+/// stall) through this path without ever handing `SendBatch::slot` a full
+/// batch.
 fn commit_through_shim(
     send: &mut SendBatch,
     shim: &mut Option<FaultShim>,
     now: Duration,
     sock: &UdpSocket,
 ) -> std::io::Result<()> {
-    let action = shim
+    let copies = shim
         .as_mut()
-        .map_or(FaultAction::Deliver, |s| s.on_tx(now, send.slot()));
-    match action {
-        FaultAction::Drop | FaultAction::Delay => {}
-        FaultAction::Deliver => {
-            send.commit();
-            if send.is_full() {
-                send.flush(sock)?;
-            }
-        }
-        FaultAction::Duplicate => {
-            let dup = send.slot().clone();
-            send.commit();
-            if send.is_full() {
-                send.flush(sock)?;
-            }
-            send.slot().clear();
-            send.slot().extend_from_slice(&dup);
-            send.commit();
-            if send.is_full() {
-                send.flush(sock)?;
-            }
-        }
+        .map_or(1, |s| s.pass(FaultDirection::Tx, now, send.slot()).copies());
+    let dup = (copies > 1).then(|| send.slot().clone());
+    if copies > 0 {
+        commit(send, sock)?;
+    }
+    if let Some(dg) = dup {
+        send.slot().clone_from(&dg);
+        commit(send, sock)?;
+    }
+    Ok(())
+}
+
+/// Stages the slot for the connected peer, flushing a full batch.
+fn commit(send: &mut SendBatch, sock: &UdpSocket) -> std::io::Result<()> {
+    send.commit();
+    if send.is_full() {
+        send.flush(sock)?;
     }
     Ok(())
 }

@@ -14,12 +14,11 @@
 //! A core is single-owner (`!Sync`): the worker thread drives it and,
 //! after every admission drop or response, publishes its [`ServerStats`]
 //! to a per-worker block of atomics that the handle reads. Workers run
-//! **supervised**: a panicking worker is caught, counted
-//! ([`ServerHandle::restarts`]), and its loop re-entered with the same
-//! core, which lives outside the caught closure, so no counters are lost
-//! across a crash. An optional [`FaultShim`] per worker perturbs datagrams
-//! between codec and socket in both directions, deterministically from a
-//! seed.
+//! under `supervise`: a panic is counted ([`ServerHandle::restarts`])
+//! and the loop re-entered with the same core, shim and buffers, so no
+//! counter is lost across a crash. An optional [`FaultShim`] per worker
+//! perturbs datagrams between codec and socket in both directions,
+//! deterministically from a seed.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -32,7 +31,8 @@ use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
 use crate::batch::{RecvBatch, MAX_DATAGRAM};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
-use crate::shim::{FaultAction, FaultPlan, FaultShim};
+use crate::shim::{FaultDirection, FaultPlan, FaultShim};
+use crate::supervise;
 use crate::work::WorkExecutor;
 
 /// Configuration of a real-socket server.
@@ -153,16 +153,26 @@ impl ServerHandle {
                 std::thread::Builder::new()
                     .name(format!("server{}-worker{}", cfg.sid, w))
                     .spawn(move || {
-                        supervise_worker(
-                            sock,
-                            cfg,
-                            &published[w],
-                            w,
+                        let out = Vec::with_capacity(MAX_DATAGRAM);
+                        let mut worker = Worker {
+                            sock: &sock,
+                            cfg: &cfg,
+                            windex: w,
                             epoch,
-                            stop,
-                            restarts,
-                            crashed,
-                        )
+                            stop: &stop,
+                            crashed: &crashed,
+                            core: ServerCore::new(cfg.sid),
+                            published: &published[w],
+                            shim: cfg
+                                .faults
+                                .as_ref()
+                                .filter(|p| !p.is_empty())
+                                .map(|p| FaultShim::for_worker(p, w)),
+                            out_cap: out.capacity(),
+                            out,
+                        };
+                        let mut recv = RecvBatch::new();
+                        supervise(&restarts, || worker.run(&mut recv));
                     })?,
             );
         }
@@ -223,192 +233,106 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Runs one worker's loop, re-entering it after a panic until told to
-/// stop. The worker's core lives here, outside the caught closure, so a
-/// crash loses no counters — only the in-flight batch.
-#[allow(clippy::too_many_arguments)]
-fn supervise_worker(
-    sock: UdpSocket,
-    cfg: UdpServerConfig,
-    published: &PublishedStats,
+/// One worker's state. It lives outside the loop a panic unwinds, so a
+/// restarted loop keeps the core's counters, the shim's stream and parked
+/// datagrams, and the response buffer: a crash loses only the batch in
+/// flight.
+struct Worker<'a> {
+    sock: &'a UdpSocket,
+    cfg: &'a UdpServerConfig,
     windex: usize,
     epoch: Instant,
-    stop: Arc<AtomicBool>,
-    restarts: Arc<AtomicU32>,
-    crashed: Arc<AtomicBool>,
-) {
-    let core = ServerCore::new(cfg.sid);
-    let worker = Worker {
-        core: &core,
-        published,
-    };
-    while !stop.load(Ordering::SeqCst) {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(&sock, &cfg, worker, windex, epoch, &stop, &crashed)
-        }));
-        match attempt {
-            Ok(()) => break,
-            Err(_) => {
-                restarts.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-/// A worker's core and the block it publishes the core's counters to.
-#[derive(Clone, Copy)]
-struct Worker<'a> {
-    core: &'a ServerCore,
+    stop: &'a AtomicBool,
+    /// Latched by the injected crash, so it fires once per server.
+    crashed: &'a AtomicBool,
+    core: ServerCore,
     published: &'a PublishedStats,
+    shim: Option<FaultShim>,
+    /// One reusable response buffer: the per-packet path allocates nothing
+    /// (the synthetic executor returns no value bytes; KV values are the
+    /// store's to own). Growth past the prealloc is a counted event.
+    out: Vec<u8>,
+    out_cap: usize,
 }
 
 impl Worker<'_> {
-    fn publish(self) {
-        self.published.publish(self.core.stats());
-    }
-}
-
-fn worker_loop(
-    sock: &UdpSocket,
-    cfg: &UdpServerConfig,
-    worker: Worker<'_>,
-    windex: usize,
-    epoch: Instant,
-    stop: &AtomicBool,
-    crashed: &AtomicBool,
-) {
-    let mut recv = RecvBatch::new();
-    let mut shim = cfg
-        .faults
-        .as_ref()
-        .filter(|p| !p.is_empty())
-        .map(|p| FaultShim::for_worker(p, windex));
-    // One reusable response buffer: the per-packet path allocates nothing
-    // (the synthetic executor returns no value bytes; KV values are the
-    // store's to own). Growth past the prealloc is a counted event.
-    let mut out = Vec::with_capacity(MAX_DATAGRAM);
-    let mut out_cap = out.capacity();
-    while !stop.load(Ordering::SeqCst) {
-        // Release delayed datagrams first: outbound responses go to the
-        // socket, inbound requests are served like fresh arrivals (an
-        // already-empty queue behind them).
-        if shim.is_some() {
-            let now = epoch.elapsed();
-            while let Some(p) = shim.as_mut().and_then(|s| s.due_tx(now)) {
-                let _ = sock.send(&p);
-            }
-            while let Some(p) = shim.as_mut().and_then(|s| s.due_rx(now)) {
-                serve_one(
-                    sock,
-                    cfg,
-                    worker,
-                    &mut shim,
-                    epoch,
-                    stop,
-                    &p,
-                    0,
-                    &mut out,
-                    &mut out_cap,
-                );
-            }
-        }
-        let n = match recv.recv_timeout_then_drain(sock) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        for i in 0..n {
-            if let Some((w, k)) = cfg.crash_worker {
-                if w == windex
-                    && worker.core.stats().served >= k
-                    && !crashed.swap(true, Ordering::SeqCst)
-                {
-                    panic!("injected server worker crash");
+    fn run(&mut self, recv: &mut RecvBatch) {
+        while !self.stop.load(Ordering::SeqCst) {
+            // Release parked datagrams first: outbound responses go to the
+            // socket, inbound requests are served like fresh arrivals (an
+            // already-empty queue behind them).
+            if self.shim.is_some() {
+                let now = self.epoch.elapsed();
+                while let Some((dir, p)) = self.shim.as_mut().and_then(|s| s.due(now)) {
+                    if dir == FaultDirection::Tx {
+                        let _ = self.sock.send(&p);
+                    } else {
+                        self.serve(&p, 0);
+                    }
                 }
             }
-            let dg = recv.datagram(i);
-            let action = shim
-                .as_mut()
-                .map_or(FaultAction::Deliver, |s| s.on_rx(epoch.elapsed(), dg));
-            if matches!(action, FaultAction::Drop | FaultAction::Delay) {
-                continue;
-            }
-            // §3.4 admission: the requests still waiting behind this one
-            // in the batch are the FCFS queue the clone-drop rule sees.
-            // (An injected duplicate re-presents the request; the drop
-            // rule and the client-side filter absorb it, as they would a
-            // network-duplicated datagram.)
-            let backlog = n - 1 - i;
-            let times = if action == FaultAction::Duplicate {
-                2
-            } else {
-                1
+            let Ok(n) = recv.recv_timeout_then_drain(self.sock) else {
+                break;
             };
-            for _ in 0..times {
+            for i in 0..n {
+                if let Some((w, k)) = self.cfg.crash_worker {
+                    if w == self.windex
+                        && self.core.stats().served >= k
+                        && !self.crashed.swap(true, Ordering::SeqCst)
+                    {
+                        panic!("injected server worker crash");
+                    }
+                }
                 let dg = recv.datagram(i);
-                serve_one(
-                    sock,
-                    cfg,
-                    worker,
-                    &mut shim,
-                    epoch,
-                    stop,
-                    dg,
-                    backlog,
-                    &mut out,
-                    &mut out_cap,
-                );
+                let copies = self.shim.as_mut().map_or(1, |s| {
+                    s.pass(FaultDirection::Rx, self.epoch.elapsed(), dg)
+                        .copies()
+                });
+                // §3.4 admission: the requests still waiting behind this
+                // one in the batch are the FCFS queue the clone-drop rule
+                // sees. (An injected duplicate re-presents the request; the
+                // drop rule and the client-side filter absorb it, as they
+                // would a network-duplicated datagram.)
+                for _ in 0..copies {
+                    self.serve(dg, n - 1 - i);
+                }
             }
         }
     }
-}
 
-/// Decodes, admits, executes, and answers one request datagram, passing
-/// the response through the shim's Tx side. Execution ends early once
-/// `stop` is set (see [`WorkExecutor::execute_until`]).
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    sock: &UdpSocket,
-    cfg: &UdpServerConfig,
-    worker: Worker<'_>,
-    shim: &mut Option<FaultShim>,
-    epoch: Instant,
-    stop: &AtomicBool,
-    dg: &[u8],
-    backlog: usize,
-    out: &mut Vec<u8>,
-    out_cap: &mut usize,
-) {
-    let Ok((meta, op, _value)) = decode_packet_borrowed(dg) else {
-        return;
-    };
-    if !meta.nc.is_request() {
-        return;
-    }
-    let core = worker.core;
-    if core.admit(meta.nc.clo, backlog) == AdmitDecision::DropClone {
-        worker.publish();
-        return;
-    }
-    core.note_queue_depth(backlog);
-    let value = cfg.executor.execute_until(&op, stop);
-    // Piggyback the queue state observed at response-send time, and
-    // publish the count before the response can reach anyone.
-    let nc = core.response(&meta.nc, backlog);
-    worker.publish();
-    let resp = PacketMeta::netclone_response(cfg.vip, meta.src_ip, nc, 0);
-    encode_packet_into(&resp, &op, &value, out);
-    crate::batch::note_growth(out_cap, out.capacity());
-    let action = shim
-        .as_mut()
-        .map_or(FaultAction::Deliver, |s| s.on_tx(epoch.elapsed(), out));
-    match action {
-        FaultAction::Drop | FaultAction::Delay => {}
-        FaultAction::Deliver => {
-            let _ = sock.send(out);
+    /// Decodes, admits, executes, and answers one request datagram,
+    /// passing the response through the shim. Execution ends early once
+    /// `stop` is set (see [`WorkExecutor::execute_until`]).
+    fn serve(&mut self, dg: &[u8], backlog: usize) {
+        let Ok((meta, op, _value)) = decode_packet_borrowed(dg) else {
+            return;
+        };
+        if !meta.nc.is_request() {
+            return;
         }
-        FaultAction::Duplicate => {
-            let _ = sock.send(out);
-            let _ = sock.send(out);
+        if self.core.admit(meta.nc.clo, backlog) == AdmitDecision::DropClone {
+            self.publish();
+            return;
         }
+        self.core.note_queue_depth(backlog);
+        let value = self.cfg.executor.execute_until(&op, self.stop);
+        // Piggyback the queue state observed at response-send time, and
+        // publish the count before the response can reach anyone.
+        let nc = self.core.response(&meta.nc, backlog);
+        self.publish();
+        let resp = PacketMeta::netclone_response(self.cfg.vip, meta.src_ip, nc, 0);
+        encode_packet_into(&resp, &op, &value, &mut self.out);
+        crate::batch::note_growth(&mut self.out_cap, self.out.capacity());
+        let copies = self.shim.as_mut().map_or(1, |s| {
+            s.pass(FaultDirection::Tx, self.epoch.elapsed(), &self.out)
+                .copies()
+        });
+        for _ in 0..copies {
+            let _ = self.sock.send(&self.out);
+        }
+    }
+
+    fn publish(&self) {
+        self.published.publish(self.core.stats());
     }
 }

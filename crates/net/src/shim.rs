@@ -8,13 +8,14 @@
 //! worker cannot shift another's: given the same seed, windows, and
 //! packet sequence, the shim makes the same decisions.
 //!
-//! The shim is I/O-free on purpose: it returns a [`FaultAction`] verdict
-//! and parks delayed payloads internally; the worker loop decides what a
-//! verdict means for its batching (skip the commit, commit twice, hand
-//! the payload back via [`FaultShim::due_tx`]/[`FaultShim::due_rx`] when the hold expires). This
-//! mirrors the DES frontend, where the same fault classes are scheduled
-//! as control events — the real-socket path injects them at the socket
-//! boundary instead, which is where a real network would.
+//! The shim is I/O-free on purpose: a worker passes each datagram through
+//! it once per direction ([`FaultShim::pass`]) and sends or handles the
+//! verdict's [`FaultAction::copies`] — none when dropped or parked, two
+//! when duplicated. A parked payload comes back from [`FaultShim::due`]
+//! once its hold expires. This mirrors the DES frontend, where the same
+//! fault classes are scheduled as control events — the real-socket path
+//! injects them at the socket boundary instead, which is where a real
+//! network would.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -34,12 +35,8 @@ pub enum FaultDirection {
 }
 
 impl FaultDirection {
-    fn applies_tx(self) -> bool {
-        matches!(self, FaultDirection::Tx | FaultDirection::Both)
-    }
-
-    fn applies_rx(self) -> bool {
-        matches!(self, FaultDirection::Rx | FaultDirection::Both)
+    fn covers(self, dir: FaultDirection) -> bool {
+        self == FaultDirection::Both || self == dir
     }
 }
 
@@ -78,8 +75,20 @@ pub enum FaultAction {
     Drop,
     /// Deliver twice.
     Duplicate,
-    /// Parked inside the shim; poll [`FaultShim::due_tx`]/[`FaultShim::due_rx`] to release it.
+    /// Parked inside the shim; poll [`FaultShim::due`] to release it.
     Delay,
+}
+
+impl FaultAction {
+    /// Copies of the datagram to pass on now: none when dropped or
+    /// parked, two when duplicated.
+    pub fn copies(self) -> usize {
+        match self {
+            FaultAction::Drop | FaultAction::Delay => 0,
+            FaultAction::Deliver => 1,
+            FaultAction::Duplicate => 2,
+        }
+    }
 }
 
 /// Fault plan of one endpoint: a seed plus its windows. Workers derive
@@ -104,14 +113,12 @@ impl FaultPlan {
 pub struct FaultShim {
     windows: Vec<FaultWindow>,
     rng: StdRng,
-    /// Delayed payloads with their release times, kept per direction (a
-    /// released Tx payload goes to the socket, a released Rx payload to
-    /// the decoder). Mostly release-ordered — every delay inside one
-    /// window is constant and `now` is monotone per worker — but windows
-    /// with different delays can interleave, so release scans for the
-    /// first due entry rather than trusting the front.
-    held_tx: VecDeque<(Duration, Vec<u8>)>,
-    held_rx: VecDeque<(Duration, Vec<u8>)>,
+    /// Delayed payloads with their release times and directions (`Tx` or
+    /// `Rx`). Mostly release-ordered — every delay inside one window is
+    /// constant and `now` is monotone per worker — but windows with
+    /// different delays can interleave, so release scans for the first
+    /// due entry rather than trusting the front.
+    held: VecDeque<(Duration, FaultDirection, Vec<u8>)>,
 }
 
 impl FaultShim {
@@ -120,103 +127,71 @@ impl FaultShim {
         FaultShim {
             windows,
             rng: StdRng::seed_from_u64(seed),
-            held_tx: VecDeque::new(),
-            held_rx: VecDeque::new(),
+            held: VecDeque::new(),
         }
     }
 
-    /// Builds worker `w`'s shim for a shared plan (decorrelated stream,
-    /// identical windows).
+    /// Builds worker `w`'s shim for a shared plan: identical windows, and
+    /// the stream `openloop::worker_seed` derives for worker `w`.
     pub fn for_worker(plan: &FaultPlan, w: usize) -> Self {
-        let seed = if w == 0 {
-            plan.seed
-        } else {
-            crate::openloop::splitmix64(plan.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        };
-        FaultShim::new(seed, plan.windows.clone())
+        FaultShim::new(
+            crate::openloop::worker_seed(plan.seed, w),
+            plan.windows.clone(),
+        )
     }
 
-    /// Verdict plus, for [`FaultAction::Delay`], the delay of the window
-    /// that produced it — the same direction-filtered window selection for
-    /// both, so a Tx-only window can never set the hold of an Rx verdict
-    /// (or vice versa).
-    fn decide(&mut self, now: Duration, tx: bool) -> (FaultAction, Duration) {
-        let Some(w) = self.windows.iter().find(|w| {
-            w.active(now)
-                && (if tx {
-                    w.direction.applies_tx()
-                } else {
-                    w.direction.applies_rx()
-                })
-        }) else {
-            return (FaultAction::Deliver, Duration::ZERO);
+    /// The verdict for one datagram crossing the socket in direction
+    /// `dir` (`Tx` after encode, `Rx` after receive). The first active
+    /// window that applies to `dir` decides; on [`FaultAction::Delay`]
+    /// the shim keeps a copy, held for that window's delay, until
+    /// [`Self::due`] releases it.
+    pub fn pass(&mut self, dir: FaultDirection, now: Duration, payload: &[u8]) -> FaultAction {
+        let Some(w) = self
+            .windows
+            .iter()
+            .find(|w| w.active(now) && w.direction.covers(dir))
+        else {
+            return FaultAction::Deliver;
         };
         // One draw per decision point, taken unconditionally, so a
         // window's packet count alone determines the stream position.
         let (d1, d2): (f64, f64) = (self.rng.random(), self.rng.random());
         if d1 < w.drop_prob {
-            (FaultAction::Drop, Duration::ZERO)
+            FaultAction::Drop
         } else if d2 < w.dup_prob {
-            (FaultAction::Duplicate, Duration::ZERO)
+            FaultAction::Duplicate
         } else if w.delay > Duration::ZERO {
-            (FaultAction::Delay, w.delay)
+            self.held.push_back((now + w.delay, dir, payload.to_vec()));
+            FaultAction::Delay
         } else {
-            (FaultAction::Deliver, Duration::ZERO)
+            FaultAction::Deliver
         }
     }
 
-    /// Verdict for an outbound datagram. On [`FaultAction::Delay`] the
-    /// shim keeps a copy; release it via [`Self::due_tx`].
-    pub fn on_tx(&mut self, now: Duration, payload: &[u8]) -> FaultAction {
-        let (action, delay) = self.decide(now, true);
-        if action == FaultAction::Delay {
-            self.held_tx.push_back((now + delay, payload.to_vec()));
-        }
-        action
-    }
-
-    /// Verdict for an inbound datagram; a delayed payload is released via
-    /// [`Self::due_rx`] instead.
-    pub fn on_rx(&mut self, now: Duration, payload: &[u8]) -> FaultAction {
-        let (action, delay) = self.decide(now, false);
-        if action == FaultAction::Delay {
-            self.held_rx.push_back((now + delay, payload.to_vec()));
-        }
-        action
-    }
-
-    /// Releases the next delayed outbound payload whose hold has expired,
-    /// if any. Call in a loop each iteration of the worker loop.
-    pub fn due_tx(&mut self, now: Duration) -> Option<Vec<u8>> {
-        Self::pop_due(&mut self.held_tx, now)
-    }
-
-    /// Releases the next delayed inbound payload whose hold has expired.
-    pub fn due_rx(&mut self, now: Duration) -> Option<Vec<u8>> {
-        Self::pop_due(&mut self.held_rx, now)
-    }
-
-    /// Pops the first due entry anywhere in the queue. Within one window
-    /// the queue is release-ordered (constant delay, monotone `now`), so
+    /// Releases the first parked payload whose hold has expired, with the
+    /// direction it was parked in: an outbound one goes to the socket, an
+    /// inbound one to the decoder. Call in a loop each iteration of the
+    /// worker loop. Within one window the queue is release-ordered, so
     /// this is an O(1) front check in the steady state; the scan matters
     /// only across adjacent windows with different delays, where a
     /// short-hold payload can be parked behind a long-hold one and must
     /// not be held for the longer delay.
-    fn pop_due(q: &mut VecDeque<(Duration, Vec<u8>)>, now: Duration) -> Option<Vec<u8>> {
-        let i = q.iter().position(|(at, _)| *at <= now)?;
-        q.remove(i).map(|(_, p)| p)
+    pub fn due(&mut self, now: Duration) -> Option<(FaultDirection, Vec<u8>)> {
+        let i = self.held.iter().position(|(at, _, _)| *at <= now)?;
+        self.held.remove(i).map(|(_, dir, p)| (dir, p))
     }
 
     /// Payloads still parked in either direction (diagnostics / final
     /// drain decisions).
     pub fn held(&self) -> usize {
-        self.held_tx.len() + self.held_rx.len()
+        self.held.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use FaultDirection::{Rx, Tx};
 
     fn window(drop: f64, dup: f64, delay_ms: u64) -> FaultWindow {
         FaultWindow {
@@ -233,11 +208,11 @@ mod tests {
     fn outside_a_window_everything_delivers() {
         let mut s = FaultShim::new(1, vec![window(1.0, 1.0, 5)]);
         assert_eq!(
-            s.on_tx(Duration::from_millis(5), b"x"),
+            s.pass(Tx, Duration::from_millis(5), b"x"),
             FaultAction::Deliver
         );
         assert_eq!(
-            s.on_rx(Duration::from_millis(25), b"x"),
+            s.pass(Rx, Duration::from_millis(25), b"x"),
             FaultAction::Deliver
         );
     }
@@ -245,10 +220,13 @@ mod tests {
     #[test]
     fn certain_drop_drops_and_certain_dup_duplicates() {
         let mut s = FaultShim::new(1, vec![window(1.0, 0.0, 0)]);
-        assert_eq!(s.on_tx(Duration::from_millis(15), b"x"), FaultAction::Drop);
+        assert_eq!(
+            s.pass(Tx, Duration::from_millis(15), b"x"),
+            FaultAction::Drop
+        );
         let mut s = FaultShim::new(1, vec![window(0.0, 1.0, 0)]);
         assert_eq!(
-            s.on_rx(Duration::from_millis(15), b"x"),
+            s.pass(Rx, Duration::from_millis(15), b"x"),
             FaultAction::Duplicate
         );
     }
@@ -256,24 +234,24 @@ mod tests {
     #[test]
     fn delay_parks_and_releases_in_order_per_direction() {
         let mut s = FaultShim::new(1, vec![window(0.0, 0.0, 5)]);
-        assert_eq!(s.on_tx(Duration::from_millis(11), b"a"), FaultAction::Delay);
-        assert_eq!(s.on_rx(Duration::from_millis(11), b"r"), FaultAction::Delay);
-        assert_eq!(s.on_tx(Duration::from_millis(12), b"b"), FaultAction::Delay);
+        assert_eq!(
+            s.pass(Tx, Duration::from_millis(11), b"a"),
+            FaultAction::Delay
+        );
+        assert_eq!(
+            s.pass(Rx, Duration::from_millis(11), b"r"),
+            FaultAction::Delay
+        );
+        assert_eq!(
+            s.pass(Tx, Duration::from_millis(12), b"b"),
+            FaultAction::Delay
+        );
         assert_eq!(s.held(), 3);
-        assert!(s.due_tx(Duration::from_millis(15)).is_none());
-        assert_eq!(
-            s.due_tx(Duration::from_millis(16)).as_deref(),
-            Some(&b"a"[..])
-        );
-        assert!(s.due_tx(Duration::from_millis(16)).is_none());
-        assert_eq!(
-            s.due_rx(Duration::from_millis(16)).as_deref(),
-            Some(&b"r"[..])
-        );
-        assert_eq!(
-            s.due_tx(Duration::from_millis(17)).as_deref(),
-            Some(&b"b"[..])
-        );
+        assert!(s.due(Duration::from_millis(15)).is_none());
+        assert_eq!(s.due(Duration::from_millis(16)), Some((Tx, b"a".to_vec())));
+        assert_eq!(s.due(Duration::from_millis(16)), Some((Rx, b"r".to_vec())));
+        assert!(s.due(Duration::from_millis(16)).is_none());
+        assert_eq!(s.due(Duration::from_millis(17)), Some((Tx, b"b".to_vec())));
         assert_eq!(s.held(), 0);
     }
 
@@ -287,18 +265,18 @@ mod tests {
         let mut rx_w = window(0.0, 0.0, 2);
         rx_w.direction = FaultDirection::Rx;
         let mut s = FaultShim::new(1, vec![tx_w, rx_w]);
-        assert_eq!(s.on_rx(Duration::from_millis(11), b"r"), FaultAction::Delay);
         assert_eq!(
-            s.due_rx(Duration::from_millis(13)).as_deref(),
-            Some(&b"r"[..])
+            s.pass(Rx, Duration::from_millis(11), b"r"),
+            FaultAction::Delay
         );
+        assert_eq!(s.due(Duration::from_millis(13)), Some((Rx, b"r".to_vec())));
         // And the Tx verdict still takes the Tx window's 10 ms.
-        assert_eq!(s.on_tx(Duration::from_millis(11), b"t"), FaultAction::Delay);
-        assert!(s.due_tx(Duration::from_millis(13)).is_none());
         assert_eq!(
-            s.due_tx(Duration::from_millis(21)).as_deref(),
-            Some(&b"t"[..])
+            s.pass(Tx, Duration::from_millis(11), b"t"),
+            FaultAction::Delay
         );
+        assert!(s.due(Duration::from_millis(13)).is_none());
+        assert_eq!(s.due(Duration::from_millis(21)), Some((Tx, b"t".to_vec())));
     }
 
     #[test]
@@ -323,17 +301,17 @@ mod tests {
             delay: Duration::from_millis(1),
         };
         let mut s = FaultShim::new(1, vec![long, short]);
-        assert_eq!(s.on_tx(Duration::from_millis(19), b"L"), FaultAction::Delay); // due 29 ms
-        assert_eq!(s.on_tx(Duration::from_millis(21), b"S"), FaultAction::Delay); // due 22 ms
         assert_eq!(
-            s.due_tx(Duration::from_millis(23)).as_deref(),
-            Some(&b"S"[..])
-        );
-        assert!(s.due_tx(Duration::from_millis(23)).is_none());
+            s.pass(Tx, Duration::from_millis(19), b"L"),
+            FaultAction::Delay
+        ); // due 29 ms
         assert_eq!(
-            s.due_tx(Duration::from_millis(29)).as_deref(),
-            Some(&b"L"[..])
-        );
+            s.pass(Tx, Duration::from_millis(21), b"S"),
+            FaultAction::Delay
+        ); // due 22 ms
+        assert_eq!(s.due(Duration::from_millis(23)), Some((Tx, b"S".to_vec())));
+        assert!(s.due(Duration::from_millis(23)).is_none());
+        assert_eq!(s.due(Duration::from_millis(29)), Some((Tx, b"L".to_vec())));
         assert_eq!(s.held(), 0);
     }
 
@@ -343,10 +321,13 @@ mod tests {
         w.direction = FaultDirection::Tx;
         let mut s = FaultShim::new(1, vec![w]);
         assert_eq!(
-            s.on_rx(Duration::from_millis(15), b"x"),
+            s.pass(Rx, Duration::from_millis(15), b"x"),
             FaultAction::Deliver
         );
-        assert_eq!(s.on_tx(Duration::from_millis(15), b"x"), FaultAction::Drop);
+        assert_eq!(
+            s.pass(Tx, Duration::from_millis(15), b"x"),
+            FaultAction::Drop
+        );
     }
 
     #[test]
@@ -356,7 +337,7 @@ mod tests {
         let mut b = FaultShim::new(7, windows);
         for i in 0..200u64 {
             let t = Duration::from_millis(10) + Duration::from_micros(i * 40);
-            assert_eq!(a.on_tx(t, b"x"), b.on_tx(t, b"x"));
+            assert_eq!(a.pass(Tx, t, b"x"), b.pass(Tx, t, b"x"));
         }
     }
 }

@@ -2,7 +2,6 @@
 //! ready for clients — the real-socket analogue of the paper's rack.
 
 use std::net::SocketAddr;
-use std::time::Duration;
 
 use netclone_core::NetCloneConfig;
 use netclone_proto::Ipv4;
@@ -108,8 +107,6 @@ impl Testbed {
         handle
             .register_client(cid, client.vip(), client.addr()?)
             .map_err(std::io::Error::other)?;
-        // Give the registration a moment to land before traffic flows.
-        std::thread::sleep(Duration::from_millis(5));
         Ok(client)
     }
 
@@ -124,8 +121,6 @@ impl Testbed {
                 .register_client(cid, vip, sock)
                 .map_err(std::io::Error::other)?;
         }
-        // Give the registrations a moment to land before traffic flows.
-        std::thread::sleep(Duration::from_millis(5));
         Ok(client)
     }
 

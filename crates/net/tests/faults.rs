@@ -57,18 +57,21 @@ fn retries_recover_shim_drops_and_a_crashed_client_worker_restarts() {
     // them), and retransmit what times out.
     spec.faults = Some(droppy_plan(99, 0.2, 0.05));
     spec.retry = Some(RetryPolicy::new(30_000_000));
-    // Worker 0 panics mid-run; the supervisor restarts it with a fresh
-    // core and a disjoint sequence space, and the run still completes.
+    // Worker 0 panics mid-run; the supervisor re-enters its loop with the
+    // same core, shim and pacing clock, and the run still completes.
     spec.crash_worker = Some((0, Duration::from_millis(150)));
     let report = client.run(spec).expect("open-loop run");
 
-    assert!(report.completed > 0, "the faulted run moved no traffic");
     assert!(
-        report.retried > 0,
+        report.stats.completed > 0,
+        "the faulted run moved no traffic"
+    );
+    assert!(
+        report.stats.retried > 0,
         "a 20% drop rate with retries armed must retransmit something"
     );
     assert!(
-        report.retry_wins > 0,
+        report.stats.retry_wins > 0,
         "some retransmission must have recovered a completion"
     );
     assert!(
@@ -119,5 +122,35 @@ fn a_crashed_server_worker_restarts_without_losing_counters() {
         served > 50,
         "server 0 served {served} — it never came back after the crash"
     );
+    tb.shutdown();
+}
+
+#[test]
+fn a_crashed_client_worker_keeps_every_request_it_sent() {
+    // No faults and no retry: every request the switch saw came from a
+    // worker's core, so the report must count it, the crashed worker's
+    // requests from before the crash included.
+    let mut tb =
+        Testbed::spawn(NetCloneConfig::default(), 3, 2, WorkExecutor::Synthetic).expect("testbed");
+    let handle = tb.switch_handle();
+    let client = tb.open_loop_client(2).expect("open-loop client");
+
+    let mut spec = spec(&handle);
+    spec.crash_worker = Some((0, Duration::from_millis(150)));
+    let report = client.run(spec).expect("open-loop run");
+
+    assert!(
+        report.restarts >= 1,
+        "the injected crash was never supervised"
+    );
+    let st = report.stats;
+    let requests = handle.counters().requests;
+    assert!(
+        st.generated >= requests,
+        "the report holds {} requests but the switch saw {requests}",
+        st.generated
+    );
+    assert_eq!(st.generated, st.completed + st.lost);
+    assert_eq!(st.redundant, 0, "a restart must not orphan a response");
     tb.shutdown();
 }

@@ -40,7 +40,10 @@ fn open_loop_steady_state_is_alloc_and_timeout_syscall_free() {
         .expect("open-loop run");
     let after = path_counters();
 
-    assert!(report.completed > 0, "the run must actually move traffic");
+    assert!(
+        report.stats.completed > 0,
+        "the run must actually move traffic"
+    );
     assert_eq!(
         after.buffer_grow_allocs - before.buffer_grow_allocs,
         0,

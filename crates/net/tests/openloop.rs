@@ -34,26 +34,27 @@ fn open_loop_sustains_a_modest_rate() {
         .expect("run");
 
     // ~800 requests expected at 2 kRPS over 400 ms.
+    let st = report.stats;
     assert!(
-        report.sent > 500 && report.sent < 1_200,
+        st.generated > 500 && st.generated < 1_200,
         "sent {} — pacing is off",
-        report.sent
+        st.generated
     );
     assert!(
         report.completion_rate() > 0.95,
         "completion rate {} (completed {} of {})",
         report.completion_rate(),
-        report.completed,
-        report.sent
+        st.completed,
+        st.generated
     );
-    assert_eq!(report.redundant, 0, "filtering must hold under open loop");
+    assert_eq!(st.redundant, 0, "filtering must hold under open loop");
     assert_eq!(
-        report.sent,
-        report.completed + report.lost,
+        st.generated,
+        st.completed + st.lost,
         "every request is accounted for exactly once"
     );
     assert!(
-        report.clone_wins <= report.completed,
+        st.clone_wins <= st.completed,
         "clone wins are a subset of completions"
     );
     let p50 = report.latencies.quantile(0.5);

@@ -43,16 +43,16 @@ fn main() -> std::io::Result<()> {
     })?;
     let after = path_counters();
 
-    let lat = &report.latencies;
+    let (lat, st) = (&report.latencies, &report.stats);
     println!(
         "sent {}  completed {} ({:.1}%)  redundant {}  lost {}  clone-wins {} ({:.1}%)",
-        report.sent,
-        report.completed,
+        st.generated,
+        st.completed,
         report.completion_rate() * 100.0,
-        report.redundant,
-        report.lost,
-        report.clone_wins,
-        report.clone_win_ratio() * 100.0
+        st.redundant,
+        st.lost,
+        st.clone_wins,
+        st.clone_win_ratio() * 100.0
     );
     println!(
         "latency: p50 {:.0} us   p99 {:.0} us   max {:.0} us",

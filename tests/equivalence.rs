@@ -619,13 +619,14 @@ fn sharded_open_loop_preserves_host_accounting() {
             .expect("open-loop run");
 
         // Client-side conservation, merged and per worker.
-        assert!(report.completed > 0, "workers={workers}: no traffic moved");
+        let st = report.stats;
+        assert!(st.completed > 0, "workers={workers}: no traffic moved");
         assert_eq!(
-            report.sent,
-            report.completed + report.lost,
+            st.generated,
+            st.completed + st.lost,
             "workers={workers}: every request resolves exactly once"
         );
-        assert_eq!(report.redundant, 0, "workers={workers}: filtering held");
+        assert_eq!(st.redundant, 0, "workers={workers}: filtering held");
         assert_eq!(report.per_worker.len(), workers);
         let mut merged = ClientStats::default();
         let mut samples = 0u64;
@@ -639,13 +640,9 @@ fn sharded_open_loop_preserves_host_accounting() {
             merged.merge(&wr.stats);
             samples += wr.latencies.count();
         }
-        assert_eq!(merged.generated, report.sent);
-        assert_eq!(merged.completed, report.completed);
-        assert_eq!(merged.redundant, report.redundant);
-        assert_eq!(merged.clone_wins, report.clone_wins);
-        assert_eq!(merged.lost, report.lost);
+        assert_eq!(merged, st);
         assert_eq!(samples, report.latencies.count());
-        assert_eq!(report.latencies.count(), report.completed);
+        assert_eq!(report.latencies.count(), st.completed);
 
         // Server-side parity: every response was served exactly once per
         // core, and the fleet served at least every client completion
@@ -663,10 +660,10 @@ fn sharded_open_loop_preserves_host_accounting() {
             assert_eq!(per_core, st);
         }
         assert!(
-            served_total >= report.completed,
+            served_total >= st.completed,
             "workers={workers}: servers served {} but clients completed {}",
             served_total,
-            report.completed
+            st.completed
         );
         tb.shutdown();
     }
