@@ -341,6 +341,34 @@ impl DeadlineTimeout {
     }
 }
 
+/// Puts the calling thread under `SCHED_BATCH` (Linux; a no-op elsewhere).
+///
+/// A `SCHED_BATCH` thread that wakes does not preempt the thread on its
+/// CPU, so a forwarding thread that wakes it finishes its `sendmmsg`
+/// first and the woken thread drains the whole batch in one `recvmmsg`.
+/// The policy is an attribute of the calling thread alone: any thread may
+/// move itself from the default policy to this one without privilege.
+pub(crate) fn run_as_batch() -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct SchedParam {
+            sched_priority: i32,
+        }
+        const SCHED_BATCH: i32 = 3;
+        extern "C" {
+            fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+        }
+        let param = SchedParam { sched_priority: 0 };
+        // SAFETY: pid 0 names the calling thread, and the kernel only
+        // reads `param`, which outlives the call.
+        if unsafe { sched_setscheduler(0, SCHED_BATCH, &param) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
+    Ok(())
+}
+
 /// Direct `sendmmsg`/`recvmmsg` bindings (Linux only).
 ///
 /// The msghdr and sockaddr layouts match the 64-bit System V ABI glibc/musl

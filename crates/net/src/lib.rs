@@ -30,8 +30,18 @@
 //! Linux, a portable `send`/`recv` loop elsewhere). Two
 //! `parking_lot` locks remain: a `Mutex` around the soft switch's program
 //! and port map (taken once per receive batch), and the `RwLock` around
-//! the KV store a [`WorkExecutor::Kv`] shares between server workers.
+//! the KV store a [`WorkExecutor::Kv`] shares between server workers,
+//! taken shared by GET and SCAN and exclusively by PUT alone.
 //! Every thread stops on an explicit shutdown flag and is joined on drop.
+//!
+//! Server worker threads run under `SCHED_BATCH` on Linux; each sets it
+//! on itself as it starts, which needs no privilege and leaves every other
+//! thread alone. A woken `SCHED_BATCH` thread does not preempt the thread
+//! on its CPU, so the soft switch finishes the `sendmmsg` that wakes a
+//! server, and the server then takes the whole batch in one `recvmmsg`
+//! instead of being handed it a datagram at a time. The switch thread and
+//! every client thread keep the default policy: a reply that wakes the
+//! switch is forwarded at once. There is no option.
 //!
 //! Client and server workers keep one crash rule, `supervise`: a
 //! worker's state — its core, fault shim, RNG, clocks and batches — lives

@@ -19,6 +19,10 @@
 //! counter is lost across a crash. An optional [`FaultShim`] per worker
 //! perturbs datagrams between codec and socket in both directions,
 //! deterministically from a seed.
+//!
+//! Each worker thread puts itself under `SCHED_BATCH` before its loop, so
+//! the switch's `sendmmsg` that wakes it runs to the end and the worker
+//! drains the whole batch in one `recvmmsg`.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -29,7 +33,7 @@ use std::time::{Duration, Instant};
 use netclone_hostcore::{AdmitDecision, ServerCore, ServerStats};
 use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
-use crate::batch::{RecvBatch, MAX_DATAGRAM};
+use crate::batch::{run_as_batch, RecvBatch, MAX_DATAGRAM};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 use crate::shim::{FaultDirection, FaultPlan, FaultShim};
 use crate::supervise;
@@ -153,6 +157,8 @@ impl ServerHandle {
                 std::thread::Builder::new()
                     .name(format!("server{}-worker{}", cfg.sid, w))
                     .spawn(move || {
+                        // A refusal leaves the default policy: slower, not wrong.
+                        let _ = run_as_batch();
                         let out = Vec::with_capacity(MAX_DATAGRAM);
                         let mut worker = Worker {
                             sock: &sock,

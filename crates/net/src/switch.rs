@@ -10,7 +10,10 @@
 //! batch leaves in one `sendmmsg`, each datagram addressed to its own
 //! port's socket. Because both frontends drive the same trait object, the
 //! soft switch and the DES simulator execute the identical program
-//! (asserted by `tests/equivalence.rs` at the workspace root).
+//! (asserted by `tests/equivalence.rs` at the workspace root). The
+//! forwarding thread keeps the default scheduling policy, so a reply that
+//! wakes it preempts the server that sent it and is forwarded at once,
+//! while the `SCHED_BATCH` servers it wakes let its `sendmmsg` finish.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -42,23 +42,18 @@ impl WorkExecutor {
                 }
                 Vec::new()
             }
+            // Reads share the store; only a PUT takes it exclusively.
             WorkExecutor::Kv(store) => match op {
-                RpcOp::Put { .. } => {
-                    let mut s = store.write();
-                    match s.execute(op) {
-                        ExecResult::Stored => b"STORED".to_vec(),
-                        _ => b"MISS".to_vec(),
-                    }
-                }
-                _ => {
-                    let mut s = store.write();
-                    match s.execute(op) {
-                        ExecResult::Value(v) => v,
-                        ExecResult::Range { bytes, .. } => bytes,
-                        ExecResult::NoStoreWork => Vec::new(),
-                        _ => b"MISS".to_vec(),
-                    }
-                }
+                RpcOp::Get { key } => store
+                    .read()
+                    .get(key)
+                    .map_or_else(|| b"MISS".to_vec(), <[u8]>::to_vec),
+                RpcOp::Scan { key, count } => store.read().scan(key, *count).0,
+                RpcOp::Echo { .. } => Vec::new(),
+                RpcOp::Put { .. } => match store.write().execute(op) {
+                    ExecResult::Stored => b"STORED".to_vec(),
+                    _ => b"MISS".to_vec(),
+                },
             },
         }
     }
@@ -113,5 +108,26 @@ mod tests {
             key: KvKey::from_index(999),
         });
         assert_eq!(v, b"MISS");
+    }
+
+    #[test]
+    fn kv_reads_share_the_store_lock() {
+        let w = WorkExecutor::kv(10, 16);
+        let WorkExecutor::Kv(store) = &w else {
+            unreachable!()
+        };
+        let _held = store.read();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = w.clone();
+        std::thread::spawn(move || {
+            let v = reader.execute(&RpcOp::Get {
+                key: KvKey::from_index(3),
+            });
+            let _ = tx.send(v);
+        });
+        let v = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a GET must not wait for another reader's guard");
+        assert_eq!(v.len(), 16);
     }
 }

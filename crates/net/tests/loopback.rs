@@ -301,3 +301,82 @@ fn hostile_datagrams_never_wedge_the_switch() {
     assert!(tb.switch_handle().counters().requests > before);
     tb.shutdown();
 }
+
+/// Field 41 (`policy`) of a `/proc/.../stat` line; `comm` sits in
+/// parentheses and may hold spaces, so fields are counted after the last `)`.
+#[cfg(target_os = "linux")]
+fn sched_policy(stat: &str) -> Option<u32> {
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(41 - 3)?.parse().ok()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn server_workers_run_sched_batch_and_the_switch_keeps_the_default() {
+    const SCHED_OTHER: u32 = 0;
+    const SCHED_BATCH: u32 = 3;
+    // Every switch and server worker thread of the process, by `comm`,
+    // with its policy. Other tests' testbeds count too: they obey the
+    // same rule.
+    let testbed_policies = || -> Vec<(String, Option<u32>)> {
+        let mut found = Vec::new();
+        for task in std::fs::read_dir("/proc/self/task").expect("/proc/self/task") {
+            let dir = task.expect("task entry").path();
+            let (Ok(comm), Ok(stat)) = (
+                std::fs::read_to_string(dir.join("comm")),
+                std::fs::read_to_string(dir.join("stat")),
+            ) else {
+                continue; // the thread exited between the listing and the read
+            };
+            let comm = comm.trim_end().to_string();
+            if comm == "soft-switch" || (comm.starts_with("server") && comm.contains("-worker")) {
+                found.push((comm, sched_policy(&stat)));
+            }
+        }
+        found
+    };
+    let expected = |comm: &str| {
+        if comm == "soft-switch" {
+            SCHED_OTHER
+        } else {
+            SCHED_BATCH
+        }
+    };
+
+    let mut tb =
+        Testbed::spawn(NetCloneConfig::default(), 2, 2, WorkExecutor::Synthetic).expect("testbed");
+    let mut client = tb.client(41).expect("client");
+    client
+        .call(RpcOp::Echo { class_ns: 0 }, TIMEOUT)
+        .expect("an echo completes under the batch policy");
+
+    // A worker sets its policy first thing, so one spawned a moment ago
+    // may not have yet: poll until every thread reads its policy.
+    let start = std::time::Instant::now();
+    let threads = loop {
+        let threads = testbed_policies();
+        let settled = threads.iter().all(|(c, p)| *p == Some(expected(c)));
+        if settled || start.elapsed() > TIMEOUT {
+            break threads;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(
+        threads.iter().any(|(c, _)| c == "soft-switch"),
+        "{threads:?}"
+    );
+    assert!(
+        threads.iter().any(|(c, _)| c.starts_with("server")),
+        "{threads:?}"
+    );
+    for (comm, policy) in &threads {
+        assert_eq!(*policy, Some(expected(comm)), "{comm}'s scheduling policy");
+    }
+    let own = std::fs::read_to_string("/proc/thread-self/stat").expect("own stat");
+    assert_eq!(
+        sched_policy(&own),
+        Some(SCHED_OTHER),
+        "the calling thread keeps the default policy"
+    );
+    tb.shutdown();
+}
