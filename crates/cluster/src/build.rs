@@ -1,12 +1,11 @@
 //! Scenario → testbed assembly.
 //!
-//! [`ScenarioBuilder`] turns a [`Scenario`] into runnable per-rack
-//! shards: each shard builds the records of the racks it owns (the
-//! leaf's switch program, the rack's clients and servers, their RNG
-//! streams) and the coordinator if it hangs off one of them; the builder
-//! then schedules the priming events under the shared control-domain key
-//! counter. The simulator itself ([`Sim`][crate::sim::Sim]) is only the
-//! event loop.
+//! `build_shards` turns a [`Scenario`] into runnable per-rack shards:
+//! each shard builds the records of the racks it owns (the leaf's switch
+//! program, the rack's clients and servers, their RNG streams) and the
+//! coordinator if it hangs off one of them; `prime` then schedules the
+//! priming events under the shared control-domain key counter. The
+//! simulator itself ([`Sim`][crate::sim::Sim]) is only the event loop.
 //!
 //! One private `program_switch` is the single place a scheme becomes a
 //! switch program, from one host table and [`FabricShape::port_toward`]:
@@ -313,320 +312,313 @@ fn lookahead_ns(
     }
 }
 
-/// Assembles the sharded testbed of a [`Scenario`] (see
-/// [`Sim`][crate::sim::Sim] for the run entry points).
-pub struct ScenarioBuilder {
-    scenario: Scenario,
+/// Builds the testbed of `scenario` (see [`Sim`][crate::sim::Sim] for
+/// the run entry points) partitioned into `min(shards, racks)` shards of
+/// whole racks, assigned by one rack → shard table ([`partition`]):
+/// switch engines, hosts, workload streams, and the priming events
+/// (first arrivals, warm-up end, failure injections). Returns the
+/// shards plus the conservative lookahead that partition allows
+/// ([`lookahead_ns`]) — the minimum simulated delay of any
+/// cross-shard interaction.
+///
+/// The partitioning is *count-clamped to the topology, never to the
+/// machine*: the shard layout is a pure function of the scenario, so
+/// results cannot depend on where the run executes (and event keys,
+/// being per-rack, do not depend on the layout at all).
+pub(crate) fn build_shards(scenario: Scenario, shards: usize, traced: bool) -> (Vec<Shard>, u64) {
+    let scenario = Arc::new(scenario);
+    let seeds = SeedFactory::new(scenario.seed);
+    if let Err(e) = scenario.validate() {
+        panic!("invalid scenario: {e}");
+    }
+    let topo = &scenario.topology;
+    let (racks, shape) = (topo.racks, topo.shape);
+    let hosts = host_table(&scenario, topo);
+    let tier = UpperTier::new(racks, shape, hosts.iter().map(|h| (h.ip, h.leaf)));
+    let nshards = shards.clamp(1, racks);
+    let rack_shard = partition(shape, &rack_weights(&hosts, racks), nshards);
+
+    // ---- workload -----------------------------------------------
+    let (synthetic, kvmix, cost) = match &scenario.workload {
+        Workload::Synthetic(wl) => (Some(*wl), None, ServiceCostModel::redis()),
+        Workload::Kv {
+            get_frac,
+            scan_count,
+            objects,
+            zipf_theta,
+            cost,
+        } => {
+            let keys = ZipfSampler::new(*objects, *zipf_theta);
+            (
+                None,
+                Some(Arc::new(KvMix::read_mix(*get_frac, *scan_count, keys))),
+                *cost,
+            )
+        }
+    };
+    let arrivals = PoissonArrivals::new(scenario.offered_rps / scenario.n_clients as f64);
+    let loss: Vec<_> = (scenario.faults.faults.iter())
+        .filter_map(|f| match f.kind {
+            FaultKind::Loss { prob } => Some((f.start_ns, f.end_ns, prob)),
+            _ => None,
+        })
+        .collect();
+    let bg = scenario.background.map(|b| BgState {
+        arrivals: PoissonArrivals::new(b.rps / (racks - 1) as f64),
+        wire: b.wire_bytes,
+        victim: b.victim_rack,
+    });
+
+    // ---- the records ---------------------------------------------
+    // Each entity is built on the shard that owns its rack. Every
+    // stream is its own `SeedFactory` fan-out, so the order in which
+    // records are made (and their first gaps drawn, in `prime`)
+    // cannot shift a draw.
+    let fabric_links = || match &scenario.links {
+        Some(spec) if racks > 1 => (0..shape.n_uplinks()).map(|_| spec.fabric_link()).collect(),
+        _ => Vec::new(),
+    };
+    let rack = |r: usize| Rack {
+        engine: program_switch(&scenario, &hosts, racks, shape, r),
+        up: true,
+        at_warmup: SwitchCounters::default(),
+        loss: (!loss.is_empty()).then(|| seeds.rng_for("loss", r as u64)),
+        bg: bg
+            .filter(|b| b.victim != r)
+            .map(|_| seeds.rng_for("bg", r as u64)),
+        bg_sent: 0,
+        uplinks: fabric_links(),
+        downlinks: fabric_links(),
+    };
+    let server = |i: usize, workers: usize| ServerHost {
+        sim: ServerSim::new(ServerConfig {
+            sid: i as u16,
+            workers,
+            dispatch_ns: calib::DISPATCH_NS,
+            clone_drop_ns: calib::CLONE_DROP_NS,
+            // The workload's own execution-time shape.
+            shape: if synthetic.is_some() {
+                ServiceShape::Exponential
+            } else {
+                ServiceShape::Gamma4
+            },
+            jitter: scenario.jitter,
+            cost,
+            hot_key: scenario.hot_key,
+            seed: seeds.seed_for("server", i as u64),
+        }),
+        at_warmup: ServerStats::default(),
+    };
+    let server_ips: Vec<Ipv4> = (0..scenario.servers.len() as u16)
+        .map(Ipv4::server)
+        .collect();
+    // A NetClone client takes its group count from its own ToR: that
+    // is the engine its requests traverse (§3.7).
+    let client = |cid: usize, tor: &dyn SwitchEngine| {
+        let servers = server_ips.clone();
+        let mode = match scenario.scheme {
+            Scheme::Baseline => ClientMode::DirectRandom { servers },
+            Scheme::CClone => ClientMode::DirectDuplicate { servers },
+            Scheme::Laedge => ClientMode::Coordinator { ip: COORD_IP },
+            Scheme::NetClone { .. } | Scheme::RackSchedOnly => ClientMode::NetClone {
+                num_groups: tor.num_groups(),
+                num_filter_tables: u8::try_from(scenario.n_filter_tables)
+                    .expect("validate bounds the filter tables"),
+            },
+        };
+        let seed = seeds.seed_for("client", cid as u64);
+        let mut sim = ClientSim::new(
+            cid as u16,
+            mode,
+            calib::CLIENT_TX_NS,
+            calib::CLIENT_RX_NS,
+            seed,
+        );
+        if let Some(policy) = scenario.retry {
+            sim.core = sim.core.with_retry(policy);
+        }
+        ClientHost {
+            sim,
+            arrivals: seeds.rng_for("arrivals", cid as u64),
+            ops: seeds.rng_for("workload", cid as u64),
+        }
+    };
+    let coordinator = || {
+        let mut c = LaedgeCoordinator::new(CoordinatorConfig {
+            ip: COORD_IP,
+            per_packet_ns: calib::COORD_PKT_NS,
+        });
+        for (i, spec) in scenario.servers.iter().enumerate() {
+            c.add_server(i as u16, Ipv4::server(i as u16), spec.workers);
+        }
+        c
+    };
+
+    let end_ns = scenario.warmup_ns + scenario.measure_ns;
+    let ts_buckets = (end_ns / scenario.timeseries_bucket_ns + 2).max(1) as usize;
+    // Single-rack runs collapse every domain onto the control domain
+    // (one counter == the old global sequence); multi-rack runs get
+    // one domain per rack above it.
+    let n_domains = if racks == 1 { 1 } else { racks + 1 };
+    let pass_ns = netclone_asic::AsicSpec::tofino().pass_latency_ns;
+
+    let mut out: Vec<Shard> = (0..nshards)
+        .map(|k| {
+            let owns = |leaf: usize| rack_shard[leaf] == k;
+            let racks: Vec<Option<Rack>> = (0..racks).map(|r| owns(r).then(|| rack(r))).collect();
+            let clients = (0..scenario.n_clients)
+                .map(|cid| {
+                    let leaf = hosts[hosts.client(cid)].leaf;
+                    let tor = racks[leaf].as_ref().map(|r| &*r.engine);
+                    tor.map(|tor| client(cid, tor))
+                })
+                .collect();
+            let servers = scenario.servers.iter().enumerate();
+            let servers = servers
+                .map(|(i, spec)| owns(hosts[hosts.server(i)].leaf).then(|| server(i, spec.workers)))
+                .collect();
+            let coord = scenario.scheme.uses_coordinator() && owns(hosts[hosts.coord()].leaf);
+            Shard {
+                id: k,
+                rack_shard: rack_shard.clone(),
+                scenario: Arc::clone(&scenario),
+                q: EventQueue::new(),
+                racks,
+                clients,
+                servers,
+                tier: tier.clone(),
+                inter_rack_ns: topo.inter_rack_ns,
+                ecmp_seed: topo.ecmp_seed,
+                pass_ns,
+                hosts: hosts.clone(),
+                access: scenario.links.as_ref().map(|spec| {
+                    let owned = |leaf| owns(leaf).then(|| [spec.edge_link(), spec.edge_link()]);
+                    hosts.iter().map(|h| owned(h.leaf)).collect()
+                }),
+                bg,
+                switch_up: true,
+                coordinator: coord.then(coordinator),
+                arrivals,
+                loss: loss.clone(),
+                synthetic,
+                kvmix: kvmix.clone(),
+                sink: netclone_asic::EmissionSink::new(),
+                end_ns,
+                measure_start_ns: 0,
+                throughput: TimeSeries::new(scenario.timeseries_bucket_ns, ts_buckets),
+                completed_in_window: 0,
+                packets_lost: 0,
+                upper_counters_at_warmup: tier.counters().to_vec(),
+                seq: vec![0; n_domains],
+                cur_src: CONTROL_SRC,
+                cur_rack: usize::MAX,
+                events_scheduled: 0,
+                outbox: (0..nshards).map(|_| Vec::new()).collect(),
+                trace: traced.then(Vec::new),
+            }
+        })
+        .collect();
+
+    prime(&mut out, &scenario, &hosts, &rack_shard);
+    let lookahead = lookahead_ns(
+        &tier,
+        &rack_shard,
+        pass_ns,
+        topo.inter_rack_ns,
+        scenario.links.is_some(),
+    );
+    (out, lookahead)
 }
 
-impl ScenarioBuilder {
-    /// Starts a build for the given scenario.
-    pub fn new(scenario: Scenario) -> Self {
-        ScenarioBuilder { scenario }
-    }
-
-    /// Builds the testbed partitioned into `min(shards, racks)` shards of
-    /// whole racks, assigned by one rack → shard table ([`partition`]):
-    /// switch engines, hosts, workload streams, and the priming events
-    /// (first arrivals, warm-up end, failure injections). Returns the
-    /// shards plus the conservative lookahead that partition allows
-    /// ([`lookahead_ns`]) — the minimum simulated delay of any
-    /// cross-shard interaction.
-    ///
-    /// The partitioning is *count-clamped to the topology, never to the
-    /// machine*: the shard layout is a pure function of the scenario, so
-    /// results cannot depend on where the run executes (and event keys,
-    /// being per-rack, do not depend on the layout at all).
-    pub(crate) fn build_shards(self, shards: usize, traced: bool) -> (Vec<Shard>, u64) {
-        let scenario = Arc::new(self.scenario);
-        let seeds = SeedFactory::new(scenario.seed);
-        if let Err(e) = scenario.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        let topo = &scenario.topology;
-        let (racks, shape) = (topo.racks, topo.shape);
-        let hosts = host_table(&scenario, topo);
-        let tier = UpperTier::new(racks, shape, hosts.iter().map(|h| (h.ip, h.leaf)));
-        let nshards = shards.clamp(1, racks);
-        let rack_shard = partition(shape, &rack_weights(&hosts, racks), nshards);
-
-        // ---- workload -----------------------------------------------
-        let (synthetic, kvmix, cost) = match &scenario.workload {
-            Workload::Synthetic(wl) => (Some(*wl), None, ServiceCostModel::redis()),
-            Workload::Kv {
-                get_frac,
-                scan_count,
-                objects,
-                zipf_theta,
-                cost,
-            } => {
-                let keys = ZipfSampler::new(*objects, *zipf_theta);
-                (
-                    None,
-                    Some(Arc::new(KvMix::read_mix(*get_frac, *scan_count, keys))),
-                    *cost,
-                )
-            }
-        };
-        let arrivals = PoissonArrivals::new(scenario.offered_rps / scenario.n_clients as f64);
-        let bg = scenario.background.map(|b| BgState {
-            arrivals: PoissonArrivals::new(b.rps / (racks - 1) as f64),
-            wire: b.wire_bytes,
-            victim: b.victim_rack,
-        });
-
-        // ---- the records ---------------------------------------------
-        // Each entity is built on the shard that owns its rack. Every
-        // stream is its own `SeedFactory` fan-out, so the order in which
-        // records are made (and their first gaps drawn, in `prime`)
-        // cannot shift a draw.
-        let fabric_links = || match &scenario.links {
-            Some(spec) if racks > 1 => (0..shape.n_uplinks()).map(|_| spec.fabric_link()).collect(),
-            _ => Vec::new(),
-        };
-        let rack = |r: usize| Rack {
-            engine: program_switch(&scenario, &hosts, racks, shape, r),
-            up: true,
-            at_warmup: SwitchCounters::default(),
-            loss: (scenario.loss > 0.0).then(|| seeds.rng_for("loss", r as u64)),
-            bg: bg
-                .filter(|b| b.victim != r)
-                .map(|_| seeds.rng_for("bg", r as u64)),
-            bg_sent: 0,
-            uplinks: fabric_links(),
-            downlinks: fabric_links(),
-        };
-        let server = |i: usize, workers: usize| ServerHost {
-            sim: ServerSim::new(ServerConfig {
-                sid: i as u16,
-                workers,
-                dispatch_ns: calib::DISPATCH_NS,
-                clone_drop_ns: calib::CLONE_DROP_NS,
-                // The workload's own execution-time shape.
-                shape: if synthetic.is_some() {
-                    ServiceShape::Exponential
-                } else {
-                    ServiceShape::Gamma4
-                },
-                jitter: scenario.jitter,
-                cost,
-                hot_key: scenario.service_model.hot_key,
-                seed: seeds.seed_for("server", i as u64),
-            }),
-            at_warmup: ServerStats::default(),
-        };
-        let server_ips: Vec<Ipv4> = (0..scenario.servers.len() as u16)
-            .map(Ipv4::server)
-            .collect();
-        // A NetClone client takes its group count from its own ToR: that
-        // is the engine its requests traverse (§3.7).
-        let client = |cid: usize, tor: &dyn SwitchEngine| {
-            let servers = server_ips.clone();
-            let mode = match scenario.scheme {
-                Scheme::Baseline => ClientMode::DirectRandom { servers },
-                Scheme::CClone => ClientMode::DirectDuplicate { servers },
-                Scheme::Laedge => ClientMode::Coordinator { ip: COORD_IP },
-                Scheme::NetClone { .. } | Scheme::RackSchedOnly => ClientMode::NetClone {
-                    num_groups: tor.num_groups(),
-                    num_filter_tables: u8::try_from(scenario.n_filter_tables)
-                        .expect("validate bounds the filter tables"),
-                },
-            };
-            let seed = seeds.seed_for("client", cid as u64);
-            let mut sim = ClientSim::new(
-                cid as u16,
-                mode,
-                calib::CLIENT_TX_NS,
-                calib::CLIENT_RX_NS,
-                seed,
-            );
-            if let Some(policy) = scenario.retry {
-                sim.core = sim.core.with_retry(policy);
-            }
-            ClientHost {
-                sim,
-                arrivals: seeds.rng_for("arrivals", cid as u64),
-                ops: seeds.rng_for("workload", cid as u64),
-            }
-        };
-        let coordinator = || {
-            let mut c = LaedgeCoordinator::new(CoordinatorConfig {
-                ip: COORD_IP,
-                per_packet_ns: calib::COORD_PKT_NS,
-            });
-            for (i, spec) in scenario.servers.iter().enumerate() {
-                c.add_server(i as u16, Ipv4::server(i as u16), spec.workers);
-            }
-            c
-        };
-
-        let end_ns = scenario.warmup_ns + scenario.measure_ns;
-        let ts_buckets = (end_ns / scenario.timeseries_bucket_ns + 2).max(1) as usize;
-        // Single-rack runs collapse every domain onto the control domain
-        // (one counter == the old global sequence); multi-rack runs get
-        // one domain per rack above it.
-        let n_domains = if racks == 1 { 1 } else { racks + 1 };
-        let pass_ns = netclone_asic::AsicSpec::tofino().pass_latency_ns;
-
-        let mut out: Vec<Shard> = (0..nshards)
-            .map(|k| {
-                let owns = |leaf: usize| rack_shard[leaf] == k;
-                let racks: Vec<Option<Rack>> =
-                    (0..racks).map(|r| owns(r).then(|| rack(r))).collect();
-                let clients = (0..scenario.n_clients)
-                    .map(|cid| {
-                        let leaf = hosts[hosts.client(cid)].leaf;
-                        let tor = racks[leaf].as_ref().map(|r| &*r.engine);
-                        tor.map(|tor| client(cid, tor))
-                    })
-                    .collect();
-                let servers = scenario.servers.iter().enumerate();
-                let servers = servers
-                    .map(|(i, spec)| {
-                        owns(hosts[hosts.server(i)].leaf).then(|| server(i, spec.workers))
-                    })
-                    .collect();
-                let coord = scenario.scheme.uses_coordinator() && owns(hosts[hosts.coord()].leaf);
-                Shard {
-                    id: k,
-                    rack_shard: rack_shard.clone(),
-                    scenario: Arc::clone(&scenario),
-                    q: EventQueue::new(),
-                    racks,
-                    clients,
-                    servers,
-                    tier: tier.clone(),
-                    inter_rack_ns: topo.inter_rack_ns,
-                    ecmp_seed: topo.ecmp_seed,
-                    pass_ns,
-                    hosts: hosts.clone(),
-                    access: scenario.links.as_ref().map(|spec| {
-                        let owned = |leaf| owns(leaf).then(|| [spec.edge_link(), spec.edge_link()]);
-                        hosts.iter().map(|h| owned(h.leaf)).collect()
-                    }),
-                    bg,
-                    switch_up: true,
-                    coordinator: coord.then(coordinator),
-                    arrivals,
-                    loss: (scenario.loss > 0.0).then_some(scenario.loss),
-                    synthetic,
-                    kvmix: kvmix.clone(),
-                    sink: netclone_asic::EmissionSink::new(),
-                    end_ns,
-                    measure_start_ns: 0,
-                    throughput: TimeSeries::new(scenario.timeseries_bucket_ns, ts_buckets),
-                    completed_in_window: 0,
-                    packets_lost: 0,
-                    upper_counters_at_warmup: tier.counters().to_vec(),
-                    seq: vec![0; n_domains],
-                    cur_src: CONTROL_SRC,
-                    cur_rack: usize::MAX,
-                    events_scheduled: 0,
-                    outbox: (0..nshards).map(|_| Vec::new()).collect(),
-                    trace: traced.then(Vec::new),
-                }
-            })
-            .collect();
-
-        Self::prime(&mut out, &scenario, &hosts, &rack_shard);
-        let lookahead = lookahead_ns(
-            &tier,
-            &rack_shard,
-            pass_ns,
-            topo.inter_rack_ns,
-            scenario.links.is_some(),
-        );
-        (out, lookahead)
-    }
-
-    /// Schedules the events that start the run: one arrival per client,
-    /// the warm-up end, and any configured failure injections.
-    ///
-    /// Control events share one key counter regardless of the shard
-    /// count, assigned in a fixed order. Events with a single owner
-    /// (arrivals, a server kill) land only on the owner's queue;
-    /// fabric-wide events (warm-up end, switch failure, server removal)
-    /// are replicated onto *every* queue under the *same* key, and every
-    /// shard leaves priming with the same control counter — so any
-    /// control key a shard assigns later is assigned identically by all.
-    /// Logical events are counted once (on the owner, or shard 0 for
-    /// broadcasts), keeping `RunResult::events` shard-count-invariant.
-    /// Each first arrival gap is the first draw of its record's stream.
-    fn prime(shards: &mut [Shard], scenario: &Scenario, hosts: &Hosts, rack_shard: &[usize]) {
-        let client_shard = |cid: usize| rack_shard[hosts[hosts.client(cid)].leaf];
-        let server_shard = |sid: u16| rack_shard[hosts[hosts.server(sid.into())].leaf];
-        let mut ctl = 0u64;
-        let prime_one = |shards: &mut [Shard], ctl: &mut u64, owner: usize, at: u64, ev: Ev| {
-            let tie = tie_key(CONTROL_SRC, *ctl);
-            *ctl += 1;
-            shards[owner].events_scheduled += 1;
-            shards[owner]
-                .q
-                .schedule_keyed(SimTime::from_ns(at), tie, ev);
-        };
-        let broadcast = |shards: &mut [Shard], ctl: &mut u64, at: u64, mk: &dyn Fn() -> Ev| {
-            let tie = tie_key(CONTROL_SRC, *ctl);
-            *ctl += 1;
-            shards[0].events_scheduled += 1;
-            for sh in shards.iter_mut() {
-                sh.q.schedule_keyed(SimTime::from_ns(at), tie, mk());
-            }
-        };
-
-        for cid in 0..scenario.n_clients {
-            let k = client_shard(cid);
-            let sh = &mut shards[k];
-            let c = sh.clients[cid].as_mut().expect("owned client");
-            let gap = sh.arrivals.next_gap_ns(&mut c.arrivals);
-            prime_one(shards, &mut ctl, k, gap, Ev::Gen(cid));
-        }
-        broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
-        // Fault edges ride the control domain too, in declaration order,
-        // start before end; `Shard::on_fault` applies them. An edge whose
-        // state has a single holder (a server's slow factor or liveness,
-        // a leaf's forwarding flag, a rack's link rates) primes on the
-        // holder's shard alone; a fabric-wide edge (a switch reboot, a
-        // server's removal from the tables) broadcasts under one key.
-        for (idx, fault) in scenario.faults.faults.iter().enumerate() {
-            let owners = match fault.kind {
-                FaultKind::Slowdown { sid, .. } => [Some(server_shard(sid)); 2],
-                FaultKind::Drain { rack } | FaultKind::LinkFlap { rack, .. } => {
-                    [Some(rack_shard[rack]); 2]
-                }
-                FaultKind::Reboot { .. } => [None; 2],
-                FaultKind::ServerStop { sid } => [Some(server_shard(sid)), None],
-            };
-            let edges = [(Edge::Start, fault.start_ns), (Edge::End, fault.end_ns)];
-            for ((edge, at), owner) in edges.into_iter().zip(owners) {
-                let ev = || Ev::Fault { idx, edge };
-                match owner {
-                    Some(k) => prime_one(shards, &mut ctl, k, at, ev()),
-                    None => broadcast(shards, &mut ctl, at, &ev),
-                }
-            }
-        }
-        // The retry clock: one self-rescheduling tick per client, owned by
-        // the client's shard. Absent a retry policy no tick is ever
-        // scheduled (and the legacy scenarios stay seed-pinned).
-        if let Some(policy) = scenario.retry {
-            for cid in 0..scenario.n_clients {
-                let tick = Ev::ClientTick(cid);
-                prime_one(shards, &mut ctl, client_shard(cid), policy.tick_ns(), tick);
-            }
-        }
-        // Background incast: one first arrival per source rack, owned by
-        // the rack's shard (the victim rack has no stream).
-        for (r, &k) in rack_shard.iter().enumerate() {
-            let sh = &mut shards[k];
-            let rack = sh.racks[r].as_mut().expect("owned rack");
-            if let (Some(bg), Some(rng)) = (&sh.bg, &mut rack.bg) {
-                let gap = bg.arrivals.next_gap_ns(rng);
-                prime_one(shards, &mut ctl, k, gap, Ev::BgGen(r));
-            }
-        }
+/// Schedules the events that start the run: one arrival per client,
+/// the warm-up end, and any configured failure injections.
+///
+/// Control events share one key counter regardless of the shard
+/// count, assigned in a fixed order. Events with a single owner
+/// (arrivals, a server kill) land only on the owner's queue;
+/// fabric-wide events (warm-up end, switch failure, server removal)
+/// are replicated onto *every* queue under the *same* key, and every
+/// shard leaves priming with the same control counter — so any
+/// control key a shard assigns later is assigned identically by all.
+/// Logical events are counted once (on the owner, or shard 0 for
+/// broadcasts), keeping `RunResult::events` shard-count-invariant.
+/// Each first arrival gap is the first draw of its record's stream.
+fn prime(shards: &mut [Shard], scenario: &Scenario, hosts: &Hosts, rack_shard: &[usize]) {
+    let client_shard = |cid: usize| rack_shard[hosts[hosts.client(cid)].leaf];
+    let server_shard = |sid: u16| rack_shard[hosts[hosts.server(sid.into())].leaf];
+    let mut ctl = 0u64;
+    let prime_one = |shards: &mut [Shard], ctl: &mut u64, owner: usize, at: u64, ev: Ev| {
+        let tie = tie_key(CONTROL_SRC, *ctl);
+        *ctl += 1;
+        shards[owner].events_scheduled += 1;
+        shards[owner]
+            .q
+            .schedule_keyed(SimTime::from_ns(at), tie, ev);
+    };
+    let broadcast = |shards: &mut [Shard], ctl: &mut u64, at: u64, mk: &dyn Fn() -> Ev| {
+        let tie = tie_key(CONTROL_SRC, *ctl);
+        *ctl += 1;
+        shards[0].events_scheduled += 1;
         for sh in shards.iter_mut() {
-            sh.seq[usize::from(CONTROL_SRC)] = ctl;
+            sh.q.schedule_keyed(SimTime::from_ns(at), tie, mk());
         }
+    };
+
+    for cid in 0..scenario.n_clients {
+        let k = client_shard(cid);
+        let sh = &mut shards[k];
+        let c = sh.clients[cid].as_mut().expect("owned client");
+        let gap = sh.arrivals.next_gap_ns(&mut c.arrivals);
+        prime_one(shards, &mut ctl, k, gap, Ev::Gen(cid));
+    }
+    broadcast(shards, &mut ctl, scenario.warmup_ns, &|| Ev::EndWarmup);
+    // Fault edges ride the control domain too, in declaration order,
+    // start before end; `Shard::on_fault` applies them. An edge whose
+    // state has a single holder (a server's slow factor or liveness,
+    // a leaf's forwarding flag, a rack's link rates) primes on the
+    // holder's shard alone; a fabric-wide edge (a switch reboot, a
+    // server's removal from the tables) broadcasts under one key. A
+    // loss window has no edges: `Shard::lose_packet` reads it.
+    for (idx, fault) in scenario.faults.faults.iter().enumerate() {
+        let owners = match fault.kind {
+            FaultKind::Slowdown { sid, .. } => [Some(server_shard(sid)); 2],
+            FaultKind::Drain { rack } | FaultKind::LinkFlap { rack, .. } => {
+                [Some(rack_shard[rack]); 2]
+            }
+            FaultKind::Reboot { .. } => [None; 2],
+            FaultKind::ServerStop { sid } => [Some(server_shard(sid)), None],
+            FaultKind::Loss { .. } => continue,
+        };
+        let edges = [(Edge::Start, fault.start_ns), (Edge::End, fault.end_ns)];
+        for ((edge, at), owner) in edges.into_iter().zip(owners) {
+            let ev = || Ev::Fault { idx, edge };
+            match owner {
+                Some(k) => prime_one(shards, &mut ctl, k, at, ev()),
+                None => broadcast(shards, &mut ctl, at, &ev),
+            }
+        }
+    }
+    // The retry clock: one self-rescheduling tick per client, owned by
+    // the client's shard. Absent a retry policy no tick is ever
+    // scheduled (and the legacy scenarios stay seed-pinned).
+    if let Some(policy) = scenario.retry {
+        for cid in 0..scenario.n_clients {
+            let tick = Ev::ClientTick(cid);
+            prime_one(shards, &mut ctl, client_shard(cid), policy.tick_ns(), tick);
+        }
+    }
+    // Background incast: one first arrival per source rack, owned by
+    // the rack's shard (the victim rack has no stream).
+    for (r, &k) in rack_shard.iter().enumerate() {
+        let sh = &mut shards[k];
+        let rack = sh.racks[r].as_mut().expect("owned rack");
+        if let (Some(bg), Some(rng)) = (&sh.bg, &mut rack.bg) {
+            let gap = bg.arrivals.next_gap_ns(rng);
+            prime_one(shards, &mut ctl, k, gap, Ev::BgGen(r));
+        }
+    }
+    for sh in shards.iter_mut() {
+        sh.seq[usize::from(CONTROL_SRC)] = ctl;
     }
 }
 
@@ -644,7 +636,7 @@ mod tests {
 
     /// The rack → shard table and lookahead of `scenario` at `shards`.
     fn layout(scenario: Scenario, shards: usize) -> (Vec<usize>, u64) {
-        let (shards, lookahead) = ScenarioBuilder::new(scenario).build_shards(shards, false);
+        let (shards, lookahead) = build_shards(scenario, shards, false);
         (shards[0].rack_shard.clone(), lookahead)
     }
 
@@ -711,13 +703,13 @@ mod tests {
         laedge.topology = Topology::uniform(4);
         let fat = [1, 2, 4, 8].map(|n| (fat_tree(4), n));
         for (scenario, n) in fat.into_iter().chain([(laedge, 2)]) {
-            let (shards, _) = ScenarioBuilder::new(scenario).build_shards(n, false);
+            let (shards, _) = build_shards(scenario, n, false);
             assert_eq!(shards.len(), n);
             let (hosts, rack_shard) = (&shards[0].hosts, &shards[0].rack_shard);
             for sh in &shards {
                 let owns = |leaf: usize| rack_shard[leaf] == sh.id;
                 let at = |what: &str, i: usize| format!("shard {} of {n}, {what} {i}", sh.id);
-                assert!(sh.loss.is_none());
+                assert!(sh.loss.is_empty());
                 for (r, rack) in sh.racks.iter().enumerate() {
                     assert_eq!(rack.is_some(), owns(r), "{}", at("rack", r));
                     if let Some(rack) = rack {
@@ -755,7 +747,7 @@ mod tests {
         let mut s = fat_tree(4);
         s.warmup_ns = 500_000;
         s.measure_ns = 1_000_000;
-        let (shards, lookahead_ns) = ScenarioBuilder::new(s).build_shards(2, false);
+        let (shards, lookahead_ns) = build_shards(s, 2, false);
         let pass = netclone_asic::AsicSpec::tofino().pass_latency_ns;
         ShardCoordinator {
             shards,

@@ -80,7 +80,7 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
                 },
                 1.0,
             );
-            s.service_model.hot_key = Some(hot_key_model());
+            s.hot_key = Some(hot_key_model());
             s
         }
         "slowdown" => Scenario::synthetic_default(scheme, exp25(), 1.0),

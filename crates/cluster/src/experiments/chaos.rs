@@ -25,10 +25,10 @@
 //!   falling to ~10 Mbps: the queues grow, ECN marks, and tail drops
 //!   concentrate on one rack while the switch keeps forwarding — gray
 //!   at the *link* layer, surfaced to clients only as timeouts.
-//! * **retry-storm** — injected packet loss with a tight timeout and a
-//!   deliberately small retry budget: the recovery path itself under
-//!   stress, exercising eviction-by-budget (`budget_exhausted`) and the
-//!   backoff cap rather than any switch-side fault. This kind also
+//! * **retry-storm** — whole-run packet loss ([`Fault::loss`]) under a
+//!   tight timeout and a small retry budget: the recovery path itself
+//!   under stress, exercising eviction-by-budget (`budget_exhausted`) and
+//!   the backoff cap rather than any switch-side fault. This kind also
 //!   surfaces a structural LÆDGE weakness: the coordinator admits per
 //!   server only up to a fixed outstanding capacity and a *lost response
 //!   leaks its slot forever*, so under sustained loss the coordinator
@@ -36,10 +36,10 @@
 //!   coordinator — cannot recover it. The client-driven and in-network
 //!   schemes have no such single point of state.
 //!
-//! Every fault edge is a fabric-domain-0 control event, so serial and
-//! sharded runs are byte-identical (CI diffs `--shards 1` vs `--shards
-//! 4` on this experiment's JSON); `tests/chaos.rs` pins the exact
-//! seed-42 state per kind.
+//! Every fault edge is a fabric-domain-0 control event and every loss
+//! draw is the executing rack's, so serial and sharded runs are
+//! byte-identical (CI diffs `--shards 1` vs `--shards 4` on this
+//! experiment's JSON); `tests/chaos.rs` pins the seed-42 state per kind.
 
 use netclone_stats::Report;
 use netclone_workloads::exp25;
@@ -127,7 +127,7 @@ pub fn scenario(kind: &str, scheme: Scheme, ctx: &RunCtx) -> Scenario {
             });
         }
         "retry-storm" => {
-            s.loss = 0.02;
+            s.faults.faults.push(Fault::loss(0.02));
             s.retry = Some(storm_policy());
         }
         other => panic!("unknown chaos kind {other:?}"),

@@ -266,7 +266,7 @@ mod tests {
             for scheme in SCHEMES {
                 let s = scenario(radix_for(&ctx), 3.0, scheme, &ctx);
                 assert_eq!(s.validate(), Ok(()), "{scale:?} {scheme:?}");
-                let (shards, _) = crate::build::ScenarioBuilder::new(s).build_shards(1, false);
+                let (shards, _) = crate::build::build_shards(s, 1, false);
                 assert!(
                     !shards[0].q.is_empty(),
                     "{scale:?} {scheme:?}: nothing primed"

@@ -35,12 +35,10 @@ pub mod sim;
 pub mod sweep;
 pub mod topology;
 
-pub use build::{build_engine, build_fabric, build_upper_tier, ScenarioBuilder};
+pub use build::{build_engine, build_fabric, build_upper_tier};
 pub use harness::{registry, Experiment, RunCtx, Runner};
 pub use metrics::RunResult;
-pub use scenario::{
-    Fault, FaultKind, FaultTimeline, RetryPolicy, Scenario, ServerSpec, ServiceModel, Workload,
-};
+pub use scenario::{Fault, FaultKind, FaultTimeline, RetryPolicy, Scenario, ServerSpec, Workload};
 pub use scheme::Scheme;
 pub use sim::Sim;
 pub use topology::{Fabric, Hop, Placement, Topology};

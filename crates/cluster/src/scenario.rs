@@ -147,9 +147,23 @@ pub enum FaultKind {
     /// Fail-stop server (§3.6): server `sid` drops everything from
     /// `start_ns` and leaves the tables at `end_ns`, for good.
     ServerStop { sid: u16 },
+    /// Fabric-wide packet loss: each link traversal executed in the
+    /// window drops with probability `prob` (in (0, 1)), drawn from the
+    /// executing rack's `("loss", rack)` stream. It primes no edge event.
+    Loss { prob: f64 },
 }
 
 impl Fault {
+    /// Packet loss with probability `prob` per traversal over the whole
+    /// run, `0..u64::MAX`.
+    pub fn loss(prob: f64) -> Self {
+        Fault {
+            start_ns: 0,
+            end_ns: u64::MAX,
+            kind: FaultKind::Loss { prob },
+        }
+    }
+
     /// The window the fault holds its target: `start_ns..end_ns`, which
     /// for a reboot runs on through bring-up. Errs when that end
     /// overflows the clock.
@@ -170,26 +184,28 @@ impl Fault {
 }
 
 impl FaultKind {
-    /// The kind's name in `validate`'s errors.
-    fn name(self) -> &'static str {
+    /// The kind's name and target in `validate`'s errors; the
+    /// fabric-wide kinds have no target.
+    fn name(self) -> (&'static str, String) {
         match self {
-            FaultKind::Slowdown { .. } => "slowdown",
-            FaultKind::Drain { .. } => "drain",
-            FaultKind::LinkFlap { .. } => "link-flap",
-            FaultKind::Reboot { .. } => "switch reboot",
-            FaultKind::ServerStop { .. } => "server stop",
+            FaultKind::Slowdown { sid, .. } => ("slowdown", format!(" on server {sid}")),
+            FaultKind::Drain { rack } => ("drain", format!(" on rack {rack}")),
+            FaultKind::LinkFlap { rack, .. } => ("link-flap", format!(" on rack {rack}")),
+            FaultKind::Reboot { .. } => ("switch reboot", String::new()),
+            FaultKind::ServerStop { sid } => ("server stop", format!(" on server {sid}")),
+            FaultKind::Loss { .. } => ("loss", String::new()),
         }
     }
 }
 
-/// An ordered, validated set of timed fault edges — the scenario's one
-/// fault channel: switch reboots, fail-stop and gray servers, leaf
-/// drains and link flaps, any number of each.
+/// An ordered, validated set of timed faults — the scenario's one fault
+/// channel: switch reboots, fail-stop and gray servers, leaf drains, link
+/// flaps and packet loss, any number of each.
 ///
 /// Every edge is delivered as a fabric-domain-0 control event primed at
 /// build time in declaration order, so serial and sharded runs stay
 /// byte-identical for any timeline (see "Fault injection & recovery" in
-/// `docs/ARCHITECTURE.md`). `Default` is empty and primes nothing.
+/// `docs/ARCHITECTURE.md`); a loss window has no edges. `Default` is empty.
 #[derive(Clone, Debug, Default)]
 pub struct FaultTimeline {
     /// The fault edges, primed in declaration order.
@@ -234,19 +250,6 @@ impl FaultTimeline {
     }
 }
 
-/// Composable service-model overrides layered over the workload — the
-/// adversarial suite's seam. `Default` means "the workload's own model"
-/// (synthetic → exponential execution around the class, KV → Gamma(4)
-/// over the flat cost model), which keeps every pre-existing scenario
-/// seed-pinned.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServiceModel {
-    /// Cache-aware hot/cold cost split for KV workloads: keys in the hot
-    /// set are cheap hits, the Zipf tail pays the expensive miss path.
-    /// Replaces the workload's flat [`ServiceCostModel`] at the servers.
-    pub hot_key: Option<HotKeyCost>,
-}
-
 /// Everything one simulation run needs.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -266,15 +269,15 @@ pub struct Scenario {
     pub warmup_ns: u64,
     /// Measurement window, ns.
     pub measure_ns: u64,
-    /// Uniform packet-loss probability per link traversal.
-    pub loss: f64,
     /// Master seed.
     pub seed: u64,
-    /// Service-model overrides (shape, hot-key cost); default = the
-    /// workload's own model.
-    pub service_model: ServiceModel,
+    /// Cache-aware hot/cold cost split for KV workloads: keys in the hot
+    /// set are cheap hits, the Zipf tail pays the expensive miss path.
+    /// Replaces the workload's flat [`ServiceCostModel`] at the servers;
+    /// `None` (the default) keeps the workload's own model.
+    pub hot_key: Option<HotKeyCost>,
     /// Every injected fault (switch reboots, fail-stop and gray servers,
-    /// leaf drains, link flaps); default = empty.
+    /// leaf drains, link flaps, packet loss); default = empty.
     pub faults: FaultTimeline,
     /// Client-side retry-on-timeout recovery ([`RetryPolicy`]): expired
     /// requests are retransmitted with capped exponential backoff under a
@@ -323,9 +326,8 @@ impl Scenario {
             offered_rps,
             warmup_ns: 30_000_000,   // 30 ms
             measure_ns: 250_000_000, // 250 ms
-            loss: 0.0,
             seed: 42,
-            service_model: ServiceModel::default(),
+            hot_key: None,
             faults: FaultTimeline::default(),
             retry: None,
             timeseries_bucket_ns: 100_000_000,
@@ -362,7 +364,7 @@ impl Scenario {
     /// by the Zipf mass on the hot set.
     pub fn capacity_rps(&self) -> f64 {
         let threads: usize = self.servers.iter().map(|s| s.workers).sum();
-        let base_mean = match (&self.workload, &self.service_model.hot_key) {
+        let base_mean = match (&self.workload, &self.hot_key) {
             (
                 Workload::Kv {
                     get_frac,
@@ -405,9 +407,6 @@ impl Scenario {
         // Rates are completions over this window: an empty one is NaN.
         if self.measure_ns == 0 {
             return Err("measure_ns must be positive".to_string());
-        }
-        if !(0.0..1.0).contains(&self.loss) {
-            return Err(format!("loss must be in [0, 1), got {}", self.loss));
         }
         if self.n_clients == 0 {
             return Err("n_clients must be positive".to_string());
@@ -453,20 +452,8 @@ impl Scenario {
             for b in &faults[i + 1..] {
                 let ((a0, a1), (b0, b1)) = (a.outage()?, b.outage()?);
                 let overlap = a0 < b1 && b0 < a1;
+                let ((name, target), same) = (a.kind.name(), a.kind.name() == b.kind.name());
                 let (clash, fix) = match (a.kind, b.kind) {
-                    (Slowdown { sid: x, .. }, Slowdown { sid: y, .. }) if x == y && overlap => {
-                        (format!("overlapping slowdown windows on server {x}"), MERGE)
-                    }
-                    (Drain { rack: x }, Drain { rack: y })
-                    | (LinkFlap { rack: x, .. }, LinkFlap { rack: y, .. })
-                        if x == y && overlap =>
-                    {
-                        let name = a.kind.name();
-                        (format!("overlapping {name} windows on rack {x}"), MERGE)
-                    }
-                    (Reboot { .. }, Reboot { .. }) if overlap => {
-                        ("overlapping switch reboot windows".to_string(), MERGE)
-                    }
                     (ServerStop { sid: x }, ServerStop { sid: y }) if x == y => (
                         format!("server {x} is stopped twice"),
                         "a stopped server never comes back — keep one stop",
@@ -481,6 +468,7 @@ impl Scenario {
                              windows or pick one failure mode",
                         )
                     }
+                    _ if same && overlap => (format!("overlapping {name} windows{target}"), MERGE),
                     _ => continue,
                 };
                 return Err(format!("{clash} ({a0}..{a1} ns and {b0}..{b1} ns); {fix}"));
@@ -521,7 +509,7 @@ impl Scenario {
     /// Per-fault shape checks: a non-empty window that fits the clock,
     /// the target's bounds and parameter, required topology features.
     fn validate_fault(&self, fault: &Fault) -> Result<(), String> {
-        let name = fault.kind.name();
+        let (name, _) = fault.kind.name();
         if fault.start_ns >= fault.end_ns {
             return Err(format!(
                 "{name} window is empty: start_ns {} >= end_ns {}",
@@ -561,6 +549,9 @@ impl Scenario {
             ),
             FaultKind::LinkFlap { factor, .. } if factor < 2 => Err(format!(
                 "link-flap factor must be ≥ 2 (1 is a healthy link), got {factor}"
+            )),
+            FaultKind::Loss { prob } if !(prob > 0.0 && prob < 1.0) => Err(format!(
+                "loss prob must be in (0, 1), got {prob} (1 or more completes nothing)"
             )),
             _ => Ok(()),
         }
@@ -888,15 +879,30 @@ mod tests {
         }
     }
 
-    /// A NaN loss ran as 0 and a loss of 1 or more completed nothing.
+    /// A NaN loss ran as 0 and a loss of 1 or more completed nothing; a
+    /// window of loss 0 is no fault at all.
     #[test]
     fn loss_outside_zero_to_one_is_rejected() {
-        for loss in [f64::NAN, -0.1, 1.0, 1.5] {
-            let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
-            s.loss = loss;
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        for prob in [f64::NAN, f64::NEG_INFINITY, -0.1, 0.0, 1.0, f64::INFINITY] {
+            s.faults.faults = vec![Fault::loss(prob)];
             let err = s.validate().unwrap_err();
-            assert!(err.contains("loss must be in [0, 1)"), "{loss}: {err}");
+            assert!(err.contains("loss prob must be in (0, 1)"), "{prob}: {err}");
         }
+        s.faults.faults = vec![Fault::loss(1.0 - f64::EPSILON)];
+        assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn overlapping_loss_windows_are_rejected() {
+        let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 1e6);
+        let loss = |start_ns, end_ns| fault(start_ns, end_ns, FaultKind::Loss { prob: 0.1 });
+        s.faults.faults = vec![loss(1_000, 3_000), Fault::loss(0.2)];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("overlapping loss windows"), "{err}");
+        // Back to back is a change of rate, not a contradiction.
+        s.faults.faults = vec![loss(1_000, 3_000), loss(3_000, 4_000)];
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]
@@ -1002,7 +1008,7 @@ mod tests {
     fn hot_key_model_shifts_capacity() {
         let mut s = Scenario::kv_default(Scheme::Baseline, Workload::redis(0.99), 1e5);
         let flat = s.capacity_rps();
-        s.service_model.hot_key = Some(HotKeyCost::redis_with_backing_store(1_000));
+        s.hot_key = Some(HotKeyCost::redis_with_backing_store(1_000));
         let hot = s.capacity_rps();
         // Misses are 10× the hit cost, so capacity must drop.
         assert!(hot < flat, "hot-key capacity {hot} !< flat {flat}");

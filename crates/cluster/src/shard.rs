@@ -1,7 +1,7 @@
 //! Conservative shard execution and result merging.
 //!
 //! [`ShardCoordinator`] drives the [`Shard`]s built by
-//! [`ScenarioBuilder::build_shards`]: serially when there is one shard
+//! `build::build_shards`: serially when there is one shard
 //! (the default, and any single-rack scenario), or on one thread per
 //! shard under the conservative lookahead protocol from
 //! [`netclone_des::sync`]. A shard owns whole racks — whole pods when the
@@ -61,8 +61,9 @@ use netclone_core::SwitchCounters;
 use netclone_des::sync::WindowRounds;
 use netclone_stats::LatencyHistogram;
 
-use crate::build::ScenarioBuilder;
+use crate::build::build_shards;
 use crate::metrics::{LinkStat, LinkTotals, RunResult};
+use crate::scenario::Scenario;
 use crate::sim::{CrossMsg, Shard};
 use crate::topology::HostKind;
 
@@ -92,8 +93,8 @@ impl Drop for FirstPanic<'_> {
 impl ShardCoordinator {
     /// Builds the testbed partitioned into (up to) `shards` shards;
     /// `traced` additionally records every executed event's `(time, key)`.
-    pub(crate) fn new(builder: ScenarioBuilder, shards: usize, traced: bool) -> Self {
-        let (shards, lookahead_ns) = builder.build_shards(shards, traced);
+    pub(crate) fn new(scenario: Scenario, shards: usize, traced: bool) -> Self {
+        let (shards, lookahead_ns) = build_shards(scenario, shards, traced);
         ShardCoordinator {
             shards,
             lookahead_ns,

@@ -1,12 +1,11 @@
 //! The event-driven testbed simulation: the event loop only.
 //!
 //! Everything about *assembling* a testbed (scheme → switch engines,
-//! hosts, workload streams, priming events) lives in
-//! [`crate::build::ScenarioBuilder`]; this module executes events and
-//! keeps the measurement windows. Every leaf switch is a
-//! [`Box<dyn SwitchEngine>`](netclone_core::SwitchEngine) — the same
-//! trait object the real-socket soft switch drives — so the simulator has
-//! no per-scheme dispatch at all.
+//! hosts, workload streams, priming events) lives in [`crate::build`];
+//! this module executes events and keeps the measurement windows. Every
+//! leaf switch is a [`Box<dyn SwitchEngine>`](netclone_core::SwitchEngine),
+//! the trait object the real-socket soft switch drives: no per-scheme
+//! dispatch here.
 //!
 //! ## Sharded execution
 //!
@@ -110,7 +109,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
 
-use crate::build::ScenarioBuilder;
 use crate::calib;
 use crate::metrics::RunResult;
 use crate::scenario::{FaultKind, Scenario};
@@ -196,10 +194,10 @@ pub(crate) struct Rack {
     pub up: bool,
     /// The leaf's counters at warm-up end.
     pub at_warmup: SwitchCounters,
-    /// The rack's loss stream, `("loss", rack)`; `None` in a lossless
-    /// run, which never draws. Every traversal of a packet executing in
-    /// this rack's domain draws from it, so the draw order is a per-domain
-    /// property that sharding cannot change (`tests/loss_determinism.rs`).
+    /// The rack's loss stream, `("loss", rack)`; `None` without a loss
+    /// window. Every traversal executing in this rack's domain inside one
+    /// draws from it, so the draw order is a per-domain property that
+    /// sharding cannot change (`tests/loss_determinism.rs`).
     pub loss: Option<StdRng>,
     /// The rack's background arrival stream, `("bg", rack)` (`None`: a
     /// quiet fabric, or the victim rack).
@@ -318,8 +316,9 @@ pub(crate) struct Shard {
     pub(crate) switch_up: bool,
     pub(crate) coordinator: Option<LaedgeCoordinator>,
     pub(crate) arrivals: PoissonArrivals,
-    /// Per-link-traversal loss probability; `None` in a lossless run.
-    pub(crate) loss: Option<f64>,
+    /// The loss windows `(start_ns, end_ns, prob)` a traversal's event
+    /// time is looked up in; empty in a lossless run, which never draws.
+    pub(crate) loss: Vec<(u64, u64, f64)>,
     pub(crate) synthetic: Option<SyntheticWorkload>,
     pub(crate) kvmix: Option<Arc<KvMix>>,
     /// The shard's reusable emission buffer (`on_switch_in` drains it in
@@ -413,9 +412,10 @@ impl Shard {
         tie
     }
 
+    /// One loss draw for a traversal by an event executing at `now`.
     #[inline]
-    fn lose_packet(&mut self) -> bool {
-        let Some(prob) = self.loss else {
+    fn lose_packet(&mut self, now: u64) -> bool {
+        let Some(&(.., prob)) = self.loss.iter().find(|w| (w.0..w.1).contains(&now)) else {
             return false;
         };
         let rng = self.rack(self.cur_rack).loss.as_mut();
@@ -456,12 +456,12 @@ impl Shard {
         }
     }
 
-    /// Sends `pkt` from host `host`, its last bit ready at `egress_ns`:
-    /// one loss draw, the access link up (a tail-drop ends it there), then
-    /// `SwitchIn` at the host's leaf.
+    /// Sends `pkt` from host `host` in an event at `now`, its last bit
+    /// ready at `egress_ns`: one loss draw, the access link up (a
+    /// tail-drop ends it there), then `SwitchIn` at the host's leaf.
     #[inline]
-    fn host_send(&mut self, host: usize, egress_ns: u64, pkt: AppPacket) {
-        if self.lose_packet() {
+    fn host_send(&mut self, host: usize, now: u64, egress_ns: u64, pkt: AppPacket) {
+        if self.lose_packet(now) {
             self.packets_lost += 1;
             return;
         }
@@ -574,6 +574,7 @@ impl Shard {
             // second stop), so `is_alive` is its whole fault state.
             FaultKind::ServerStop { sid } if start => self.server(sid.into()).kill(),
             FaultKind::ServerStop { sid } => self.on_server_remove(sid),
+            FaultKind::Loss { .. } => unreachable!("a loss window primes no edge"),
         }
     }
 
@@ -611,7 +612,7 @@ impl Shard {
         let host = self.hosts.client(cid);
         let c = self.clients[cid].as_mut().expect("owned client");
         for (pkt, tx_done) in c.sim.tick(now) {
-            self.host_send(host, tx_done, pkt);
+            self.host_send(host, now, tx_done, pkt);
         }
         if now < self.end_ns {
             let tick = self
@@ -670,7 +671,7 @@ impl Shard {
                 op,
                 born_ns: now,
             };
-            self.host_send(host, tx_done, pkt);
+            self.host_send(host, now, tx_done, pkt);
         });
         let gap = self.arrivals.next_gap_ns(&mut c.arrivals);
         self.clients = clients;
@@ -688,7 +689,7 @@ impl Shard {
         let mut sink = std::mem::take(&mut self.sink);
         rack.engine.process(pkt.meta, 0, now, &mut sink);
         for e in sink.drain() {
-            if self.lose_packet() {
+            if self.lose_packet(now) {
                 self.packets_lost += 1;
                 continue;
             }
@@ -708,7 +709,7 @@ impl Shard {
                         Verdict::Drop => continue,
                     }
                 }
-                self.via_upper(walk, out, egress);
+                self.via_upper(walk, out, now, egress);
             } else {
                 let Some(host) = self.hosts.at_port(e.port) else {
                     no_host(e.port);
@@ -731,14 +732,14 @@ impl Shard {
     /// (with `send_to_leaf`) it grows `handle` by a tenth and costs the
     /// single-rack loop, which never gets here, 1 % of its time.
     #[inline(never)]
-    fn via_upper(&mut self, walk: UpperWalk, pkt: AppPacket, egress_ns: u64) {
+    fn via_upper(&mut self, walk: UpperWalk, pkt: AppPacket, now: u64, egress_ns: u64) {
         let Some(leaf) = walk.leaf else {
             self.tier.count_dropped(walk.hops()[0]);
             return;
         };
         for &sw in walk.hops() {
             self.tier.count_routed(sw);
-            if self.lose_packet() {
+            if self.lose_packet(now) {
                 self.packets_lost += 1;
                 return;
             }
@@ -846,7 +847,7 @@ impl Shard {
         let meta =
             PacketMeta::netclone_response(Ipv4::server(sid), pkt.meta.src_ip, completion.resp, 84);
         // The response carries the request's op and birth time.
-        self.host_send(self.hosts.server(idx), now, AppPacket { meta, ..pkt });
+        self.host_send(self.hosts.server(idx), now, now, AppPacket { meta, ..pkt });
         if let Some((pkt, next_done)) = completion.next {
             self.sched(next_done, Ev::ServerDone(idx, pkt));
         }
@@ -870,7 +871,7 @@ impl Shard {
             MsgType::Resp => coord.on_response(pkt, now),
         };
         for e in events {
-            self.host_send(self.hosts.coord(), e.send_at, e.pkt);
+            self.host_send(self.hosts.coord(), now, e.send_at, e.pkt);
         }
     }
 
@@ -935,9 +936,7 @@ impl Sim {
     /// (asserted by `tests/harness_determinism.rs` and the sharding
     /// proptests).
     pub fn run_with_shards(scenario: Scenario, shards: usize) -> RunResult {
-        ShardCoordinator::new(ScenarioBuilder::new(scenario), shards, false)
-            .run()
-            .0
+        ShardCoordinator::new(scenario, shards, false).run().0
     }
 
     /// [`Sim::run_with_shards`], also returning the `(time, tie-key)` of
@@ -946,8 +945,7 @@ impl Sim {
     /// execution order.
     #[doc(hidden)]
     pub fn run_traced(scenario: Scenario, shards: usize) -> (RunResult, Vec<(u64, u64)>) {
-        let (result, trace) =
-            ShardCoordinator::new(ScenarioBuilder::new(scenario), shards, true).run();
+        let (result, trace) = ShardCoordinator::new(scenario, shards, true).run();
         (result, trace.expect("tracing enabled"))
     }
 }
@@ -955,6 +953,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::build_shards;
     use netclone_policies::PlainL3Switch;
     use netclone_proto::NetCloneHdr;
 
@@ -967,7 +966,7 @@ mod tests {
             1e5,
         );
         assert_eq!(s.n_clients, 2);
-        let (mut shards, _) = ScenarioBuilder::new(s).build_shards(1, false);
+        let (mut shards, _) = build_shards(s, 1, false);
         let shard = &mut shards[0];
         let mut rogue = PlainL3Switch::new(netclone_asic::AsicSpec::tofino());
         rogue.register_route(dst, port).unwrap();

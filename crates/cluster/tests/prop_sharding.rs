@@ -79,7 +79,9 @@ fn scenario_for(shape: &Shape, seed: u64, loss: bool) -> Scenario {
     s.measure_ns = 1_500_000;
     s.offered_rps = s.capacity_rps() * 0.5;
     s.seed = seed;
-    s.loss = if loss { 0.01 } else { 0.0 };
+    if loss {
+        s.faults.faults.push(Fault::loss(0.01));
+    }
     s
 }
 
@@ -98,9 +100,10 @@ fn any_time() -> impl Strategy<Value = u64> {
 }
 
 /// Every [`FaultKind`] with each field over its whole range: targets
-/// past the fleet or the fabric, factors from zero and NaN to ±∞, and
-/// bring-ups up to `u64::MAX`. In-range targets are drawn three times
-/// in four.
+/// past the fleet or the fabric, factors from zero and NaN to ±∞,
+/// bring-ups up to `u64::MAX`, and loss probabilities over every `f64`
+/// bit pattern. In-range targets are drawn three times in four, and
+/// in-range probabilities half the time.
 fn any_fault() -> impl Strategy<Value = Fault> {
     let sid = || prop_oneof![0u16..4, 0u16..4, 0u16..4, any::<u16>()];
     let rack = || prop_oneof![0usize..4, 0usize..4, 0usize..4, any::<usize>()];
@@ -121,12 +124,24 @@ fn any_fault() -> impl Strategy<Value = Fault> {
         any::<u64>(),
         Just(u64::MAX)
     ];
+    let edge_prob = prop_oneof![
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(0.0),
+        Just(1.0),
+        Just(f64::MIN_POSITIVE),
+        any::<f64>(),
+        any::<u64>().prop_map(f64::from_bits),
+    ];
+    let prob = prop_oneof![edge_prob, 0.0f64..1.0];
     let kind = prop_oneof![
         (sid(), factor).prop_map(|(sid, factor)| FaultKind::Slowdown { sid, factor }),
         rack().prop_map(|rack| FaultKind::Drain { rack }),
         (rack(), flap).prop_map(|(rack, factor)| FaultKind::LinkFlap { rack, factor }),
         bringup.prop_map(|bringup_ns| FaultKind::Reboot { bringup_ns }),
         sid().prop_map(|sid| FaultKind::ServerStop { sid }),
+        prob.prop_map(|prob| FaultKind::Loss { prob }),
     ];
     (any_time(), any_time(), kind).prop_map(|(a, b, kind)| Fault {
         start_ns: a.min(b),
@@ -200,8 +215,8 @@ proptest! {
     }
 
     /// Composed [`FaultTimeline`]s (any mix of slowdown, server stop,
-    /// drain, link flap, and switch reboot) with or without a client
-    /// [`RetryPolicy`] are still shard-count invariant — every fault edge
+    /// drain, link flap, switch reboot, whole-run loss) with or without a
+    /// client [`RetryPolicy`] are still shard-count invariant — every fault edge
     /// and retry tick is a fabric-domain-0 control event — and the
     /// clients' whole-run conservation identity `generated == completed +
     /// lost + outstanding` holds at run end, retries and evictions
@@ -222,7 +237,7 @@ proptest! {
     ) {
         let build = || {
             let mut s = scenario_for(&shape, seed, loss);
-            let mut faults = Vec::new();
+            let mut faults = std::mem::take(&mut s.faults.faults);
             if let Some((sid, start, dur, f10)) = slow {
                 faults.push(Fault {
                     start_ns: start,

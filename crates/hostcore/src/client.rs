@@ -10,11 +10,11 @@
 //!   when and how to transmit them (DES event, UDP datagram);
 //! * [`ClientCore::on_packet`] classifies an incoming response (first
 //!   response / redundant / not-for-us) and keeps the latency histogram;
-//! * [`ClientCore::on_tick`] evicts requests that outlived the configured
-//!   per-request timeout, so `outstanding` never grows without bound under
-//!   response loss — or, with a [`RetryPolicy`], *retransmits* them under
-//!   capped exponential backoff and a per-client retry budget, so degraded
-//!   servers become a measurable recovery path instead of silent loss.
+//! * [`ClientCore::on_tick`] applies the one recovery rule, a
+//!   [`RetryPolicy`]: an expired request is *retransmitted* under capped
+//!   exponential backoff and a per-client retry budget, then evicted, so
+//!   `outstanding` never grows without bound under response loss. A plain
+//!   timeout is the policy with no retries: it evicts at the deadline.
 
 use std::collections::VecDeque;
 
@@ -216,7 +216,7 @@ pub struct ClientCore {
     /// [`Self::on_tick`] scan): ticks before it skip the scan.
     earliest_deadline_ns: u64,
     outbox: VecDeque<PacketMeta>,
-    timeout_ns: Option<u64>,
+    /// The one recovery rule; a plain timeout is a policy with no retries.
     retry: Option<RetryPolicy>,
     budget_left: u64,
     latencies: LatencyHistogram,
@@ -360,7 +360,6 @@ impl ClientCore {
             outstanding: SeqTable::new(),
             earliest_deadline_ns: u64::MAX,
             outbox: VecDeque::new(),
-            timeout_ns: None,
             retry: None,
             budget_left: 0,
             latencies: LatencyHistogram::new(),
@@ -369,17 +368,22 @@ impl ClientCore {
         }
     }
 
-    /// Sets the per-request timeout consulted by [`Self::on_tick`].
-    pub fn with_timeout(mut self, timeout_ns: u64) -> Self {
-        self.timeout_ns = Some(timeout_ns);
-        self
+    /// Sets the per-request timeout consulted by [`Self::on_tick`]: a
+    /// [`RetryPolicy`] with no retries and no budget, so an expired
+    /// request is evicted.
+    pub fn with_timeout(self, timeout_ns: u64) -> Self {
+        self.with_retry(RetryPolicy {
+            timeout_ns,
+            backoff_cap_ns: timeout_ns,
+            max_retries: 0,
+            budget: 0,
+        })
     }
 
     /// Arms the retry-on-timeout recovery path: expired requests are
-    /// retransmitted under `policy` instead of evicted. Implies the
-    /// policy's initial timeout.
+    /// retransmitted under `policy` instead of evicted, while attempts and
+    /// budget last.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.timeout_ns = Some(policy.timeout_ns);
         self.budget_left = policy.budget;
         self.retry = Some(policy);
         self
@@ -452,7 +456,7 @@ impl ClientCore {
     pub fn generate(&mut self, op: RpcOp, now: u64) -> u32 {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let timeout_ns = self.timeout_ns.unwrap_or(u64::MAX);
+        let timeout_ns = self.retry.map_or(u64::MAX, |pol| pol.timeout_ns);
         let deadline_ns = now.saturating_add(timeout_ns);
         self.earliest_deadline_ns = self.earliest_deadline_ns.min(deadline_ns);
         self.outstanding.insert(
@@ -586,16 +590,16 @@ impl ClientCore {
         }
     }
 
-    /// Processes timeout edges at `now`: with no [`RetryPolicy`], expired
-    /// requests are evicted and counted as lost; with one, they are
-    /// retransmitted (queued for [`Self::poll`]) under capped exponential
-    /// backoff until attempts or the client-wide budget run out. Returns
-    /// how many requests were *evicted* (retransmissions keep theirs
-    /// outstanding). No-op (0) when no timeout was configured.
+    /// Processes timeout edges at `now` under the [`RetryPolicy`]: expired
+    /// requests are retransmitted (queued for [`Self::poll`]) under capped
+    /// exponential backoff until attempts or the client-wide budget run
+    /// out, then evicted and counted as lost (a plain timeout evicts at
+    /// once). Returns how many requests were *evicted* (retransmissions
+    /// keep theirs outstanding). No-op (0) when no policy was configured.
     pub fn on_tick(&mut self, now: u64) -> u64 {
-        if self.timeout_ns.is_none() || now < self.earliest_deadline_ns {
+        let Some(pol) = self.retry.filter(|_| now >= self.earliest_deadline_ns) else {
             return 0;
-        }
+        };
         let mut expired = Vec::new();
         self.earliest_deadline_ns = u64::MAX;
         for (seq, p) in self.outstanding.iter() {
@@ -615,9 +619,8 @@ impl ClientCore {
         let mut evicted = 0;
         for seq in expired {
             let p = self.outstanding.get_mut(seq).expect("collected above");
-            let tries_left = self.retry.is_some_and(|pol| p.tries < pol.max_retries);
+            let tries_left = p.tries < pol.max_retries;
             if tries_left && self.budget_left > 0 {
-                let pol = self.retry.expect("tries_left implies a policy");
                 p.tries += 1;
                 p.timeout_ns = p.timeout_ns.saturating_mul(2).min(pol.backoff_cap_ns);
                 p.deadline_ns = now.saturating_add(p.timeout_ns);

@@ -135,7 +135,8 @@ fn random_packet_loss_does_not_wedge_anything() {
     s.offered_rps = s.capacity_rps() * 0.3;
     s.warmup_ns = 5_000_000;
     s.measure_ns = 60_000_000;
-    s.loss = 0.01; // 1% per link traversal — brutal for a data center
+    // 1% per link traversal — brutal for a data center.
+    s.faults.faults.push(Fault::loss(0.01));
     let r = Sim::run(s);
     assert!(r.packets_lost > 0);
     let completion_rate = r.completed as f64 / r.generated as f64;
@@ -155,7 +156,7 @@ fn cloning_masks_request_loss_better_than_baseline() {
         s.offered_rps = s.capacity_rps() * 0.2;
         s.warmup_ns = 5_000_000;
         s.measure_ns = 60_000_000;
-        s.loss = 0.02;
+        s.faults.faults.push(Fault::loss(0.02));
         let r = Sim::run(s);
         rates.push(r.completed as f64 / r.generated as f64);
     }
@@ -254,7 +255,7 @@ fn lossy_links_compose_with_failures() {
     // §3.6 composition: random loss + spine power cycle + leaf drain in one
     // run. Nothing wedges, and the run still completes most requests.
     let mut s = compound_failure_scenario();
-    s.loss = 0.005;
+    s.faults.faults.push(Fault::loss(0.005));
     let r = Sim::run(s);
     assert!(r.packets_lost > 0);
     let completion_rate = r.completed as f64 / r.generated as f64;

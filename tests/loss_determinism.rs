@@ -1,20 +1,22 @@
 //! RNG-stream pinning for the packet-loss path.
 //!
-//! `Sim` only materialises a loss model when `scenario.loss > 0.0`; the
-//! zero-loss fast path must not draw from (or even construct) the loss
-//! stream. These pins guarantee the optimisation cannot silently shift
-//! any seeded stream:
+//! Loss is a `FaultKind::Loss` window on the fault timeline, and `Sim`
+//! only materialises the per-rack loss streams when the timeline holds
+//! one; the zero-loss fast path must not draw from (or even construct)
+//! the loss stream. These pins guarantee the optimisation cannot
+//! silently shift any seeded stream:
 //!
 //! * the zero-loss pin lives in `tests/harness_determinism.rs`
 //!   (`single_rack_topology_reproduces_seed_state_run`) — if skipping the
 //!   loss RNG perturbed the other streams, that test would fail;
 //! * the lossy pin below was captured *before* the zero-loss fast path
-//!   existed, so the `loss > 0` stream provably draws at the exact same
-//!   points as the original always-constructed implementation.
+//!   existed, so the lossy stream provably draws at the exact same
+//!   points as the original always-constructed implementation. A window
+//!   over the whole run, [`Fault::loss`], draws at every traversal.
 
 use netclone::cluster::experiments::{fattree, Scale};
 use netclone::cluster::harness::RunCtx;
-use netclone::cluster::{Scenario, Scheme, Sim};
+use netclone::cluster::{Fault, Scenario, Scheme, Sim};
 use netclone::workloads::exp25;
 
 fn lossy_scenario() -> Scenario {
@@ -23,7 +25,7 @@ fn lossy_scenario() -> Scenario {
     s.measure_ns = 20_000_000;
     s.offered_rps = s.capacity_rps() * 0.6;
     s.seed = 7;
-    s.loss = 0.01;
+    s.faults.faults.push(Fault::loss(0.01));
     s
 }
 
@@ -107,7 +109,7 @@ fn lossy_fat_tree_run_reproduces_pinned_upper_tier_draws() {
     let mut s = fattree::scenario(4, 3.0, Scheme::NETCLONE, &ctx);
     s.warmup_ns = 4_000_000;
     s.measure_ns = 20_000_000;
-    s.loss = 0.01;
+    s.faults.faults.push(Fault::loss(0.01));
     let r = Sim::run(s);
     assert_eq!(r.packets_lost, 6234, "loss stream shifted");
     assert_eq!(r.generated, 35533);
@@ -123,7 +125,7 @@ fn lossy_fat_tree_run_reproduces_pinned_upper_tier_draws() {
 #[test]
 fn zero_loss_runs_are_reproducible() {
     let mut s = lossy_scenario();
-    s.loss = 0.0;
+    s.faults.faults.clear();
     let a = Sim::run(s.clone());
     let b = Sim::run(s);
     assert_eq!(a.generated, b.generated);
