@@ -382,7 +382,6 @@ pub(crate) fn build_shards(scenario: Scenario, shards: usize, traced: bool) -> (
         engine: program_switch(&scenario, &hosts, racks, shape, r),
         up: true,
         at_warmup: SwitchCounters::default(),
-        loss: (!loss.is_empty()).then(|| seeds.rng_for("loss", r as u64)),
         bg: bg
             .filter(|b| b.victim != r)
             .map(|_| seeds.rng_for("bg", r as u64)),
@@ -500,6 +499,7 @@ pub(crate) fn build_shards(scenario: Scenario, shards: usize, traced: bool) -> (
                 coordinator: coord.then(coordinator),
                 arrivals,
                 loss: loss.clone(),
+                loss_seed: seeds.seed_for("loss", 0),
                 synthetic,
                 kvmix: kvmix.clone(),
                 sink: netclone_asic::EmissionSink::new(),
@@ -511,7 +511,6 @@ pub(crate) fn build_shards(scenario: Scenario, shards: usize, traced: bool) -> (
                 upper_counters_at_warmup: tier.counters().to_vec(),
                 seq: vec![0; n_domains],
                 cur_src: CONTROL_SRC,
-                cur_rack: usize::MAX,
                 events_scheduled: 0,
                 outbox: (0..nshards).map(|_| Vec::new()).collect(),
                 trace: traced.then(Vec::new),
@@ -694,8 +693,7 @@ mod tests {
 
     /// Every rack, client, server and access-link record lives on the
     /// shard that owns its rack and on no other, and so does the
-    /// coordinator; only the victim rack has no background stream, and a
-    /// lossless run holds no loss stream.
+    /// coordinator; only the victim rack has no background stream.
     #[test]
     fn each_record_lives_on_its_racks_shard_alone() {
         let mut laedge =
@@ -709,11 +707,9 @@ mod tests {
             for sh in &shards {
                 let owns = |leaf: usize| rack_shard[leaf] == sh.id;
                 let at = |what: &str, i: usize| format!("shard {} of {n}, {what} {i}", sh.id);
-                assert!(sh.loss.is_empty());
                 for (r, rack) in sh.racks.iter().enumerate() {
                     assert_eq!(rack.is_some(), owns(r), "{}", at("rack", r));
                     if let Some(rack) = rack {
-                        assert!(rack.loss.is_none(), "{}", at("rack", r));
                         let victim = sh.bg.map(|b| b.victim);
                         let quiet = victim.is_none_or(|v| v == r);
                         assert_eq!(rack.bg.is_none(), quiet, "{}", at("rack", r));

@@ -37,7 +37,7 @@
 //!   schemes have no such single point of state.
 //!
 //! Every fault edge is a fabric-domain-0 control event and every loss
-//! draw is the executing rack's, so serial and sharded runs are
+//! verdict a function of the packet, so serial and sharded runs are
 //! byte-identical (CI diffs `--shards 1` vs `--shards 4` on this
 //! experiment's JSON); `tests/chaos.rs` pins the seed-42 state per kind.
 

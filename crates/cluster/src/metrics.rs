@@ -67,11 +67,11 @@ pub struct RunResult {
     /// Evictions forced by an exhausted per-client retry budget while
     /// per-request tries remained.
     pub client_budget_exhausted: u64,
-    /// Whole-run conservation counters summed over clients (never reset
+    /// The clients' whole-run counters, summed (never reset
     /// at warm-up, unlike the windowed counters above): `generated ==
     /// completed + lost + client_outstanding` holds at run end, retries
     /// included.
-    pub lifetime: netclone_hosts::LifetimeCounters,
+    pub lifetime: netclone_hosts::ClientStats,
     /// Requests still outstanding (un-answered, un-evicted) at run end,
     /// summed over clients — the third term of the conservation identity.
     pub client_outstanding: u64,

@@ -148,14 +148,15 @@ pub enum FaultKind {
     /// `start_ns` and leaves the tables at `end_ns`, for good.
     ServerStop { sid: u16 },
     /// Fabric-wide packet loss: each link traversal executed in the
-    /// window drops with probability `prob` (in (0, 1)), drawn from the
-    /// executing rack's `("loss", rack)` stream. It primes no edge event.
+    /// window is lost with probability `prob` (in (0, 1)), independently,
+    /// iff a hash of the traversal point and the packet's identity falls
+    /// below it. It draws from no stream and primes no edge event.
     Loss { prob: f64 },
 }
 
 impl Fault {
     /// Packet loss with probability `prob` per traversal over the whole
-    /// run, `0..u64::MAX`.
+    /// run, `0..u64::MAX`: every traversal is judged.
     pub fn loss(prob: f64) -> Self {
         Fault {
             start_ns: 0,

@@ -197,7 +197,7 @@ impl ShardCoordinator {
 
         let mut latency = LatencyHistogram::new();
         let mut stats = netclone_hosts::ClientStats::default();
-        let mut lifetime = netclone_hosts::LifetimeCounters::default();
+        let mut lifetime = netclone_hosts::ClientStats::default();
         let mut outstanding = 0u64;
         for cid in 0..scenario.n_clients {
             let c = &owner(hosts.client(cid)).clients[cid];
@@ -210,9 +210,7 @@ impl ShardCoordinator {
                 lt.completed + lt.lost + core.outstanding() as u64,
                 "client {cid} lost track of a request: generated != completed + lost + outstanding"
             );
-            lifetime.generated += lt.generated;
-            lifetime.completed += lt.completed;
-            lifetime.lost += lt.lost;
+            lifetime.merge(&lt);
             outstanding += core.outstanding() as u64;
         }
 

@@ -10,8 +10,8 @@
 //! ## Sharded execution
 //!
 //! The run state lives in `Shard`s of whole racks: a shard holds one
-//! `Rack` record per rack it owns (the leaf engine, the rack's loss and
-//! background streams and its leaf links), one `ClientHost` and one
+//! `Rack` record per rack it owns (the leaf engine, the rack's
+//! background stream and its leaf links), one `ClientHost` and one
 //! `ServerHost` per host on those racks, and a private [`EventQueue`].
 //! [`Sim::run`] drives one shard serially;
 //! [`Sim::run_with_shards`] fans the racks out across threads under the
@@ -26,7 +26,7 @@
 //! aggregation and core layers) get neither events nor engines of their
 //! own: they are stateless plain L3, so the tier is compiled into one
 //! table ([`UpperTier`]) and each shard walks its copy *inline* — per
-//! switch crossed a counter, a pass latency and one loss draw (counters
+//! switch crossed a counter, a pass latency and one loss verdict (counters
 //! are summed across shards at the end). That removes the
 //! switches every shard would otherwise have to synchronise on; the
 //! cross-shard lookahead is the fewest upper switches a packet between
@@ -87,12 +87,17 @@
 //!            └─→ HostIn(clone) ─→ … ─┘                            filtered at switch)
 //! ```
 //!
-//! Every host sends through one path (`Shard::host_send`: a loss draw,
+//! Every host sends through one path (`Shard::host_send`: a loss verdict,
 //! the access link up, `SwitchIn` at its leaf) and receives through one
 //! event, `HostIn`, addressed by host id (`Hosts::at_port` maps a
 //! leaf's egress port back to it). A fault of the scenario's timeline
 //! reaches the loop as `Fault { idx, edge }` control events, and
 //! `Shard::on_fault` alone knows what each edge does.
+//!
+//! Per-entity processes (arrivals, operations, service, background,
+//! addressing) draw from their own seeded streams; a per-packet chance
+//! (the ECMP path, loss) is a hash of the packet, which no event order
+//! can move: a loss window's verdicts are `loss_hash`es.
 
 use netclone_asic::{EmissionSink, PortId};
 use netclone_core::ports::{client_port, server_port, COORD_PORT};
@@ -102,11 +107,10 @@ use netclone_des::{EventQueue, SimTime};
 use netclone_hosts::{Admission, AppPacket, ClientMode, ClientSim, ServerSim, ServerStats};
 use netclone_linksim::{Link, Verdict};
 use netclone_policies::LaedgeCoordinator;
-use netclone_proto::{Ipv4, MsgType, PacketMeta, RpcOp, ServerId};
+use netclone_proto::{mix64, Ipv4, MsgType, PacketMeta, RpcOp, ServerId, GOLDEN};
 use netclone_stats::TimeSeries;
 use netclone_workloads::{KvMix, PoissonArrivals, SyntheticWorkload};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
 use crate::calib;
@@ -194,11 +198,6 @@ pub(crate) struct Rack {
     pub up: bool,
     /// The leaf's counters at warm-up end.
     pub at_warmup: SwitchCounters,
-    /// The rack's loss stream, `("loss", rack)`; `None` without a loss
-    /// window. Every traversal executing in this rack's domain inside one
-    /// draws from it, so the draw order is a per-domain property that
-    /// sharding cannot change (`tests/loss_determinism.rs`).
-    pub loss: Option<StdRng>,
     /// The rack's background arrival stream, `("bg", rack)` (`None`: a
     /// quiet fabric, or the victim rack).
     pub bg: Option<StdRng>,
@@ -240,16 +239,43 @@ pub(crate) struct BgState {
 }
 
 /// Mixes a background packet's (source rack, sequence) into its ECMP
-/// hash (a splitmix64 round — any deterministic mix works).
+/// hash (any deterministic mix works).
 #[inline]
 fn bg_hash(rack: u64, n: u64) -> u64 {
-    let mut z = rack
-        .wrapping_mul(0xff51_afd7_ed55_8ccd)
-        .wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(0x2545_f491_4f6c_dd1d);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let (r, n) = (
+        rack.wrapping_mul(0xff51_afd7_ed55_8ccd),
+        n.wrapping_mul(GOLDEN),
+    );
+    mix64(r.wrapping_add(n).wrapping_add(0x2545_f491_4f6c_dd1d))
+}
+
+/// The traversal points a loss verdict tells apart, or-ed with an index:
+/// host `h`'s access link (host → leaf), leaf `sw`'s egress, upper-tier
+/// switch `sw`'s egress.
+const ACCESS: u64 = 0;
+const LEAF_EGRESS: u64 = 1 << 32;
+const UPPER_HOP: u64 = 2 << 32;
+
+/// The loss key of `pkt`'s traversal of `point`: the seed, the point and
+/// the packet's identity (addresses, client id and sequence, type, clone
+/// status, and the attempt's birth time, so a retransmission is judged
+/// afresh), folded one word at a time through splitmix64 steps.
+fn loss_hash(seed: u64, point: u64, pkt: &AppPacket) -> u64 {
+    let (m, nc) = (&pkt.meta, &pkt.meta.nc);
+    let words = [
+        point,
+        u64::from(m.src_ip.0) << 32 | u64::from(m.dst_ip.0),
+        u64::from(nc.client_id) << 32 | u64::from(nc.client_seq),
+        (nc.msg_type as u64) << 8 | nc.clo as u64,
+        pkt.born_ns,
+    ];
+    (words.into_iter()).fold(seed, |h, w| mix64((h ^ w).wrapping_add(GOLDEN)))
+}
+
+/// Whether a loss key falls below `prob`, read as a uniform in [0, 1).
+#[inline]
+fn below(hash: u64, prob: f64) -> bool {
+    ((hash >> 11) as f64 / (1u64 << 53) as f64) < prob
 }
 
 /// An emission to a port no host hangs off: a hole in the port plan
@@ -317,8 +343,10 @@ pub(crate) struct Shard {
     pub(crate) coordinator: Option<LaedgeCoordinator>,
     pub(crate) arrivals: PoissonArrivals,
     /// The loss windows `(start_ns, end_ns, prob)` a traversal's event
-    /// time is looked up in; empty in a lossless run, which never draws.
+    /// time is looked up in (empty in a lossless run, which never hashes),
+    /// and the seed of the loss verdict.
     pub(crate) loss: Vec<(u64, u64, f64)>,
+    pub(crate) loss_seed: u64,
     pub(crate) synthetic: Option<SyntheticWorkload>,
     pub(crate) kvmix: Option<Arc<KvMix>>,
     /// The shard's reusable emission buffer (`on_switch_in` drains it in
@@ -337,9 +365,6 @@ pub(crate) struct Shard {
     pub(crate) seq: Vec<u64>,
     /// Source id of the currently-executing event's domain.
     pub(crate) cur_src: u16,
-    /// Rack of the currently-executing event (selects the loss stream);
-    /// control events never draw.
-    pub(crate) cur_rack: usize,
     /// Logical events scheduled by this shard (cross-shard sends counted
     /// at the sender, broadcast control replicas once, on shard 0) — the
     /// shard's share of `RunResult::events`.
@@ -379,20 +404,6 @@ impl Shard {
         }
     }
 
-    #[inline]
-    fn set_rack_ctx(&mut self, rack: usize) {
-        self.cur_src = self.src_of_rack(rack);
-        self.cur_rack = rack;
-    }
-
-    #[inline]
-    fn set_control_ctx(&mut self) {
-        self.cur_src = CONTROL_SRC;
-        // Control handlers never traverse links, so they never draw from
-        // a loss stream; poison the rack index to catch violations.
-        self.cur_rack = usize::MAX;
-    }
-
     /// Schedules `ev` on this shard's queue, keyed by the executing
     /// domain. All targets are local by construction (the only non-local
     /// sends go through [`Self::send_to_rack`]).
@@ -412,14 +423,15 @@ impl Shard {
         tie
     }
 
-    /// One loss draw for a traversal by an event executing at `now`.
+    /// The loss verdict on `pkt`'s traversal of `point` by an event
+    /// executing at `now`: inside a loss window, lost iff its loss key
+    /// falls below the window's probability. A function of the packet, so
+    /// neither event order nor sharding can move it.
     #[inline]
-    fn lose_packet(&mut self, now: u64) -> bool {
-        let Some(&(.., prob)) = self.loss.iter().find(|w| (w.0..w.1).contains(&now)) else {
-            return false;
-        };
-        let rng = self.rack(self.cur_rack).loss.as_mut();
-        rng.expect("loss stream of a lossy run").random::<f64>() < prob
+    fn lose_packet(&self, now: u64, point: u64, pkt: &AppPacket) -> bool {
+        let mut windows = self.loss.iter();
+        let window = windows.find(|w| (w.0..w.1).contains(&now));
+        window.is_some_and(|&(.., prob)| below(loss_hash(self.loss_seed, point, pkt), prob))
     }
 
     /// The record of owned rack `r`.
@@ -457,11 +469,11 @@ impl Shard {
     }
 
     /// Sends `pkt` from host `host` in an event at `now`, its last bit
-    /// ready at `egress_ns`: one loss draw, the access link up (a
+    /// ready at `egress_ns`: a loss verdict, the access link up (a
     /// tail-drop ends it there), then `SwitchIn` at the host's leaf.
     #[inline]
     fn host_send(&mut self, host: usize, now: u64, egress_ns: u64, pkt: AppPacket) {
-        if self.lose_packet(now) {
+        if self.lose_packet(now, ACCESS | host as u64, &pkt) {
             self.packets_lost += 1;
             return;
         }
@@ -473,16 +485,16 @@ impl Shard {
     pub(crate) fn handle(&mut self, now: u64, ev: Ev) {
         match ev {
             Ev::Gen(cid) => {
-                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
+                self.cur_src = self.src_of_rack(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_gen(cid, now);
             }
             Ev::SwitchIn(sw, pkt) => {
-                self.set_rack_ctx(sw);
+                self.cur_src = self.src_of_rack(sw);
                 self.on_switch_in(sw, pkt, now);
             }
             Ev::HostIn(host, pkt) => {
                 let Host { kind, leaf, .. } = self.hosts[host];
-                self.set_rack_ctx(leaf);
+                self.cur_src = self.src_of_rack(leaf);
                 match kind {
                     HostKind::Client(cid) => self.on_client_in(cid.into(), pkt, now),
                     HostKind::Server(sid) => self.on_server_in(sid.into(), pkt, now),
@@ -490,31 +502,31 @@ impl Shard {
                 }
             }
             Ev::ServerDone(idx, pkt) => {
-                self.set_rack_ctx(self.hosts[self.hosts.server(idx)].leaf);
+                self.cur_src = self.src_of_rack(self.hosts[self.hosts.server(idx)].leaf);
                 self.on_server_done(idx, pkt, now);
             }
             Ev::DownlinkIn { leaf, via, pkt } => {
-                self.set_rack_ctx(leaf);
+                self.cur_src = self.src_of_rack(leaf);
                 self.on_downlink_in(leaf, via, pkt, now);
             }
             Ev::BgGen(r) => {
-                self.set_rack_ctx(r);
+                self.cur_src = self.src_of_rack(r);
                 self.on_bg_gen(r, now);
             }
             Ev::BgDown { leaf, via, wire } => {
-                self.set_rack_ctx(leaf);
+                self.cur_src = self.src_of_rack(leaf);
                 self.on_bg_down(leaf, via, wire, now);
             }
             Ev::EndWarmup => {
-                self.set_control_ctx();
+                self.cur_src = CONTROL_SRC;
                 self.on_end_warmup(now);
             }
             Ev::Fault { idx, edge } => {
-                self.set_control_ctx();
+                self.cur_src = CONTROL_SRC;
                 self.on_fault(idx, edge, now);
             }
             Ev::ClientTick(cid) => {
-                self.set_rack_ctx(self.hosts[self.hosts.client(cid)].leaf);
+                self.cur_src = self.src_of_rack(self.hosts[self.hosts.client(cid)].leaf);
                 self.on_client_tick(cid, now);
             }
         }
@@ -689,11 +701,11 @@ impl Shard {
         let mut sink = std::mem::take(&mut self.sink);
         rack.engine.process(pkt.meta, 0, now, &mut sink);
         for e in sink.drain() {
-            if self.lose_packet(now) {
+            let out = AppPacket { meta: e.pkt, ..pkt };
+            if self.lose_packet(now, LEAF_EGRESS | sw as u64, &out) {
                 self.packets_lost += 1;
                 continue;
             }
-            let out = AppPacket { meta: e.pkt, ..pkt };
             let mut egress = now + e.latency_ns;
             if e.port == UPLINK_PORT && self.racks.len() > 1 {
                 // A leaf→upper traversal: no host NIC on this hop, the
@@ -727,7 +739,7 @@ impl Shard {
     /// destination leaf — locally, or through the cross-shard outbox with
     /// a sender-stamped key. Each switch crossed is what a plain-L3 pass
     /// there was: it counts the packet, costs a link propagation plus a
-    /// pass, and its egress link draws for loss once; a switch with no
+    /// pass, and its egress link gets a loss verdict; a switch with no
     /// route for the destination drops it instead. Out of line: inlined
     /// (with `send_to_leaf`) it grows `handle` by a tenth and costs the
     /// single-rack loop, which never gets here, 1 % of its time.
@@ -739,7 +751,7 @@ impl Shard {
         };
         for &sw in walk.hops() {
             self.tier.count_routed(sw);
-            if self.lose_packet(now) {
+            if self.lose_packet(now, UPPER_HOP | sw as u64, &pkt) {
                 self.packets_lost += 1;
                 return;
             }
@@ -955,7 +967,7 @@ mod tests {
     use super::*;
     use crate::build::build_shards;
     use netclone_policies::PlainL3Switch;
-    use netclone_proto::NetCloneHdr;
+    use netclone_proto::{CloneStatus, NetCloneHdr};
 
     /// Runs one packet to `dst` through a single-rack Baseline leaf whose
     /// only route sends `dst` out of `port`.
@@ -996,6 +1008,75 @@ mod tests {
     #[should_panic(expected = "port 1 has no host")]
     fn emission_below_the_server_ports_is_caught() {
         emit_to_port(Ipv4::client(0), UPLINK_PORT);
+    }
+
+    /// A request of client `cid` to server `sid`, or its response.
+    fn keyed(cid: u16, sid: u16, seq: u32, resp: bool, clo: CloneStatus) -> AppPacket {
+        let mut nc = NetCloneHdr::request(0, 0, cid, seq);
+        nc.clo = clo;
+        let (mut src, mut dst) = (Ipv4::client(cid), Ipv4::server(sid));
+        if resp {
+            nc.msg_type = MsgType::Resp;
+            (src, dst) = (dst, src);
+        }
+        let meta = PacketMeta::netclone_response(src, dst, nc, 84);
+        let (op, born_ns) = (RpcOp::Echo { class_ns: 0 }, 1_000 * u64::from(seq));
+        AppPacket { meta, op, born_ns }
+    }
+
+    /// The same inputs give the same key; changing any one key field, the
+    /// point or the seed changes it.
+    #[test]
+    fn the_loss_key_is_a_function_of_every_identity_field() {
+        let (point, pkt) = (LEAF_EGRESS | 3, keyed(1, 2, 42, false, CloneStatus::Clone));
+        let h = loss_hash(7, point, &pkt);
+        assert_eq!(h, loss_hash(7, point, &pkt));
+        let edits: [fn(&mut AppPacket); 7] = [
+            |p| p.meta.src_ip = Ipv4::client(2),
+            |p| p.meta.dst_ip = Ipv4::server(3),
+            |p| p.meta.nc.client_id = 2,
+            |p| p.meta.nc.client_seq = 43,
+            |p| p.meta.nc.msg_type = MsgType::Resp,
+            |p| p.meta.nc.clo = CloneStatus::ClonedOriginal,
+            |p| p.born_ns += 1,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut q = pkt;
+            edit(&mut q);
+            assert_ne!(loss_hash(7, point, &q), h, "edit {i}");
+        }
+        for other in [ACCESS | 3, UPPER_HOP | 3, LEAF_EGRESS | 4] {
+            assert_ne!(loss_hash(7, other, &pkt), h, "point {other:#x}");
+        }
+        assert_ne!(loss_hash(8, point, &pkt), h, "seed");
+    }
+
+    /// Over 204,000 keys shaped like traffic — sequential sequence numbers
+    /// of two clients, request and response, original and clone, at each
+    /// kind of point — the lost fraction is `p` within 4σ, σ = √(p(1−p)/n):
+    /// a fair coin per key lands outside with chance 6·10⁻⁵ per `p`.
+    #[test]
+    fn the_lost_fraction_is_the_window_probability() {
+        let mut hashes = Vec::new();
+        for (seq, cid, resp) in (0..8_500)
+            .flat_map(|q| [0, 1].map(|c| [(q, c, false), (q, c, true)]))
+            .flatten()
+        {
+            for (sid, clo) in [(0, CloneStatus::ClonedOriginal), (1, CloneStatus::Clone)] {
+                let pkt = keyed(cid, sid, seq, resp, clo);
+                for point in [ACCESS | u64::from(cid), LEAF_EGRESS, UPPER_HOP | 1] {
+                    hashes.push(loss_hash(42, point, &pkt));
+                }
+            }
+        }
+        let n = hashes.len() as f64;
+        assert_eq!(n, 204_000.0);
+        for p in [0.005, 0.01, 0.02] {
+            let lost = hashes.iter().filter(|&&h| below(h, p)).count() as f64;
+            let sigma = (p * (1.0 - p) / n).sqrt();
+            let msg = format!("p = {p}: lost {lost} of {n}");
+            assert!((lost / n - p).abs() <= 4.0 * sigma, "{msg}");
+        }
     }
 
     /// The wheel stores an `Ev` inline in every node, so its size is the

@@ -50,32 +50,7 @@ impl SwitchCounters {
     /// since-boot counts. Saturating: a reset between the snapshots
     /// yields zeros rather than wrap-around garbage.
     pub fn since(&self, base: &SwitchCounters) -> SwitchCounters {
-        SwitchCounters {
-            requests: self.requests.saturating_sub(base.requests),
-            cloned: self.cloned.saturating_sub(base.cloned),
-            clone_skipped_busy: self
-                .clone_skipped_busy
-                .saturating_sub(base.clone_skipped_busy),
-            clone_skipped_uncloneable: self
-                .clone_skipped_uncloneable
-                .saturating_sub(base.clone_skipped_uncloneable),
-            clone_forced_multipacket: self
-                .clone_forced_multipacket
-                .saturating_sub(base.clone_forced_multipacket),
-            recirculated: self.recirculated.saturating_sub(base.recirculated),
-            responses: self.responses.saturating_sub(base.responses),
-            responses_filtered: self
-                .responses_filtered
-                .saturating_sub(base.responses_filtered),
-            filter_overwrites: self
-                .filter_overwrites
-                .saturating_sub(base.filter_overwrites),
-            routed_plain: self.routed_plain.saturating_sub(base.routed_plain),
-            dropped_unroutable: self
-                .dropped_unroutable
-                .saturating_sub(base.dropped_unroutable),
-            jsq_fallbacks: self.jsq_fallbacks.saturating_sub(base.jsq_fallbacks),
-        }
+        self.zip_with(base, u64::saturating_sub)
     }
 
     /// Fraction of responses that were filtered.
@@ -91,29 +66,37 @@ impl SwitchCounters {
     /// the merge of every per-switch counter snapshot (multi-rack
     /// deployments run one engine per switch, §3.7).
     pub fn merge(&mut self, other: &SwitchCounters) {
-        self.requests += other.requests;
-        self.cloned += other.cloned;
-        self.clone_skipped_busy += other.clone_skipped_busy;
-        self.clone_skipped_uncloneable += other.clone_skipped_uncloneable;
-        self.clone_forced_multipacket += other.clone_forced_multipacket;
-        self.recirculated += other.recirculated;
-        self.responses += other.responses;
-        self.responses_filtered += other.responses_filtered;
-        self.filter_overwrites += other.filter_overwrites;
-        self.routed_plain += other.routed_plain;
-        self.dropped_unroutable += other.dropped_unroutable;
-        self.jsq_fallbacks += other.jsq_fallbacks;
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+
+    /// `f` applied to each pair of fields.
+    fn zip_with(&self, o: &SwitchCounters, f: impl Fn(u64, u64) -> u64) -> SwitchCounters {
+        SwitchCounters {
+            requests: f(self.requests, o.requests),
+            cloned: f(self.cloned, o.cloned),
+            clone_skipped_busy: f(self.clone_skipped_busy, o.clone_skipped_busy),
+            clone_skipped_uncloneable: f(
+                self.clone_skipped_uncloneable,
+                o.clone_skipped_uncloneable,
+            ),
+            clone_forced_multipacket: f(self.clone_forced_multipacket, o.clone_forced_multipacket),
+            recirculated: f(self.recirculated, o.recirculated),
+            responses: f(self.responses, o.responses),
+            responses_filtered: f(self.responses_filtered, o.responses_filtered),
+            filter_overwrites: f(self.filter_overwrites, o.filter_overwrites),
+            routed_plain: f(self.routed_plain, o.routed_plain),
+            dropped_unroutable: f(self.dropped_unroutable, o.dropped_unroutable),
+            jsq_fallbacks: f(self.jsq_fallbacks, o.jsq_fallbacks),
+        }
     }
 }
 
 /// Summing per-switch snapshots yields the fabric-wide totals.
 impl<'a> std::iter::Sum<&'a SwitchCounters> for SwitchCounters {
     fn sum<I: Iterator<Item = &'a SwitchCounters>>(iter: I) -> Self {
-        let mut total = SwitchCounters::default();
-        for c in iter {
-            total.merge(c);
-        }
-        total
+        iter.fold(SwitchCounters::default(), |t, c| {
+            t.zip_with(c, |a, b| a + b)
+        })
     }
 }
 

@@ -97,7 +97,10 @@ impl RetryPolicy {
     }
 }
 
-/// Aggregate client statistics.
+/// A client's counters. [`ClientCore`] keeps one set over the whole run:
+/// [`ClientCore::stats`] is the window since the last
+/// [`ClientCore::reset_measurements`], [`ClientCore::lifetime`] the whole
+/// run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Requests generated.
@@ -142,34 +145,28 @@ impl ClientStats {
     /// each worker its own cid/seq partition), so merging is summation
     /// and the `sent == completed + lost` invariant is preserved.
     pub fn merge(&mut self, other: &ClientStats) {
-        self.generated += other.generated;
-        self.packets_sent += other.packets_sent;
-        self.completed += other.completed;
-        self.redundant += other.redundant;
-        self.clone_wins += other.clone_wins;
-        self.lost += other.lost;
-        self.retried += other.retried;
-        self.retry_wins += other.retry_wins;
-        self.budget_exhausted += other.budget_exhausted;
+        *self = self.zip_with(other, |a, b| a + b);
     }
-}
 
-/// Whole-run conservation counters, never cleared by
-/// [`ClientCore::reset_measurements`] (unlike the windowed
-/// [`ClientStats`]).
-///
-/// The invariant `generated == completed + lost + outstanding()` holds at
-/// every instant, retries included: a retransmission keeps its request
-/// outstanding under the same sequence number, so recovery never double
-/// counts and never leaks a request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LifetimeCounters {
-    /// Requests ever generated.
-    pub generated: u64,
-    /// Requests ever completed.
-    pub completed: u64,
-    /// Requests ever lost (timeout/budget eviction, abandon, drain).
-    pub lost: u64,
+    /// The counts since `earlier`, a snapshot of the same counters.
+    fn since(&self, earlier: &ClientStats) -> ClientStats {
+        self.zip_with(earlier, |a, b| a - b)
+    }
+
+    /// `f` applied to each pair of fields.
+    fn zip_with(&self, o: &ClientStats, f: impl Fn(u64, u64) -> u64) -> ClientStats {
+        ClientStats {
+            generated: f(self.generated, o.generated),
+            packets_sent: f(self.packets_sent, o.packets_sent),
+            completed: f(self.completed, o.completed),
+            redundant: f(self.redundant, o.redundant),
+            clone_wins: f(self.clone_wins, o.clone_wins),
+            lost: f(self.lost, o.lost),
+            retried: f(self.retried, o.retried),
+            retry_wins: f(self.retry_wins, o.retry_wins),
+            budget_exhausted: f(self.budget_exhausted, o.budget_exhausted),
+        }
+    }
 }
 
 /// Verdict of [`ClientCore::on_packet`] on one incoming packet.
@@ -220,8 +217,10 @@ pub struct ClientCore {
     retry: Option<RetryPolicy>,
     budget_left: u64,
     latencies: LatencyHistogram,
+    /// The one counter set, over the whole run.
     stats: ClientStats,
-    lifetime: LifetimeCounters,
+    /// `stats` at the last [`Self::reset_measurements`].
+    at_reset: ClientStats,
 }
 
 /// Per-request bookkeeping for an outstanding (not yet answered) request.
@@ -364,7 +363,7 @@ impl ClientCore {
             budget_left: 0,
             latencies: LatencyHistogram::new(),
             stats: ClientStats::default(),
-            lifetime: LifetimeCounters::default(),
+            at_reset: ClientStats::default(),
         }
     }
 
@@ -418,9 +417,9 @@ impl ClientCore {
         &self.latencies
     }
 
-    /// Statistics so far.
+    /// The counters since the last [`Self::reset_measurements`].
     pub fn stats(&self) -> ClientStats {
-        self.stats
+        self.stats.since(&self.at_reset)
     }
 
     /// Requests still awaiting their first response.
@@ -428,9 +427,13 @@ impl ClientCore {
         self.outstanding.len()
     }
 
-    /// Whole-run conservation counters (see [`LifetimeCounters`]).
-    pub fn lifetime(&self) -> LifetimeCounters {
-        self.lifetime
+    /// The counters over the whole run, which no reset clears. Their
+    /// `generated == completed + lost + outstanding()` holds at every
+    /// instant, retries included: a retransmission keeps its request
+    /// outstanding under the same sequence number, so recovery never
+    /// double counts and never leaks a request.
+    pub fn lifetime(&self) -> ClientStats {
+        self.stats
     }
 
     /// The RPC operation of an outstanding request — frontends rebuild the
@@ -445,10 +448,11 @@ impl ClientCore {
         self.budget_left
     }
 
-    /// Discards warm-up measurements (keeps outstanding bookkeeping).
+    /// Discards warm-up measurements: clears the histogram and starts
+    /// the [`Self::stats`] window here (keeps outstanding bookkeeping).
     pub fn reset_measurements(&mut self) {
         self.latencies.clear();
-        self.stats = ClientStats::default();
+        self.at_reset = self.stats;
     }
 
     /// Generates one request at time `now`, queues the addressed packet(s)
@@ -470,7 +474,6 @@ impl ClientCore {
             },
         );
         self.stats.generated += 1;
-        self.lifetime.generated += 1;
         self.enqueue_addressed(seq, op);
         seq
     }
@@ -570,7 +573,6 @@ impl ClientCore {
                 let latency_ns = now.saturating_sub(p.born_ns);
                 self.latencies.record(latency_ns);
                 self.stats.completed += 1;
-                self.lifetime.completed += 1;
                 if p.tries > 0 {
                     self.stats.retry_wins += 1;
                 }
@@ -635,7 +637,6 @@ impl ClientCore {
                 }
                 self.outstanding.remove(seq);
                 self.stats.lost += 1;
-                self.lifetime.lost += 1;
                 evicted += 1;
             }
         }
@@ -648,7 +649,6 @@ impl ClientCore {
         let removed = self.outstanding.remove(seq).is_some();
         if removed {
             self.stats.lost += 1;
-            self.lifetime.lost += 1;
         }
         removed
     }
@@ -659,7 +659,6 @@ impl ClientCore {
         let n = self.outstanding.len() as u64;
         self.outstanding.clear();
         self.stats.lost += n;
-        self.lifetime.lost += n;
         n
     }
 }
@@ -884,8 +883,11 @@ mod tests {
         c.on_packet(&resp, 5_000);
         c.reset_measurements();
         assert_eq!(c.stats().completed, 0, "windowed stats reset");
+        c.generate(echo(), 6_000);
+        assert_eq!((c.stats().generated, c.stats().packets_sent), (1, 1));
         let lt = c.lifetime();
-        assert_eq!((lt.generated, lt.completed, lt.lost), (1, 1, 0));
+        assert_eq!((lt.generated, lt.completed, lt.lost), (2, 1, 0));
+        assert_eq!(lt.packets_sent, 2);
     }
 
     #[test]

@@ -30,5 +30,5 @@
 pub mod client;
 pub mod server;
 
-pub use client::{ClientCore, ClientMode, ClientStats, LifetimeCounters, RetryPolicy, RxEvent};
+pub use client::{ClientCore, ClientMode, ClientStats, RetryPolicy, RxEvent};
 pub use server::{AdmitDecision, ServerCore, ServerStats};

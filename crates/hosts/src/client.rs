@@ -20,7 +20,7 @@
 use netclone_hostcore::ClientCore;
 use netclone_proto::{ClientId, PacketMeta, RpcOp};
 
-pub use netclone_hostcore::{ClientMode, ClientStats, LifetimeCounters, RetryPolicy};
+pub use netclone_hostcore::{ClientMode, ClientStats, RetryPolicy};
 
 use crate::packet::AppPacket;
 

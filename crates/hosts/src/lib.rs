@@ -33,6 +33,6 @@ pub mod client;
 pub mod packet;
 pub mod server;
 
-pub use client::{ClientMode, ClientSim, ClientStats, LifetimeCounters, RetryPolicy, RxOutcome};
+pub use client::{ClientMode, ClientSim, ClientStats, RetryPolicy, RxOutcome};
 pub use packet::AppPacket;
 pub use server::{Admission, Completion, ServerConfig, ServerSim, ServerStats};

@@ -24,7 +24,7 @@ use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
 use netclone_hostcore::{ClientCore, ClientMode, ClientStats, RetryPolicy};
-use netclone_proto::{Ipv4, RpcOp};
+use netclone_proto::{mix64, Ipv4, RpcOp, GOLDEN};
 use netclone_stats::LatencyHistogram;
 use netclone_workloads::PoissonArrivals;
 use rand::rngs::StdRng;
@@ -166,7 +166,7 @@ impl OpenLoopClient {
     }
 
     /// Binds `workers` worker sockets on `127.0.0.1`, with client ids
-    /// `base_cid .. base_cid + workers`.
+    /// `base_cid .. base_cid + workers`; ids past `u16::MAX` are refused.
     pub fn bind_workers(
         base_cid: u16,
         workers: usize,
@@ -178,9 +178,15 @@ impl OpenLoopClient {
                 "open-loop client needs at least one worker",
             ));
         }
+        let last = u16::try_from(workers - 1).ok();
+        let Some(last) = last.and_then(|n| base_cid.checked_add(n)) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{workers} client ids from {base_cid} overflow the id space"),
+            ));
+        };
         let mut endpoints = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let cid = base_cid + w as u16;
+        for cid in base_cid..=last {
             endpoints.push(Endpoint {
                 cid,
                 vip: Ipv4::client(cid),
@@ -267,15 +273,8 @@ pub(crate) fn worker_seed(seed: u64, windex: usize) -> u64 {
     if windex == 0 {
         seed
     } else {
-        splitmix64(seed ^ (windex as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        mix64((seed ^ (windex as u64).wrapping_mul(GOLDEN)).wrapping_add(GOLDEN))
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Runs one worker under `supervise` and reports what its core counted,
@@ -546,6 +545,14 @@ mod tests {
             assert_eq!(*vip, Ipv4::client(*cid));
         }
         assert!(OpenLoopClient::bind_workers(0, 0, sw).is_err());
+        // The last worker's cid must fit in a u16: no wrap, no truncation.
+        assert!(OpenLoopClient::bind_workers(u16::MAX, 1, sw).is_ok());
+        for (base, workers) in [(u16::MAX, 2), (0, 65_537), (1, 1 << 32)] {
+            let err = OpenLoopClient::bind_workers(base, workers, sw).err();
+            let err = err.expect("cid overflow refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("overflow the id space"), "{err}");
+        }
     }
 
     #[test]

@@ -11,15 +11,27 @@
 //!
 //! `std`'s `HashMap` picks the bucket from the low bits of the hash and the
 //! in-bucket tag from the top 7, so both ends must depend on every key
-//! bit. One folded multiply does that: in the 128-bit product `key × K`
+//! bit. One folded multiply does that: in the 128-bit product `key × GOLDEN`
 //! the low half's top bits and the high half's low bits each see the whole
 //! key, and XOR-ing the halves puts both in one word.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// 2^64 / φ, odd.
-const K: u64 = 0x9E37_79B9_7F4A_7C15;
+/// 2^64 / φ, odd: splitmix64's increment, and the hasher's multiplier.
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer: a bijection of `u64` in which every output
+/// bit depends on every input bit; a splitmix64 step over `z` is
+/// `mix64(z.wrapping_add(GOLDEN))`. The one mixer of the program's
+/// derived hashes and seeds (the simulator's background ECMP hash and
+/// loss verdict, the socket client's per-worker seeds).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A folded-multiply hasher for integer keys.
 #[derive(Clone, Copy, Default)]
@@ -51,7 +63,7 @@ impl Hasher for IntHasher {
 
     #[inline]
     fn write_u64(&mut self, x: u64) {
-        let m = u128::from(self.0 ^ x) * u128::from(K);
+        let m = u128::from(self.0 ^ x) * u128::from(GOLDEN);
         self.0 = (m as u64) ^ ((m >> 64) as u64);
     }
 }
@@ -120,6 +132,13 @@ mod tests {
             }
             assert!(low && top, "key bit {bit} does not reach both ends");
         }
+    }
+
+    /// splitmix64's published first outputs from state 0.
+    #[test]
+    fn mix64_steps_are_splitmix64() {
+        assert_eq!(mix64(GOLDEN), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(GOLDEN.wrapping_mul(2)), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]

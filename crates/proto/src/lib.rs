@@ -38,7 +38,7 @@ pub mod wire;
 
 pub use addr::Ipv4;
 pub use header::{CloneStatus, MsgType, NetCloneHdr, ServerState};
-pub use inthash::{IntHasher, IntMap};
+pub use inthash::{mix64, IntHasher, IntMap, GOLDEN};
 pub use op::{KvKey, RpcOp};
 pub use packet::PacketMeta;
 
