@@ -475,6 +475,20 @@ impl Scenario {
                 return Err(format!("{clash} ({a0}..{a1} ns and {b0}..{b1} ns); {fix}"));
             }
         }
+        // Each server is stopped at most once (above), so counting stops
+        // counts stopped servers: with all of them gone no request can
+        // complete, and a client left with no server to address has none
+        // to draw.
+        let stops = faults
+            .iter()
+            .filter(|f| matches!(f.kind, ServerStop { .. }))
+            .count();
+        if stops == n_servers {
+            return Err(format!(
+                "the fault timeline stops every server ({n_servers} of {n_servers}); \
+                 nothing completes after the last stop — leave one running"
+            ));
+        }
         Ok(())
     }
 
@@ -654,6 +668,20 @@ mod tests {
         assert!(err.contains("stopped twice"), "unhelpful error: {err}");
         s.faults.faults[1] = stop(2, 1_000_000, 2_000_000);
         assert!(s.validate().is_ok());
+    }
+
+    #[test]
+    fn a_timeline_that_stops_every_server_is_rejected() {
+        for scheme in [Scheme::Baseline, Scheme::CClone, Scheme::NETCLONE] {
+            let mut s = Scenario::synthetic_default(scheme, exp25(), 1e6);
+            s.servers.truncate(2);
+            s.faults.faults = vec![stop(0, 1_000_000, 2_000_000), stop(1, 5_000_000, 6_000_000)];
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("stops every server"), "{scheme:?}: {err}");
+            // One server left running is a valid drill.
+            s.faults.faults.pop();
+            assert_eq!(s.validate(), Ok(()), "{scheme:?}");
+        }
     }
 
     #[test]

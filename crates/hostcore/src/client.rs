@@ -42,8 +42,9 @@ pub enum ClientMode {
         /// The worker servers' addresses.
         servers: Vec<Ipv4>,
     },
-    /// C-Clone: send duplicates to two distinct random servers; the client
-    /// processes both responses itself (§2.2).
+    /// C-Clone: send duplicates to two distinct random servers (one copy
+    /// when only one is left); the client processes both responses itself
+    /// (§2.2).
     DirectDuplicate {
         /// The worker servers' addresses.
         servers: Vec<Ipv4>,
@@ -489,7 +490,8 @@ impl ClientCore {
         enum Addressing {
             /// NetClone: destination left to the switch.
             Switch { grp: u16, idx: u8 },
-            /// One addressed copy (Baseline / LÆDGE).
+            /// One addressed copy (Baseline / LÆDGE, or C-Clone with one
+            /// server left).
             One(Ipv4),
             /// Two addressed duplicates (C-Clone).
             Two(Ipv4, Ipv4),
@@ -508,18 +510,19 @@ impl ClientCore {
             }
             ClientMode::DirectDuplicate { servers } => {
                 // Two distinct random servers (§2.2: "typically sends two
-                // duplicate requests").
+                // duplicate requests"); with one left, a second copy
+                // would share the first's queue slot and fate, so it
+                // sends one.
                 let a = rng.random_range(0..servers.len());
-                let b = if servers.len() > 1 {
+                if servers.len() > 1 {
                     let mut b = rng.random_range(0..servers.len() - 1);
                     if b >= a {
                         b += 1;
                     }
-                    b
+                    Addressing::Two(servers[a], servers[b])
                 } else {
-                    a
-                };
-                Addressing::Two(servers[a], servers[b])
+                    Addressing::One(servers[a])
+                }
             }
             ClientMode::Coordinator { ip } => Addressing::One(*ip),
         };
@@ -945,6 +948,16 @@ mod tests {
         }
         assert_eq!(c.stats().packets_sent, 200);
         assert_eq!(c.stats().generated, 100);
+    }
+
+    #[test]
+    fn cclone_with_one_server_left_sends_one_copy() {
+        let servers = vec![Ipv4::server(3)];
+        let mut c = ClientCore::new(0, ClientMode::DirectDuplicate { servers }, 7);
+        c.generate(echo(), 0);
+        assert_eq!(c.poll().unwrap().dst_ip, Ipv4::server(3));
+        assert!(c.poll().is_none(), "a second copy to the same server");
+        assert_eq!(c.stats().packets_sent, 1);
     }
 
     #[test]

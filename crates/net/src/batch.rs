@@ -15,6 +15,16 @@
 //! blocking receive is one `recvmmsg(MSG_WAITFORONE)`: it sleeps for the
 //! first datagram and takes whatever else is queued in the same call.
 //!
+//! On Linux a flush also removes most of the kernel's per-datagram send
+//! work, with UDP generic segmentation offload (`UDP_SEGMENT`): it groups
+//! the staged datagrams by destination, each destination's own order
+//! kept, and sends each run of equal-size datagrams (one shorter one may
+//! close it) as one message whose segment size the kernel splits it by,
+//! so the run crosses the stack as one packet and the receiver still
+//! reads the same datagrams. A process whose kernel does not answer the
+//! `UDP_SEGMENT` probe never segments, and a run the kernel refuses to
+//! segment is sent again a datagram per message.
+//!
 //! Both batchers own their buffers for their whole lifetime: every slot
 //! is allocated once at construction ([`MAX_DATAGRAM`] bytes) and reused
 //! for every packet after, so the steady-state per-packet path performs
@@ -62,18 +72,8 @@ pub fn path_counters() -> PathCounters {
     }
 }
 
-pub(crate) fn note_buffer_grow() {
+fn note_buffer_grow() {
     BUFFER_GROW_ALLOCS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records a growth event when a reusable buffer's capacity exceeded the
-/// high-water mark in `cap_seen` (updating the mark) — how loops that own
-/// a plain `Vec<u8>` encode buffer keep it under the zero-alloc counter.
-pub(crate) fn note_growth(cap_seen: &mut usize, cap_now: usize) {
-    if cap_now > *cap_seen {
-        *cap_seen = cap_now;
-        note_buffer_grow();
-    }
 }
 
 fn note_timeout_syscall() {
@@ -85,8 +85,9 @@ fn note_timeout_syscall() {
 /// Stage up to [`BATCH`] datagrams by encoding into [`SendBatch::slot`]
 /// and calling [`SendBatch::commit`] (to the socket's connected peer) or
 /// [`SendBatch::commit_to`] (to an explicit address), then
-/// [`SendBatch::flush`] moves them with one `sendmmsg` (Linux) or a
-/// `send`/`send_to` loop (portable path).
+/// [`SendBatch::flush`] moves them with one `sendmmsg` (Linux, each
+/// destination's runs of equal-size datagrams segmented by the kernel) or
+/// a `send`/`send_to` loop (portable path).
 pub struct SendBatch {
     slots: Vec<Vec<u8>>,
     caps: Vec<usize>,
@@ -369,20 +370,111 @@ pub(crate) fn run_as_batch() -> io::Result<()> {
     Ok(())
 }
 
+// The flush planner below serves the Linux `sendmmsg` path alone; the
+// portable path sends datagram by datagram.
+
+/// The most payload one segmented send may carry: an IPv4 datagram's
+/// 65,535 bytes less its IP and UDP headers. (32 full slots hold 256 KiB.)
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+const MAX_RUN_BYTES: usize = 65_507;
+
+/// One message of a planned flush: `count` datagrams, from `start` in the
+/// plan's send order, to one destination. `seg` is the first datagram's
+/// length, the segment size when `count > 1`; `bytes` the total payload.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Run {
+    start: usize,
+    count: usize,
+    seg: usize,
+    bytes: usize,
+}
+
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+impl Run {
+    /// Whether a datagram of `len` bytes may join the run: every segment
+    /// but the last is exactly `seg` bytes, so a non-empty shorter one
+    /// closes it, and the run stays within [`BATCH`] segments and
+    /// [`MAX_RUN_BYTES`].
+    fn takes(&self, len: usize) -> bool {
+        let open = self.bytes == self.count * self.seg;
+        open && 0 < len
+            && len <= self.seg
+            && self.count < BATCH
+            && self.bytes + len <= MAX_RUN_BYTES
+    }
+}
+
+/// Plans one flush of the datagrams of lengths `lens` to `dests` (at most
+/// [`BATCH`]): writes the slot indices in send order to `order` — grouped
+/// by destination, each destination's own order kept, the destinations in
+/// order of first appearance — and the messages to `runs`, returning how
+/// many messages there are. Without `segment` every datagram is a message
+/// of its own. O(n·d) for d distinct destinations: no receiver can observe
+/// the order across destinations, so only each destination's is kept.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+fn plan(
+    lens: &[usize],
+    dests: &[Option<SocketAddr>],
+    segment: bool,
+    order: &mut [usize; BATCH],
+    runs: &mut [Run; BATCH],
+) -> usize {
+    let n = lens.len().min(BATCH);
+    let mut placed = [false; BATCH];
+    let (mut k, mut m) = (0, 0);
+    for first in 0..n {
+        if placed[first] {
+            continue;
+        }
+        // A new destination: its slots are all still unplaced, and its
+        // runs start at `m`, of which only the last may be open.
+        let dst = dests[first];
+        let own = m;
+        for i in first..n {
+            if dests[i] != dst {
+                continue;
+            }
+            placed[i] = true;
+            order[k] = i;
+            let len = lens[i];
+            match runs[own..m].last_mut() {
+                Some(run) if segment && run.takes(len) => {
+                    run.count += 1;
+                    run.bytes += len;
+                }
+                _ => {
+                    runs[m] = Run {
+                        start: k,
+                        count: 1,
+                        seg: len,
+                        bytes: len,
+                    };
+                    m += 1;
+                }
+            }
+            k += 1;
+        }
+    }
+    m
+}
+
 /// Direct `sendmmsg`/`recvmmsg` bindings (Linux only).
 ///
-/// The msghdr and sockaddr layouts match the 64-bit System V ABI glibc/musl
-/// both use; the syscall-array scratch space lives on the stack ([`BATCH`]
-/// entries, of which only those in use are written), so batching adds no
+/// The msghdr, cmsghdr and sockaddr layouts match the 64-bit System V ABI
+/// glibc/musl both use; the syscall-array scratch space (headers, iovecs,
+/// addresses, `UDP_SEGMENT` cmsgs) lives on the stack ([`BATCH`] entries,
+/// of which only those in use are written), so batching adds no
 /// allocations and the batch structs stay `Send`.
 #[cfg(target_os = "linux")]
 mod mmsg {
-    use super::{is_quiet, BATCH};
+    use super::{is_quiet, plan, Run, BATCH};
     use std::io;
-    use std::mem::MaybeUninit;
+    use std::mem::{size_of, MaybeUninit};
     use std::net::{SocketAddr, UdpSocket};
     use std::os::fd::AsRawFd;
     use std::ptr::null_mut;
+    use std::sync::OnceLock;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -462,10 +554,58 @@ mod mmsg {
         (SockAddr(b), len)
     }
 
-    /// Sends `slots` (at most [`BATCH`]) via `sendmmsg`, each to its
-    /// `dests` entry or, for `None`, the connected peer. A datagram the
-    /// kernel refuses is skipped and the call resumes behind it. Returns
-    /// how many went out and the last refusal.
+    /// A `cmsghdr` carrying `UDP_SEGMENT`'s `u16` segment size, padded to
+    /// `CMSG_SPACE(2)`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct SegmentCmsg {
+        len: usize,
+        level: i32,
+        kind: i32,
+        seg: u16,
+    }
+
+    /// `CMSG_SPACE(2)`, the control length the kernel walks.
+    const _: () = assert!(size_of::<SegmentCmsg>() == 24);
+
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    /// `CMSG_LEN(2)`: the header and the `u16`, unpadded.
+    const SEGMENT_CMSG_LEN: usize = 18;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+
+    extern "C" {
+        fn getsockopt(fd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
+    }
+
+    /// Whether this kernel segments UDP sends, asked once per process: a
+    /// kernel without `UDP_SEGMENT` ignores the cmsg and would send a run
+    /// as one concatenated datagram, so no run is segmented unless the
+    /// option answers.
+    fn segments(fd: i32) -> bool {
+        static SEGMENTS: OnceLock<bool> = OnceLock::new();
+        *SEGMENTS.get_or_init(|| {
+            let (mut val, mut len) = (0i32, 4u32);
+            // SAFETY: the kernel writes at most `len` (4) bytes to `val`.
+            let r = unsafe {
+                getsockopt(
+                    fd,
+                    SOL_UDP,
+                    UDP_SEGMENT,
+                    (&mut val as *mut i32).cast(),
+                    &mut len,
+                )
+            };
+            r == 0
+        })
+    }
+
+    /// Sends `slots` (at most [`BATCH`]), each to its `dests` entry or, for
+    /// `None`, the connected peer, as the messages [`plan`] groups them
+    /// into: a run of several datagrams is one message with an iovec per
+    /// datagram and a `UDP_SEGMENT` cmsg. Returns how many datagrams went
+    /// out and the last refusal.
     pub(super) fn send_all(
         sock: &UdpSocket,
         slots: &[Vec<u8>],
@@ -473,42 +613,109 @@ mod mmsg {
     ) -> (usize, Option<io::Error>) {
         let fd = sock.as_raw_fd();
         let n = slots.len().min(BATCH);
-        let mut names = [MaybeUninit::<SockAddr>::uninit(); BATCH];
+        let mut lens = [0; BATCH];
+        for (len, s) in lens.iter_mut().zip(slots) {
+            *len = s.len();
+        }
+        let (mut order, mut runs) = ([0; BATCH], [Run::default(); BATCH]);
+        let m = plan(&lens[..n], &dests[..n], segments(fd), &mut order, &mut runs);
         let mut iovs = [MaybeUninit::<IoVec>::uninit(); BATCH];
-        let mut hdrs = [MaybeUninit::<MMsgHdr>::uninit(); BATCH];
-        for i in 0..n {
-            let (name, namelen) = match &dests[i] {
-                Some(a) => {
-                    let (raw, len) = sockaddr(a);
-                    (names[i].write(raw) as *mut SockAddr as *mut u8, len)
-                }
-                None => (null_mut(), 0),
-            };
-            let iov = iovs[i].write(IoVec {
+        for (iov, &i) in iovs.iter_mut().zip(&order[..n]) {
+            iov.write(IoVec {
                 base: slots[i].as_ptr() as *mut u8,
                 len: slots[i].len(),
             });
-            hdrs[i].write(header(name, namelen, iov));
         }
-        let hdrs: *mut MMsgHdr = hdrs.as_mut_ptr().cast();
+        let iovs: *mut IoVec = iovs.as_mut_ptr().cast();
+        let mut names = [MaybeUninit::<SockAddr>::uninit(); BATCH];
+        let mut cmsgs = [MaybeUninit::<SegmentCmsg>::uninit(); BATCH];
+        let mut hdrs = [MaybeUninit::<MMsgHdr>::uninit(); BATCH];
+        for (r, run) in runs[..m].iter().enumerate() {
+            let (name, namelen) = match &dests[order[run.start]] {
+                Some(a) => {
+                    let (raw, len) = sockaddr(a);
+                    (names[r].write(raw) as *mut SockAddr as *mut u8, len)
+                }
+                None => (null_mut(), 0),
+            };
+            // SAFETY: `run.start + run.count <= n`, and iovecs 0..n were
+            // written above.
+            let mut h = header(name, namelen, unsafe { iovs.add(run.start) });
+            if run.count > 1 {
+                let cmsg = cmsgs[r].write(SegmentCmsg {
+                    len: SEGMENT_CMSG_LEN,
+                    level: SOL_UDP,
+                    kind: UDP_SEGMENT,
+                    // A run holds at most MAX_RUN_BYTES, so a segment fits.
+                    seg: run.seg as u16,
+                });
+                h.hdr.iovlen = run.count;
+                h.hdr.control = cmsg as *mut SegmentCmsg as *mut u8;
+                h.hdr.controllen = size_of::<SegmentCmsg>();
+            }
+            hdrs[r].write(h);
+        }
+        let mut counts = [0; BATCH];
+        for (c, run) in counts.iter_mut().zip(&runs[..m]) {
+            *c = run.count;
+        }
+        // SAFETY: headers 0..m were written above; each points into
+        // `names`, `iovs`, `cmsgs` and `slots`, which outlive the call.
+        unsafe { send_msgs(fd, hdrs.as_mut_ptr().cast(), &counts[..m]) }
+    }
+
+    /// `sendmmsg` over `hdrs[..counts.len()]`, message `k` carrying
+    /// `counts[k]` datagrams, until every message went out or was refused.
+    /// A message the kernel refuses is dropped, as a lone `send` would
+    /// have been, and the call resumes behind it — unless it is a run the
+    /// kernel refused to segment (no checksum offload on the route, an MTU
+    /// below the segment, `SO_NO_CHECK`), which goes out again a datagram
+    /// per message. Returns how many datagrams went out and the last
+    /// refusal.
+    ///
+    /// # Safety
+    ///
+    /// `hdrs[..counts.len()]` must be initialized, each with `counts[k]`
+    /// iovecs, pointing at memory that outlives the call.
+    unsafe fn send_msgs(
+        fd: i32,
+        hdrs: *mut MMsgHdr,
+        counts: &[usize],
+    ) -> (usize, Option<io::Error>) {
+        let m = counts.len();
         let (mut done, mut sent, mut err) = (0usize, 0usize, None);
-        while done < n {
-            // SAFETY: entries done..n (n <= BATCH) were written above; each
-            // points into `names`, `iovs` and `slots`, which outlive the
-            // call, and the kernel only reads the datagram bytes.
-            let r = unsafe { sendmmsg(fd, hdrs.add(done), (n - done) as u32, 0) };
+        while done < m {
+            // SAFETY: the caller initialized entries done..m (m <= BATCH),
+            // and the kernel only reads what they point at.
+            let r = unsafe { sendmmsg(fd, hdrs.add(done), (m - done) as u32, 0) };
             if r > 0 {
-                done += r as usize;
-                sent += r as usize;
+                let r = r as usize;
+                sent += counts[done..done + r].iter().sum::<usize>();
+                done += r;
                 continue;
             }
             let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                // The kernel refused the datagram at `done`: drop it, as a
-                // lone `send` would have, and keep going.
-                done += 1;
+            if e.kind() == io::ErrorKind::Interrupted {
+                continue;
+            }
+            if counts[done] > 1 && matches!(e.raw_os_error(), Some(EINVAL | EIO)) {
+                // SAFETY: entry `done` was initialized by the caller.
+                let run = unsafe { (*hdrs.add(done)).hdr };
+                let mut one = [MaybeUninit::<MMsgHdr>::uninit(); BATCH];
+                for (j, h) in one.iter_mut().take(run.iovlen).enumerate() {
+                    // SAFETY: the run's iovecs are `iovlen` in a row.
+                    h.write(header(run.name, run.namelen, unsafe { run.iov.add(j) }));
+                }
+                // SAFETY: entries 0..iovlen were written above and point
+                // where the run's header did.
+                let (s, e) =
+                    unsafe { send_msgs(fd, one.as_mut_ptr().cast(), &[1; BATCH][..run.iovlen]) };
+                sent += s;
+                err = e.or(err);
+            } else {
                 err = Some(e);
             }
+            done += 1;
         }
         (sent, err)
     }
@@ -759,5 +966,131 @@ mod tests {
         }
         let total = path_counters().timeout_syscalls - before;
         assert!(total <= 5, "expected <=5 syscalls, got {total}");
+    }
+
+    /// [`plan`]'s messages as `(slots in send order, segment size)`.
+    fn planned(lens: &[usize], dests: &[Option<SocketAddr>]) -> Vec<(Vec<usize>, usize)> {
+        let (mut order, mut runs) = ([0; BATCH], [Run::default(); BATCH]);
+        let m = plan(lens, dests, true, &mut order, &mut runs);
+        let mut seen = 0;
+        let msgs = runs[..m]
+            .iter()
+            .map(|r| {
+                let slots = order[r.start..r.start + r.count].to_vec();
+                assert_eq!(r.bytes, slots.iter().map(|&i| lens[i]).sum::<usize>());
+                seen += r.count;
+                (slots, r.seg)
+            })
+            .collect();
+        assert_eq!(seen, lens.len(), "every datagram is planned once");
+        msgs
+    }
+
+    #[test]
+    fn plan_closes_a_run_with_one_shorter_datagram() {
+        let one = [None; 4];
+        assert_eq!(planned(&[64, 64, 64, 20], &one), [(vec![0, 1, 2, 3], 64)]);
+        // Nothing may follow the shorter datagram in its run, nor may a
+        // longer one join: the kernel cuts every segment but the last at
+        // the first's size.
+        assert_eq!(
+            planned(&[64, 20, 64], &one[..3]),
+            [(vec![0, 1], 64), (vec![2], 64)]
+        );
+        assert_eq!(
+            planned(&[20, 64], &one[..2]),
+            [(vec![0], 20), (vec![1], 64)]
+        );
+        // An empty datagram neither opens nor closes a run.
+        assert_eq!(
+            planned(&[0, 0, 8, 0], &one),
+            [(vec![0], 0), (vec![1], 0), (vec![2], 8), (vec![3], 0)]
+        );
+        // Without segmentation every datagram is a message of its own.
+        let (mut order, mut runs) = ([0; BATCH], [Run::default(); BATCH]);
+        assert_eq!(plan(&[64; 4], &one, false, &mut order, &mut runs), 4);
+        assert_eq!(order[..4], [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn plan_groups_interleaved_destinations_keeping_each_ones_order() {
+        let a = Some("127.0.0.1:1000".parse().unwrap());
+        let b = Some("127.0.0.1:2000".parse().unwrap());
+        assert_eq!(
+            planned(&[64, 64, 64, 64, 64, 9], &[a, b, a, b, None, a]),
+            [(vec![0, 2, 5], 64), (vec![1, 3], 64), (vec![4], 64)]
+        );
+    }
+
+    #[test]
+    fn plan_caps_a_run_at_the_largest_udp_payload() {
+        // Eight 8 KiB segments are 65,536 bytes, past 65,507: seven fit.
+        let msgs = planned(&[MAX_DATAGRAM; BATCH], &[None; BATCH]);
+        let counts: Vec<usize> = msgs.iter().map(|(slots, _)| slots.len()).collect();
+        assert_eq!(counts, [7, 7, 7, 7, 4]);
+        assert!(msgs.iter().all(|(_, seg)| *seg == MAX_DATAGRAM));
+        // Small datagrams stop at BATCH segments, all in one message.
+        assert_eq!(planned(&[8; BATCH], &[None; BATCH]).len(), 1);
+    }
+
+    /// Sets an integer socket option on `sock` (Linux).
+    #[cfg(target_os = "linux")]
+    fn set_int_opt(sock: &UdpSocket, level: i32, name: i32, val: i32) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+        }
+        // SAFETY: the kernel reads 4 bytes from `val`, which outlives the call.
+        let r = unsafe { setsockopt(sock.as_raw_fd(), level, name, &val, 4) };
+        assert_eq!(r, 0, "setsockopt: {}", io::Error::last_os_error());
+    }
+
+    /// Flushes `datagrams` to `tx`'s connected peer and checks `rx` reads
+    /// the same datagrams, in order.
+    fn round_trip(tx: &UdpSocket, rx: &UdpSocket, datagrams: &[Vec<u8>]) {
+        let mut send = SendBatch::new();
+        let refs: Vec<&[u8]> = datagrams.iter().map(Vec::as_slice).collect();
+        stage(&mut send, &refs, &vec![None; refs.len()]);
+        assert_eq!(send.flush(tx).unwrap(), datagrams.len());
+        assert_eq!(drain(rx), datagrams);
+    }
+
+    #[test]
+    fn mixed_sizes_to_one_peer_arrive_as_the_same_datagrams_in_order() {
+        let (tx, rx) = pair();
+        let lens = [100, 100, 100, 40, 100, 100, 7, 7, 0, 7, 300, 300, 1, 300];
+        let datagrams: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        round_trip(&tx, &rx, &datagrams);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_batch_of_the_largest_datagrams_arrives_whole() {
+        const SOL_SOCKET: i32 = 1;
+        const SO_RCVBUF: i32 = 8;
+        let (tx, rx) = pair();
+        // Room for 256 KiB of payload, past the common 208 KiB default.
+        set_int_opt(&rx, SOL_SOCKET, SO_RCVBUF, 1 << 20);
+        let datagrams: Vec<Vec<u8>> = (0..BATCH).map(|i| vec![i as u8; MAX_DATAGRAM]).collect();
+        round_trip(&tx, &rx, &datagrams);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_run_the_kernel_will_not_segment_goes_out_a_datagram_at_a_time() {
+        const SOL_SOCKET: i32 = 1;
+        const SO_NO_CHECK: i32 = 11;
+        let (tx, rx) = pair();
+        // Without UDP checksums the kernel refuses a segmented send
+        // (EINVAL) and still takes plain ones.
+        set_int_opt(&tx, SOL_SOCKET, SO_NO_CHECK, 1);
+        let datagrams: Vec<Vec<u8>> = (0..12u8)
+            .map(|i| vec![i; if i == 5 { 16 } else { 64 }])
+            .collect();
+        round_trip(&tx, &rx, &datagrams);
     }
 }

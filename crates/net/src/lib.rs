@@ -27,7 +27,9 @@
 //! `ServerCore` (the §3.4 "queue" the clone-drop rule consults is the
 //! batch backlog behind each request). The per-packet paths are
 //! allocation-free and batched ([`batch`]: `sendmmsg`/`recvmmsg` on
-//! Linux, a portable `send`/`recv` loop elsewhere). Two
+//! Linux, each destination's run of equal-size datagrams one segmented
+//! send; a portable `send`/`recv` loop elsewhere). Server workers stage
+//! their responses and flush once per receive batch. Two
 //! `parking_lot` locks remain: a `Mutex` around the soft switch's program
 //! and port map (taken once per receive batch), and the `RwLock` around
 //! the KV store a [`WorkExecutor::Kv`] shares between server workers,

@@ -22,7 +22,12 @@
 //!
 //! Each worker thread puts itself under `SCHED_BATCH` before its loop, so
 //! the switch's `sendmmsg` that wakes it runs to the end and the worker
-//! drains the whole batch in one `recvmmsg`.
+//! drains the whole batch in one `recvmmsg`. Its responses go the other
+//! way the same: each is staged in a [`SendBatch`], flushed once per
+//! receive batch (or when the batch fills), so a batch's replies to the
+//! switch leave as one segmented send. A synthetic echo that names a
+//! service time flushes what is staged before it spins, so no response
+//! waits out another request's modelled service.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -33,7 +38,7 @@ use std::time::{Duration, Instant};
 use netclone_hostcore::{AdmitDecision, ServerCore, ServerStats};
 use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
-use crate::batch::{run_as_batch, RecvBatch, MAX_DATAGRAM};
+use crate::batch::{run_as_batch, RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 use crate::shim::{FaultDirection, FaultPlan, FaultShim};
 use crate::supervise;
@@ -159,7 +164,6 @@ impl ServerHandle {
                     .spawn(move || {
                         // A refusal leaves the default policy: slower, not wrong.
                         let _ = run_as_batch();
-                        let out = Vec::with_capacity(MAX_DATAGRAM);
                         let mut worker = Worker {
                             sock: &sock,
                             cfg: &cfg,
@@ -174,8 +178,7 @@ impl ServerHandle {
                                 .as_ref()
                                 .filter(|p| !p.is_empty())
                                 .map(|p| FaultShim::for_worker(p, w)),
-                            out_cap: out.capacity(),
-                            out,
+                            send: SendBatch::new(),
                         };
                         let mut recv = RecvBatch::new();
                         supervise(&restarts, || worker.run(&mut recv));
@@ -241,8 +244,8 @@ impl Drop for ServerHandle {
 
 /// One worker's state. It lives outside the loop a panic unwinds, so a
 /// restarted loop keeps the core's counters, the shim's stream and parked
-/// datagrams, and the response buffer: a crash loses only the batch in
-/// flight.
+/// datagrams, and the staged responses, which the restarted loop flushes
+/// first: a crash loses only the rest of the receive batch in flight.
 struct Worker<'a> {
     sock: &'a UdpSocket,
     cfg: &'a UdpServerConfig,
@@ -254,29 +257,34 @@ struct Worker<'a> {
     core: ServerCore,
     published: &'a PublishedStats,
     shim: Option<FaultShim>,
-    /// One reusable response buffer: the per-packet path allocates nothing
-    /// (the synthetic executor returns no value bytes; KV values are the
-    /// store's to own). Growth past the prealloc is a counted event.
-    out: Vec<u8>,
-    out_cap: usize,
+    /// Staged responses: the per-packet path allocates nothing (the
+    /// synthetic executor returns no value bytes; KV values are the
+    /// store's to own), and growth past a slot's prealloc is counted.
+    send: SendBatch,
 }
 
 impl Worker<'_> {
     fn run(&mut self, recv: &mut RecvBatch) {
         while !self.stop.load(Ordering::SeqCst) {
-            // Release parked datagrams first: outbound responses go to the
-            // socket, inbound requests are served like fresh arrivals (an
+            // Release parked datagrams first: outbound responses are staged,
+            // inbound requests are served like fresh arrivals (an
             // already-empty queue behind them).
             if self.shim.is_some() {
                 let now = self.epoch.elapsed();
                 while let Some((dir, p)) = self.shim.as_mut().and_then(|s| s.due(now)) {
                     if dir == FaultDirection::Tx {
-                        let _ = self.sock.send(&p);
+                        let slot = self.next_slot();
+                        slot.clear();
+                        slot.extend_from_slice(&p);
+                        self.send.commit();
                     } else {
                         self.serve(&p, 0);
                     }
                 }
             }
+            // The previous receive batch's responses, and any just
+            // released, leave before the worker blocks for more.
+            self.flush();
             let Ok(n) = recv.recv_timeout_then_drain(self.sock) else {
                 break;
             };
@@ -304,6 +312,7 @@ impl Worker<'_> {
                 }
             }
         }
+        self.flush();
     }
 
     /// Decodes, admits, executes, and answers one request datagram,
@@ -321,21 +330,41 @@ impl Worker<'_> {
             return;
         }
         self.core.note_queue_depth(backlog);
+        if self.cfg.executor.spins(&op) {
+            self.flush();
+        }
         let value = self.cfg.executor.execute_until(&op, self.stop);
         // Piggyback the queue state observed at response-send time, and
         // publish the count before the response can reach anyone.
         let nc = self.core.response(&meta.nc, backlog);
         self.publish();
         let resp = PacketMeta::netclone_response(self.cfg.vip, meta.src_ip, nc, 0);
-        encode_packet_into(&resp, &op, &value, &mut self.out);
-        crate::batch::note_growth(&mut self.out_cap, self.out.capacity());
+        encode_packet_into(&resp, &op, &value, self.next_slot());
         let copies = self.shim.as_mut().map_or(1, |s| {
-            s.pass(FaultDirection::Tx, self.epoch.elapsed(), &self.out)
+            s.pass(FaultDirection::Tx, self.epoch.elapsed(), self.send.slot())
                 .copies()
         });
-        for _ in 0..copies {
-            let _ = self.sock.send(&self.out);
+        // Each copy the shim asks for is a staged datagram of its own.
+        for c in 0..copies {
+            if c > 0 {
+                encode_packet_into(&resp, &op, &value, self.next_slot());
+            }
+            self.send.commit();
         }
+    }
+
+    /// The next send slot, flushing the batch first when it is full.
+    fn next_slot(&mut self) -> &mut Vec<u8> {
+        if self.send.is_full() {
+            self.flush();
+        }
+        self.send.slot()
+    }
+
+    /// Sends the staged responses. A datagram the kernel refuses is lost
+    /// like any dropped packet; the client's retry covers it.
+    fn flush(&mut self) {
+        let _ = self.send.flush(self.sock);
     }
 
     fn publish(&self) {

@@ -8,7 +8,9 @@
 //! address registered for its egress port. It works a burst at a time: one
 //! `recvmmsg` takes everything queued, and every emission of that receive
 //! batch leaves in one `sendmmsg`, each datagram addressed to its own
-//! port's socket. Because both frontends drive the same trait object, the
+//! port's socket; the emissions bound for one socket (a burst of replies
+//! to a client, the requests and clones for one server) leave as
+//! segmented runs, one message each ([`SendBatch::flush`]). Because both frontends drive the same trait object, the
 //! soft switch and the DES simulator execute the identical program
 //! (asserted by `tests/equivalence.rs` at the workspace root). The
 //! forwarding thread keeps the default scheduling policy, so a reply that
@@ -223,7 +225,9 @@ fn switch_loop(socket: UdpSocket, shared: Arc<Mutex<Shared>>, stop: Arc<AtomicBo
     // and every emission of the batch is encoded into a send slot addressed
     // to its egress port's socket. The slots leave in one `sendmmsg` after
     // the batch (or when the send batch fills), so a burst costs one
-    // wake-up and two syscalls rather than one `send_to` per emission.
+    // wake-up and two syscalls rather than one `send_to` per emission, and
+    // each socket's equal-size emissions cross the kernel as one segmented
+    // send.
     // Together with the `EmissionSink` contract from
     // `netclone_asic::dataplane`, the per-datagram path allocates nothing
     // and the pipeline lock is taken once per batch, not once per packet.

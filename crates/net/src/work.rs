@@ -31,6 +31,16 @@ impl WorkExecutor {
         self.execute_until(op, &NEVER)
     }
 
+    /// Whether executing `op` busy-spins: a synthetic echo naming a
+    /// service time. A worker flushes its staged responses before one, so
+    /// no response waits out another request's modelled service.
+    pub(crate) fn spins(&self, op: &RpcOp) -> bool {
+        matches!(
+            (self, op),
+            (WorkExecutor::Synthetic, RpcOp::Echo { class_ns }) if *class_ns > 0
+        )
+    }
+
     /// [`Self::execute`] on a worker that `stop` shuts down: a synthetic
     /// spin ends early once `stop` is set, so an echo naming any service
     /// time (a forged one included) cannot outlive its worker.

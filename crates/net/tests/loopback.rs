@@ -7,7 +7,10 @@ use std::net::UdpSocket;
 use std::time::Duration;
 
 use netclone_core::NetCloneConfig;
-use netclone_net::{encode_packet_into, Testbed, WorkExecutor};
+use netclone_net::{
+    decode_packet_borrowed, encode_packet_into, ServerHandle, Testbed, UdpServerConfig,
+    WorkExecutor,
+};
 use netclone_proto::{Ipv4, KvKey, NetCloneHdr, PacketMeta, RpcOp, ServerState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,6 +244,59 @@ fn a_forged_endless_echo_does_not_wedge_shutdown() {
         .recv_timeout(Duration::from_secs(2))
         .expect("Testbed::shutdown returns within 2 s of a forged endless echo");
     shutdown.join().expect("shutdown thread");
+}
+
+#[test]
+fn a_synthetic_workers_reply_is_not_held_behind_the_next_requests_spin() {
+    // A bare socket stands in for the switch, so the test decides what
+    // lands in one receive batch.
+    let switch = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let cfg = UdpServerConfig::new(
+        0,
+        Ipv4::server(0),
+        1,
+        WorkExecutor::Synthetic,
+        switch.local_addr().unwrap(),
+    );
+    let server = ServerHandle::spawn(cfg).expect("server");
+    let request = |seq: u32, class_ns: u64| {
+        let meta =
+            PacketMeta::netclone_request(Ipv4::client(1), NetCloneHdr::request(0, 0, 1, seq), 0);
+        let mut dg = Vec::new();
+        encode_packet_into(&meta, &RpcOp::Echo { class_ns }, &[], &mut dg);
+        dg
+    };
+    // Request 1 keeps the worker spinning while requests 2 and 3 queue
+    // behind it, so the worker takes those two in one receive batch. The
+    // zero echo's reply is staged first; the ten-second echo must not
+    // keep it staged through its spin. (Shutdown ends that spin.)
+    switch
+        .send_to(&request(1, 100_000_000), server.addr())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    for (seq, class_ns) in [(2, 0), (3, 10_000_000_000)] {
+        switch
+            .send_to(&request(seq, class_ns), server.addr())
+            .unwrap();
+    }
+    let sent = std::time::Instant::now();
+    switch.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut buf = [0u8; 2048];
+    let mut replies = Vec::new();
+    while replies.len() < 2 {
+        let len = switch
+            .recv(&mut buf)
+            .expect("the zero echo's reply arrives while the next request spins");
+        let (meta, _, _) = decode_packet_borrowed(&buf[..len]).expect("a well-formed reply");
+        replies.push(meta.nc.client_seq);
+    }
+    assert_eq!(replies, [1, 2]);
+    assert!(
+        sent.elapsed() < TIMEOUT,
+        "the zero echo's reply took {:?}",
+        sent.elapsed()
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -91,6 +91,26 @@ fn plain_l3_clients_stop_addressing_a_removed_server() {
     );
 }
 
+/// Stopping both of two servers used to pass validation, and the first
+/// request after the second removal found no server to address.
+#[test]
+#[should_panic(expected = "stops every server")]
+fn a_timeline_that_stops_every_server_is_refused_before_the_run() {
+    let mut s = Scenario::synthetic_default(Scheme::CClone, exp25(), 0.0);
+    s.servers.truncate(2);
+    s.offered_rps = s.capacity_rps() * 0.3;
+    s.warmup_ns = 1_000_000;
+    s.measure_ns = 20_000_000;
+    for sid in 0..2 {
+        s.faults.faults.push(Fault {
+            start_ns: 2_000_000,
+            end_ns: 4_000_000 + u64::from(sid) * 1_000_000,
+            kind: FaultKind::ServerStop { sid },
+        });
+    }
+    Sim::run(s);
+}
+
 #[test]
 fn switch_power_cycle_loses_only_soft_state() {
     let mut s = Scenario::synthetic_default(Scheme::NETCLONE, exp25(), 0.0);
