@@ -26,12 +26,19 @@
 //! segment is sent again a datagram per message.
 //!
 //! Both batchers own their buffers for their whole lifetime: every slot
-//! is allocated once at construction ([`MAX_DATAGRAM`] bytes) and reused
-//! for every packet after, so the steady-state per-packet path performs
-//! **zero allocations** — any growth past the preallocated capacity is
-//! recorded in [`path_counters`], which the loopback smoke tests pin to
-//! zero. The same counters record every `set_read_timeout` syscall issued
-//! through [`DeadlineTimeout`], pinning the receive path's syscall budget.
+//! is allocated once at construction ([`MAX_DATAGRAM`] bytes, one more on
+//! the receive side) and reused for every packet after, so the
+//! steady-state per-packet path performs **zero allocations** — any
+//! growth past the preallocated capacity is recorded in
+//! [`path_counters`], which the loopback smoke tests pin to zero. The
+//! same counters record every read timeout the crate sets, each once at
+//! socket setup (the switch, each server, each [`crate::UdpClient`]): a
+//! blocking receive is one `recvmmsg` under that fixed timeout, and its
+//! caller checks its own deadline after each wake.
+//!
+//! A [`RecvBatch`] never hands on a datagram longer than
+//! [`MAX_DATAGRAM`]: such a datagram fills its slot, may have been cut
+//! there, and is dropped before any caller sees it.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -41,10 +48,11 @@ use std::time::Duration;
 /// Datagrams moved per kernel crossing (and the slot count of each batch).
 pub const BATCH: usize = 32;
 
-/// Per-slot buffer size. Larger datagrams are legal UDP but outside this
-/// fabric's envelope (a 20-byte header plus small KV values); a receive
-/// that fills a slot exactly may have been truncated and is dropped by
-/// the decode layer when the frame is inconsistent.
+/// The datagram envelope, and the size of each send slot. Larger
+/// datagrams are legal UDP but outside this fabric's envelope (a codec
+/// frame plus KV values): a [`RecvBatch`] drops them on receipt, since
+/// the codec reads a value as the frame's trailing bytes and could not
+/// tell a cut one.
 pub const MAX_DATAGRAM: usize = 8192;
 
 /// Snapshot of the hot-path instrumentation counters.
@@ -57,7 +65,7 @@ pub struct PathCounters {
     /// Times a batch slot (or reusable encode buffer) had to grow past
     /// its preallocated capacity — an allocation on the packet path.
     pub buffer_grow_allocs: u64,
-    /// `set_read_timeout` syscalls issued through [`DeadlineTimeout`].
+    /// Read timeouts the crate set on a socket, each at its setup.
     pub timeout_syscalls: u64,
 }
 
@@ -76,8 +84,11 @@ fn note_buffer_grow() {
     BUFFER_GROW_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
-fn note_timeout_syscall() {
+/// Sets `sock`'s read timeout: the crate's one way to, so
+/// [`PathCounters::timeout_syscalls`] counts every such syscall.
+pub(crate) fn set_timeout(sock: &UdpSocket, timeout: Duration) -> io::Result<()> {
     TIMEOUT_SYSCALLS.fetch_add(1, Ordering::Relaxed);
+    sock.set_read_timeout(Some(timeout))
 }
 
 /// A reusable outgoing batch.
@@ -129,6 +140,30 @@ impl SendBatch {
     /// Marks the current slot as staged for `dst`.
     pub fn commit_to(&mut self, dst: SocketAddr) {
         self.stage(Some(dst));
+    }
+
+    /// Stages the current slot `copies` times for the connected peer (a
+    /// fault shim's transmit verdict: none when dropped or parked, two
+    /// when duplicated), each further copy the bytes of the one before it
+    /// copied into the next slot. Flushes to `sock` whenever the batch
+    /// fills, so it is never left full and a caller may stage an unbounded
+    /// stream (a retransmission sweep after a stall) through here.
+    pub(crate) fn commit_copies(&mut self, copies: usize, sock: &UdpSocket) -> io::Result<()> {
+        for c in 0..copies {
+            if c > 0 {
+                // The copy before sits in the previous slot, or in the
+                // last one when staging it filled and flushed the batch.
+                let from = (self.used + BATCH - 1) % BATCH;
+                let src = std::mem::take(&mut self.slots[from]);
+                self.slots[self.used].clone_from(&src);
+                self.slots[from] = src;
+            }
+            self.commit();
+            if self.is_full() {
+                self.flush(sock)?;
+            }
+        }
+        Ok(())
     }
 
     fn stage(&mut self, dst: Option<SocketAddr>) {
@@ -226,7 +261,9 @@ impl RecvBatch {
     /// Allocates the batch's buffers (the only allocation it ever makes).
     pub fn new() -> Self {
         RecvBatch {
-            bufs: (0..BATCH).map(|_| vec![0u8; MAX_DATAGRAM]).collect(),
+            // One byte past the envelope: a datagram that fills its slot
+            // is longer than `MAX_DATAGRAM`.
+            bufs: (0..BATCH).map(|_| vec![0u8; MAX_DATAGRAM + 1]).collect(),
             lens: [0; BATCH],
             count: 0,
         }
@@ -259,12 +296,16 @@ impl RecvBatch {
     pub fn recv_nonblocking(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
         #[cfg(target_os = "linux")]
-        {
-            self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_DONTWAIT)?;
-        }
+        let got = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_DONTWAIT)?;
         #[cfg(not(target_os = "linux"))]
-        while self.count < BATCH && self.recv_one(sock)? {}
-        Ok(self.count)
+        let got = {
+            let mut n = 0;
+            while n < BATCH && self.recv_one(sock, n)? {
+                n += 1;
+            }
+            n
+        };
+        Ok(self.keep_envelope(got))
     }
 
     /// Blocks (honoring the socket's read timeout) for the first
@@ -274,71 +315,40 @@ impl RecvBatch {
     pub fn recv_timeout_then_drain(&mut self, sock: &UdpSocket) -> io::Result<usize> {
         self.count = 0;
         #[cfg(target_os = "linux")]
-        {
-            self.count = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_WAITFORONE)?;
-        }
+        let got = mmsg::recv(sock, &mut self.bufs, &mut self.lens, mmsg::MSG_WAITFORONE)?;
         // Portable path: a blocking socket cannot drain more without
         // risking a second block — batch size degrades to 1.
         #[cfg(not(target_os = "linux"))]
-        self.recv_one(sock)?;
-        Ok(self.count)
+        let got = usize::from(self.recv_one(sock, 0)?);
+        Ok(self.keep_envelope(got))
     }
 
-    /// Portable path: one `recv` into the next free slot. `Ok(false)` when
-    /// nothing arrived.
+    /// Keeps, in order, those of the `got` datagrams just received that
+    /// fit [`MAX_DATAGRAM`], and returns how many: one that filled its
+    /// slot is over the envelope and is dropped here.
+    fn keep_envelope(&mut self, got: usize) -> usize {
+        for i in 0..got {
+            if self.lens[i] <= MAX_DATAGRAM {
+                self.bufs.swap(self.count, i);
+                self.lens[self.count] = self.lens[i];
+                self.count += 1;
+            }
+        }
+        self.count
+    }
+
+    /// Portable path: one `recv` into slot `i`. `Ok(false)` when nothing
+    /// arrived.
     #[cfg(not(target_os = "linux"))]
-    fn recv_one(&mut self, sock: &UdpSocket) -> io::Result<bool> {
-        let i = self.count;
+    fn recv_one(&mut self, sock: &UdpSocket, i: usize) -> io::Result<bool> {
         match sock.recv(&mut self.bufs[i]) {
             Ok(len) => {
                 self.lens[i] = len;
-                self.count += 1;
                 Ok(true)
             }
             Err(e) if is_quiet(&e) => Ok(false),
             Err(e) => Err(e),
         }
-    }
-}
-
-/// A deadline-aware wrapper over `set_read_timeout` that only issues the
-/// syscall when the remaining time crosses a bucket boundary.
-///
-/// Blocking receive loops used to re-arm the socket timeout on **every**
-/// iteration — a syscall per received packet. Quantizing the remaining
-/// deadline (20 ms cap, 5 ms buckets below that) keeps the arming cost
-/// at a handful of syscalls per deadline instead; the caller re-checks
-/// its own clock after each wake, so the bucket slack never extends the
-/// true deadline by more than one bucket.
-#[derive(Debug, Default)]
-pub struct DeadlineTimeout {
-    armed: Option<Duration>,
-}
-
-impl DeadlineTimeout {
-    /// A helper that has not armed any timeout yet.
-    pub fn new() -> Self {
-        DeadlineTimeout::default()
-    }
-
-    /// Arms the socket's read timeout for `remaining`, skipping the
-    /// syscall when the quantized value is already armed.
-    pub fn arm(&mut self, sock: &UdpSocket, remaining: Duration) -> io::Result<()> {
-        const CAP: Duration = Duration::from_millis(20);
-        const STEP_MS: u64 = 5;
-        let bucket = if remaining >= CAP {
-            CAP
-        } else {
-            // Ceiling to the next 5 ms step, never zero (zero would mean
-            // "no timeout" to the OS).
-            Duration::from_millis(((remaining.as_millis() as u64 / STEP_MS) + 1) * STEP_MS)
-        };
-        if self.armed != Some(bucket) {
-            sock.set_read_timeout(Some(bucket))?;
-            note_timeout_syscall();
-            self.armed = Some(bucket);
-        }
-        Ok(())
     }
 }
 
@@ -761,6 +771,10 @@ mod mmsg {
 mod tests {
     use super::*;
 
+    /// Held by the tests that read the process-wide growth counter, so no
+    /// other test grows a slot between their snapshots.
+    static GROWTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn pair() -> (UdpSocket, UdpSocket) {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -804,7 +818,7 @@ mod tests {
     #[test]
     fn recv_timeout_then_drain_times_out_cleanly() {
         let (_tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+        set_timeout(&rx, Duration::from_millis(5)).unwrap();
         let mut recv = RecvBatch::new();
         assert_eq!(recv.recv_timeout_then_drain(&rx).unwrap(), 0);
         assert!(recv.is_empty());
@@ -813,8 +827,7 @@ mod tests {
     #[test]
     fn recv_timeout_then_drain_batches_queued_datagrams() {
         let (tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
+        set_timeout(&rx, Duration::from_millis(200)).unwrap();
         let mut send = SendBatch::new();
         for i in 0u8..9 {
             let slot = send.slot();
@@ -850,14 +863,12 @@ mod tests {
 
     /// Everything `sock` holds, waiting up to 200 ms for the first.
     fn drain(sock: &UdpSocket) -> Vec<Vec<u8>> {
-        sock.set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
+        set_timeout(sock, Duration::from_millis(200)).unwrap();
         let mut recv = RecvBatch::new();
         let mut out = Vec::new();
         while recv.recv_timeout_then_drain(sock).unwrap() > 0 {
             out.extend(recv.iter().map(<[u8]>::to_vec));
-            sock.set_read_timeout(Some(Duration::from_millis(20)))
-                .unwrap();
+            set_timeout(sock, Duration::from_millis(20)).unwrap();
         }
         out
     }
@@ -933,6 +944,7 @@ mod tests {
 
     #[test]
     fn slot_growth_is_counted() {
+        let _counter = GROWTH.lock().unwrap_or_else(|e| e.into_inner());
         let before = path_counters().buffer_grow_allocs;
         let mut send = SendBatch::new();
         let slot = send.slot();
@@ -950,22 +962,82 @@ mod tests {
     }
 
     #[test]
-    fn deadline_timeout_arms_per_bucket_not_per_call() {
-        let (_tx, rx) = pair();
-        let before = path_counters().timeout_syscalls;
-        let mut dt = DeadlineTimeout::new();
-        // Far from the deadline: every call lands in the 20 ms cap bucket.
-        for ms in [500u64, 499, 480, 320, 100, 21] {
-            dt.arm(&rx, Duration::from_millis(ms)).unwrap();
+    fn a_datagram_over_the_envelope_is_never_handed_on() {
+        let (tx, rx) = pair();
+        set_timeout(&rx, Duration::from_millis(200)).unwrap();
+        let big = vec![0xEE; 12_000];
+        let edge = vec![0xAA; MAX_DATAGRAM];
+        let mut recv = RecvBatch::new();
+        // The blocking receive: the oversized datagram between two that
+        // fit is dropped, and the rest keep their order.
+        for dg in [&b"before"[..], &big[..], &edge[..], &b"after"[..]] {
+            tx.send(dg).unwrap();
         }
-        let far = path_counters().timeout_syscalls - before;
-        assert_eq!(far, 1, "one syscall for the whole far-out phase");
-        // Closing in: at most one syscall per 5 ms bucket.
-        for ms in (1u64..=19).rev() {
-            dt.arm(&rx, Duration::from_millis(ms)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let mut seen = Vec::new();
+        while seen.len() < 3 && recv.recv_timeout_then_drain(&rx).unwrap() > 0 {
+            seen.extend(recv.iter().map(<[u8]>::to_vec));
         }
-        let total = path_counters().timeout_syscalls - before;
-        assert!(total <= 5, "expected <=5 syscalls, got {total}");
+        assert_eq!(seen, [b"before".to_vec(), edge.clone(), b"after".to_vec()]);
+        // The non-blocking receive, and a batch of nothing but the
+        // oversized datagram.
+        rx.set_nonblocking(true).unwrap();
+        tx.send(&big).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(recv.recv_nonblocking(&rx).unwrap(), 0);
+        assert!(recv.is_empty());
+        tx.send(&big[..MAX_DATAGRAM + 1]).unwrap();
+        tx.send(b"small").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(recv.recv_nonblocking(&rx).unwrap(), 1);
+        assert_eq!(recv.datagram(0), b"small");
+    }
+
+    /// Stages datagram `i` (a distinct payload) through `commit_copies`
+    /// for every `(i, copies)`, checking the batch is never left full,
+    /// and returns the datagrams the peer should read, in order.
+    fn stage_copies(send: &mut SendBatch, tx: &UdpSocket, plan: &[(usize, usize)]) -> Vec<Vec<u8>> {
+        let mut expect = Vec::new();
+        for &(i, copies) in plan {
+            let dg: Vec<u8> = (0..3 + i % 7).map(|j| (i * 13 + j) as u8).collect();
+            let slot = send.slot();
+            slot.clear();
+            slot.extend_from_slice(&dg);
+            let staged = send.len();
+            send.commit_copies(copies, tx).unwrap();
+            assert!(!send.is_full(), "a full batch is flushed, not left");
+            assert_eq!(send.len(), (staged + copies) % BATCH);
+            expect.extend((0..copies).map(|_| dg.clone()));
+        }
+        send.flush(tx).unwrap();
+        expect
+    }
+
+    #[test]
+    fn commit_copies_flushes_as_the_batch_fills_and_copies_byte_for_byte() {
+        let _counter = GROWTH.lock().unwrap_or_else(|e| e.into_inner());
+        let grown = path_counters().buffer_grow_allocs;
+        let (tx, rx) = pair();
+        let mut send = SendBatch::new();
+        // 3 × 32 + 5 single copies: three full batches flush on the way.
+        let singles: Vec<_> = (0..3 * BATCH + 5).map(|i| (i, 1)).collect();
+        let expect = stage_copies(&mut send, &tx, &singles);
+        assert_eq!(drain(&rx), expect);
+        // 2 × 32 duplicated datagrams: every second batch ends on a
+        // duplicate in the last free slot.
+        let dups: Vec<_> = (0..2 * BATCH).map(|i| (i, 2)).collect();
+        let expect = stage_copies(&mut send, &tx, &dups);
+        assert_eq!(drain(&rx), expect);
+        // One single first, so an original fills the last free slot and
+        // its duplicate opens the next batch, copied from the flushed one.
+        let mut shifted = vec![(0, 1)];
+        shifted.extend((1..=BATCH).map(|i| (i, 2)));
+        let expect = stage_copies(&mut send, &tx, &shifted);
+        assert_eq!(drain(&rx), expect);
+        // A dropped or parked datagram stages nothing.
+        assert!(stage_copies(&mut send, &tx, &[(9, 0)]).is_empty());
+        assert!(send.is_empty());
+        assert_eq!(path_counters().buffer_grow_allocs, grown);
     }
 
     /// [`plan`]'s messages as `(slots in send order, segment size)`.

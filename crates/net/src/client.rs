@@ -6,6 +6,13 @@
 //! redundant / lost accounting all live in
 //! [`netclone_hostcore::ClientCore`] — this type only moves datagrams and
 //! converts wall-clock time to the core's explicit nanoseconds.
+//!
+//! It moves them the way every other loop of the crate does: requests
+//! through a [`SendBatch`], replies through a [`RecvBatch`], on a socket
+//! connected to the switch whose read timeout, `POLL`, is set once at
+//! bind. A call wakes at least once per poll and checks its own deadline,
+//! so it returns at most one poll past its timeout, and a call issues no
+//! timeout syscall at all.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -14,12 +21,12 @@ use netclone_hostcore::{ClientCore, ClientMode, ClientStats, RxEvent};
 use netclone_proto::{ClientId, Ipv4, RpcOp, ServerState};
 use netclone_stats::LatencyHistogram;
 
-use crate::batch::DeadlineTimeout;
+use crate::batch::{set_timeout, RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 
-/// Receive-buffer size: the largest UDP payload, so no response is ever
-/// truncated.
-const RECV_BUF_LEN: usize = 65_536;
+/// The client socket's read timeout: the longest a call or a drain
+/// sleeps before it looks at its clock again.
+const POLL: Duration = Duration::from_millis(5);
 
 /// Errors from a blocking call.
 #[derive(Debug, PartialEq, Eq)]
@@ -60,17 +67,14 @@ pub struct CallReply {
 pub struct UdpClient {
     core: ClientCore,
     socket: UdpSocket,
-    switch_addr: SocketAddr,
     epoch: Instant,
-    /// Request encoding buffer, reused by every call.
-    send_buf: Vec<u8>,
-    /// Response receive buffer, reused by every call and drain.
-    recv_buf: Box<[u8]>,
+    send: SendBatch,
+    recv: RecvBatch,
 }
 
 impl UdpClient {
-    /// Binds a client on `127.0.0.1`. Register the returned socket address
-    /// with the switch before calling.
+    /// Binds a client on `127.0.0.1`, connected to the switch. Register
+    /// the returned socket address with the switch before calling.
     pub fn bind(
         cid: ClientId,
         switch_addr: SocketAddr,
@@ -79,6 +83,8 @@ impl UdpClient {
         seed: u64,
     ) -> std::io::Result<UdpClient> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
+        socket.connect(switch_addr)?;
+        set_timeout(&socket, POLL)?;
         Ok(UdpClient {
             core: ClientCore::new(
                 cid,
@@ -89,10 +95,9 @@ impl UdpClient {
                 seed,
             ),
             socket,
-            switch_addr,
             epoch: Instant::now(),
-            send_buf: Vec::new(),
-            recv_buf: vec![0u8; RECV_BUF_LEN].into_boxed_slice(),
+            send: SendBatch::new(),
+            recv: RecvBatch::new(),
         })
     }
 
@@ -129,52 +134,53 @@ impl UdpClient {
         let seq = self.core.generate(op, self.now_ns());
         let meta = self.core.poll().expect("NetClone mode emits one packet");
         debug_assert!(self.core.poll().is_none());
-        encode_packet_into(&meta, &op, &[], &mut self.send_buf);
+        encode_packet_into(&meta, &op, &[], self.send.slot());
+        self.send.commit();
         let start = Instant::now();
-        // Every early return must abandon `seq`, or the entry would linger
-        // in the outstanding map and let a stray late datagram complete it
-        // during a *later* call with a nonsense latency.
-        let fail = |core: &mut ClientCore, e: CallError| {
-            core.abandon(seq);
-            Err(e)
-        };
-        if let Err(e) = self.socket.send_to(&self.send_buf, self.switch_addr) {
-            return fail(&mut self.core, CallError::Io(e.to_string()));
-        }
-
-        // Re-arming the socket timeout with the exact remaining time was a
-        // syscall per iteration; the bucketed helper only re-arms when the
-        // remaining-deadline bucket changes, so a wake can come before the
-        // true deadline — the `elapsed >= timeout` check above the recv is
-        // what actually enforces it.
-        let mut arm = DeadlineTimeout::new();
-        loop {
-            let elapsed = start.elapsed();
-            if elapsed >= timeout {
-                return fail(&mut self.core, CallError::Timeout);
-            }
-            if let Err(e) = arm.arm(&self.socket, timeout - elapsed) {
-                return fail(&mut self.core, CallError::Io(e.to_string()));
-            }
-            let len = match self.socket.recv(&mut self.recv_buf) {
-                Ok(len) => len,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
+        let io = |e: std::io::Error| CallError::Io(e.to_string());
+        let reply = self
+            .send
+            .flush(&self.socket)
+            .map_err(io)
+            .and_then(|_| loop {
+                if start.elapsed() >= timeout {
+                    break Err(CallError::Timeout);
                 }
-                Err(e) => return fail(&mut self.core, CallError::Io(e.to_string())),
-            };
-            let Ok((m, _op, value)) = decode_packet_borrowed(&self.recv_buf[..len]) else {
+                if let Err(e) = self.recv.recv_timeout_then_drain(&self.socket) {
+                    break Err(io(e));
+                }
+                if let (_, Some(reply)) = self.take_batch() {
+                    break Ok(reply);
+                }
+            });
+        // A failed call abandons `seq`, or the entry would linger in the
+        // outstanding map and let a stray late datagram complete it
+        // during a *later* call with a nonsense latency.
+        if reply.is_err() {
+            self.core.abandon(seq);
+        }
+        reply
+    }
+
+    /// Hands the last receive batch to the core: returns how many of its
+    /// datagrams were responses to this client, and the reply that
+    /// completed a call, if one did. At most one call is outstanding (a
+    /// failed one is abandoned), so that is the caller's; a response to an
+    /// abandoned or answered call counts as redundant.
+    fn take_batch(&mut self) -> (u64, Option<CallReply>) {
+        let now = self.now_ns();
+        let (mut seen, mut reply) = (0, None);
+        for dg in self.recv.iter() {
+            let Ok((m, _op, value)) = decode_packet_borrowed(dg) else {
                 continue;
             };
-            match self.core.on_packet(&m.nc, self.now_ns()) {
+            match self.core.on_packet(&m.nc, now) {
+                RxEvent::Ignored => continue,
                 RxEvent::Completed {
                     latency_ns,
                     from_clone,
-                } if m.nc.client_seq == seq => {
-                    return Ok(CallReply {
+                } => {
+                    reply = Some(CallReply {
                         sid: m.nc.sid,
                         state: m.nc.state,
                         from_clone,
@@ -182,26 +188,20 @@ impl UdpClient {
                         latency: Duration::from_nanos(latency_ns),
                     });
                 }
-                // Responses to other (abandoned/stale) sequence numbers and
-                // anything the core classified as redundant or foreign are
-                // already accounted; keep waiting for ours.
-                _ => continue,
+                RxEvent::Redundant => {}
             }
+            seen += 1;
         }
+        (seen, reply)
     }
 
     /// Drains any late datagrams sitting in the socket buffer, counting
-    /// responses to this client as redundant. Returns how many were
-    /// drained.
+    /// responses to this client as redundant, until one poll passes with
+    /// nothing. Returns how many responses were drained.
     pub fn drain_late_responses(&mut self) -> u64 {
         let mut n = 0;
-        let _ = self.socket.set_read_timeout(Some(Duration::from_millis(5)));
-        while let Ok(len) = self.socket.recv(&mut self.recv_buf) {
-            if let Ok((m, _op, _value)) = decode_packet_borrowed(&self.recv_buf[..len]) {
-                if self.core.on_packet(&m.nc, self.now_ns()) != RxEvent::Ignored {
-                    n += 1;
-                }
-            }
+        while let Ok(1..) = self.recv.recv_timeout_then_drain(&self.socket) {
+            n += self.take_batch().0;
         }
         n
     }

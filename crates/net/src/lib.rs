@@ -28,8 +28,13 @@
 //! batch backlog behind each request). The per-packet paths are
 //! allocation-free and batched ([`batch`]: `sendmmsg`/`recvmmsg` on
 //! Linux, each destination's run of equal-size datagrams one segmented
-//! send; a portable `send`/`recv` loop elsewhere). Server workers stage
-//! their responses and flush once per receive batch. Two
+//! send; a portable `send`/`recv` loop elsewhere), and every loop moves
+//! its datagrams the same way, the blocking [`UdpClient`] included: a
+//! socket's read timeout is set once, at setup, and a blocking receive is
+//! one `recvmmsg` that wakes at least once per timeout. No receive hands
+//! on a datagram longer than [`batch::MAX_DATAGRAM`]; it is dropped, never
+//! cut. Server workers stage their responses and flush once per receive
+//! batch, and a fault shim's duplicate is a copy of the slot before it. Two
 //! `parking_lot` locks remain: a `Mutex` around the soft switch's program
 //! and port map (taken once per receive batch), and the `RwLock` around
 //! the KV store a [`WorkExecutor::Kv`] shares between server workers,
@@ -69,7 +74,7 @@ pub mod switch;
 pub mod testbed;
 pub mod work;
 
-pub use batch::{path_counters, DeadlineTimeout, PathCounters, RecvBatch, SendBatch};
+pub use batch::{path_counters, PathCounters, RecvBatch, SendBatch};
 pub use client::{CallError, CallReply, UdpClient};
 pub use codec::{decode_packet_borrowed, encode_packet_into};
 pub use openloop::{OpenLoopClient, OpenLoopReport, OpenLoopSpec, WorkerReport};

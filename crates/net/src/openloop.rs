@@ -11,9 +11,11 @@
 //! decode), so the per-packet path takes no lock, performs no
 //! allocation, and issues a fraction of a syscall per packet.
 //! All accounting — completed, redundant, clone-win, lost — is still the
-//! core's, identical to the DES client and to [`crate::UdpClient`]; the
-//! run merges per-worker [`ClientStats`] and latency histograms into one
-//! [`OpenLoopReport`] that keeps the per-worker breakdown.
+//! core's, identical to the DES client and to the blocking
+//! [`crate::UdpClient`], which moves its datagrams through the same two
+//! batches; the run merges per-worker [`ClientStats`] and latency
+//! histograms into one [`OpenLoopReport`] that keeps the per-worker
+//! breakdown.
 //!
 //! Workers run under `supervise`: a panic re-enters the loop with the
 //! worker's core, shim, RNG, pacing clock and batches, so the report
@@ -381,7 +383,7 @@ impl Worker<'_> {
 
             // Send side: batch up everything due, then flush in one syscall.
             if now < gen_end && now >= self.next_at {
-                while !self.send.is_full() {
+                loop {
                     let t = self.epoch.elapsed();
                     if t < self.next_at || t >= gen_end {
                         break;
@@ -389,7 +391,7 @@ impl Worker<'_> {
                     self.core.generate(op, t.as_nanos() as u64);
                     let meta = self.core.poll().expect("NetClone mode emits one packet");
                     encode_packet_into(&meta, &op, &[], self.send.slot());
-                    commit_through_shim(&mut self.send, &mut self.shim, t, self.sock)?;
+                    self.transmit(t)?;
                     self.next_at += Duration::from_nanos(self.arrivals.next_gap_ns(&mut self.rng));
                 }
                 self.send.flush(self.sock)?;
@@ -402,7 +404,7 @@ impl Worker<'_> {
                 while let Some((dir, p)) = shim.due(now) {
                     if dir == FaultDirection::Tx {
                         self.send.slot().clone_from(&p);
-                        commit(&mut self.send, self.sock)?;
+                        self.send.commit_copies(1, self.sock)?;
                     } else {
                         deliver(&mut self.core, &p, now.as_nanos() as u64);
                     }
@@ -440,7 +442,7 @@ impl Worker<'_> {
                         .pending_op(meta.nc.client_seq)
                         .expect("a retransmitted request is still outstanding");
                     encode_packet_into(&meta, &op, &[], self.send.slot());
-                    commit_through_shim(&mut self.send, &mut self.shim, now, self.sock)?;
+                    self.transmit(now)?;
                     retried = true;
                 }
                 if retried {
@@ -477,6 +479,15 @@ impl Worker<'_> {
             }
         }
     }
+
+    /// Stages the datagram encoded in the send slot as many times as the
+    /// shim lets it through at `now`, flushing a batch that fills.
+    fn transmit(&mut self, now: Duration) -> std::io::Result<()> {
+        let copies = self.shim.as_mut().map_or(1, |s| {
+            s.pass(FaultDirection::Tx, now, self.send.slot()).copies()
+        });
+        self.send.commit_copies(copies, self.sock)
+    }
 }
 
 /// Hands one response datagram to the core.
@@ -484,41 +495,6 @@ fn deliver(core: &mut ClientCore, dg: &[u8], now_ns: u64) {
     if let Ok((meta, _op, _value)) = decode_packet_borrowed(dg) {
         core.on_packet(&meta.nc, now_ns);
     }
-}
-
-/// Commits the encoded datagram sitting in `send.slot()` as many times as
-/// the shim lets it through now (a duplicate is a second slot holding the
-/// same bytes). Every commit that fills the batch flushes it, so callers
-/// may drain an unbounded stream (e.g. a retransmission sweep after a
-/// stall) through this path without ever handing `SendBatch::slot` a full
-/// batch.
-fn commit_through_shim(
-    send: &mut SendBatch,
-    shim: &mut Option<FaultShim>,
-    now: Duration,
-    sock: &UdpSocket,
-) -> std::io::Result<()> {
-    let copies = shim
-        .as_mut()
-        .map_or(1, |s| s.pass(FaultDirection::Tx, now, send.slot()).copies());
-    let dup = (copies > 1).then(|| send.slot().clone());
-    if copies > 0 {
-        commit(send, sock)?;
-    }
-    if let Some(dg) = dup {
-        send.slot().clone_from(&dg);
-        commit(send, sock)?;
-    }
-    Ok(())
-}
-
-/// Stages the slot for the connected peer, flushing a full batch.
-fn commit(send: &mut SendBatch, sock: &UdpSocket) -> std::io::Result<()> {
-    send.commit();
-    if send.is_full() {
-        send.flush(sock)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -553,50 +529,6 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains("overflow the id space"), "{err}");
         }
-    }
-
-    #[test]
-    fn commit_through_shim_flushes_instead_of_overflowing() {
-        use crate::batch::BATCH;
-        use crate::shim::{FaultDirection, FaultWindow};
-
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
-        sock.connect(peer.local_addr().unwrap()).unwrap();
-
-        // No shim: an unbounded drain (e.g. a retransmission sweep after a
-        // stall) must flush as the batch fills, never panic in slot().
-        let mut send = SendBatch::new();
-        let mut shim: Option<FaultShim> = None;
-        for i in 0..(3 * BATCH + 5) {
-            let slot = send.slot();
-            slot.clear();
-            slot.push(i as u8);
-            commit_through_shim(&mut send, &mut shim, Duration::ZERO, &sock).unwrap();
-        }
-        send.flush(&sock).unwrap();
-
-        // Duplicate-everything shim: the second commit of each pair must
-        // also flush when it fills the batch.
-        let mut shim = Some(FaultShim::new(
-            1,
-            vec![FaultWindow {
-                from: Duration::ZERO,
-                until: Duration::from_secs(1),
-                direction: FaultDirection::Tx,
-                drop_prob: 0.0,
-                dup_prob: 1.0,
-                delay: Duration::ZERO,
-            }],
-        ));
-        let mut send = SendBatch::new();
-        for i in 0..(2 * BATCH) {
-            let slot = send.slot();
-            slot.clear();
-            slot.push(i as u8);
-            commit_through_shim(&mut send, &mut shim, Duration::from_millis(1), &sock).unwrap();
-        }
-        send.flush(&sock).unwrap();
     }
 
     #[test]

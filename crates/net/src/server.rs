@@ -18,7 +18,8 @@
 //! and the loop re-entered with the same core, shim and buffers, so no
 //! counter is lost across a crash. An optional [`FaultShim`] per worker
 //! perturbs datagrams between codec and socket in both directions,
-//! deterministically from a seed.
+//! deterministically from a seed; a response it duplicates is staged
+//! twice, the second copy the first's bytes copied into the next slot.
 //!
 //! Each worker thread puts itself under `SCHED_BATCH` before its loop, so
 //! the switch's `sendmmsg` that wakes it runs to the end and the worker
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 use netclone_hostcore::{AdmitDecision, ServerCore, ServerStats};
 use netclone_proto::{Ipv4, PacketMeta, ServerId};
 
-use crate::batch::{run_as_batch, RecvBatch, SendBatch};
+use crate::batch::{run_as_batch, set_timeout, RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 use crate::shim::{FaultDirection, FaultPlan, FaultShim};
 use crate::supervise;
@@ -138,7 +139,7 @@ impl ServerHandle {
     /// Binds a server on `127.0.0.1` and starts its worker threads.
     pub fn spawn(cfg: UdpServerConfig) -> std::io::Result<ServerHandle> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
+        set_timeout(&socket, Duration::from_millis(20))?;
         // All traffic flows through the switch, so a connected socket is
         // both a filter and what lets batched sends skip per-msg addresses.
         socket.connect(cfg.switch_addr)?;
@@ -273,10 +274,8 @@ impl Worker<'_> {
                 let now = self.epoch.elapsed();
                 while let Some((dir, p)) = self.shim.as_mut().and_then(|s| s.due(now)) {
                     if dir == FaultDirection::Tx {
-                        let slot = self.next_slot();
-                        slot.clear();
-                        slot.extend_from_slice(&p);
-                        self.send.commit();
+                        self.send.slot().clone_from(&p);
+                        let _ = self.send.commit_copies(1, self.sock);
                     } else {
                         self.serve(&p, 0);
                     }
@@ -339,30 +338,17 @@ impl Worker<'_> {
         let nc = self.core.response(&meta.nc, backlog);
         self.publish();
         let resp = PacketMeta::netclone_response(self.cfg.vip, meta.src_ip, nc, 0);
-        encode_packet_into(&resp, &op, &value, self.next_slot());
+        encode_packet_into(&resp, &op, &value, self.send.slot());
         let copies = self.shim.as_mut().map_or(1, |s| {
             s.pass(FaultDirection::Tx, self.epoch.elapsed(), self.send.slot())
                 .copies()
         });
-        // Each copy the shim asks for is a staged datagram of its own.
-        for c in 0..copies {
-            if c > 0 {
-                encode_packet_into(&resp, &op, &value, self.next_slot());
-            }
-            self.send.commit();
-        }
+        let _ = self.send.commit_copies(copies, self.sock);
     }
 
-    /// The next send slot, flushing the batch first when it is full.
-    fn next_slot(&mut self) -> &mut Vec<u8> {
-        if self.send.is_full() {
-            self.flush();
-        }
-        self.send.slot()
-    }
-
-    /// Sends the staged responses. A datagram the kernel refuses is lost
-    /// like any dropped packet; the client's retry covers it.
+    /// Sends the staged responses. A datagram the kernel refuses here or
+    /// in a flush of a full batch is lost like any dropped packet; the
+    /// client's retry covers it.
     fn flush(&mut self) {
         let _ = self.send.flush(self.sock);
     }

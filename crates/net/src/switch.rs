@@ -29,7 +29,7 @@ use netclone_core::{NetCloneConfig, NetCloneSwitch, SwitchCounters, SwitchEngine
 use netclone_proto::{Ipv4, ServerId};
 use parking_lot::Mutex;
 
-use crate::batch::{RecvBatch, SendBatch};
+use crate::batch::{set_timeout, RecvBatch, SendBatch};
 use crate::codec::{decode_packet_borrowed, encode_packet_into};
 
 /// Egress ports the switch can map to a socket.
@@ -85,7 +85,7 @@ impl SoftSwitch {
     /// same trait object the DES simulator drives.
     pub fn spawn_engine(engine: Box<dyn SwitchEngine>) -> std::io::Result<SoftSwitch> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
+        set_timeout(&socket, Duration::from_millis(20))?;
         let addr = socket.local_addr()?;
         let shared = Arc::new(Mutex::new(Shared {
             program: engine,

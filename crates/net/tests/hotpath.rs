@@ -1,12 +1,13 @@
 //! Loopback smoke test of the steady-state hot-path contract: across a
 //! full open-loop run — client workers, soft switch, and sharded servers
-//! all in this process — the per-packet path performs **zero**
-//! buffer-growth allocations and **zero** `set_read_timeout` syscalls,
-//! as counted by the debug counters in `netclone_net::batch`.
+//! all in this process — and across a run of blocking `UdpClient` calls,
+//! the per-packet path performs **zero** buffer-growth allocations and
+//! **zero** `set_read_timeout` syscalls, as counted by the debug counters
+//! in `netclone_net::batch`.
 //!
 //! This file holds exactly one test on purpose: the counters are
-//! process-wide, so a sibling test running `UdpClient` (which legally
-//! arms deadline buckets) would pollute the deltas.
+//! process-wide, so a sibling test setting up a socket would pollute the
+//! deltas.
 
 use std::time::Duration;
 
@@ -53,6 +54,29 @@ fn open_loop_steady_state_is_alloc_and_timeout_syscall_free() {
         after.timeout_syscalls - before.timeout_syscalls,
         0,
         "the per-packet path issued set_read_timeout syscalls"
+    );
+
+    // The blocking client sets its read timeout once, at bind; its calls
+    // set none.
+    let mut client = tb.client(4).expect("blocking client");
+    let before = path_counters();
+    for _ in 0..50 {
+        client
+            .call(RpcOp::Echo { class_ns: 20_000 }, Duration::from_secs(2))
+            .expect("call");
+    }
+    client.drain_late_responses();
+    let after = path_counters();
+    assert_eq!(client.stats().completed, 50);
+    assert_eq!(
+        after.timeout_syscalls - before.timeout_syscalls,
+        0,
+        "UdpClient::call issued set_read_timeout syscalls"
+    );
+    assert_eq!(
+        after.buffer_grow_allocs - before.buffer_grow_allocs,
+        0,
+        "a UdpClient call grew a buffer past its preallocation"
     );
     tb.shutdown();
 }

@@ -4,11 +4,11 @@
 //! NetClone program forwarding real datagrams between real threads.
 
 use std::net::UdpSocket;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netclone_core::NetCloneConfig;
 use netclone_net::{
-    decode_packet_borrowed, encode_packet_into, ServerHandle, Testbed, UdpServerConfig,
+    decode_packet_borrowed, encode_packet_into, CallError, ServerHandle, Testbed, UdpServerConfig,
     WorkExecutor,
 };
 use netclone_proto::{Ipv4, KvKey, NetCloneHdr, PacketMeta, RpcOp, ServerState};
@@ -115,6 +115,69 @@ fn kv_store_round_trips_values_through_the_fabric() {
     assert_eq!(reply.value, b"STORED");
     let after = tb.switch_handle().counters().cloned;
     assert_eq!(before, after, "writes must not be cloned");
+    tb.shutdown();
+}
+
+#[test]
+fn a_reply_over_the_datagram_envelope_times_out_instead_of_arriving_cut() {
+    let mut tb = Testbed::spawn(NetCloneConfig::default(), 2, 1, WorkExecutor::kv(1_000, 64))
+        .expect("testbed");
+    let mut client = tb.client(9).expect("client");
+    let scan = |count| RpcOp::Scan {
+        key: KvKey::from_index(0),
+        count,
+    };
+    // 127 objects are 8,128 value bytes: the reply fits the 8 KiB envelope.
+    let reply = client.call(scan(127), TIMEOUT).expect("scan of 127");
+    assert_eq!(reply.value.len(), 127 * 64);
+    // 128 and 200 objects do not: the switch drops the reply on receipt
+    // rather than forward the first 8 KiB of it as a whole answer.
+    for count in [128, 200] {
+        match client.call(scan(count), Duration::from_millis(300)) {
+            Err(CallError::Timeout) => {}
+            Ok(reply) => panic!(
+                "scan of {count} returned {} of {} value bytes",
+                reply.value.len(),
+                usize::from(count) * 64
+            ),
+            Err(e) => panic!("scan of {count}: {e}"),
+        }
+    }
+    tb.shutdown();
+}
+
+#[test]
+fn a_call_past_its_timeout_returns_within_one_poll_and_counts_the_late_reply() {
+    let mut tb =
+        Testbed::spawn(NetCloneConfig::default(), 2, 1, WorkExecutor::Synthetic).expect("testbed");
+    let mut client = tb.client(10).expect("client");
+    let timeout = Duration::from_millis(20);
+    let start = Instant::now();
+    let result = client.call(
+        RpcOp::Echo {
+            class_ns: 200_000_000,
+        },
+        timeout,
+    );
+    let took = start.elapsed();
+    assert!(matches!(result, Err(CallError::Timeout)), "{result:?}");
+    // The read timeout is a fixed 5 ms poll, so the call wakes at most
+    // one poll past its deadline; the rest is scheduling slack.
+    assert!(took >= timeout, "returned after {took:?}");
+    assert!(
+        took < timeout + Duration::from_millis(5 + 45),
+        "returned {took:?} after a {timeout:?} timeout"
+    );
+    assert_eq!(client.stats().lost, 1);
+    // The switch filter lets one of the two copies' replies through; it
+    // lands ~200 ms in, after the call gave up, and counts as redundant.
+    let mut drained = 0;
+    while drained == 0 && start.elapsed() < TIMEOUT {
+        drained += client.drain_late_responses();
+    }
+    assert_eq!(drained, 1);
+    let stats = client.stats();
+    assert_eq!((stats.redundant, stats.completed, stats.lost), (1, 0, 1));
     tb.shutdown();
 }
 
